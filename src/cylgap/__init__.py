@@ -19,7 +19,7 @@ from .grid import TensorMesh, build_mesh
 from .assemble import (SparseSymmetricForm, assemble_cross_section,
                        assemble_cylinder, assemble_dirichlet_cylinder,
                        dump_coordinate)
-from .eig import EigenPair, second_eigenpair_constrained, smallest_eigenpairs
+from .eig import EigenPair, smallest_eigenpairs
 
 __version__ = "0.1.0"
 
@@ -31,5 +31,5 @@ __all__ = [
     "row_restriction_field", "ellipticity_bounds", "schur_reduce",
     "schur_minimizer", "condition_con", "build_mesh", "assemble_cylinder",
     "assemble_cross_section", "assemble_dirichlet_cylinder",
-    "dump_coordinate", "smallest_eigenpairs", "second_eigenpair_constrained",
+    "dump_coordinate", "smallest_eigenpairs",
 ]

@@ -348,21 +348,6 @@ def rayleigh_of_testfn(tf, mesh, field, forms=None):
     return RayleighValue(num / den, num, den)
 
 
-def grid_search_testfn(builder, param_grid, mesh, field, forms=None):
-    """Evaluate ``builder(**params)`` over a coarse parameter grid and return
-    (best_params, best_quotient, trials); good parameter values are known
-    to exist but not in closed form, so they are searched for."""
-    if forms is None:
-        forms = asm.assemble_cylinder(mesh, field)
-    trials = []
-    for params in param_grid:
-        tf = builder(**params)
-        q = rayleigh_of_testfn(tf, mesh, field, forms=forms).quotient
-        trials.append((dict(params), q))
-    best = min(trials, key=lambda t: t[1])
-    return best[0], best[1], trials
-
-
 # -- quadrature-level energies ----------------------------------------------
 
 
@@ -583,44 +568,3 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, side, r):
     half_grid = half_full.reshape(half_mesh.shape)[half_sel].ravel()
     parts = [region] + [np.asarray(p) for p in half_mesh.cross_partitions]
     return _region_h1(parts, cyl_grid, half_grid)
-
-
-@dataclass(frozen=True)
-class BulkProfileFit:
-    alpha: float
-    g_plus: float
-    g_minus: float
-    rel_residual: float
-
-
-def bulk_profile_fit(u, mesh, x2_star=0.0):
-    """Two-exponential fit g e^(a x1) + g' e^(-a x1) of the eigenfunction
-    along the line X2 = x2_star over the middle third of the cylinder."""
-    if mesh.domain_kind != "full-cylinder":
-        raise MeshMismatch("bulk profile needs a full cylinder")
-    vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
-    full = mesh.scatter_free(vec).reshape(mesh.shape)
-    cross_idx = []
-    for a in range(1, mesh.ndim):
-        part = mesh.axis_partitions[a]
-        cross_idx.append(int(np.argmin(np.abs(part - x2_star))))
-    line = full[(slice(None),) + tuple(cross_idx)]
-    x1 = mesh.axis_partitions[0]
-    sel = np.abs(x1) <= mesh.ell / 3.0
-    xs, ys = x1[sel], line[sel]
-    if len(xs) < 5:
-        raise TooShort("not enough nodes in the middle third")
-
-    def residual(alpha):
-        B = np.stack([np.exp(alpha * xs), np.exp(-alpha * xs)], axis=1)
-        sol, *_ = np.linalg.lstsq(B, ys, rcond=None)
-        return float(np.linalg.norm(B @ sol - ys)), sol
-
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda a: residual(a)[0], bounds=(1e-3, 5.0),
-                          method="bounded",
-                          options={"xatol": 1e-8})
-    alpha = float(res.x)
-    rnorm, sol = residual(alpha)
-    rel = rnorm / float(np.linalg.norm(ys))
-    return BulkProfileFit(alpha, float(sol[0]), float(sol[1]), rel)

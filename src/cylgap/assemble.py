@@ -7,6 +7,7 @@ lower triangle, so they are exactly symmetric by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -25,17 +26,13 @@ def gauss_points_01():
     return np.array([0.5 - 0.5 / _SQRT3, 0.5 + 0.5 / _SQRT3])
 
 
-_REF_CACHE = {}
-
-
+@functools.cache
 def reference_basis(d):
     """Q1 shape values and unit-cell gradients at the tensor Gauss points.
 
     Returns (N, G) with N[q, i] and G[q, a, i]; corners and quadrature
     points are ordered with the last axis fastest.
     """
-    if d in _REF_CACHE:
-        return _REF_CACHE[d]
     xi = gauss_points_01()
     n1 = np.stack([1.0 - xi, xi])      # n1[corner, q]
     d1 = np.array([-1.0, 1.0])         # unit-cell derivative per corner
@@ -52,7 +49,6 @@ def reference_basis(d):
                 parts = list(axis_vals)
                 parts[b] = d1[kc[b]]
                 G[qi, b, ki] = np.prod(parts)
-    _REF_CACHE[d] = (N, G)
     return N, G
 
 
@@ -75,20 +71,22 @@ class SparseSymmetricForm:
     """Assembled symmetric bilinear form over the free nodes.
 
     Only the lower triangle (including the diagonal) is stored in CSR;
-    ``full()`` mirrors it on demand.
+    ``full()`` mirrors it on first use and keeps the mirror.
     """
 
     dim: int
     lower: sparse.csr_matrix
     kind: str
     provenance: dict = dc_field(default_factory=dict)
+    _full: sparse.csr_matrix | None = dc_field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def full(self):
-        if "_full" not in self.provenance:
+        if self._full is None:
             low = self.lower.tocsr()
             diag = sparse.diags(low.diagonal())
-            self.provenance["_full"] = (low + low.T - diag).tocsr()
-        return self.provenance["_full"]
+            self._full = (low + low.T - diag).tocsr()
+        return self._full
 
     @property
     def row_offsets(self):
@@ -107,9 +105,8 @@ class SparseSymmetricForm:
         return float(u @ (self.full() @ u))
 
     def scale(self, c):
-        prov = {k: v for k, v in self.provenance.items() if k != "_full"}
         return SparseSymmetricForm(self.dim, (self.lower * c).tocsr(),
-                                   self.kind, prov)
+                                   self.kind, dict(self.provenance))
 
 
 def _audit_spd(C, what):
@@ -221,22 +218,3 @@ def dump_coordinate(form, path):
     with open(path, "w", encoding="utf-8") as f:
         for i, j, v in zip(mat.row, mat.col, mat.data):
             f.write(f"{i} {j} {v:.17g}\n")
-
-
-def validate_mass(form, mesh=None):
-    """Mass-matrix health: positive row sums (lumped positivity) and a
-    Cholesky check (dense for small forms, probe solves otherwise)."""
-    full = form.full()
-    rowsums = np.asarray(full.sum(axis=1)).ravel()
-    if np.any(rowsums <= 0.0):
-        raise NotElliptic("mass matrix has a non-positive row sum")
-    if form.dim <= 1500:
-        np.linalg.cholesky(full.toarray())
-    else:
-        lu = sparse.linalg.splu(full.tocsc())
-        rng = np.random.default_rng(0)
-        for _ in range(8):
-            u = rng.standard_normal(form.dim)
-            if not np.isfinite(lu.solve(u)).all() or u @ (full @ u) <= 0.0:
-                raise NotElliptic("mass matrix failed a positivity probe")
-    return True

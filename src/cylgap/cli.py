@@ -229,10 +229,8 @@ def _ints(sched):
 
 
 def _run_nu_half(field, rc, cfg):
-    plus = ex.exp_nu_half(field, "+", rc.schedules["l_half"], cfg,
-                          strict=False)
-    minus = ex.exp_nu_half(field, "-", rc.schedules["l_half"], cfg,
-                           strict=False)
+    plus = ex.exp_nu_half(field, "+", rc.schedules["l_half"], cfg)
+    minus = ex.exp_nu_half(field, "-", rc.schedules["l_half"], cfg)
     for est in (plus, minus):
         last = est.records[-1]
         extra = f"bracket=[{est.bracket[0]:.9g},{est.bracket[1]:.9g}]"
@@ -257,6 +255,8 @@ def _run_decay(field, rc, cfg):
     for ell in rc.schedules["ell_decay"]:
         recs, prof = ex.exp_decay(field, ell, cfg)
         records.extend(recs)
+        if prof is None:
+            continue
         for (r, m), (_, g) in zip(prof.masses, prof.grad_masses):
             profile_rows.append({"ell": ell, "r": r, "mass": m,
                                  "grad_mass": g})

@@ -408,31 +408,3 @@ def condition_con(field, W1, mesh, tol_con=TOL_CON):
         signed_integral=signed_out,
         pointwise_nonpositive=bool(np.all(g <= tol_con)),
     )
-
-
-def quadrature_sample_points(mesh):
-    """All 2-point tensor Gauss coordinates of a mesh, for ellipticity audits."""
-    from .assemble import gauss_points_01  # local import avoids a cycle
-
-    offs = gauss_points_01()
-    d = mesh.ndim
-    origins = mesh.cell_origins()
-    sizes = mesh.cell_sizes()
-    pts = []
-    for combo in np.ndindex(*(2,) * d):
-        shift = np.array([offs[c] for c in combo])
-        pts.append(origins + sizes * shift)
-    return np.concatenate(pts, axis=0)
-
-
-def audit_mesh_ellipticity(field, mesh):
-    """Ellipticity bounds sampled at every quadrature point of ``mesh``.
-
-    The cross-section coordinates are the trailing mesh axes for cylinder
-    meshes and all axes for cross-section meshes.
-    """
-    pts = quadrature_sample_points(mesh)
-    cross = pts[:, mesh.n_axial:]
-    if cross.shape[1] != field.cross_dim:
-        raise MeshMismatch("mesh cross dimension does not match the field")
-    return ellipticity_bounds(field, cross)

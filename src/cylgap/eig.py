@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import FactorizationFailed, NoConvergence
 
@@ -38,12 +38,6 @@ def _full(form):
     if hasattr(form, "full"):
         return form.full()
     return sparse.csr_matrix(form)
-
-
-def rayleigh_quotient(K, M, u):
-    Kf, Mf = _full(K), _full(M)
-    u = np.asarray(u, dtype=float)
-    return float((u @ (Kf @ u)) / (u @ (Mf @ u)))
 
 
 def _residuals(Kf, Mf, vals, vecs):
@@ -138,63 +132,3 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0,
             pairs[i].degenerate = True
             pairs[i + 1].degenerate = True
     return pairs
-
-
-def second_eigenpair_constrained(K, M, u1, tol=DEFAULT_TOL, seed=0,
-                                 maxiter=MAX_RESTARTS):
-    """Minimizer of the Rayleigh quotient M-orthogonal to ``u1``.
-
-    Deflated subspace iteration on the shift-inverted operator: the
-    factored K applies K^-1 M, and the iterate block is projected off
-    u1 in the M inner product every step.
-    """
-    if u1.residual > tol:
-        raise ValueError("u1 must be converged to the requested tolerance")
-    Kf, Mf = _full(K), _full(M)
-    n = Kf.shape[0]
-    if n < 2:
-        raise ValueError("pencil too small for a second pair")
-    try:
-        lu = splu(Kf.tocsc())
-    except RuntimeError as exc:
-        raise FactorizationFailed(f"sparse factorization failed: {exc}")
-
-    u = u1.vector / math.sqrt(float(u1.vector @ (Mf @ u1.vector)))
-    Mu = Mf @ u
-    rng = np.random.default_rng(seed)
-    block = min(3, n - 1)
-    V = rng.standard_normal((n, block))
-
-    def project(W):
-        return W - np.outer(u, Mu @ W)
-
-    best_res = math.inf
-    best = None
-    V = project(V)
-    for _ in range(maxiter):
-        V = lu.solve(Mf @ V)
-        V = project(V)
-        # Rayleigh-Ritz on the block
-        Km = V.T @ (Kf @ V)
-        Mm = V.T @ (Mf @ V)
-        try:
-            theta, S = scipy.linalg.eigh(Km, Mm)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            V = project(rng.standard_normal((n, block)))
-            continue
-        V = V @ S
-        V = _normalize_columns(Mf, V)
-        val = float(theta[0])
-        vec = V[:, 0]
-        r = float(np.linalg.norm(Kf @ vec - val * (Mf @ vec))
-                  / np.linalg.norm(Mf @ vec))
-        if r < best_res:
-            best_res = r
-            best = (val, vec.copy(), r,
-                    float(theta[1] - theta[0]) if block > 1 else math.nan)
-        if r <= tol:
-            val, vec, r, gap = best
-            return EigenPair(val, _sign_fix(vec), r, gap)
-    raise NoConvergence(
-        f"deflated iteration stalled at residual {best_res:.3e}",
-        best_residual=best_res)

@@ -62,7 +62,7 @@ class ConditionConFails(CylgapError):
 
 
 class NotConverged(CylgapError):
-    """Truncation sequence did not converge; carries the sequence."""
+    """Length sequence too short for its estimate; carries the sequence."""
 
     def __init__(self, message, sequence=None):
         super().__init__(message)

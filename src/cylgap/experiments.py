@@ -8,10 +8,11 @@ cross-section eigenvalue (coarse/fine difference times three).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -97,20 +98,6 @@ def _delta_of(field):
     return None
 
 
-def _base_record(experiment, field, cfg, ell=None, mesh=None):
-    return SweepRecord(
-        experiment=experiment,
-        field_kind=field.kind,
-        delta=_delta_of(field),
-        n=field.n,
-        p=field.p,
-        ell=ell,
-        resolution="" if mesh is None else
-        "x".join(str(s - 1) for s in mesh.shape),
-        grading=cfg.grading,
-    )
-
-
 # -- shared context ----------------------------------------------------------
 
 
@@ -130,56 +117,52 @@ class CrossContext:
 _CROSS_CACHE = {}
 
 
-def cross_context(field, cfg, omega=None, resolution=None):
-    """Cross-section eigendata plus the two-level mesh-error estimate.
+def cross_context(field, cfg):
+    """Cross-section eigendata at ``cfg.resolution`` plus the two-level
+    mesh-error estimate.
 
     Cached per field instance (the context keeps the field alive, so the
     id-based key cannot be recycled)."""
-    omega = cfg.omega if omega is None else omega
-    res = cfg.resolution if resolution is None else resolution
-    key = (id(field), tuple(np.ravel(omega)), res, cfg.tol)
+    res = cfg.resolution
+    key = (id(field), tuple(np.ravel(cfg.omega)), res, cfg.tol)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
-    mesh = grid_mod.build_mesh("cross-section", omega=omega, resolution=res,
-                               node_cap=cfg.node_cap)
-    K, M = asm.assemble_cross_section(mesh, field)
-    W1 = eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol, seed=cfg.seed)[0]
-    Kr, Mr = asm.assemble_cross_section(mesh, field, reduced=True)
-    w1 = eig.smallest_eigenpairs(Kr, Mr, count=1, tol=cfg.tol, seed=cfg.seed)[0]
-    fine = grid_mod.build_mesh("cross-section", omega=omega,
-                               resolution=2 * res, node_cap=cfg.node_cap)
-    Kf, Mf = asm.assemble_cross_section(fine, field)
-    mu_fine = eig.smallest_eigenpairs(Kf, Mf, count=1, tol=cfg.tol,
-                                      seed=cfg.seed)[0].value
-    err = abs(W1.value - mu_fine)
+
+    def first_pair(mesh, reduced=False):
+        K, M = asm.assemble_cross_section(mesh, field, reduced=reduced)
+        return eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
+                                       seed=cfg.seed)[0]
+
+    mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
+                                      resolution=r, node_cap=cfg.node_cap)
+                  for r in (res, 2 * res)]
+    W1 = first_pair(mesh)
+    w1 = first_pair(mesh, reduced=True)
+    err = abs(W1.value - first_pair(fine).value)
     ctx = CrossContext(mesh, W1.value, W1, w1.value, w1, err, 3.0 * err,
                        coeff_mod.condition_con(field, W1, mesh), field)
     _CROSS_CACHE[key] = ctx
     return ctx
 
 
-def _axial_res(ell, cfg):
-    # keep at least 4 cells along each elongated axis for tiny ell
-    return max(cfg.axial_resolution, 2.0 / ell)
-
-
-def build_cylinder(field, ell, cfg, kind="full-cylinder", grading=None):
-    grading = cfg.grading if grading is None else grading
-    if kind == "multi-direction":
-        res = [cfg.res3d_axial, cfg.res3d_axial, cfg.res3d_cross]
-    else:
-        res = [_axial_res(ell, cfg)] + [cfg.resolution] * (field.n - field.p)
-    return grid_mod.build_mesh(kind, ell=ell, omega=cfg.omega,
-                               resolution=res, grading=grading,
-                               node_cap=cfg.node_cap)
-
-
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
-                   grading=None, diagnostics=False):
+                   grading=None, diagnostics=False, dirichlet=False):
     """Mesh + forms + smallest pairs, with optional concentration and
-    symmetry diagnostics (they self-check their identities on every call)."""
-    mesh = build_cylinder(field, ell, cfg, kind=kind, grading=grading)
-    K, M = asm.assemble_cylinder(mesh, field)
+    symmetry diagnostics (they self-check their identities on every call).
+
+    Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
+    at least 4 cells for tiny ``ell``; the cross axes get
+    ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
+    included (the comparison spectrum)."""
+    axial = max(cfg.axial_resolution, 2.0 / ell)
+    mesh = grid_mod.build_mesh(
+        kind, ell=ell, omega=cfg.omega,
+        resolution=[axial] * field.p + [cfg.resolution] * field.cross_dim,
+        grading=cfg.grading if grading is None else grading,
+        node_cap=cfg.node_cap)
+    assemble = (asm.assemble_dirichlet_cylinder if dirichlet
+                else asm.assemble_cylinder)
+    K, M = assemble(mesh, field)
     pairs = eig.smallest_eigenpairs(K, M, count=count, tol=cfg.tol,
                                     seed=cfg.seed)
     diag = {}
@@ -203,9 +186,45 @@ def _run_ordered(tasks, parallelism):
         return [f.result() for f in futures]
 
 
-def _timed(record, t0):
-    record.wall_time_s = time.perf_counter() - t0
-    return record
+# the first eigenvalue of a half-cylinder is the tilde-lambda of its side
+_FIRST_VALUE_COLUMN = {"half-plus": "lambda_half_plus",
+                       "half-minus": "lambda_half_minus"}
+
+
+def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
+         **solve):
+    """One timed record.
+
+    With a length ``ell`` the row solves ``solve_cylinder(field, ell, cfg,
+    **solve)`` and records the resolution, the first eigenvalue, the
+    largest residual and the diagnostics; ``judge(rec, mesh, pairs)`` then
+    fills in the rest and the verdict.  A row without a length only calls
+    ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.  A
+    CylgapError fails this row alone, with the exception in its note.
+    """
+    t0 = time.perf_counter()
+    rec = SweepRecord(experiment=experiment, field_kind=field.kind,
+                      delta=_delta_of(field), n=field.n, p=field.p, ell=ell,
+                      grading=cfg.grading,
+                      mu1_disc=None if ctx is None else ctx.mu1,
+                      margin=margin)
+    try:
+        if ell is None:
+            judge(rec, None, None)
+        else:
+            mesh, _, pairs, diag = solve_cylinder(field, ell, cfg, **solve)
+            rec.resolution = "x".join(str(c) for c in mesh.cells_shape)
+            setattr(rec, _FIRST_VALUE_COLUMN.get(mesh.domain_kind, "lambda1"),
+                    pairs[0].value)
+            rec.residual = max(p.residual for p in pairs)
+            for k, v in diag.items():
+                setattr(rec, k, v)
+            judge(rec, mesh, pairs)
+    except CylgapError as exc:
+        rec.passed = False
+        rec.note = f"{type(exc).__name__}: {exc}"
+    rec.wall_time_s = time.perf_counter() - t0
+    return rec
 
 
 # -- experiments -------------------------------------------------------------
@@ -218,48 +237,37 @@ def exp_bounds_sweep(field, ell_list, cfg):
     delta = _delta_of(field)
     is_model = field.kind == "model-delta"
 
-    def one(ell):
-        t0 = time.perf_counter()
-        rec = _base_record("bounds", field, cfg, ell=ell)
-        try:
-            mesh, _, pairs, diag = solve_cylinder(field, ell, cfg,
-                                                  diagnostics=True)
-            lam = pairs[0].value
-            rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-            rec.lambda1 = lam
-            rec.residual = pairs[0].residual
-            rec.mu1_disc = ctx.mu1
-            rec.Lambda1_disc = ctx.Lambda1
-            rec.margin = ctx.margin
-            for k, v in diag.items():
-                setattr(rec, k, v)
-            ok = ctx.Lambda1 - ctx.margin <= lam <= ctx.mu1 + ctx.margin
-            note = []
-            if is_model and delta and delta > 0.0:
-                strict = ((1 - delta**2) * ctx.mu1 + STRICT_MARGIN < lam
-                          < ctx.mu1 - STRICT_MARGIN)
-                ok = ok and strict
-                if not strict:
-                    note.append("strict interior placement failed")
-            if is_model and delta == 0.0:
-                flat = abs(lam - ctx.mu1) <= 1e-9
-                ok = ok and flat
-                if not flat:
-                    note.append("delta=0 should pin lambda to mu1")
-            rec.gap = ctx.mu1 - lam
-            rec.passed = bool(ok)
-            rec.note = "; ".join(note)
-        except CylgapError as exc:
-            rec.passed = False
-            rec.note = f"{type(exc).__name__}: {exc}"
-        return _timed(rec, t0)
+    def judge(rec, mesh, pairs):
+        lam = rec.lambda1
+        rec.Lambda1_disc = ctx.Lambda1
+        ok = ctx.Lambda1 - ctx.margin <= lam <= ctx.mu1 + ctx.margin
+        note = []
+        if is_model and delta and delta > 0.0:
+            strict = ((1 - delta**2) * ctx.mu1 + STRICT_MARGIN < lam
+                      < ctx.mu1 - STRICT_MARGIN)
+            ok = ok and strict
+            if not strict:
+                note.append("strict interior placement failed")
+        if is_model and delta == 0.0:
+            flat = abs(lam - ctx.mu1) <= 1e-9
+            ok = ok and flat
+            if not flat:
+                note.append("delta=0 should pin lambda to mu1")
+        rec.gap = ctx.mu1 - lam
+        rec.passed = bool(ok)
+        rec.note = "; ".join(note)
 
-    return _run_ordered([lambda e=e: one(e) for e in ell_list],
-                        cfg.parallelism)
+    return _run_ordered(
+        [functools.partial(_row, "bounds", field, cfg, ell, judge, ctx=ctx,
+                           margin=ctx.margin, diagnostics=True)
+         for ell in ell_list], cfg.parallelism)
 
 
-def _richardson(ells, lams):
+def _richardson(lams):
     """Extrapolate lambda(ell) to ell -> 0 from a halving schedule."""
+    if len(lams) < 3:
+        raise NotConverged("Richardson extrapolation needs 3 solved "
+                           f"lengths, got {len(lams)}", sequence=lams)
     d2 = lams[-2] - lams[-3]
     d3 = lams[-1] - lams[-2]
     if d3 == 0 or d2 / d3 <= 1.0:
@@ -273,37 +281,30 @@ def exp_limit_zero(field, ell_list, cfg, tol_limit=None):
     cross-section value.  The cross resolution is raised until cells can
     resolve the lateral boundary layer of width ~ min(ell)."""
     ells = sorted(ell_list, reverse=True)
-    cross_res = max(cfg.resolution, 2.0 / min(ells))
-    zcfg = ExperimentConfig(**{**cfg.__dict__, "resolution": cross_res})
+    zcfg = replace(cfg, resolution=max(cfg.resolution, 2.0 / min(ells)))
     ctx = cross_context(field, zcfg)
     if tol_limit is None:
         tol_limit = (TOL_LIMIT_MODEL if field.kind == "model-delta"
                      else TOL_LIMIT_GENERAL)
-    records = []
-    lams = []
-    for ell in ells:
-        t0 = time.perf_counter()
-        rec = _base_record("limit-zero", field, zcfg, ell=ell)
-        mesh, _, pairs, _ = solve_cylinder(field, ell, zcfg)
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = pairs[0].value
-        rec.residual = pairs[0].residual
-        rec.mu1_disc = ctx.mu1
+
+    def judge(rec, mesh, pairs):
         rec.Lambda1_disc = ctx.Lambda1
-        lams.append(pairs[0].value)
-        records.append(_timed(rec, t0))
-    t0 = time.perf_counter()
-    summary = _base_record("limit-zero", field, zcfg)
-    extrap, order = _richardson(ells, lams)
-    summary.extrapolated = extrap
-    summary.target = ctx.Lambda1
-    summary.margin = tol_limit
-    summary.mu1_disc = ctx.mu1
-    summary.Lambda1_disc = ctx.Lambda1
-    summary.passed = bool(abs(extrap - ctx.Lambda1) < tol_limit)
-    summary.note = f"extrapolation (observed order {order:.2f})" \
-        if math.isfinite(order) else "extrapolation (order indeterminate)"
-    records.append(_timed(summary, t0))
+
+    records = [_row("limit-zero", field, zcfg, ell, judge, ctx=ctx)
+               for ell in ells]
+
+    def summarize(rec, mesh, pairs):
+        rec.Lambda1_disc = ctx.Lambda1
+        extrap, order = _richardson([r.lambda1 for r in records
+                                     if r.lambda1 is not None])
+        rec.extrapolated = extrap
+        rec.target = ctx.Lambda1
+        rec.passed = bool(abs(extrap - ctx.Lambda1) < tol_limit)
+        rec.note = f"extrapolation (observed order {order:.2f})" \
+            if math.isfinite(order) else "extrapolation (order indeterminate)"
+
+    records.append(_row("limit-zero", field, zcfg, None, summarize, ctx=ctx,
+                        margin=tol_limit))
     return records
 
 
@@ -316,58 +317,44 @@ class NuEstimate:
     converged: bool = True
 
 
-def exp_nu_half(field, side, L_schedule, cfg, conv_tol=None, strict=True):
+def exp_nu_half(field, side, L_schedule, cfg, conv_tol=None):
     """Monotone half-cylinder truncations converging down to the
     semi-infinite value; the no-coupling case is identified with mu1.
 
-    With ``strict`` the truncation sequence must settle within
-    ``conv_tol`` or NotConverged is raised; otherwise the last value is
-    reported as an (always valid) upper bound with ``converged=False``.
+    The last value is reported as an (always valid) upper bound;
+    ``converged`` tells whether the sequence settled within ``conv_tol``.
+    Fewer than two solved lengths raise NotConverged.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
     conv_tol = cfg.conv_tol if conv_tol is None else conv_tol
     ctx = cross_context(field, cfg)
     kind = "half-plus" if side == "+" else "half-minus"
-    records = []
     seq = []
-    for L in sorted(L_schedule):
-        t0 = time.perf_counter()
-        rec = _base_record(f"nu-half{side}", field, cfg, ell=L)
-        mesh, _, pairs, _ = solve_cylinder(field, L, cfg, kind=kind,
-                                           grading=1.0)
+
+    def judge(rec, mesh, pairs):
         val = pairs[0].value
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        if side == "+":
-            rec.lambda_half_plus = val
-        else:
-            rec.lambda_half_minus = val
-        rec.residual = pairs[0].residual
-        rec.mu1_disc = ctx.mu1
         if seq and val > seq[-1] + 10 * cfg.tol:
             rec.passed = False
             rec.note = "truncation sequence not nonincreasing"
         seq.append(val)
-        records.append(_timed(rec, t0))
-    converged = len(seq) >= 2 and abs(seq[-2] - seq[-1]) < conv_tol
-    if not ctx.condition.holds:
+
+    records = [_row(f"nu-half{side}", field, cfg, L, judge, ctx=ctx,
+                    kind=kind, grading=1.0) for L in sorted(L_schedule)]
+    if len(seq) < 2:
+        raise NotConverged("half-cylinder estimate needs 2 solved "
+                           f"lengths, got {len(seq)}", sequence=seq)
+    converged = abs(seq[-2] - seq[-1]) < conv_tol
+    bracket = (seq[-1] - (seq[-2] - seq[-1]), seq[-1])
+    if ctx.condition.holds:
+        nu = seq[-1]
+    else:
         # equality case: the limit is mu1 itself; truncations only bound it
         nu = ctx.mu1
-        bracket = (seq[-1] - (seq[-2] - seq[-1]), seq[-1])
         records[-1].note = "no coupling: limit identified with mu1"
         converged = True
-    else:
-        if not converged and strict:
-            raise NotConverged(
-                f"half-cylinder sequence not converged at {conv_tol}",
-                sequence=seq)
-        nu = seq[-1]
-        bracket = (seq[-1] - (seq[-2] - seq[-1]), seq[-1])
     for rec in records:
-        if side == "+":
-            rec.nu_plus = nu
-        else:
-            rec.nu_minus = nu
+        setattr(rec, "nu_plus" if side == "+" else "nu_minus", nu)
     return NuEstimate(nu, bracket, records, seq, converged)
 
 
@@ -386,25 +373,17 @@ def exp_limit_infinity(field, L_list, cfg, tol_inf=TOL_INF):
     Ls = sorted(L_list)
     Lmax = Ls[-1]
     sched = sorted({max(4, Lmax // 4), max(4, Lmax // 2), Lmax})
-    nu_p = exp_nu_half(field, "+", sched, cfg, strict=False)
-    nu_m = exp_nu_half(field, "-", sched, cfg, strict=False)
+    nu_p = exp_nu_half(field, "+", sched, cfg)
+    nu_m = exp_nu_half(field, "-", sched, cfg)
     nu_min = min(nu_p.nu, nu_m.nu)
-    records = []
+    ctx = cross_context(field, cfg)
     diffs = []
-    for L in Ls:
-        t0 = time.perf_counter()
-        rec = _base_record("limit-infinity", field, cfg, ell=L)
-        mesh, _, pairs, diag = solve_cylinder(field, L, cfg, grading=1.0,
-                                              diagnostics=True)
-        lam = pairs[0].value
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = lam
-        rec.residual = pairs[0].residual
+
+    def judge(rec, mesh, pairs):
+        L = rec.ell
+        lam = rec.lambda1
         rec.nu_plus = nu_p.nu
         rec.nu_minus = nu_m.nu
-        rec.mu1_disc = cross_context(field, cfg).mu1
-        for k, v in diag.items():
-            setattr(rec, k, v)
         diff = abs(lam - nu_min)
         rec.gap = diff
         ok = True
@@ -421,15 +400,16 @@ def exp_limit_infinity(field, L_list, cfg, tol_inf=TOL_INF):
             ok = False
             note.append("sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
         diffs.append(diff)
+        if L == Lmax:
+            rec.margin = tol_inf
+            if diff >= tol_inf:
+                ok = False
+                note.append(f"final |lambda - nu| {diff:.2e} >= {tol_inf}")
         rec.passed = ok
         rec.note = "; ".join(note)
-        records.append(_timed(rec, t0))
-    if diffs[-1] >= tol_inf:
-        records[-1].passed = False
-        records[-1].note = (records[-1].note + "; " if records[-1].note
-                            else "") + f"final |lambda - nu| {diffs[-1]:.2e} >= {tol_inf}"
-    records[-1].margin = tol_inf
-    return records
+
+    return [_row("limit-infinity", field, cfg, L, judge, ctx=ctx,
+                 grading=1.0, diagnostics=True) for L in Ls]
 
 
 def exp_gap(field, L_list, cfg):
@@ -438,26 +418,15 @@ def exp_gap(field, L_list, cfg):
     if not ctx.condition.holds:
         raise ConditionConFails(
             "A12.grad(W1) vanishes in L2; the gap experiment needs coupling")
-    records = []
-    for L in sorted(L_list):
-        t0 = time.perf_counter()
-        rec = _base_record("gap", field, cfg, ell=L)
-        mesh, _, pairs, diag = solve_cylinder(field, L, cfg,
-                                              diagnostics=True)
-        lam = pairs[0].value
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = lam
-        rec.residual = pairs[0].residual
-        rec.mu1_disc = ctx.mu1
-        rec.margin = ctx.margin
-        rec.gap = ctx.mu1 - lam
-        for k, v in diag.items():
-            setattr(rec, k, v)
+
+    def judge(rec, mesh, pairs):
+        rec.gap = ctx.mu1 - rec.lambda1
         rec.passed = bool(rec.gap > ctx.margin)
         if not rec.passed:
             rec.note = f"gap {rec.gap:.3e} below margin {ctx.margin:.3e}"
-        records.append(_timed(rec, t0))
-    return records
+
+    return [_row("gap", field, cfg, L, judge, ctx=ctx, margin=ctx.margin,
+                 diagnostics=True) for L in sorted(L_list)]
 
 
 def exp_second_eigenvalue(field, L_list, cfg, shrink_factor=2.0):
@@ -470,29 +439,20 @@ def exp_second_eigenvalue(field, L_list, cfg, shrink_factor=2.0):
                 "property (S) requires omega symmetric about the origin")
     if not field.is_even(ctx.mesh.cell_centers()):
         raise NoReflectionSymmetry("property (S) requires an even field")
-    records = []
     gaps = []
-    for L in sorted(L_list):
-        t0 = time.perf_counter()
-        rec = _base_record("second", field, cfg, ell=L)
-        mesh, forms, pairs, diag = solve_cylinder(field, L, cfg, count=2,
-                                                  grading=1.0,
-                                                  diagnostics=True)
+
+    def judge(rec, mesh, pairs):
         lam1, lam2 = pairs[0].value, pairs[1].value
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1, rec.lambda2 = lam1, lam2
-        rec.residual = max(p.residual for p in pairs)
-        rec.mu1_disc = ctx.mu1
-        for k, v in diag.items():
-            setattr(rec, k, v)
-        _, _, half_pairs, _ = solve_cylinder(field, L, cfg, kind="half-plus",
-                                             grading=1.0)
+        rec.lambda2 = lam2
+        _, _, half_pairs, _ = solve_cylinder(field, rec.ell, cfg,
+                                             kind="half-plus", grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
         rec.gap = gap
         ok = True
         note = []
-        if pairs[0].degenerate or pairs[1].degenerate:
+        degenerate = pairs[0].degenerate or pairs[1].degenerate
+        if degenerate:
             note.append("near-degenerate pair")
         else:
             if not (lam1 < lam2):
@@ -501,55 +461,49 @@ def exp_second_eigenvalue(field, L_list, cfg, shrink_factor=2.0):
             if lam2 > half_pairs[0].value + 10 * cfg.tol:
                 ok = False
                 note.append("lambda2 <= tilde lambda^+ failed")
-        if gaps and not (pairs[0].degenerate or pairs[1].degenerate):
+        if gaps and not degenerate:
             if gap > gaps[-1] / shrink_factor:
                 ok = False
                 note.append(f"gap did not shrink by {shrink_factor}x")
         gaps.append(gap)
         rec.passed = ok
         rec.note = "; ".join(note)
-        records.append(_timed(rec, t0))
-    return records
+
+    return [_row("second", field, cfg, L, judge, ctx=ctx, count=2,
+                 grading=1.0, diagnostics=True) for L in sorted(L_list)]
 
 
 def exp_dirichlet_comparison(field, L_list, cfg):
     """All-Dirichlet spectrum: sigma approaches mu1 from above at rate C/L^2
     with a stable fitted constant."""
     ctx = cross_context(field, cfg)
-    records = []
+    Ls = sorted(L_list)
     cs = []
-    for L in sorted(L_list):
-        t0 = time.perf_counter()
-        rec = _base_record("dirichlet", field, cfg, ell=L)
-        mesh = build_cylinder(field, L, cfg, grading=1.0)
-        K, M = asm.assemble_cylinder(mesh, field)
-        lam = eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
-                                      seed=cfg.seed)[0]
-        Kd, Md = asm.assemble_dirichlet_cylinder(mesh, field)
-        sig = eig.smallest_eigenpairs(Kd, Md, count=1, tol=cfg.tol,
-                                      seed=cfg.seed)[0]
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = lam.value
+
+    def judge(rec, mesh, pairs):
+        L = rec.ell
+        _, _, dpairs, _ = solve_cylinder(field, L, cfg, grading=1.0,
+                                         dirichlet=True)
+        sig = dpairs[0]
         rec.sigma1 = sig.value
-        rec.residual = max(lam.residual, sig.residual)
-        rec.mu1_disc = ctx.mu1
-        rec.margin = ctx.margin
+        rec.residual = max(rec.residual, sig.residual)
         rec.fitted_c = (sig.value - ctx.mu1) * L * L
         ok = sig.value >= ctx.mu1 - ctx.margin
         note = []
-        if lam.value > sig.value + 10 * cfg.tol:
+        if rec.lambda1 > sig.value + 10 * cfg.tol:
             ok = False
             note.append("mixed above Dirichlet at a matched mesh")
         cs.append(rec.fitted_c)
+        if L == Ls[-1]:
+            spread = (max(cs) - min(cs)) / max(cs) if max(cs) > 0 else math.inf
+            if spread > DIRICHLET_SPREAD:
+                ok = False
+                note.append(f"fitted C spread {spread:.0%} > 30%")
         rec.passed = bool(ok)
         rec.note = "; ".join(note)
-        records.append(_timed(rec, t0))
-    spread = (max(cs) - min(cs)) / max(cs) if max(cs) > 0 else math.inf
-    if spread > DIRICHLET_SPREAD:
-        records[-1].passed = False
-        records[-1].note = (records[-1].note + "; " if records[-1].note
-                            else "") + f"fitted C spread {spread:.0%} > 30%"
-    return records
+
+    return [_row("dirichlet", field, cfg, L, judge, ctx=ctx,
+                 margin=ctx.margin, grading=1.0) for L in Ls]
 
 
 def exp_multi_direction(field3d, L_list, cfg):
@@ -558,22 +512,20 @@ def exp_multi_direction(field3d, L_list, cfg):
     row-restricted 2D pencil upper-bounds the 3D value."""
     if field3d.p != 2 or field3d.n != 3:
         raise ValueError("multi-direction experiment needs n=3, p=2")
-    ctx = cross_context(field3d, cfg, resolution=cfg.res3d_cross)
-    records = []
-    for L in sorted(L_list):
-        t0 = time.perf_counter()
-        rec = _base_record("multi-direction", field3d, cfg, ell=L)
-        mesh = build_cylinder(field3d, L, cfg, kind="multi-direction",
-                              grading=1.0)
-        K, M = asm.assemble_cylinder(mesh, field3d)
-        lam = eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
-                                      seed=cfg.seed)[0]
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = lam.value
-        rec.residual = lam.residual
-        rec.mu1_disc = ctx.mu1
-        rec.margin = ctx.margin
-        rec.gap = ctx.mu1 - lam.value
+    cfg3 = replace(cfg, axial_resolution=cfg.res3d_axial,
+                   resolution=cfg.res3d_cross)
+    ctx = cross_context(field3d, cfg3)
+    if ctx.condition.holds:
+        # the row coupling most strongly to W1 gives the tightest bound
+        norms = [coeff_mod.condition_con(
+            coeff_mod.row_restriction_field(field3d, i), ctx.W1,
+            ctx.mesh).norm for i in range(field3d.p)]
+        bfield = coeff_mod.row_restriction_field(field3d,
+                                                 int(np.argmax(norms)))
+
+    def judge(rec, mesh, pairs):
+        lam = rec.lambda1
+        rec.gap = ctx.mu1 - lam
         ok = True
         note = []
         if ctx.condition.holds:
@@ -581,69 +533,59 @@ def exp_multi_direction(field3d, L_list, cfg):
                 ok = False
                 note.append("expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
-            norms = [coeff_mod.condition_con(
-                coeff_mod.row_restriction_field(field3d, i), ctx.W1,
-                ctx.mesh).norm for i in range(field3d.p)]
-            i_best = int(np.argmax(norms))
-            bfield = coeff_mod.row_restriction_field(field3d, i_best)
-            bmesh = grid_mod.build_mesh(
-                "full-cylinder", ell=L, omega=cfg.omega,
-                resolution=[cfg.res3d_axial, cfg.res3d_cross],
-                grading=1.0, node_cap=cfg.node_cap)
-            Kb, Mb = asm.assemble_cylinder(bmesh, bfield)
-            lam2d = eig.smallest_eigenpairs(Kb, Mb, count=1, tol=cfg.tol,
-                                            seed=cfg.seed)[0]
-            rec.target = lam2d.value
-            if lam.value > lam2d.value + 10 * cfg.tol:
+            _, _, bpairs, _ = solve_cylinder(bfield, rec.ell, cfg3,
+                                             grading=1.0)
+            rec.target = bpairs[0].value
+            if lam > rec.target + 10 * cfg.tol:
                 ok = False
                 note.append("3D value above the row-restricted 2D bound")
         else:
-            if abs(lam.value - ctx.mu1) > max(1e-8, 100 * cfg.tol):
+            if abs(lam - ctx.mu1) > max(1e-8, 100 * cfg.tol):
                 ok = False
                 note.append("uncoupled field should pin lambda to mu1")
         rec.passed = ok
         rec.note = "; ".join(note)
-        records.append(_timed(rec, t0))
-    return records
+
+    # records keep the caller's grading column; cfg3 only sets resolutions
+    return [_row("multi-direction", field3d, cfg3, L, judge, ctx=ctx,
+                 margin=ctx.margin, kind="multi-direction", grading=1.0)
+            for L in sorted(L_list)]
 
 
 def exp_decay(field, ell, cfg):
-    """Bulk decay of the eigenfunction; flags the separable no-decay case."""
+    """Bulk decay of the eigenfunction; flags the separable no-decay case.
+
+    Returns the records and the decay profile (None when the row failed).
+    """
     ctx = cross_context(field, cfg)
-    t0 = time.perf_counter()
-    rec = _base_record("decay", field, cfg, ell=ell)
     grading = cfg.grading if cfg.grading > 1 else (2.0 if ell >= 4 else 1.0)
-    mesh, forms, pairs, diag = solve_cylinder(field, ell, cfg,
-                                              grading=grading,
-                                              diagnostics=True)
-    rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-    rec.lambda1 = pairs[0].value
-    rec.residual = pairs[0].residual
-    rec.mu1_disc = ctx.mu1
-    for k, v in diag.items():
-        setattr(rec, k, v)
-    prof = an.decay_profile(pairs[0], mesh, gradient=True)
-    rec.alpha_fit = prof.alpha_fit
-    rec.r2 = prof.r2
-    expected_decay = ctx.condition.holds
-    ok = True
-    note = []
-    if expected_decay:
-        if prof.no_decay or prof.r2 <= 0.99:
-            ok = False
-            note.append("expected exponential decay")
-        if abs(prof.grad_alpha - prof.alpha_fit) > 0.2 * prof.alpha_fit:
-            ok = False
-            note.append("gradient rate off by more than 20%")
-    else:
-        if not prof.no_decay:
-            ok = False
-            note.append("expected flat profile for uncoupled field")
-        note.append("no-decay")
-    rec.passed = ok
-    rec.note = "; ".join(note)
-    records = [_timed(rec, t0)]
-    return records, prof
+    profiles = []
+
+    def judge(rec, mesh, pairs):
+        prof = an.decay_profile(pairs[0], mesh, gradient=True)
+        profiles.append(prof)
+        rec.alpha_fit = prof.alpha_fit
+        rec.r2 = prof.r2
+        ok = True
+        note = []
+        if ctx.condition.holds:
+            if prof.no_decay or prof.r2 <= 0.99:
+                ok = False
+                note.append("expected exponential decay")
+            if abs(prof.grad_alpha - prof.alpha_fit) > 0.2 * prof.alpha_fit:
+                ok = False
+                note.append("gradient rate off by more than 20%")
+        else:
+            if not prof.no_decay:
+                ok = False
+                note.append("expected flat profile for uncoupled field")
+            note.append("no-decay")
+        rec.passed = ok
+        rec.note = "; ".join(note)
+
+    records = [_row("decay", field, cfg, ell, judge, ctx=ctx,
+                    grading=grading, diagnostics=True)]
+    return records, (profiles[0] if profiles else None)
 
 
 def exp_end_profile(field, ell_list, cfg, side="+", r=3.0, half_length=None):
@@ -660,24 +602,16 @@ def exp_end_profile(field, ell_list, cfg, side="+", r=3.0, half_length=None):
     kind = "half-plus" if side == "+" else "half-minus"
     hmesh, _, hpairs, _ = solve_cylinder(field, half_length, cfg, kind=kind,
                                          grading=grading)
-    records = []
     dists = []
-    for ell in sorted(ell_list):
-        t0 = time.perf_counter()
-        rec = _base_record("end-profile", field, cfg, ell=ell)
-        mesh, _, pairs, _ = solve_cylinder(field, ell, cfg, grading=grading)
+
+    def judge(rec, mesh, pairs):
         d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh, side, r)
-        rec.resolution = "x".join(str(s - 1) for s in mesh.shape)
-        rec.lambda1 = pairs[0].value
-        rec.residual = pairs[0].residual
         rec.end_distance = d
-        if side == "+":
-            rec.lambda_half_plus = hpairs[0].value
-        else:
-            rec.lambda_half_minus = hpairs[0].value
+        setattr(rec, _FIRST_VALUE_COLUMN[kind], hpairs[0].value)
         if dists and d > dists[-1]:
             rec.passed = False
             rec.note = "end-profile distance not decreasing"
         dists.append(d)
-        records.append(_timed(rec, t0))
-    return records
+
+    return [_row("end-profile", field, cfg, ell, judge, grading=grading)
+            for ell in sorted(ell_list)]

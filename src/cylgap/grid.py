@@ -36,9 +36,11 @@ class TensorMesh:
     axis_partitions : tuple of strictly increasing coordinate arrays
     n_axial : number of elongated axes (0 for a cross-section)
     ell : half-length of the elongated axes (None for a cross-section)
+    full_dirichlet : the whole boundary is Dirichlet, whatever the kind
     """
 
-    def __init__(self, domain_kind, axis_partitions, n_axial, ell):
+    def __init__(self, domain_kind, axis_partitions, n_axial, ell,
+                 full_dirichlet=False):
         if domain_kind not in DOMAIN_KINDS:
             raise ValueError(f"unknown domain kind {domain_kind!r}")
         self.domain_kind = domain_kind
@@ -59,7 +61,7 @@ class TensorMesh:
         self.n_nodes = int(np.prod(self.shape))
         self.cells_shape = tuple(s - 1 for s in self.shape)
         self.n_cells = int(np.prod(self.cells_shape))
-        self._tag_boundary()
+        self._tag_boundary(full_dirichlet)
         self.free_index = np.full(self.n_nodes, -1, dtype=np.int64)
         free = np.flatnonzero(~self.dirichlet_mask)
         self.free_index[free] = np.arange(free.size)
@@ -69,7 +71,7 @@ class TensorMesh:
 
     # -- tagging ---------------------------------------------------------
 
-    def _tag_boundary(self):
+    def _tag_boundary(self, full_dirichlet):
         grids = np.meshgrid(
             *[np.arange(s) for s in self.shape], indexing="ij", sparse=True
         )
@@ -79,7 +81,7 @@ class TensorMesh:
         for lo, hi in zip(on_lo, on_hi):
             boundary |= lo | hi
         cross_axes = range(self.n_axial, self.ndim)
-        if self.domain_kind == "cross-section":
+        if full_dirichlet or self.domain_kind == "cross-section":
             dirichlet = boundary
         else:
             dirichlet = np.zeros(self.shape, dtype=bool)
@@ -275,25 +277,8 @@ def with_full_dirichlet(mesh):
     (the comparison problem of the all-Dirichlet spectrum)."""
     if mesh.domain_kind not in ("full-cylinder", "multi-direction"):
         raise MeshMismatch("full Dirichlet variant needs a full cylinder mesh")
-    out = TensorMesh.__new__(TensorMesh)
-    out.domain_kind = mesh.domain_kind
-    out.axis_partitions = mesh.axis_partitions
-    out.n_axial = mesh.n_axial
-    out.ell = mesh.ell
-    out.shape = mesh.shape
-    out.ndim = mesh.ndim
-    out.n_nodes = mesh.n_nodes
-    out.cells_shape = mesh.cells_shape
-    out.n_cells = mesh.n_cells
-    out.dirichlet_mask = mesh._boundary_mask
-    out._boundary_mask = mesh._boundary_mask
-    out.free_index = np.full(out.n_nodes, -1, dtype=np.int64)
-    free = np.flatnonzero(~out.dirichlet_mask)
-    out.free_index[free] = np.arange(free.size)
-    out.free_nodes = free
-    out.n_free = int(free.size)
-    out._cache = {}
-    return out
+    return TensorMesh(mesh.domain_kind, mesh.axis_partitions, mesh.n_axial,
+                      mesh.ell, full_dirichlet=True)
 
 
 def _axis_symmetric(part):

@@ -113,6 +113,40 @@ l_gap = 2 4
         assert rows[0]["passed"] == "false"
         assert "ConditionConFails" in rows[0]["note"]
 
+    def test_short_schedules_fail_a_row(self, tmp_path):
+        template = """
+[run]
+experiments = {name}
+output_dir = {out}
+
+[field]
+kind = model
+delta = 0.6
+
+[mesh]
+resolution = 8
+axial_resolution = 4
+
+[schedules]
+{schedule}
+"""
+        cases = [("nu-half", "l_half = 4", "needs 2 solved lengths, got 1"),
+                 ("limit-infinity", "l_infinity = 4",
+                  "needs 2 solved lengths, got 1"),
+                 ("limit-zero", "ell_zero = 0.4 0.2",
+                  "needs 3 solved lengths, got 2")]
+        for name, schedule, shortfall in cases:
+            out = tmp_path / name
+            path = write_cfg(tmp_path, template.format(
+                name=name, out=out, schedule=schedule), name=f"{name}.cfg")
+            assert cli.main(["run", path]) == 2, name
+            with open(out / f"{name}.csv") as f:
+                failed = [r for r in csv.DictReader(f)
+                          if r["passed"] == "false"]
+            assert len(failed) == 1, name
+            assert "NotConverged" in failed[0]["note"]
+            assert shortfall in failed[0]["note"]
+
     def test_env_output_override(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "ignored"))

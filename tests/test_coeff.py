@@ -284,5 +284,6 @@ class TestFieldPlumbing:
     def test_quadrature_audit(self, model06):
         mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                resolution=4)
-        b = coeff.audit_mesh_ellipticity(model06, mesh)
+        pts = assemble.quadrature_coords(mesh).reshape(-1, mesh.ndim)
+        b = coeff.ellipticity_bounds(model06, pts[:, mesh.n_axial:])
         assert b.lambda_a == pytest.approx(0.4)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cylgap import coeff
+from cylgap import coeff, eig
 from cylgap import experiments as ex
-from cylgap.errors import ConditionConFails, NoReflectionSymmetry, NotConverged
+from cylgap.errors import (ConditionConFails, NoConvergence,
+                           NoReflectionSymmetry, NotConverged)
 
 from conftest import MU1
 
@@ -110,9 +111,14 @@ class TestNuHalf:
 
     def test_not_converged_raises_with_sequence(self, cfg):
         field = coeff.asymmetric_model_field(0.5)
+        # an unsettled sequence is still reported, as an upper bound
+        est = ex.exp_nu_half(field, "+", [2, 4], cfg, conv_tol=1e-6)
+        assert est.converged is False
+        assert len(est.sequence) == 2 and est.nu == est.sequence[-1]
+        # a single length gives no estimate at all
         with pytest.raises(NotConverged) as err:
-            ex.exp_nu_half(field, "+", [2, 4], cfg, conv_tol=1e-6)
-        assert len(err.value.sequence) == 2
+            ex.exp_nu_half(field, "+", [4], cfg)
+        assert len(err.value.sequence) == 1
 
 
 class TestLimitInfinity:
@@ -154,6 +160,23 @@ class TestGap:
     def test_delta_zero_refuses(self, cfg):
         with pytest.raises(ConditionConFails):
             ex.exp_gap(coeff.model_field(0.0), [8], cfg)
+
+    def test_failed_solve_fails_only_its_row(self, model, cfg, monkeypatch):
+        solve = eig.smallest_eigenpairs
+
+        def fails_at_12(K, M, **kwargs):
+            if K.provenance["_mesh"].ell == 12:
+                raise NoConvergence("forced", best_residual=1.0)
+            return solve(K, M, **kwargs)
+
+        monkeypatch.setattr(eig, "smallest_eigenpairs", fails_at_12)
+        recs = ex.exp_gap(model, [8, 12, 16], cfg)
+        assert [r.ell for r in recs] == [8, 12, 16]
+        assert recs[0].passed and recs[2].passed
+        assert recs[2].gap > recs[2].margin
+        assert not recs[1].passed
+        assert recs[1].experiment == "gap"
+        assert "NoConvergence" in recs[1].note
 
 
 class TestSecondEigenvalue:
