@@ -19,7 +19,6 @@ from . import grid as grid_mod
 from .errors import (CylgapError, DegenerateWeight, MeshMismatch, TooShort,
                      ZeroFunction)
 
-MU1_MODEL = (np.pi / 2.0) ** 2
 NO_DECAY_ALPHA = 0.8
 SNAP_TOL = 1e-9
 

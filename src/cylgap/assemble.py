@@ -89,10 +89,6 @@ class SparseSymmetricForm:
         return self._full
 
     @property
-    def row_offsets(self):
-        return self.lower.indptr
-
-    @property
     def col_indices(self):
         return self.lower.indices
 

@@ -13,6 +13,7 @@ import csv
 import os
 import sys
 import time
+from dataclasses import dataclass, field as dc_field
 
 from . import coeff as coeff_mod
 from . import experiments as ex
@@ -61,29 +62,18 @@ EXPERIMENT_NAMES = ["bounds", "limit-zero", "nu-half", "limit-infinity",
                     "multi-direction"]
 
 
+@dataclass
 class RunConfig:
-    def __init__(self):
-        self.experiments = ["bounds"]
-        self.output_dir = "out"
-        self.seed = 0
-        self.parallelism = 1
-        self.field_kind = "model"
-        self.field_params = {}
-        self.omega = (-1.0, 1.0)
-        self.mesh = {}
-        self.tol = 1e-9
-        self.schedules = dict(DEFAULT_SCHEDULES)
-        self.conv_tol = 5e-3
-        self.tol_inf = ex.TOL_INF
+    """A parsed config file.  Every key outside ``[run] experiments,
+    output_dir``, ``[field]`` and ``[schedules]`` sets the ``cfg`` field of
+    the same name (``[domain] omega`` after reshaping)."""
 
-    def experiment_config(self):
-        cfg = ex.ExperimentConfig(tol=self.tol, seed=self.seed,
-                                  parallelism=self.parallelism,
-                                  conv_tol=self.conv_tol,
-                                  omega=tuple(self.omega))
-        for key, val in self.mesh.items():
-            setattr(cfg, key, val)
-        return cfg
+    experiments: list = dc_field(default_factory=lambda: ["bounds"])
+    output_dir: str = "out"
+    field_kind: str = "model"
+    field_params: dict = dc_field(default_factory=dict)
+    schedules: dict = dc_field(default_factory=lambda: dict(DEFAULT_SCHEDULES))
+    cfg: ex.ExperimentConfig = dc_field(default_factory=ex.ExperimentConfig)
 
 
 def _convert(raw, typ, path, lineno, key):
@@ -142,18 +132,17 @@ def parse_config(path):
 
 
 def _apply(rc, section, key, val, path, lineno):
-    if section == "run":
-        if key == "experiments":
-            names = val
-            if names == ["all"]:
-                names = list(EXPERIMENT_NAMES)
-            for n in names:
-                if n not in EXPERIMENT_NAMES:
-                    raise ConfigError(f"{path}:{lineno}: unknown experiment "
-                                      f"'{n}'")
-            rc.experiments = names
-        else:
-            setattr(rc, key, val)
+    if section == "run" and key == "experiments":
+        names = val
+        if names == ["all"]:
+            names = list(EXPERIMENT_NAMES)
+        for n in names:
+            if n not in EXPERIMENT_NAMES:
+                raise ConfigError(f"{path}:{lineno}: unknown experiment "
+                                  f"'{n}'")
+        rc.experiments = names
+    elif section == "run" and key == "output_dir":
+        rc.output_dir = val
     elif section == "field":
         if key == "kind":
             rc.field_kind = val
@@ -164,20 +153,17 @@ def _apply(rc, section, key, val, path, lineno):
                 (len(val) == 4 and val[2] >= val[3]):
             raise ConfigError(f"{path}:{lineno}: omega must be 'lo hi' "
                               "(or a box 'lo hi lo hi')")
-        rc.omega = tuple(val) if len(val) == 2 else \
+        rc.cfg.omega = tuple(val) if len(val) == 2 else \
             ((val[0], val[1]), (val[2], val[3]))
-    elif section == "mesh":
-        rc.mesh[key] = val
-    elif section == "solver":
-        rc.tol = val
     elif section == "schedules":
         rc.schedules[key] = val
-    elif section == "tolerances":
-        setattr(rc, key, val)
+    else:
+        setattr(rc.cfg, key, val)
 
 
 def _validate(rc, path):
-    if rc.tol <= 0 or rc.conv_tol <= 0 or rc.tol_inf <= 0:
+    cfg = rc.cfg
+    if cfg.tol <= 0 or cfg.conv_tol <= 0 or cfg.tol_inf <= 0:
         raise ConfigError(f"{path}: tolerances must be positive")
     for name, sched in rc.schedules.items():
         if not sched:
@@ -188,10 +174,10 @@ def _validate(rc, path):
             raise ConfigError(f"{path}: schedule {name} must be sorted")
         if any(v <= 0 for v in sched):
             raise ConfigError(f"{path}: schedule {name} must be positive")
-    for key, val in rc.mesh.items():
-        if val <= 0:
+    for key in SCHEMA["mesh"]:
+        if getattr(cfg, key) <= 0:
             raise ConfigError(f"{path}: mesh.{key} must be positive")
-    if rc.parallelism < 1:
+    if cfg.parallelism < 1:
         raise ConfigError(f"{path}: parallelism must be >= 1")
 
 
@@ -228,32 +214,33 @@ def _ints(sched):
     return [int(round(v)) for v in sched]
 
 
-def _run_nu_half(field, rc, cfg):
-    plus = ex.exp_nu_half(field, "+", rc.schedules["l_half"], cfg)
-    minus = ex.exp_nu_half(field, "-", rc.schedules["l_half"], cfg)
+def _run_nu_half(field, rc):
+    plus = ex.exp_nu_half(field, "+", rc.schedules["l_half"], rc.cfg)
+    minus = ex.exp_nu_half(field, "-", rc.schedules["l_half"], rc.cfg)
     for est in (plus, minus):
         last = est.records[-1]
-        extra = f"bracket=[{est.bracket[0]:.9g},{est.bracket[1]:.9g}]"
+        last.add_note(f"bracket=[{est.bracket[0]:.9g},{est.bracket[1]:.9g}]")
         if not est.converged:
-            extra += "; truncation sequence not converged"
-        last.note = f"{last.note}; {extra}" if last.note else extra
-    records = plus.records + minus.records
+            last.add_note("truncation sequence not converged")
     L0 = rc.schedules["l_half"][0]
-    lm, lp = ex.reflection_check(field, L0, cfg)
     rec = SweepRecord(experiment="nu-half", field_kind=field.kind,
                       n=field.n, p=field.p, ell=L0,
-                      lambda_half_minus=lm, lambda_half_plus=lp,
-                      gap=abs(lm - lp), passed=abs(lm - lp) <= 1e-8,
                       note="reflection identity lambda-(A) vs lambda+(A~)")
-    records.append(rec)
-    return records, {}
+    try:
+        lm, lp = ex.reflection_check(field, L0, rc.cfg)
+        rec.lambda_half_minus, rec.lambda_half_plus = lm, lp
+        rec.gap = abs(lm - lp)
+        rec.check(rec.gap <= 1e-8, "reflection identity violated")
+    except CylgapError as exc:
+        rec.check(False, f"{type(exc).__name__}: {exc}")
+    return plus.records + minus.records + [rec], {}
 
 
-def _run_decay(field, rc, cfg):
+def _run_decay(field, rc):
     records = []
     profile_rows = []
     for ell in rc.schedules["ell_decay"]:
-        recs, prof = ex.exp_decay(field, ell, cfg)
+        recs, prof = ex.exp_decay(field, ell, rc.cfg)
         records.extend(recs)
         if prof is None:
             continue
@@ -264,30 +251,29 @@ def _run_decay(field, rc, cfg):
                                            profile_rows)}
 
 
-def _run_end_profile(field, rc, cfg):
-    return ex.exp_end_profile(field, rc.schedules["ell_end_profile"], cfg), {}
-
-
+# name -> executor(field, rc) returning (records, {csv name: table})
 EXECUTORS = {
-    "bounds": lambda f, rc, cfg: (
-        ex.exp_bounds_sweep(f, rc.schedules["ell_bounds"], cfg), {}),
-    "limit-zero": lambda f, rc, cfg: (
-        ex.exp_limit_zero(f, rc.schedules["ell_zero"], cfg), {}),
+    "bounds": lambda f, rc: (
+        ex.exp_bounds_sweep(f, rc.schedules["ell_bounds"], rc.cfg), {}),
+    "limit-zero": lambda f, rc: (
+        ex.exp_limit_zero(f, rc.schedules["ell_zero"], rc.cfg), {}),
     "nu-half": _run_nu_half,
-    "limit-infinity": lambda f, rc, cfg: (
-        ex.exp_limit_infinity(f, _ints(rc.schedules["l_infinity"]), cfg,
-                              tol_inf=rc.tol_inf), {}),
-    "gap": lambda f, rc, cfg: (
-        ex.exp_gap(f, _ints(rc.schedules["l_gap"]), cfg), {}),
-    "second": lambda f, rc, cfg: (
-        ex.exp_second_eigenvalue(f, _ints(rc.schedules["l_second"]), cfg), {}),
-    "dirichlet": lambda f, rc, cfg: (
+    "limit-infinity": lambda f, rc: (
+        ex.exp_limit_infinity(f, _ints(rc.schedules["l_infinity"]), rc.cfg),
+        {}),
+    "gap": lambda f, rc: (
+        ex.exp_gap(f, _ints(rc.schedules["l_gap"]), rc.cfg), {}),
+    "second": lambda f, rc: (
+        ex.exp_second_eigenvalue(f, _ints(rc.schedules["l_second"]), rc.cfg),
+        {}),
+    "dirichlet": lambda f, rc: (
         ex.exp_dirichlet_comparison(f, _ints(rc.schedules["l_dirichlet"]),
-                                    cfg), {}),
+                                    rc.cfg), {}),
     "decay": _run_decay,
-    "end-profile": _run_end_profile,
-    "multi-direction": lambda f, rc, cfg: (
-        ex.exp_multi_direction(f, _ints(rc.schedules["l_multi"]), cfg), {}),
+    "end-profile": lambda f, rc: (
+        ex.exp_end_profile(f, rc.schedules["ell_end_profile"], rc.cfg), {}),
+    "multi-direction": lambda f, rc: (
+        ex.exp_multi_direction(f, _ints(rc.schedules["l_multi"]), rc.cfg), {}),
 }
 
 
@@ -324,11 +310,10 @@ def run(config_path):
     par_env = os.environ.get(ENV_PARALLELISM)
     if par_env is not None:
         try:
-            rc.parallelism = int(par_env)
+            rc.cfg.parallelism = int(par_env)
         except ValueError:
             raise ConfigError(f"{ENV_PARALLELISM} must be an integer")
     os.makedirs(outdir, exist_ok=True)
-    cfg = rc.experiment_config()
     field = make_field(rc)
     summary_lines = []
     any_fail = False
@@ -336,7 +321,7 @@ def run(config_path):
     for name in rc.experiments:
         t_exp = time.perf_counter()
         try:
-            records, extras = EXECUTORS[name](field, rc, cfg)
+            records, extras = EXECUTORS[name](field, rc)
         except CylgapError as exc:
             records = [SweepRecord(experiment=name, field_kind=field.kind,
                                    n=field.n, p=field.p, passed=False,

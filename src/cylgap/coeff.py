@@ -65,12 +65,6 @@ class CoefficientField:
     def __call__(self, X2):
         return self.eval_many(X2)[0]
 
-    def blocks(self, X2):
-        """(A11, A12, A22) at a single point; A12 is p x (n-p)."""
-        A = self(X2)
-        p = self.p
-        return A[:p, :p], A[:p, p:], A[p:, p:]
-
     def reflected(self):
         """Field with the axial coupling negated (x1 -> -x1 change of
         variables on the first axis)."""

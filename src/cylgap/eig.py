@@ -59,8 +59,7 @@ def _normalize_columns(Mf, vecs):
     return vecs / norms[None, :]
 
 
-def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0,
-                        maxiter=MAX_RESTARTS):
+def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
     Vectors are M-normalized, pairwise M-orthogonal, and the first vector
@@ -90,7 +89,7 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0,
         v0 = rng.standard_normal(n)
         try:
             vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=0.0, which="LM",
-                               v0=v0, tol=0.0, maxiter=maxiter)
+                               v0=v0, tol=0.0, maxiter=MAX_RESTARTS)
         except ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             best = math.nan

@@ -26,8 +26,9 @@ from .errors import ConditionConFails, CylgapError, NoReflectionSymmetry, NotCon
 STRICT_MARGIN = 1e-3
 TOL_LIMIT_MODEL = 1e-2
 TOL_LIMIT_GENERAL = 2e-2
-TOL_INF = 5e-3
 DIRICHLET_SPREAD = 0.30
+SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
+END_COLLAR = 3.0         # end-profile collar length r, at the plus end
 
 
 @dataclass
@@ -40,7 +41,8 @@ class ExperimentConfig:
     tol: float = 1e-9
     seed: int = 0
     node_cap: int = grid_mod.DEFAULT_NODE_CAP
-    conv_tol: float = 5e-3
+    conv_tol: float = 5e-3          # last truncation step of a settled nu
+    tol_inf: float = 5e-3           # final |lambda - min nu| in limit-infinity
     parallelism: int = 1
     omega: tuple = (-1.0, 1.0)
     res3d_axial: float = 3.0
@@ -86,6 +88,17 @@ class SweepRecord:
     note: str = ""
     wall_time_s: float | None = None
 
+    def add_note(self, text):
+        """Append ``text`` to the note, ``"; "``-separated."""
+        self.note = f"{self.note}; {text}" if self.note else text
+
+    def check(self, ok, reason):
+        """One assertion of the row: a failed check clears ``passed`` and
+        appends ``reason`` to the note."""
+        if not ok:
+            self.passed = False
+            self.add_note(reason)
+
 
 # wall time is volatile; it stays off the byte-stable CSV schema
 CSV_COLUMNS = [f.name for f in dc_fields(SweepRecord) if f.name != "wall_time_s"]
@@ -107,7 +120,6 @@ class CrossContext:
     mu1: float
     W1: eig.EigenPair
     Lambda1: float
-    w1: eig.EigenPair
     mesh_err: float
     margin: float
     condition: coeff_mod.ConditionReport
@@ -121,10 +133,12 @@ def cross_context(field, cfg):
     """Cross-section eigendata at ``cfg.resolution`` plus the two-level
     mesh-error estimate.
 
-    Cached per field instance (the context keeps the field alive, so the
-    id-based key cannot be recycled)."""
+    Cached per field instance and every ``cfg`` field read here (the
+    context keeps the field alive, so the id-based key cannot be
+    recycled)."""
     res = cfg.resolution
-    key = (id(field), tuple(np.ravel(cfg.omega)), res, cfg.tol)
+    key = (id(field), tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
+           cfg.node_cap)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
 
@@ -137,9 +151,9 @@ def cross_context(field, cfg):
                                       resolution=r, node_cap=cfg.node_cap)
                   for r in (res, 2 * res)]
     W1 = first_pair(mesh)
-    w1 = first_pair(mesh, reduced=True)
+    Lambda1 = first_pair(mesh, reduced=True).value
     err = abs(W1.value - first_pair(fine).value)
-    ctx = CrossContext(mesh, W1.value, W1, w1.value, w1, err, 3.0 * err,
+    ctx = CrossContext(mesh, W1.value, W1, Lambda1, err, 3.0 * err,
                        coeff_mod.condition_con(field, W1, mesh), field)
     _CROSS_CACHE[key] = ctx
     return ctx
@@ -198,9 +212,10 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
     With a length ``ell`` the row solves ``solve_cylinder(field, ell, cfg,
     **solve)`` and records the resolution, the first eigenvalue, the
     largest residual and the diagnostics; ``judge(rec, mesh, pairs)`` then
-    fills in the rest and the verdict.  A row without a length only calls
-    ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.  A
-    CylgapError fails this row alone, with the exception in its note.
+    fills in the rest and judges it through ``rec.check``.  A row without
+    a length only calls ``judge(rec, None, None)``.  ``ctx`` supplies
+    ``mu1_disc``.  The row starts passed with an empty note; a CylgapError
+    fails this row alone, with the exception in its note.
     """
     t0 = time.perf_counter()
     rec = SweepRecord(experiment=experiment, field_kind=field.kind,
@@ -221,8 +236,7 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
                 setattr(rec, k, v)
             judge(rec, mesh, pairs)
     except CylgapError as exc:
-        rec.passed = False
-        rec.note = f"{type(exc).__name__}: {exc}"
+        rec.check(False, f"{type(exc).__name__}: {exc}")
     rec.wall_time_s = time.perf_counter() - t0
     return rec
 
@@ -240,22 +254,16 @@ def exp_bounds_sweep(field, ell_list, cfg):
     def judge(rec, mesh, pairs):
         lam = rec.lambda1
         rec.Lambda1_disc = ctx.Lambda1
-        ok = ctx.Lambda1 - ctx.margin <= lam <= ctx.mu1 + ctx.margin
-        note = []
+        rec.check(ctx.Lambda1 - ctx.margin <= lam <= ctx.mu1 + ctx.margin,
+                  "outside [Lambda1 - margin, mu1 + margin]")
         if is_model and delta and delta > 0.0:
-            strict = ((1 - delta**2) * ctx.mu1 + STRICT_MARGIN < lam
-                      < ctx.mu1 - STRICT_MARGIN)
-            ok = ok and strict
-            if not strict:
-                note.append("strict interior placement failed")
+            rec.check((1 - delta**2) * ctx.mu1 + STRICT_MARGIN < lam
+                      < ctx.mu1 - STRICT_MARGIN,
+                      "strict interior placement failed")
         if is_model and delta == 0.0:
-            flat = abs(lam - ctx.mu1) <= 1e-9
-            ok = ok and flat
-            if not flat:
-                note.append("delta=0 should pin lambda to mu1")
+            rec.check(abs(lam - ctx.mu1) <= 1e-9,
+                      "delta=0 should pin lambda to mu1")
         rec.gap = ctx.mu1 - lam
-        rec.passed = bool(ok)
-        rec.note = "; ".join(note)
 
     return _run_ordered(
         [functools.partial(_row, "bounds", field, cfg, ell, judge, ctx=ctx,
@@ -276,16 +284,15 @@ def _richardson(lams):
     return lams[-1] + d3 / (2**q - 1), q
 
 
-def exp_limit_zero(field, ell_list, cfg, tol_limit=None):
+def exp_limit_zero(field, ell_list, cfg):
     """Thin-cylinder limit: lambda extrapolates to the Schur-reduced
     cross-section value.  The cross resolution is raised until cells can
     resolve the lateral boundary layer of width ~ min(ell)."""
     ells = sorted(ell_list, reverse=True)
     zcfg = replace(cfg, resolution=max(cfg.resolution, 2.0 / min(ells)))
     ctx = cross_context(field, zcfg)
-    if tol_limit is None:
-        tol_limit = (TOL_LIMIT_MODEL if field.kind == "model-delta"
-                     else TOL_LIMIT_GENERAL)
+    tol_limit = (TOL_LIMIT_MODEL if field.kind == "model-delta"
+                 else TOL_LIMIT_GENERAL)
 
     def judge(rec, mesh, pairs):
         rec.Lambda1_disc = ctx.Lambda1
@@ -299,9 +306,11 @@ def exp_limit_zero(field, ell_list, cfg, tol_limit=None):
                                      if r.lambda1 is not None])
         rec.extrapolated = extrap
         rec.target = ctx.Lambda1
-        rec.passed = bool(abs(extrap - ctx.Lambda1) < tol_limit)
-        rec.note = f"extrapolation (observed order {order:.2f})" \
-            if math.isfinite(order) else "extrapolation (order indeterminate)"
+        rec.add_note(f"extrapolation (observed order {order:.2f})"
+                     if math.isfinite(order)
+                     else "extrapolation (order indeterminate)")
+        rec.check(abs(extrap - ctx.Lambda1) < tol_limit,
+                  f"extrapolated value off target by >= {tol_limit}")
 
     records.append(_row("limit-zero", field, zcfg, None, summarize, ctx=ctx,
                         margin=tol_limit))
@@ -317,26 +326,25 @@ class NuEstimate:
     converged: bool = True
 
 
-def exp_nu_half(field, side, L_schedule, cfg, conv_tol=None):
+def exp_nu_half(field, side, L_schedule, cfg):
     """Monotone half-cylinder truncations converging down to the
     semi-infinite value; the no-coupling case is identified with mu1.
 
     The last value is reported as an (always valid) upper bound;
-    ``converged`` tells whether the sequence settled within ``conv_tol``.
+    ``converged`` tells whether the sequence settled within
+    ``cfg.conv_tol``.
     Fewer than two solved lengths raise NotConverged.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    conv_tol = cfg.conv_tol if conv_tol is None else conv_tol
     ctx = cross_context(field, cfg)
     kind = "half-plus" if side == "+" else "half-minus"
     seq = []
 
     def judge(rec, mesh, pairs):
         val = pairs[0].value
-        if seq and val > seq[-1] + 10 * cfg.tol:
-            rec.passed = False
-            rec.note = "truncation sequence not nonincreasing"
+        rec.check(not seq or val <= seq[-1] + 10 * cfg.tol,
+                  "truncation sequence not nonincreasing")
         seq.append(val)
 
     records = [_row(f"nu-half{side}", field, cfg, L, judge, ctx=ctx,
@@ -344,14 +352,14 @@ def exp_nu_half(field, side, L_schedule, cfg, conv_tol=None):
     if len(seq) < 2:
         raise NotConverged("half-cylinder estimate needs 2 solved "
                            f"lengths, got {len(seq)}", sequence=seq)
-    converged = abs(seq[-2] - seq[-1]) < conv_tol
+    converged = abs(seq[-2] - seq[-1]) < cfg.conv_tol
     bracket = (seq[-1] - (seq[-2] - seq[-1]), seq[-1])
     if ctx.condition.holds:
         nu = seq[-1]
     else:
         # equality case: the limit is mu1 itself; truncations only bound it
         nu = ctx.mu1
-        records[-1].note = "no coupling: limit identified with mu1"
+        records[-1].add_note("no coupling: limit identified with mu1")
         converged = True
     for rec in records:
         setattr(rec, "nu_plus" if side == "+" else "nu_minus", nu)
@@ -367,9 +375,9 @@ def reflection_check(field, L, cfg):
     return pm[0].value, pp[0].value
 
 
-def exp_limit_infinity(field, L_list, cfg, tol_inf=TOL_INF):
-    """lambda converges to min(nu+, nu-); includes the half-vs-half-length
-    sandwich at matched meshes."""
+def exp_limit_infinity(field, L_list, cfg):
+    """lambda converges to min(nu+, nu-), ending within ``cfg.tol_inf``;
+    includes the half-vs-half-length sandwich at matched meshes."""
     Ls = sorted(L_list)
     Lmax = Ls[-1]
     sched = sorted({max(4, Lmax // 4), max(4, Lmax // 2), Lmax})
@@ -386,27 +394,20 @@ def exp_limit_infinity(field, L_list, cfg, tol_inf=TOL_INF):
         rec.nu_minus = nu_m.nu
         diff = abs(lam - nu_min)
         rec.gap = diff
-        ok = True
-        note = []
-        if diffs and diff > diffs[-1] + 10 * cfg.tol:
-            ok = False
-            note.append("|lambda - nu| not decreasing")
+        rec.check(not diffs or diff <= diffs[-1] + 10 * cfg.tol,
+                  "|lambda - nu| not decreasing")
         # sandwich lambda_{L/2} <= tilde-lambda_L^+ on nested meshes
         _, _, half_pairs, _ = solve_cylinder(field, L, cfg, kind="half-plus",
                                              grading=1.0)
         _, _, cyl_half, _ = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
-        if cyl_half[0].value > half_pairs[0].value + 10 * cfg.tol:
-            ok = False
-            note.append("sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
+        rec.check(cyl_half[0].value <= half_pairs[0].value + 10 * cfg.tol,
+                  "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
         diffs.append(diff)
         if L == Lmax:
-            rec.margin = tol_inf
-            if diff >= tol_inf:
-                ok = False
-                note.append(f"final |lambda - nu| {diff:.2e} >= {tol_inf}")
-        rec.passed = ok
-        rec.note = "; ".join(note)
+            rec.margin = cfg.tol_inf
+            rec.check(diff < cfg.tol_inf,
+                      f"final |lambda - nu| {diff:.2e} >= {cfg.tol_inf}")
 
     return [_row("limit-infinity", field, cfg, L, judge, ctx=ctx,
                  grading=1.0, diagnostics=True) for L in Ls]
@@ -421,15 +422,14 @@ def exp_gap(field, L_list, cfg):
 
     def judge(rec, mesh, pairs):
         rec.gap = ctx.mu1 - rec.lambda1
-        rec.passed = bool(rec.gap > ctx.margin)
-        if not rec.passed:
-            rec.note = f"gap {rec.gap:.3e} below margin {ctx.margin:.3e}"
+        rec.check(rec.gap > ctx.margin,
+                  f"gap {rec.gap:.3e} below margin {ctx.margin:.3e}")
 
     return [_row("gap", field, cfg, L, judge, ctx=ctx, margin=ctx.margin,
                  diagnostics=True) for L in sorted(L_list)]
 
 
-def exp_second_eigenvalue(field, L_list, cfg, shrink_factor=2.0):
+def exp_second_eigenvalue(field, L_list, cfg):
     """Second eigenvalue closes onto the first under property (S), squeezed
     by the matched half-cylinder value."""
     ctx = cross_context(field, cfg)
@@ -449,25 +449,15 @@ def exp_second_eigenvalue(field, L_list, cfg, shrink_factor=2.0):
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
         rec.gap = gap
-        ok = True
-        note = []
-        degenerate = pairs[0].degenerate or pairs[1].degenerate
-        if degenerate:
-            note.append("near-degenerate pair")
+        if pairs[0].degenerate or pairs[1].degenerate:
+            rec.add_note("near-degenerate pair")
         else:
-            if not (lam1 < lam2):
-                ok = False
-                note.append("lambda1 < lambda2 failed")
-            if lam2 > half_pairs[0].value + 10 * cfg.tol:
-                ok = False
-                note.append("lambda2 <= tilde lambda^+ failed")
-        if gaps and not degenerate:
-            if gap > gaps[-1] / shrink_factor:
-                ok = False
-                note.append(f"gap did not shrink by {shrink_factor}x")
+            rec.check(lam1 < lam2, "lambda1 < lambda2 failed")
+            rec.check(lam2 <= half_pairs[0].value + 10 * cfg.tol,
+                      "lambda2 <= tilde lambda^+ failed")
+            rec.check(not gaps or gap <= gaps[-1] / SECOND_GAP_SHRINK,
+                      f"gap did not shrink by {SECOND_GAP_SHRINK}x")
         gaps.append(gap)
-        rec.passed = ok
-        rec.note = "; ".join(note)
 
     return [_row("second", field, cfg, L, judge, ctx=ctx, count=2,
                  grading=1.0, diagnostics=True) for L in sorted(L_list)]
@@ -488,19 +478,15 @@ def exp_dirichlet_comparison(field, L_list, cfg):
         rec.sigma1 = sig.value
         rec.residual = max(rec.residual, sig.residual)
         rec.fitted_c = (sig.value - ctx.mu1) * L * L
-        ok = sig.value >= ctx.mu1 - ctx.margin
-        note = []
-        if rec.lambda1 > sig.value + 10 * cfg.tol:
-            ok = False
-            note.append("mixed above Dirichlet at a matched mesh")
+        rec.check(sig.value >= ctx.mu1 - ctx.margin,
+                  "sigma1 below mu1 - margin")
+        rec.check(rec.lambda1 <= sig.value + 10 * cfg.tol,
+                  "mixed above Dirichlet at a matched mesh")
         cs.append(rec.fitted_c)
         if L == Ls[-1]:
             spread = (max(cs) - min(cs)) / max(cs) if max(cs) > 0 else math.inf
-            if spread > DIRICHLET_SPREAD:
-                ok = False
-                note.append(f"fitted C spread {spread:.0%} > 30%")
-        rec.passed = bool(ok)
-        rec.note = "; ".join(note)
+            rec.check(spread <= DIRICHLET_SPREAD,
+                      f"fitted C spread {spread:.0%} > 30%")
 
     return [_row("dirichlet", field, cfg, L, judge, ctx=ctx,
                  margin=ctx.margin, grading=1.0) for L in Ls]
@@ -526,25 +512,18 @@ def exp_multi_direction(field3d, L_list, cfg):
     def judge(rec, mesh, pairs):
         lam = rec.lambda1
         rec.gap = ctx.mu1 - lam
-        ok = True
-        note = []
         if ctx.condition.holds:
-            if rec.gap <= ctx.margin:
-                ok = False
-                note.append("expected gap above the mesh-error margin")
+            rec.check(rec.gap > ctx.margin,
+                      "expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
             _, _, bpairs, _ = solve_cylinder(bfield, rec.ell, cfg3,
                                              grading=1.0)
             rec.target = bpairs[0].value
-            if lam > rec.target + 10 * cfg.tol:
-                ok = False
-                note.append("3D value above the row-restricted 2D bound")
+            rec.check(lam <= rec.target + 10 * cfg.tol,
+                      "3D value above the row-restricted 2D bound")
         else:
-            if abs(lam - ctx.mu1) > max(1e-8, 100 * cfg.tol):
-                ok = False
-                note.append("uncoupled field should pin lambda to mu1")
-        rec.passed = ok
-        rec.note = "; ".join(note)
+            rec.check(abs(lam - ctx.mu1) <= max(1e-8, 100 * cfg.tol),
+                      "uncoupled field should pin lambda to mu1")
 
     # records keep the caller's grading column; cfg3 only sets resolutions
     return [_row("multi-direction", field3d, cfg3, L, judge, ctx=ctx,
@@ -566,31 +545,26 @@ def exp_decay(field, ell, cfg):
         profiles.append(prof)
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
-        ok = True
-        note = []
         if ctx.condition.holds:
-            if prof.no_decay or prof.r2 <= 0.99:
-                ok = False
-                note.append("expected exponential decay")
-            if abs(prof.grad_alpha - prof.alpha_fit) > 0.2 * prof.alpha_fit:
-                ok = False
-                note.append("gradient rate off by more than 20%")
+            rec.check(not prof.no_decay and prof.r2 > 0.99,
+                      "expected exponential decay")
+            rec.check(abs(prof.grad_alpha - prof.alpha_fit)
+                      <= 0.2 * prof.alpha_fit,
+                      "gradient rate off by more than 20%")
         else:
-            if not prof.no_decay:
-                ok = False
-                note.append("expected flat profile for uncoupled field")
-            note.append("no-decay")
-        rec.passed = ok
-        rec.note = "; ".join(note)
+            rec.check(prof.no_decay,
+                      "expected flat profile for uncoupled field")
+            rec.add_note("no-decay")
 
     records = [_row("decay", field, cfg, ell, judge, ctx=ctx,
                     grading=grading, diagnostics=True)]
     return records, (profiles[0] if profiles else None)
 
 
-def exp_end_profile(field, ell_list, cfg, side="+", r=3.0, half_length=None):
+def exp_end_profile(field, ell_list, cfg, half_length=None):
     """H1 distance between shifted cylinder eigenfunctions and the long
-    half-cylinder minimizer on the end collar, decreasing in ell.
+    half-plus minimizer on the plus end collar of length ``END_COLLAR``,
+    decreasing in ell.
 
     End collars are graded (default 2x for ell >= 4): that is where the
     profiles live, and identical grading on both meshes keeps the collar
@@ -599,18 +573,17 @@ def exp_end_profile(field, ell_list, cfg, side="+", r=3.0, half_length=None):
     half_length = max(ell_list) if half_length is None else half_length
     grading = cfg.grading if cfg.grading > 1 else \
         (2.0 if min(ell_list) >= 4 else 1.0)
-    kind = "half-plus" if side == "+" else "half-minus"
-    hmesh, _, hpairs, _ = solve_cylinder(field, half_length, cfg, kind=kind,
-                                         grading=grading)
+    hmesh, _, hpairs, _ = solve_cylinder(field, half_length, cfg,
+                                         kind="half-plus", grading=grading)
     dists = []
 
     def judge(rec, mesh, pairs):
-        d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh, side, r)
+        d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh, "+",
+                                    END_COLLAR)
         rec.end_distance = d
-        setattr(rec, _FIRST_VALUE_COLUMN[kind], hpairs[0].value)
-        if dists and d > dists[-1]:
-            rec.passed = False
-            rec.note = "end-profile distance not decreasing"
+        rec.lambda_half_plus = hpairs[0].value
+        rec.check(not dists or d <= dists[-1],
+                  "end-profile distance not decreasing")
         dists.append(d)
 
     return [_row("end-profile", field, cfg, ell, judge, grading=grading)

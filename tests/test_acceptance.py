@@ -210,8 +210,7 @@ def test_criterion_11_picone():
 
 
 def test_criterion_12_end_profiles(cfg, model):
-    recs = ex.exp_end_profile(model, [6, 10, 14], cfg, side="+", r=3.0,
-                              half_length=16)
+    recs = ex.exp_end_profile(model, [6, 10, 14], cfg, half_length=16)
     dists = [r.end_distance for r in recs]
     ok = dists[0] > dists[1] > dists[2] and all(r.passed for r in recs)
     check(12, "end-profile convergence", ok,
@@ -230,8 +229,8 @@ def test_criterion_13_algebraic_unit_suite(cfg, model):
         Z2 = rng.standard_normal(n - 1)
         red = coeff.schur_reduce(field, np.zeros(n - 1))
         zs = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
-        quad = np.array([B[0, 0] * z * z + 2 * z * (B[0, 1:] @ Z2)
-                         + Z2 @ B[1:, 1:] @ Z2 for z in zs])
+        quad = (B[0, 0] * zs * zs + 2 * zs * (B[0, 1:] @ Z2)
+                + Z2 @ B[1:, 1:] @ Z2)
         i = int(np.argmin(quad))
         y0, y1, y2 = quad[max(i - 1, 0)], quad[i], quad[min(i + 1, len(zs) - 1)]
         denom = y0 - 2 * y1 + y2

@@ -1,9 +1,15 @@
 import csv
+import dataclasses
+import pathlib
+import re
 
 import pytest
 
-from cylgap import cli
-from cylgap.errors import ConfigError
+from cylgap import cli, eig
+from cylgap import experiments as ex
+from cylgap.errors import ConfigError, NoConvergence
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_CFG = """
 # quick run for plumbing tests
@@ -40,7 +46,64 @@ class TestConfigParsing:
         assert rc.experiments == ["bounds", "nu-half"]
         assert rc.field_kind == "model"
         assert rc.schedules["ell_bounds"] == [0.5, 1.0]
-        assert rc.mesh["resolution"] == 8.0
+        assert rc.cfg.resolution == 8.0
+
+    @pytest.mark.parametrize("name, experiments, field_kind, field_params", [
+        ("model_gap", ["bounds", "gap", "limit-zero", "nu-half",
+                       "limit-infinity", "second", "dirichlet", "decay",
+                       "end-profile"], "model", {"delta": 0.6}),
+        ("multi_direction", ["multi-direction"], "multi-model",
+         {"delta": 0.6}),
+        ("asymmetric_showcase", ["bounds", "nu-half", "limit-infinity",
+                                 "decay"], "asymmetric", {"delta0": 0.5}),
+    ])
+    def test_committed_configs(self, tmp_path, name, experiments, field_kind,
+                               field_params):
+        text = (CONFIG_DIR / f"{name}.cfg").read_text()
+        # every committed config resolves to the default experiment settings
+        expected = ex.ExperimentConfig(resolution=16.0, axial_resolution=8.0,
+                                       grading=1.0, tol=1e-9, seed=0,
+                                       parallelism=1, omega=(-1.0, 1.0),
+                                       conv_tol=5e-3, tol_inf=5e-3,
+                                       res3d_axial=3.0, res3d_cross=12.0)
+        rc = cli.parse_config(write_cfg(tmp_path, text))
+        assert rc.experiments == experiments
+        assert (rc.field_kind, rc.field_params) == (field_kind, field_params)
+        assert rc.cfg == expected
+        # the [run] seed/output_dir/parallelism lines a benchmark copy forces
+        forced = re.sub(r"(?m)^(seed|output_dir|parallelism)\s*=.*\n", "",
+                        text).replace("[run]\n", "[run]\nseed = 7\n"
+                                      "output_dir = bench/out\n"
+                                      "parallelism = 1\n")
+        rc = cli.parse_config(write_cfg(tmp_path, forced, "forced.cfg"))
+        assert rc.output_dir == "bench/out"
+        assert rc.cfg == dataclasses.replace(expected, seed=7)
+
+    def test_every_setting_reaches_experiment_config(self, tmp_path):
+        path = write_cfg(tmp_path, """
+[run]
+seed = 3
+parallelism = 2
+[domain]
+omega = -1 1 -2 2
+[mesh]
+resolution = 10
+axial_resolution = 5
+grading = 2
+node_cap = 1000
+res3d_axial = 4
+res3d_cross = 6
+[solver]
+tol = 1e-8
+[tolerances]
+conv_tol = 1e-3
+tol_inf = 2e-3
+""")
+        assert cli.parse_config(path).cfg == ex.ExperimentConfig(
+            resolution=10.0, axial_resolution=5.0, grading=2.0, tol=1e-8,
+            seed=3, node_cap=1000, conv_tol=1e-3, tol_inf=2e-3,
+            parallelism=2, omega=((-1.0, 1.0), (-2.0, 2.0)), res3d_axial=4.0,
+            res3d_cross=6.0)
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, "[mesh]\nbogus = 3\n")
@@ -146,6 +209,30 @@ axial_resolution = 4
             assert len(failed) == 1, name
             assert "NotConverged" in failed[0]["note"]
             assert shortfall in failed[0]["note"]
+
+    def test_failed_reflection_check_fails_only_its_row(self, tmp_path,
+                                                        monkeypatch):
+        solve = eig.smallest_eigenpairs
+
+        def fails_reflected(K, M, **kwargs):
+            if K.provenance["_field"].kind.endswith("-reflected"):
+                raise NoConvergence("forced", best_residual=1.0)
+            return solve(K, M, **kwargs)
+
+        monkeypatch.setattr(eig, "smallest_eigenpairs", fails_reflected)
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out).replace(
+            "bounds, nu-half", "nu-half"))
+        assert cli.main(["run", path]) == 2
+        with open(out / "nu-half.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 5
+        assert all(r["passed"] == "true" for r in rows[:4])
+        last = rows[-1]
+        assert (last["experiment"], last["ell"]) == ("nu-half", "2")
+        assert last["delta"] == last["resolution"] == last["grading"] == ""
+        assert last["passed"] == "false"
+        assert "NoConvergence" in last["note"]
 
     def test_env_output_override(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"

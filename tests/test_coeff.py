@@ -20,9 +20,8 @@ def brute_force_schur_value(B, Z2, lo=-10.0, hi=10.0, step=1e-3):
     best grid point; independent of the Schur formula."""
     zs = np.arange(lo, hi + step, step)
     Z2 = np.atleast_1d(Z2)
-    vals = np.array([
-        np.concatenate(([z], Z2)) @ B @ np.concatenate(([z], Z2))
-        for z in zs])
+    V = np.column_stack([zs, np.broadcast_to(Z2, (len(zs), len(Z2)))])
+    vals = np.einsum("ki,ij,kj->k", V, B, V)
     i = int(np.argmin(vals))
     if 0 < i < len(zs) - 1:
         y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cylgap import coeff, eig
 from cylgap import experiments as ex
-from cylgap.errors import (ConditionConFails, NoConvergence,
+from cylgap.errors import (ConditionConFails, MemoryBudget, NoConvergence,
                            NoReflectionSymmetry, NotConverged)
 
 from conftest import MU1
@@ -112,7 +114,8 @@ class TestNuHalf:
     def test_not_converged_raises_with_sequence(self, cfg):
         field = coeff.asymmetric_model_field(0.5)
         # an unsettled sequence is still reported, as an upper bound
-        est = ex.exp_nu_half(field, "+", [2, 4], cfg, conv_tol=1e-6)
+        est = ex.exp_nu_half(field, "+", [2, 4],
+                             replace(cfg, conv_tol=1e-6))
         assert est.converged is False
         assert len(est.sequence) == 2 and est.nu == est.sequence[-1]
         # a single length gives no estimate at all
@@ -196,7 +199,7 @@ class TestSecondEigenvalue:
     def test_delta_zero_neumann_mode_spacing(self, cfg):
         # separable check: lambda2 - lambda1 = (pi / 2L)^2 for delta = 0
         field = coeff.model_field(0.0)
-        recs = ex.exp_second_eigenvalue(field, [4], cfg, shrink_factor=1.0)
+        recs = ex.exp_second_eigenvalue(field, [4], cfg)
         r = recs[0]
         assert r.gap == pytest.approx((np.pi / 8) ** 2, rel=0.05)
 
@@ -275,6 +278,14 @@ class TestUniversalSandwich:
                                   omega=(0.0, 2.0))
         with pytest.raises(NoReflectionSymmetry):
             ex.exp_second_eigenvalue(model, [4], cfg)
+
+
+class TestCrossContext:
+    def test_cache_key_holds_node_cap(self, model, cfg):
+        ex.cross_context(model, cfg)
+        # the fine cross-section mesh (twice the resolution) has 65 nodes
+        with pytest.raises(MemoryBudget):
+            ex.cross_context(model, replace(cfg, node_cap=40))
 
 
 class TestRecordPlumbing:
