@@ -16,11 +16,13 @@ import numpy as np
 from . import assemble as asm
 from . import coeff as coeff_mod
 from . import grid as grid_mod
-from .errors import (CylgapError, DegenerateWeight, MeshMismatch, TooShort,
-                     ZeroFunction)
+from .errors import (CylgapError, DegenerateWeight, MeshMismatch,
+                     NoReflectionSymmetry, TooShort, ZeroFunction)
 
 NO_DECAY_ALPHA = 0.8
 SNAP_TOL = 1e-9
+# the model cutoff near x2 = +-1 has width ell**MODEL_ALPHA_CUT (at most 1)
+MODEL_ALPHA_CUT = 0.5
 
 
 def w1_model(x2):
@@ -45,12 +47,9 @@ def cross_values_on(mesh, cross_mesh, full_cross_values):
                 or not np.allclose(mesh.cross_partitions[a],
                                    cross_mesh.axis_partitions[a], atol=1e-12)):
             raise MeshMismatch("cross partitions do not match")
-    full_cross_values = np.asarray(full_cross_values, dtype=float)
-    grids = np.meshgrid(*[np.arange(s) for s in mesh.shape], indexing="ij")
-    cross_idx = np.ravel_multi_index(
-        tuple(grids[a] for a in range(mesh.n_axial, mesh.ndim)),
-        cross_mesh.shape).ravel()
-    return full_cross_values[cross_idx]
+    # nodes are C-ordered with the axial axes first
+    return np.tile(np.asarray(full_cross_values, dtype=float),
+                   mesh.n_nodes // cross_mesh.n_nodes)
 
 
 def node_projected_gradient(cross_mesh, full_values):
@@ -142,15 +141,10 @@ def _require_model_omega(mesh):
         raise MeshMismatch("model profile needs omega = (-1, 1)")
 
 
-def model_w1_nodes():
-    """Analytic cos profile as a per-node evaluator."""
-
-    def w_of(mesh):
-        _require_model_omega(mesh)
-        x2 = mesh.node_coords()[:, mesh.n_axial]
-        return w1_model(x2)
-
-    return w_of
+def model_w1_nodes(mesh):
+    """Analytic cos profile at the nodes of a mesh."""
+    _require_model_omega(mesh)
+    return w1_model(mesh.node_coords()[:, mesh.n_axial])
 
 
 def discrete_w1_nodes(cross_mesh, pair):
@@ -162,21 +156,20 @@ def discrete_w1_nodes(cross_mesh, pair):
     return w_of
 
 
-def model_profile(delta, cutoff_ell=None, alpha_cut=0.5):
+def model_profile(delta):
     """Model-field profile: G = delta W1'(x2) rho(x2) with a piecewise-linear
-    cutoff of width ell**alpha_cut near x2 = +-1.  ``cutoff_ell`` defaults to
-    the evaluation mesh's half-length."""
+    cutoff of width ell**MODEL_ALPHA_CUT near x2 = +-1, ell the evaluation
+    mesh's half-length."""
 
     def g_of(mesh):
         _require_model_omega(mesh)
-        ell = mesh.ell if cutoff_ell is None else cutoff_ell
-        width = min(1.0, float(ell) ** alpha_cut)
+        width = min(1.0, float(mesh.ell) ** MODEL_ALPHA_CUT)
         x2 = mesh.node_coords()[:, mesh.n_axial]
         rho = np.clip(np.minimum((x2 + 1.0) / width, (1.0 - x2) / width),
                       0.0, 1.0)
         return delta * w1_model_prime(x2) * rho
 
-    return SeparableProfile(model_w1_nodes(), g_of)
+    return SeparableProfile(model_w1_nodes, g_of)
 
 
 def discrete_profile(field, cross_mesh, pair, cutoff=None):
@@ -199,11 +192,11 @@ def _separable_testfn(name, params, profile):
     return TestFunction(name, params, profile, nodal)
 
 
-def model_vl(delta, alpha_cut=0.5):
+def model_vl(delta):
     """W1(x2) - delta x1 W1'(x2) rho(x2) on the model cylinder."""
     return _separable_testfn(
-        "model-vl", {"delta": delta, "alpha_cut": alpha_cut},
-        model_profile(delta, None, alpha_cut))
+        "model-vl", {"delta": delta, "alpha_cut": MODEL_ALPHA_CUT},
+        model_profile(delta))
 
 
 def general_vl(field, cross_mesh, w1_pair, cutoff=None):
@@ -252,17 +245,15 @@ def glued_phi(inner, ell0, eta):
                         profile, nodal)
 
 
-def exp_decay(epsilon, w_of=None):
+def exp_decay(epsilon):
     """exp(-epsilon |x1|) W1(X2) on a half cylinder, truncated to zero on
     the clamped far end (its last mesh cell acts as the cutoff)."""
-    if w_of is None:
-        w_of = model_w1_nodes()
 
     def nodal(mesh):
         if mesh.domain_kind not in ("half-plus", "half-minus"):
             raise MeshMismatch("exp-decay lives on a half cylinder")
         x1 = mesh.node_coords()[:, 0]
-        vals = np.exp(-epsilon * np.abs(x1)) * w_of(mesh)
+        vals = np.exp(-epsilon * np.abs(x1)) * model_w1_nodes(mesh)
         vals[mesh.dirichlet_nodes] = 0.0
         return vals
 
@@ -292,19 +283,17 @@ def z_alpha(alpha, ell1, inner):
                                     "inner": inner.name}, profile, nodal)
 
 
-def cutoff_w1(width, w_of=None, ramp_in=1.0):
-    """W1(X2) times a trapezoid in x1: up over (0, ramp_in), flat to
-    ``width``, down over one unit; for half-plus Picone probes."""
-    if w_of is None:
-        w_of = model_w1_nodes()
+def cutoff_w1(width):
+    """W1(X2) times a trapezoid in x1: up over (0, 1), flat to ``width``,
+    down over one unit; for half-plus Picone probes."""
 
     def nodal(mesh):
         if mesh.domain_kind != "half-plus":
             raise MeshMismatch("cutoff-w1 lives on a half-plus mesh")
         x1 = mesh.node_coords()[:, 0]
-        up = np.clip(x1 / ramp_in, 0.0, 1.0)
+        up = np.clip(x1, 0.0, 1.0)
         down = np.clip(width + 1.0 - x1, 0.0, 1.0)
-        vals = w_of(mesh) * np.minimum(up, down)
+        vals = model_w1_nodes(mesh) * np.minimum(up, down)
         vals[mesh.dirichlet_nodes] = 0.0
         return vals
 
@@ -319,9 +308,6 @@ class RayleighValue:
     quotient: float
     numerator: float
     denominator: float
-
-    def __iter__(self):
-        return iter((self.quotient, self.numerator, self.denominator))
 
 
 def rayleigh_of_testfn(tf, mesh, field, forms=None):
@@ -366,14 +352,11 @@ def _quad_contributions(mesh, full_values, field=None):
     if field is None:
         energy = w * np.einsum("cqa,cqa->cq", gq, gq)
     else:
-        pts = asm.quadrature_coords(mesh)
-        if field.piecewise_constant:
-            C = field.eval_many(mesh.cell_centers()[:, mesh.n_axial:])
-            C = np.broadcast_to(C[:, None], (mesh.n_cells, nq, d, d))
-        else:
-            C = field.eval_many(
-                pts.reshape(-1, d)[:, mesh.n_axial:]).reshape(
-                    mesh.n_cells, nq, d, d)
+        # A depends on X2 only: with the axial axes first, cell c and point
+        # q see cross cell c % n_cross_cells and cross point q % nq_cross
+        C = asm.coefficient_samples(asm.factor_mesh(mesh.cross_partitions),
+                                    field, field.eval_many)
+        C = np.tile(C, (mesh.n_cells // C.shape[0], nq // C.shape[1], 1, 1))
         energy = w * np.einsum("cqab,cqa,cqb->cq", C, gq, gq)
     x1q = asm.quadrature_coords(mesh)[:, :, 0]
     return mass, energy, x1q
@@ -456,9 +439,6 @@ class ConcentrationSplit:
     d_plus: float
     d_minus: float
 
-    def __iter__(self):
-        return iter((self.n_plus, self.n_minus, self.d_plus, self.d_minus))
-
 
 def concentration_split(u, K, M, mesh):
     """Stiffness and mass energies split at x1 = 0 (cells straddling zero
@@ -489,11 +469,9 @@ def concentration_split(u, K, M, mesh):
 def symmetry_defect(u, mesh, field=None):
     """M-norm of u - Pu with P the (x1, X2) -> (-x1, -X2) node permutation."""
     perm = grid_mod.reflection_permutation(mesh)
-    if field is not None:
-        centers = mesh.cell_centers()[:, mesh.n_axial:]
-        if not field.is_even(centers):
-            from .errors import NoReflectionSymmetry
-            raise NoReflectionSymmetry("field is not even in X2")
+    if field is not None and not field.is_even(
+            asm.factor_mesh(mesh.cross_partitions).cell_centers()):
+        raise NoReflectionSymmetry("field is not even in X2")
     vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
     full = mesh.scatter_free(vec)
     diff = full - full[perm]
@@ -501,7 +479,7 @@ def symmetry_defect(u, mesh, field=None):
 
 
 def picone_gap(u, W1, mu1, mesh, field, forms=None):
-    """Quadrature value of int A grad(u).grad(u) - mu1 u^2 on a half mesh."""
+    """int A grad(u).grad(u) - mu1 u^2 of a free-node vector u, half mesh."""
     if mesh.domain_kind not in ("half-plus", "half-minus"):
         raise MeshMismatch("picone gap is evaluated on half meshes")
     wvec = W1.vector if hasattr(W1, "vector") else np.asarray(W1, dtype=float)
@@ -511,29 +489,17 @@ def picone_gap(u, W1, mu1, mesh, field, forms=None):
     if forms is None:
         forms = asm.assemble_cylinder(mesh, field)
     K, M = forms
-    u = np.asarray(u, dtype=float)
-    if u.shape == (mesh.n_nodes,):
-        u = mesh.restrict_free(u)
     return K.energy(u) - mu1 * M.energy(u)
 
 
-def _region_h1(parts, avals, bvals):
-    """H1 norm of the difference of two nodal functions on a common box."""
-    probe = grid_mod.TensorMesh("cross-section", parts, 0, None)
-    sign = 1.0 if float(avals @ bvals) >= 0 else -1.0
-    diff = avals - sign * bvals
-    massc, energyc, _ = _quad_contributions(probe, diff)
-    return float(np.sqrt(massc.sum() + energyc.sum()))
-
-
-def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, side, r):
-    """Discrete H1 distance on the end collar Omega_r between the shifted
-    cylinder eigenfunction and the half-cylinder minimizer, sign-aligned."""
+def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
+    """Discrete H1 distance on the end collar Omega_r at x1 = -ell between
+    the shifted cylinder eigenfunction and the half-plus minimizer,
+    sign-aligned."""
     if cyl_mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("first argument must live on a full cylinder")
-    want = "half-plus" if side == "+" else "half-minus"
-    if half_mesh.domain_kind != want:
-        raise MeshMismatch(f"side {side} needs a {want} mesh")
+    if half_mesh.domain_kind != "half-plus":
+        raise MeshMismatch("second mesh must be a half-plus mesh")
     if r <= 0 or r > min(cyl_mesh.ell, half_mesh.ell):
         raise ValueError("r must fit in both meshes")
     for a in range(1, cyl_mesh.ndim):
@@ -542,28 +508,18 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, side, r):
             raise MeshMismatch("cross partitions do not match")
     hx = half_mesh.axis_partitions[0]
     cx = cyl_mesh.axis_partitions[0]
-    if side == "+":
-        k = int(np.searchsorted(hx, r + 1e-12))
-        half_sel = np.arange(k)
-        cyl_sel = np.arange(k)
-        if not np.allclose(hx[half_sel], cx[cyl_sel] + cyl_mesh.ell,
-                           atol=1e-10):
-            raise MeshMismatch("axis partitions not aligned on the collar")
-        region = hx[half_sel]
-    else:
-        k = int(np.searchsorted(hx, -r - 1e-12))
-        half_sel = np.arange(k, len(hx))
-        cyl_sel = np.arange(len(cx) - len(half_sel), len(cx))
-        if not np.allclose(hx[half_sel], cx[cyl_sel] - cyl_mesh.ell,
-                           atol=1e-10):
-            raise MeshMismatch("axis partitions not aligned on the collar")
-        region = hx[half_sel]
+    k = int(np.searchsorted(hx, r + 1e-12))
+    if not np.allclose(hx[:k], cx[:k] + cyl_mesh.ell, atol=1e-10):
+        raise MeshMismatch("axis partitions not aligned on the collar")
 
     cyl_full = cyl_mesh.scatter_free(
         u_cyl.vector if hasattr(u_cyl, "vector") else u_cyl)
     half_full = half_mesh.scatter_free(
         u_half.vector if hasattr(u_half, "vector") else u_half)
-    cyl_grid = cyl_full.reshape(cyl_mesh.shape)[cyl_sel].ravel()
-    half_grid = half_full.reshape(half_mesh.shape)[half_sel].ravel()
-    parts = [region] + [np.asarray(p) for p in half_mesh.cross_partitions]
-    return _region_h1(parts, cyl_grid, half_grid)
+    cyl_grid = cyl_full.reshape(cyl_mesh.shape)[:k].ravel()
+    half_grid = half_full.reshape(half_mesh.shape)[:k].ravel()
+    # H1 norm of the sign-aligned difference on the collar box
+    collar = asm.factor_mesh([hx[:k], *half_mesh.cross_partitions])
+    sign = 1.0 if float(cyl_grid @ half_grid) >= 0 else -1.0
+    mass, energy, _ = _quad_contributions(collar, cyl_grid - sign * half_grid)
+    return float(np.sqrt(mass.sum() + energy.sum()))

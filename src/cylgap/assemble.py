@@ -1,8 +1,9 @@
 """Stiffness and mass assembly on tensor meshes with Q1 elements.
 
-Multilinear elements, 2-point tensor Gauss quadrature, Dirichlet
-elimination by dropping tagged rows and columns.  Forms store only the
-lower triangle, so they are exactly symmetric by construction.
+Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
+cross variable only, so cylinder forms are Kronecker sums of 1D axial and
+cross-section matrices.  Dirichlet rows and columns are dropped; forms
+store only the lower triangle, so they are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import sparse
 
 from . import coeff as coeff_mod
 from .errors import DimensionMismatch, MeshMismatch, NotElliptic
-from .grid import with_full_dirichlet
+from .grid import TensorMesh, with_full_dirichlet
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -31,39 +32,24 @@ def reference_basis(d):
     """Q1 shape values and unit-cell gradients at the tensor Gauss points.
 
     Returns (N, G) with N[q, i] and G[q, a, i]; corners and quadrature
-    points are ordered with the last axis fastest.
+    points are ordered with the last axis fastest, so both are Kronecker
+    products of the 1D tables.
     """
     xi = gauss_points_01()
-    n1 = np.stack([1.0 - xi, xi])      # n1[corner, q]
-    d1 = np.array([-1.0, 1.0])         # unit-cell derivative per corner
-    corners = list(itertools.product((0, 1), repeat=d))
-    qcombos = list(itertools.product((0, 1), repeat=d))
-    nq, nloc = len(qcombos), len(corners)
-    N = np.empty((nq, nloc))
-    G = np.empty((nq, d, nloc))
-    for qi, qc in enumerate(qcombos):
-        for ki, kc in enumerate(corners):
-            axis_vals = [n1[kc[a], qc[a]] for a in range(d)]
-            N[qi, ki] = np.prod(axis_vals)
-            for b in range(d):
-                parts = list(axis_vals)
-                parts[b] = d1[kc[b]]
-                G[qi, b, ki] = np.prod(parts)
+    vals = np.stack([1.0 - xi, xi], axis=1)   # vals[q, corner]
+    ders = np.array([[-1.0, 1.0]] * 2)        # unit-cell derivative
+    N = functools.reduce(np.kron, [vals] * d)
+    G = np.stack([functools.reduce(np.kron, [ders if a == b else vals
+                                             for a in range(d)])
+                  for b in range(d)], axis=1)
     return N, G
 
 
 def quadrature_coords(mesh):
     """Physical quadrature coordinates, shape (n_cells, nq, ndim)."""
-    d = mesh.ndim
-    xi = gauss_points_01()
-    origins = mesh.cell_origins()
-    sizes = mesh.cell_sizes()
-    nq = 2**d
-    pts = np.empty((mesh.n_cells, nq, d))
-    for qi, qc in enumerate(itertools.product((0, 1), repeat=d)):
-        off = np.array([xi[c] for c in qc])
-        pts[:, qi] = origins + sizes * off
-    return pts
+    offsets = np.array(list(itertools.product(gauss_points_01(),
+                                              repeat=mesh.ndim)))
+    return mesh.cell_origins()[:, None] + mesh.cell_sizes()[:, None] * offsets
 
 
 @dataclass
@@ -88,14 +74,6 @@ class SparseSymmetricForm:
             self._full = (low + low.T - diag).tocsr()
         return self._full
 
-    @property
-    def col_indices(self):
-        return self.lower.indices
-
-    @property
-    def values(self):
-        return self.lower.data
-
     def energy(self, u):
         u = np.asarray(u, dtype=float)
         return float(u @ (self.full() @ u))
@@ -112,52 +90,94 @@ def _audit_spd(C, what):
         raise NotElliptic(f"{what} has smallest sampled eigenvalue {lam:.3e}")
 
 
-def _assemble_pair(mesh, mat_at_points, midpoint, provenance):
-    d = mesh.ndim
-    N, Gref = reference_basis(d)
-    nq = nloc = 2**d
+def factor_mesh(parts):
+    """Tensor mesh over some axes of another mesh, such as its
+    cross-section or one axial axis (its boundary tags go unused)."""
+    return TensorMesh("cross-section", parts, 0, None)
+
+
+def coefficient_samples(cross, field, mats):
+    """Coefficient ``mats`` (cross points to m x m matrices, such as
+    ``field.eval_many``) at the quadrature points of a cross-section mesh,
+    shape (n_cells, 2**ndim, m, m).
+
+    Piecewise-constant fields take the midpoint rule: the cell-centre
+    value at every point of the cell.
+    """
+    midpoint = field.piecewise_constant
+    pts = cross.cell_centers() if midpoint else quadrature_coords(cross)
+    C = mats(pts.reshape(-1, cross.ndim))
+    _audit_spd(C, "coefficient at " + ("cell centers" if midpoint
+                                       else "quadrature points"))
+    C = C.reshape((cross.n_cells, -1) + C.shape[1:])
+    return np.broadcast_to(C, (cross.n_cells, 2**cross.ndim) + C.shape[2:])
+
+
+def _slot_matrices(mesh, C, n_values):
+    """Slot matrices S[a][b] = int C_ab psi_a psi_b over all nodes.
+
+    psi_a is the Q1 basis function itself for a < n_values and its
+    derivative along axis a - n_values after that; C has shape
+    (n_cells, nq, s, s), or broadcasts to it.
+    """
+    N, G = reference_basis(mesh.ndim)
+    nq, nloc = N.shape
+    s = n_values + mesh.ndim
+    C = np.broadcast_to(C, (mesh.n_cells, nq, s, s))
+    base = np.concatenate([np.repeat(N[:, None], n_values, axis=1), G],
+                          axis=1)
+    # value slots are unscaled, derivative slots carry 1/h of their axis
+    scale = np.concatenate([np.ones((mesh.n_cells, n_values)),
+                            1.0 / mesh.cell_sizes()], axis=1)
+    w = mesh.cell_volumes() / nq
+    Cs = C * (w[:, None, None, None] * scale[:, None, :, None]
+              * scale[:, None, None, :])
+    local = np.einsum("cqab,qai,qbj->abcij", Cs, base, base)
     cells = mesh.cell_node_indices()
-    h = mesh.cell_sizes()
-    vol = mesh.cell_volumes()
-    nc = mesh.n_cells
-    if midpoint:
-        C = mat_at_points(mesh.cell_centers())
-        _audit_spd(C, "coefficient at cell centers")
-        C = np.broadcast_to(C[:, None], (nc, nq, d, d))
-    else:
-        pts = quadrature_coords(mesh).reshape(-1, d)
-        C = mat_at_points(pts).reshape(nc, nq, d, d)
-        _audit_spd(C, "coefficient at quadrature points")
-    scale = 1.0 / h
-    Cs = C * scale[:, None, :, None] * scale[:, None, None, :]
-    Kloc = np.einsum("cqab,qai,qbj->cij", Cs, Gref, Gref)
-    Kloc *= (vol / nq)[:, None, None]
-    Mref = (N[:, :, None] * N[:, None, :]).mean(axis=0)
-    Mloc = vol[:, None, None] * Mref
-
-    fi = mesh.free_index[cells]
-    ii = np.broadcast_to(fi[:, :, None], (nc, nloc, nloc))
-    jj = np.broadcast_to(fi[:, None, :], (nc, nloc, nloc))
-    keep = (ii >= 0) & (jj >= 0)
-    nf = mesh.n_free
-    rows = ii[keep]
-    cols = jj[keep]
-
-    def pack(local, kind):
-        mat = sparse.coo_matrix((local[keep], (rows, cols)),
-                                shape=(nf, nf)).tocsr()
-        return SparseSymmetricForm(nf, sparse.tril(mat, format="csr"),
-                                   kind, dict(provenance))
-
-    return pack(Kloc, "stiffness"), pack(Mloc, "mass")
+    rows = np.repeat(cells, nloc, axis=1).ravel()   # local (i, j), j fastest
+    cols = np.tile(cells, nloc).ravel()
+    return [[sparse.csr_matrix((local[a, b].ravel(), (rows, cols)),
+                               shape=(mesh.n_nodes, mesh.n_nodes))
+             for b in range(s)] for a in range(s)]
 
 
-def _cross_slices(mesh, field):
-    n_cross = mesh.ndim - mesh.n_axial
-    if n_cross != field.cross_dim:
-        raise DimensionMismatch(
-            f"mesh cross dimension {n_cross} != field cross dimension "
-            f"{field.cross_dim}")
+def _kron(factors):
+    return functools.reduce(
+        lambda a, b: sparse.kron(a, b, format="csr"), factors)
+
+
+def _assemble_pair(mesh, field, mats, reduced):
+    """Stiffness and mass as Kronecker sums of 1D axial slot matrices and
+    cross-section slot matrices.
+
+    With p axial axes, slot a of the coefficient is an axial derivative
+    for a < p and a cross derivative after that, so
+    K = sum_ab (F_1(a, b) x ... x F_p(a, b)) x X_ab, where X_ab are the
+    cross slot matrices of A and F_k(a, b) is the 1D stiffness, mixed or
+    mass matrix as a and b are or are not k; M = M_1 x ... x M_p x M_c.
+    Nodes are C-ordered with the axial axes first, as in these products.
+    A cross-section pencil has no axial factor.
+    """
+    p = mesh.n_axial
+    cross = factor_mesh(mesh.cross_partitions)
+    C = coefficient_samples(cross, field, mats)
+    X = _slot_matrices(cross, C, p)
+    axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
+                           np.ones((1, 1, 2, 2)), 1) for k in range(p)]
+    K = sum(_kron([axes[k][int(a == k)][int(b == k)] for k in range(p)]
+                  + [X[a][b]])
+            for a, b in itertools.product(range(C.shape[-1]), repeat=2))
+    Mc = _slot_matrices(cross, np.ones((1, 1, 1, 1)), 1)[0][0]
+    M = _kron([ax[0][0] for ax in axes] + [Mc])
+    prov = {"mesh": mesh.signature, "field": field.signature,
+            "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
+            "reduced": bool(reduced), "_mesh": mesh, "_field": field}
+    free = mesh.free_nodes
+    return tuple(SparseSymmetricForm(mesh.n_free,
+                                     sparse.tril(mat[free][:, free],
+                                                 format="csr"),
+                                     kind, dict(prov))
+                 for mat, kind in ((K, "stiffness"), (M, "mass")))
 
 
 def assemble_cylinder(mesh, field):
@@ -168,15 +188,11 @@ def assemble_cylinder(mesh, field):
     if mesh.n_axial != field.p:
         raise DimensionMismatch(
             f"mesh has {mesh.n_axial} elongated axes, field has p={field.p}")
-    _cross_slices(mesh, field)
-
-    def mats(pts):
-        return field.eval_many(pts[:, mesh.n_axial:])
-
-    prov = {"mesh": mesh.signature, "field": field.signature,
-            "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
-            "_mesh": mesh, "_field": field}
-    return _assemble_pair(mesh, mats, field.piecewise_constant, prov)
+    if mesh.ndim - mesh.n_axial != field.cross_dim:
+        raise DimensionMismatch(
+            f"mesh cross dimension {mesh.ndim - mesh.n_axial} != field "
+            f"cross dimension {field.cross_dim}")
+    return _assemble_pair(mesh, field, field.eval_many, False)
 
 
 def assemble_dirichlet_cylinder(mesh, field):
@@ -193,19 +209,13 @@ def assemble_cross_section(mesh, field, reduced=False):
     if mesh.ndim != field.cross_dim:
         raise DimensionMismatch(
             f"mesh dim {mesh.ndim} != field cross dimension {field.cross_dim}")
-    p = field.p
 
-    if reduced:
-        def mats(pts):
+    def mats(pts):
+        if reduced:
             return coeff_mod.schur_reduce_many(field, pts)
-    else:
-        def mats(pts):
-            return field.eval_many(pts)[:, p:, p:]
+        return field.eval_many(pts)[:, field.p:, field.p:]
 
-    prov = {"mesh": mesh.signature, "field": field.signature,
-            "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
-            "reduced": bool(reduced), "_mesh": mesh, "_field": field}
-    return _assemble_pair(mesh, mats, field.piecewise_constant, prov)
+    return _assemble_pair(mesh, field, mats, reduced)
 
 
 def dump_coordinate(form, path):

@@ -313,6 +313,7 @@ def run(config_path):
             rc.cfg.parallelism = int(par_env)
         except ValueError:
             raise ConfigError(f"{ENV_PARALLELISM} must be an integer")
+        _validate(rc, ENV_PARALLELISM)
     os.makedirs(outdir, exist_ok=True)
     field = make_field(rc)
     summary_lines = []

@@ -156,12 +156,11 @@ def asymmetric_model_field(delta0=0.5):
         kind="asymmetric-model", params={"delta0": float(delta0)})
 
 
-def variable_a22_field(delta, a22=None):
-    """Model coupling with a variable cross block; default a22 = 1 + x2^2/4."""
-    if a22 is None:
-        a22 = lambda pts: 1.0 + pts[:, 0] ** 2 / 4.0
+def variable_a22_field(delta):
+    """Model coupling with the variable cross block a22 = 1 + x2^2/4."""
     return field_from_entries(
-        2, 1, {(0, 0): 1.0, (0, 1): float(delta), (1, 1): a22},
+        2, 1, {(0, 0): 1.0, (0, 1): float(delta),
+               (1, 1): lambda pts: 1.0 + pts[:, 0] ** 2 / 4.0},
         kind="variable-a22", params={"delta": float(delta)})
 
 
@@ -366,11 +365,8 @@ class ConditionReport:
     signed_integral: object
     pointwise_nonpositive: bool
 
-    def __iter__(self):
-        return iter((self.holds, self.norm, self.signed_integral))
 
-
-def condition_con(field, W1, mesh, tol_con=TOL_CON):
+def condition_con(field, W1, mesh):
     """Audit the coupling condition A12 . grad(W1) != 0 on the cross-section.
 
     ``norm`` is the L2(omega) norm of A12 . grad(W1) with elementwise
@@ -378,7 +374,8 @@ def condition_con(field, W1, mesh, tol_con=TOL_CON):
     quadrature value of the boundary-flux integral (A12 . grad W1) W1,
     one value per elongated axis (a scalar when p = 1);
     ``pointwise_nonpositive`` reports the one-signed case
-    A12 . grad(W1) <= tol at every midpoint.
+    A12 . grad(W1) <= TOL_CON at every midpoint; ``holds`` means a norm
+    above TOL_CON.
     """
     if mesh.domain_kind != "cross-section":
         raise MeshMismatch("condition audit needs a cross-section mesh")
@@ -397,8 +394,8 @@ def condition_con(field, W1, mesh, tol_con=TOL_CON):
     signed = (vol[:, None] * g * w_center[:, None]).sum(axis=0)
     signed_out = float(signed[0]) if p == 1 else signed
     return ConditionReport(
-        holds=norm > tol_con,
+        holds=norm > TOL_CON,
         norm=norm,
         signed_integral=signed_out,
-        pointwise_nonpositive=bool(np.all(g <= tol_con)),
+        pointwise_nonpositive=bool(np.all(g <= TOL_CON)),
     )

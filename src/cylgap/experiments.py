@@ -578,7 +578,7 @@ def exp_end_profile(field, ell_list, cfg, half_length=None):
     dists = []
 
     def judge(rec, mesh, pairs):
-        d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh, "+",
+        d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh,
                                     END_COLLAR)
         rec.end_distance = d
         rec.lambda_half_plus = hpairs[0].value

@@ -346,7 +346,7 @@ class TestEndProfiles:
         cyl = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                               resolution=(8, 16))
         ext = grid.extend_by_zero(half, cyl, u.vector, shift=-8.0)
-        d = an.end_profile_distance(ext, cyl, u, half, "+", 3.0)
+        d = an.end_profile_distance(ext, cyl, u, half, 3.0)
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_distance_decreases_with_ell(self, model06_mod):
@@ -360,8 +360,7 @@ class TestEndProfiles:
                                    resolution=(8, 16))
             K, M = assemble.assemble_cylinder(mesh, model06_mod)
             u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-            dists.append(an.end_profile_distance(u, mesh, uh, half, "+",
-                                                 3.0))
+            dists.append(an.end_profile_distance(u, mesh, uh, half, 3.0))
         assert dists[1] < dists[0]
 
     def test_mesh_mismatch(self, model06_mod):
@@ -372,7 +371,7 @@ class TestEndProfiles:
         K, M = assemble.assemble_cylinder(half, model06_mod)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
         with pytest.raises(MeshMismatch):
-            an.end_profile_distance(u, half, u, other, "+", 2.0)
+            an.end_profile_distance(u, half, u, other, 2.0)
 
     def test_bulk_two_exponential_fit(self, model06_mod):
         # g e^(a x1) + g' e^(-a x1) on a uniform axis satisfies

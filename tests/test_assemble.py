@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,162 @@ def interp_sq_integral_1d(part, values):
     return float(np.sum(h * (a * a + a * b + b * b) / 3.0))
 
 
+def cellwise_oracle(mesh, mats, midpoint):
+    """Dense (K, M) assembled cell by cell: the coefficient sampled at every
+    2-point Gauss point of every cell (at its centre when ``midpoint``),
+    one einsum over all cells, Dirichlet rows and columns dropped."""
+    d = mesh.ndim
+    N, G = assemble.reference_basis(d)
+    nq = 2**d
+    h = mesh.cell_sizes()
+    vol = mesh.cell_volumes()
+    if midpoint:
+        C = np.repeat(mats(mesh.cell_centers())[:, None], nq, axis=1)
+    else:
+        pts = assemble.quadrature_coords(mesh).reshape(-1, d)
+        C = mats(pts).reshape(mesh.n_cells, nq, d, d)
+    Cs = C / h[:, None, :, None] / h[:, None, None, :]
+    Kloc = np.einsum("cqab,qai,qbj->cij", Cs, G, G) * (vol / nq)[:, None, None]
+    Mloc = vol[:, None, None] * (N.T @ N / nq)
+    cells = mesh.cell_node_indices()
+    idx = (cells[:, :, None], cells[:, None, :])
+    free = np.ix_(mesh.free_nodes, mesh.free_nodes)
+    out = []
+    for loc in (Kloc, Mloc):
+        full = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        np.add.at(full, idx, loc)
+        out.append(full[free])
+    return out
+
+
+def test_reference_tables_match_loop_form():
+    # the Kronecker-product tables against the per-point products they
+    # replace: same factors in the same order, so equal bit for bit
+    xi = assemble.gauss_points_01()
+    n1 = np.stack([1.0 - xi, xi])
+    d1 = np.array([-1.0, 1.0])
+    meshes = {1: grid.build_mesh("cross-section", resolution=3),
+              2: grid.build_mesh("cross-section", omega=((-1, 1), (0, 2)),
+                                 resolution=3),
+              3: grid.build_mesh("multi-direction", ell=2, resolution=2,
+                                 grading=2)}
+    for d in (1, 2, 3):
+        N, G = assemble.reference_basis(d)
+        combos = list(itertools.product((0, 1), repeat=d))
+        for qi, qc in enumerate(combos):
+            for ki, kc in enumerate(combos):
+                vals = [n1[kc[a], qc[a]] for a in range(d)]
+                assert N[qi, ki] == np.prod(vals)
+                for b in range(d):
+                    parts = list(vals)
+                    parts[b] = d1[kc[b]]
+                    assert G[qi, b, ki] == np.prod(parts)
+        pts = assemble.quadrature_coords(meshes[d])
+        for qi, qc in enumerate(combos):
+            off = np.array([xi[c] for c in qc])
+            assert np.array_equal(pts[:, qi],
+                                  meshes[d].cell_origins()
+                                  + meshes[d].cell_sizes() * off)
+
+
+TABLE = coeff.piecewise_constant_field(
+    [-1.0, -0.3, 0.2, 1.0],
+    [[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 2.0]],
+     [[1.5, 0.2], [0.2, 1.2]]])
+BOX = coeff.field_from_entries(
+    3, 1, {(0, 0): 1.0, (0, 1): 0.3, (0, 2): lambda x: 0.2 * x[:, 1],
+           (1, 1): lambda x: 1.0 + 0.25 * x[:, 0] ** 2, (1, 2): 0.1,
+           (2, 2): 1.0}, kind="box")
+BOX_OMEGA = ((-1, 1), (0, 2))
+
+ORACLE_CASES = {
+    "full": (coeff.asymmetric_model_field(0.5), "full-cylinder", {}),
+    "half-plus": (coeff.asymmetric_model_field(0.5), "half-plus", {}),
+    "half-minus": (coeff.variable_a22_field(0.4), "half-minus", {}),
+    "graded": (coeff.neg_coupling_field(), "full-cylinder",
+               {"ell": 4, "grading": 3}),
+    "graded-half": (coeff.model_field(0.6), "half-plus",
+                    {"ell": 4, "grading": 2}),
+    "dirichlet": (coeff.asymmetric_model_field(0.5), "dirichlet",
+                  {"ell": 4, "grading": 2}),
+    "multi": (coeff.multi_model_field(0.6), "multi-direction",
+              {"resolution": (3, 2, 6), "grading": 2}),
+    "multi-dirichlet": (coeff.multi_model_field(0.6), "dirichlet",
+                        {"resolution": (3, 2, 6)}),
+    "box": (BOX, "full-cylinder",
+            {"omega": BOX_OMEGA, "resolution": (2, 4, 3), "grading": 2}),
+    "table": (TABLE, "half-plus", {"ell": 4, "grading": 2}),
+    "cross": (coeff.asymmetric_model_field(0.5), "cross-section", {}),
+    "cross-reduced": (coeff.asymmetric_model_field(0.5), "reduced", {}),
+    "cross-table": (TABLE, "cross-section", {}),
+    "cross-table-reduced": (TABLE, "reduced", {}),
+    "cross-box": (BOX, "cross-section",
+                  {"omega": BOX_OMEGA, "resolution": (5, 4)}),
+    "cross-box-reduced": (BOX, "reduced",
+                          {"omega": BOX_OMEGA, "resolution": (5, 4)}),
+    "cross-multi-reduced": (coeff.multi_model_field(0.6), "reduced", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kronecker_assembly_matches_cellwise_oracle(case):
+    field, kind, opts = ORACLE_CASES[case]
+    cross = kind in ("cross-section", "reduced")
+    opts = {"ell": 2, "omega": (-1, 1), "resolution": 8 if cross else (4, 8),
+            "grading": 1, **opts}
+    p = field.p
+    if cross:
+        mesh = grid.build_mesh("cross-section", omega=opts["omega"],
+                               resolution=opts["resolution"])
+        reduced = kind == "reduced"
+        K, M = assemble.assemble_cross_section(mesh, field, reduced=reduced)
+        if reduced:
+            mats = lambda x: coeff.schur_reduce_many(field, x)
+        else:
+            mats = lambda x: field.eval_many(x)[:, p:, p:]
+    else:
+        cyl = "multi-direction" if p == 2 else "full-cylinder"
+        mesh = grid.build_mesh(cyl if kind == "dirichlet" else kind,
+                               ell=opts["ell"], omega=opts["omega"],
+                               resolution=opts["resolution"],
+                               grading=opts["grading"])
+        if kind == "dirichlet":
+            K, M = assemble.assemble_dirichlet_cylinder(mesh, field)
+            mesh = grid.with_full_dirichlet(mesh)
+        else:
+            K, M = assemble.assemble_cylinder(mesh, field)
+        mats = lambda x: field.eval_many(x[:, p:])
+    Ko, Mo = cellwise_oracle(mesh, mats, field.piecewise_constant)
+    for form, oracle in ((K, Ko), (M, Mo)):
+        dev = np.abs(form.full().toarray() - oracle).max()
+        assert dev <= 1e-13 * np.abs(oracle).max()
+
+
 class TestCylinderAssembly:
+    @pytest.mark.parametrize("kind, field, omega, res", [
+        ("full-cylinder", coeff.asymmetric_model_field(0.5), (-1, 1), (4, 8)),
+        ("multi-direction", coeff.multi_model_field(0.6), (-1, 1),
+         (3, 3, 8)),
+        ("half-plus", BOX, BOX_OMEGA, (3, 4, 3)),
+    ], ids=["full-cylinder", "multi-direction", "box-half-plus"])
+    def test_samples_cross_section_only(self, kind, field, omega, res):
+        # A depends on X2 only, so one assembly needs A at the Gauss
+        # points of the cross cells, not at those of every cylinder cell
+        points = []
+
+        def counting(x):
+            points.append(len(x))
+            return field.eval_many(x)
+
+        wrapped = coeff.CoefficientField(field.n, field.p, counting)
+        mesh = grid.build_mesh(kind, ell=4, omega=omega, resolution=res,
+                               grading=2)
+        assemble.assemble_cylinder(mesh, wrapped)
+        q = field.cross_dim
+        n_cross_cells = int(np.prod(mesh.cells_shape[field.p:]))
+        assert 0 < sum(points) <= 2**q * n_cross_cells
+
+
     def test_identity_field_pins_lambda_to_mu(self):
         # delta = 0: the x1 direction decouples; lambda equals the
         # cross-section value of the very same cross partition
@@ -101,9 +258,9 @@ class TestCylinderAssembly:
                                resolution=8)
         K1, M1 = assemble.assemble_cylinder(mesh, model06)
         K2, M2 = assemble.assemble_cylinder(mesh, model06)
-        assert np.array_equal(K1.values, K2.values)
-        assert np.array_equal(M1.values, M2.values)
-        assert np.array_equal(K1.col_indices, K2.col_indices)
+        assert np.array_equal(K1.lower.data, K2.lower.data)
+        assert np.array_equal(M1.lower.data, M2.lower.data)
+        assert np.array_equal(K1.lower.indices, K2.lower.indices)
 
 
 class TestCrossSection:
@@ -127,8 +284,8 @@ class TestCrossSection:
         mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=16)
         K0, M0 = assemble.assemble_cross_section(mesh, field)
         K1, M1 = assemble.assemble_cross_section(mesh, field, reduced=True)
-        np.testing.assert_array_equal(K0.values, K1.values)
-        np.testing.assert_array_equal(M0.values, M1.values)
+        np.testing.assert_array_equal(K0.lower.data, K1.lower.data)
+        np.testing.assert_array_equal(M0.lower.data, M1.lower.data)
 
     def test_convergence_order_two(self):
         field = coeff.identity_field()

@@ -241,12 +241,17 @@ axial_resolution = 4
         assert cli.main(["run", path]) == 0
         assert (out / "bounds.csv").exists()
 
-    def test_env_parallelism_override(self, tmp_path, monkeypatch):
+    def test_env_parallelism_override(self, tmp_path, monkeypatch, capsys):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
         monkeypatch.setenv(cli.ENV_PARALLELISM, "2")
         assert cli.main(["run", path]) == 0
         monkeypatch.setenv(cli.ENV_PARALLELISM, "nope")
         assert cli.main(["run", path]) == 1
+        # the override goes through the same check as the config key
+        monkeypatch.setenv(cli.ENV_PARALLELISM, "0")
+        capsys.readouterr()
+        assert cli.main(["run", path]) == 1
+        assert "parallelism must be >= 1" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "a"))

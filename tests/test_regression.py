@@ -1,0 +1,30 @@
+"""Portable regression check: a fresh run of a committed config against
+the committed reference CSVs, compared by the benchmark's correctness
+gate (identity and ``passed`` columns exact, eigenvalue columns to a
+relative tolerance) rather than byte for byte."""
+
+import importlib.util
+import pathlib
+
+from cylgap import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_gate():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gate", ROOT / "perfbench" / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_asymmetric_showcase_matches_reference(tmp_path, monkeypatch):
+    out = tmp_path / "asymmetric"
+    monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
+    monkeypatch.delenv(cli.ENV_PARALLELISM, raising=False)
+    cli.run(str(ROOT / "configs" / "asymmetric_showcase.cfg"))
+    result = load_gate().check(ROOT / "perfbench" / "reference" / "asymmetric",
+                               out)
+    assert result.rows > 0
+    assert result.ok, result.problems
