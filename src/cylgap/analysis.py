@@ -23,6 +23,8 @@ NO_DECAY_ALPHA = 0.8
 SNAP_TOL = 1e-9
 # the model cutoff near x2 = +-1 has width ell**MODEL_ALPHA_CUT (at most 1)
 MODEL_ALPHA_CUT = 0.5
+# width of the boundary roll-off of the discrete coupling ratio
+COUPLING_CUTOFF = 0.5
 
 
 def w1_model(x2):
@@ -76,12 +78,12 @@ def boundary_ramp(cross_mesh, width):
     return np.clip(d / width, 0.0, 1.0)
 
 
-def coupling_ratio_nodes(field, cross_mesh, pair, cutoff=None):
-    """Nodal A12.grad(w)/a11 for p = 1 fields, zeroed on the cross-section
-    boundary (the discrete stand-in for a compactly supported
-    mollification).  ``cutoff`` widens the boundary roll-off: without it
-    the roll-off is one mesh cell, whose gradient spike can dominate the
-    cross energy of products with x1."""
+def coupling_ratio_nodes(field, cross_mesh, pair):
+    """Nodal A12.grad(w)/a11 for p = 1 fields, rolled off to zero over a
+    distance COUPLING_CUTOFF from the cross-section boundary (the discrete
+    stand-in for a compactly supported mollification).  A roll-off of one
+    mesh cell would give a gradient spike that can dominate the cross
+    energy of products with x1."""
     if field.p != 1:
         raise MeshMismatch("coupling ratio is built for p = 1 fields")
     full = cross_mesh.scatter_free(pair.vector)
@@ -90,8 +92,7 @@ def coupling_ratio_nodes(field, cross_mesh, pair, cutoff=None):
     a11 = A[:, 0, 0]
     A12 = A[:, :1, 1:]
     g = np.einsum("mpq,mq->m", A12, node_grad) / a11
-    if cutoff is not None:
-        g = g * boundary_ramp(cross_mesh, cutoff)
+    g = g * boundary_ramp(cross_mesh, COUPLING_CUTOFF)
     g[cross_mesh.dirichlet_nodes] = 0.0
     return g
 
@@ -172,8 +173,8 @@ def model_profile(delta):
     return SeparableProfile(model_w1_nodes, g_of)
 
 
-def discrete_profile(field, cross_mesh, pair, cutoff=None):
-    g_nodes = coupling_ratio_nodes(field, cross_mesh, pair, cutoff=cutoff)
+def discrete_profile(field, cross_mesh, pair):
+    g_nodes = coupling_ratio_nodes(field, cross_mesh, pair)
 
     def g_of(mesh):
         return cross_values_on(mesh, cross_mesh, g_nodes)
@@ -199,18 +200,18 @@ def model_vl(delta):
         model_profile(delta))
 
 
-def general_vl(field, cross_mesh, w1_pair, cutoff=None):
+def general_vl(field, cross_mesh, w1_pair):
     """w1(X2) - (A12.grad w1 / a11)(X2) x1 with the reduced-pencil w1."""
     return _separable_testfn(
-        "general-vl", {"cutoff": cutoff},
-        discrete_profile(field, cross_mesh, w1_pair, cutoff=cutoff))
+        "general-vl", {"cutoff": COUPLING_CUTOFF},
+        discrete_profile(field, cross_mesh, w1_pair))
 
 
-def tilde_vl(field, cross_mesh, W1_pair, cutoff=None):
+def tilde_vl(field, cross_mesh, W1_pair):
     """Like general_vl but built from the unreduced eigenfunction W1."""
     return _separable_testfn(
-        "tilde-vl", {"cutoff": cutoff},
-        discrete_profile(field, cross_mesh, W1_pair, cutoff=cutoff))
+        "tilde-vl", {"cutoff": COUPLING_CUTOFF},
+        discrete_profile(field, cross_mesh, W1_pair))
 
 
 def glued_phi(inner, ell0, eta):
@@ -478,16 +479,15 @@ def symmetry_defect(u, mesh, field=None):
     return mass_norm(mesh, diff)
 
 
-def picone_gap(u, W1, mu1, mesh, field, forms=None):
-    """int A grad(u).grad(u) - mu1 u^2 of a free-node vector u, half mesh."""
+def picone_gap(u, W1, mu1, mesh, forms):
+    """int A grad(u).grad(u) - mu1 u^2 of a free-node vector u on a half
+    mesh, with ``forms`` the (K, M) pencil assembled on that mesh."""
     if mesh.domain_kind not in ("half-plus", "half-minus"):
         raise MeshMismatch("picone gap is evaluated on half meshes")
     wvec = W1.vector if hasattr(W1, "vector") else np.asarray(W1, dtype=float)
     wmax = float(np.abs(wvec).max())
     if np.any(wvec < 1e-12 * wmax):
         raise DegenerateWeight("W1 is not strictly positive at interior nodes")
-    if forms is None:
-        forms = asm.assemble_cylinder(mesh, field)
     K, M = forms
     return K.energy(u) - mu1 * M.energy(u)
 

@@ -1,8 +1,13 @@
 """Generalized symmetric eigensolver for the assembled pencils K u = lambda M u.
 
 Shift-invert at sigma = 0 (K is positive definite on the constrained
-space): small pencils go through a dense solve, larger ones through
-ARPACK on the factored operator with a deterministic start vector.
+space; Ericsson & Ruhe, Math. Comp. 35, 1980): small pencils go through a
+dense solve, larger ones through ARPACK with a deterministic start vector
+on K^-1, factored once by SuperLU.  Since K is symmetric positive
+definite, the factor takes the minimum-degree ordering of the pattern of
+K^T + K (George & Liu, SIAM Review 31, 1989) with diagonal pivots, which
+on large pencils fills far less than scipy's default COLAMD ordering
+with partial pivoting.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                  LinearOperator, eigsh, splu)
 
 from .errors import FactorizationFailed, NoConvergence
 
@@ -59,6 +65,16 @@ def _normalize_columns(Mf, vecs):
     return vecs / norms[None, :]
 
 
+def _factor(Kf):
+    """SuperLU factor of the symmetric matrix Kf (CSR, so Kf.T is its CSC
+    form without a copy) in a symmetric minimum-degree ordering."""
+    try:
+        return splu(Kf.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise FactorizationFailed(f"shift-invert factorization failed: {exc}")
+
+
 def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
@@ -85,11 +101,14 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise FactorizationFailed(f"dense factorization failed: {exc}")
     else:
+        lu = _factor(Kf)
+        OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:
             vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=0.0, which="LM",
-                               v0=v0, tol=0.0, maxiter=MAX_RESTARTS)
+                               v0=v0, tol=0.0, maxiter=MAX_RESTARTS,
+                               OPinv=OPinv)
         except ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             best = math.nan
@@ -99,7 +118,7 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
             raise NoConvergence(
                 f"ARPACK converged {got}/{want} pairs", best_residual=best)
         except (ArpackError, RuntimeError) as exc:
-            raise FactorizationFailed(f"shift-invert factorization failed: {exc}")
+            raise FactorizationFailed(f"shift-invert Lanczos failed: {exc}")
 
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]

@@ -195,13 +195,12 @@ def test_criterion_11_picone():
     for _ in range(50):
         u = rng.standard_normal(half.n_free)
         u /= np.sqrt(u @ (Mf @ u))
-        worst = min(worst, an.picone_gap(u, W1, MU1, half, field,
-                                         forms=forms))
+        worst = min(worst, an.picone_gap(u, W1, MU1, half, forms))
     gaps = []
     for width in (2.0, 4.0, 8.0):
         u = an.cutoff_w1(width).free_values(half)
         u /= np.sqrt(u @ (Mf @ u))
-        gaps.append(an.picone_gap(u, W1, MU1, half, field, forms=forms))
+        gaps.append(an.picone_gap(u, W1, MU1, half, forms))
     mono = gaps[0] > gaps[1] > gaps[2] >= -1e-8 and gaps[2] < 0.6 * gaps[0]
     ok = worst >= -1e-8 and mono
     check(11, "Picone nonnegativity", ok,
@@ -243,7 +242,7 @@ def test_criterion_13_algebraic_unit_suite(cfg, model):
     cm = grid.build_mesh("cross-section", omega=(-1, 1), resolution=32)
     Kc, Mc = assemble.assemble_cross_section(cm, model)
     W1 = eig.smallest_eigenpairs(Kc, Mc)[0]
-    tilde = an.tilde_vl(model, cm, W1, cutoff=0.5)
+    tilde = an.tilde_vl(model, cm, W1)
     upper_ok = True
     for tf in (an.model_vl(0.6), tilde, an.glued_phi(tilde, 0.5, 2.0)):
         q = an.rayleigh_of_testfn(tf, mesh, model, forms=forms).quotient

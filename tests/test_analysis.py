@@ -67,11 +67,11 @@ class TestTestFunctions:
                                resolution=(8, 32))
         half = grid.build_mesh("half-plus", ell=8, omega=(-1, 1),
                                resolution=(8, 32))
-        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"], cutoff=0.5)
+        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"])
         cases = [
             (an.model_vl(0.6), mesh),
             (tilde, mesh),
-            (an.general_vl(model06_mod, cm, cross_mod["w1"], cutoff=0.5),
+            (an.general_vl(model06_mod, cm, cross_mod["w1"]),
              mesh),
             (an.glued_phi(tilde, 0.5, 4.0), mesh),
             (an.exp_decay(0.5), half),
@@ -87,7 +87,7 @@ class TestTestFunctions:
         mesh, forms = cyl8["mesh"], (cyl8["K"], cyl8["M"])
         lam1 = cyl8["pairs"][0].value
         cm = cross_mod["mesh"]
-        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"], cutoff=0.5)
+        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"])
         for tf in (an.model_vl(0.6), tilde,
                    an.glued_phi(tilde, 0.5, 4.0)):
             q = an.rayleigh_of_testfn(tf, mesh, model06_mod, forms=forms)
@@ -127,7 +127,7 @@ class TestTestFunctions:
         mesh = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                                resolution=(8, 32))
         tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
-                            cross_mod["W1"], cutoff=0.5)
+                            cross_mod["W1"])
         tf = an.glued_phi(tilde, ell0=0.5, eta=4.0)
         vals = tf.nodal(mesh).reshape(mesh.shape)
         x1 = mesh.axis_partitions[0]
@@ -141,7 +141,7 @@ class TestTestFunctions:
         # good gluing parameters exist whenever the coupling is active;
         # a coarse grid search must find a quotient below mu1
         tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
-                            cross_mod["W1"], cutoff=0.5)
+                            cross_mod["W1"])
         qs = [an.rayleigh_of_testfn(
                   an.glued_phi(tilde, ell0=l0, eta=eta), cyl8["mesh"],
                   model06_mod, forms=(cyl8["K"], cyl8["M"])).quotient
@@ -153,7 +153,7 @@ class TestTestFunctions:
                                resolution=(8, 32))
         forms = assemble.assemble_cylinder(half, model06_mod)
         tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
-                            cross_mod["W1"], cutoff=0.5)
+                            cross_mod["W1"])
         qs = [an.rayleigh_of_testfn(an.z_alpha(a, 0.5, tilde), half,
                                     model06_mod, forms=forms).quotient
               for a in (0.2, 0.3)]
@@ -179,7 +179,7 @@ class TestTestFunctions:
                                resolution=(10, 8, 8))
         forms = assemble.assemble_cylinder(mesh, field)
         lam1 = eig.smallest_eigenpairs(*forms, tol=1e-9)[0].value
-        tf = an.tilde_vl(field, cm, W1, cutoff=0.5)
+        tf = an.tilde_vl(field, cm, W1)
         vals = tf.nodal(mesh)
         assert np.all(vals[mesh.dirichlet_nodes] == 0.0)
         q = an.rayleigh_of_testfn(tf, mesh, field, forms=forms)
@@ -301,7 +301,7 @@ class TestPicone:
         for _ in range(50):
             u = rng.standard_normal(half.n_free)
             u /= np.sqrt(u @ (M @ u))
-            gap = an.picone_gap(u, W1, MU1, half, field, forms=forms)
+            gap = an.picone_gap(u, W1, MU1, half, forms)
             assert gap >= -1e-8
 
     def test_widening_cutoff_decreases_to_zero(self, picone_setup):
@@ -311,7 +311,7 @@ class TestPicone:
         for width in (2.0, 4.0, 8.0):
             u = an.cutoff_w1(width).free_values(half)
             u = u / np.sqrt(u @ (M @ u))
-            gaps.append(an.picone_gap(u, W1, MU1, half, field, forms=forms))
+            gaps.append(an.picone_gap(u, W1, MU1, half, forms))
         assert gaps[0] > gaps[1] > gaps[2] >= -1e-8
         assert gaps[2] < 0.6 * gaps[0]
 
@@ -323,7 +323,7 @@ class TestPicone:
         forms = assemble.assemble_cylinder(half, model06_mod)
         u = eig.smallest_eigenpairs(*forms, tol=1e-9)[0]
         gap = an.picone_gap(u.vector, cross_mod["W1"], cross_mod["mu1"],
-                            half, model06_mod, forms=forms)
+                            half, forms)
         assert gap < -1e-3
 
     def test_degenerate_weight(self, picone_setup):
@@ -331,8 +331,7 @@ class TestPicone:
         bad = W1.vector.copy()
         bad[len(bad) // 2] = 0.0
         with pytest.raises(DegenerateWeight):
-            an.picone_gap(np.ones(half.n_free), bad, MU1, half, field,
-                          forms=forms)
+            an.picone_gap(np.ones(half.n_free), bad, MU1, half, forms)
 
 
 class TestEndProfiles:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cylgap import assemble, coeff, eig, grid
 from cylgap.errors import FactorizationFailed
@@ -23,6 +25,18 @@ def pencil_1d():
     mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=64)
     K, M = assemble.assemble_cross_section(mesh, coeff.identity_field())
     return K, M
+
+
+@pytest.fixture(scope="module")
+def pencil_3d():
+    """Multi-direction (p = 2) pencil with 2535 free nodes and its two
+    smallest eigenvalues from a dense solve."""
+    mesh = grid.build_mesh("multi-direction", ell=2, omega=(-1, 1),
+                           resolution=(3, 3, 8))
+    K, M = assemble.assemble_cylinder(mesh, coeff.multi_model_field(0.6))
+    dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
+                              subset_by_index=[0, 1])[0]
+    return K, M, dense
 
 
 class TestSmallestEigenpairs:
@@ -115,11 +129,32 @@ class TestSmallestEigenpairs:
         K, M = assemble.assemble_cylinder(mesh, model06)
         assert K.dim > eig.DENSE_CUTOFF
         pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9)
-        import scipy.linalg
         dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
                                   subset_by_index=[0, 1])[0]
         assert pairs[0].value == pytest.approx(dense[0], rel=1e-10)
         assert pairs[1].value == pytest.approx(dense[1], rel=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_arpack_path_matches_dense_3d(self, pencil_3d, count):
+        K, M, dense = pencil_3d
+        assert K.dim > eig.DENSE_CUTOFF
+        pairs = eig.smallest_eigenpairs(K, M, count=count, tol=1e-9)
+        assert len(pairs) == count
+        for p, d in zip(pairs, dense):
+            assert p.value == pytest.approx(d, rel=1e-10)
+
+    def test_singular_above_cutoff_is_factorization_failed(self):
+        n = eig.DENSE_CUTOFF + 100
+        K = sparse.diags(np.arange(n, dtype=float)).tocsr()  # K[0, 0] = 0
+        M = sparse.identity(n, format="csr")
+        with pytest.raises(FactorizationFailed, match="singular"):
+            eig.smallest_eigenpairs(K, M)
+
+    def test_symmetric_ordering_fills_less_than_default(self, pencil_3d):
+        Kf = pencil_3d[0].full()
+        lu = eig._factor(Kf)
+        default = splu(Kf.tocsc())
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
     def test_separable_second_eigenvalue(self):
         field = coeff.identity_field()

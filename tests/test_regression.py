@@ -1,10 +1,12 @@
-"""Portable regression check: a fresh run of a committed config against
+"""Portable regression check: a fresh run of each committed config against
 the committed reference CSVs, compared by the benchmark's correctness
 gate (identity and ``passed`` columns exact, eigenvalue columns to a
 relative tolerance) rather than byte for byte."""
 
 import importlib.util
 import pathlib
+
+import pytest
 
 from cylgap import cli
 
@@ -19,12 +21,19 @@ def load_gate():
     return gate
 
 
-def test_asymmetric_showcase_matches_reference(tmp_path, monkeypatch):
-    out = tmp_path / "asymmetric"
+# reference directory under perfbench/reference -> committed config
+CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
+           "model_gap": "model_gap.cfg",
+           "multi_direction": "multi_direction.cfg"}
+
+
+@pytest.mark.parametrize("workload", list(CONFIGS))
+def test_config_matches_reference(tmp_path, monkeypatch, workload):
+    out = tmp_path / workload
     monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
     monkeypatch.delenv(cli.ENV_PARALLELISM, raising=False)
-    cli.run(str(ROOT / "configs" / "asymmetric_showcase.cfg"))
-    result = load_gate().check(ROOT / "perfbench" / "reference" / "asymmetric",
+    cli.run(str(ROOT / "configs" / CONFIGS[workload]))
+    result = load_gate().check(ROOT / "perfbench" / "reference" / workload,
                                out)
     assert result.rows > 0
     assert result.ok, result.problems
