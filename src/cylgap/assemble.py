@@ -169,7 +169,7 @@ def _assemble_pair(mesh, field, mats, reduced):
             for a, b in itertools.product(range(C.shape[-1]), repeat=2))
     Mc = _slot_matrices(cross, np.ones((1, 1, 1, 1)), 1)[0][0]
     M = _kron([ax[0][0] for ax in axes] + [Mc])
-    prov = {"mesh": mesh.signature, "field": field.signature,
+    prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": bool(reduced), "_mesh": mesh, "_field": field}
     free = mesh.free_nodes

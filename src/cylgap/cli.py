@@ -304,7 +304,10 @@ def _write_table_csv(path, header, rows):
 
 
 def run(config_path):
-    """Execute the configured experiments; write CSVs and a summary."""
+    """Execute the configured experiments; write CSVs and a summary.
+
+    The experiments share one ``solve_memo`` block, so the run assembles
+    and solves each distinct pencil once."""
     rc = parse_config(config_path)
     outdir = os.environ.get(ENV_OUTPUT_DIR, rc.output_dir)
     par_env = os.environ.get(ENV_PARALLELISM)
@@ -319,28 +322,29 @@ def run(config_path):
     summary_lines = []
     any_fail = False
     t0 = time.perf_counter()
-    for name in rc.experiments:
-        t_exp = time.perf_counter()
-        try:
-            records, extras = EXECUTORS[name](field, rc)
-        except CylgapError as exc:
-            records = [SweepRecord(experiment=name, field_kind=field.kind,
-                                   n=field.n, p=field.p, passed=False,
-                                   note=f"{type(exc).__name__}: {exc}")]
-            extras = {}
-        write_records_csv(os.path.join(outdir, f"{name}.csv"), records)
-        for fname, (header, rows) in extras.items():
-            _write_table_csv(os.path.join(outdir, fname), header, rows)
-        n_pass = sum(1 for r in records if r.passed)
-        ok = n_pass == len(records)
-        any_fail = any_fail or not ok
-        dt = time.perf_counter() - t_exp
-        summary_lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {name:<16} {n_pass}/{len(records)} "
-            f"rows passed  ({dt:.1f}s)")
-        for r in records:
-            if not r.passed:
-                summary_lines.append(f"      row ell={r.ell}: {r.note}")
+    with ex.solve_memo():
+        for name in rc.experiments:
+            t_exp = time.perf_counter()
+            try:
+                records, extras = EXECUTORS[name](field, rc)
+            except CylgapError as exc:
+                records = [SweepRecord(experiment=name, field_kind=field.kind,
+                                       n=field.n, p=field.p, passed=False,
+                                       note=f"{type(exc).__name__}: {exc}")]
+                extras = {}
+            write_records_csv(os.path.join(outdir, f"{name}.csv"), records)
+            for fname, (header, rows) in extras.items():
+                _write_table_csv(os.path.join(outdir, fname), header, rows)
+            n_pass = sum(1 for r in records if r.passed)
+            ok = n_pass == len(records)
+            any_fail = any_fail or not ok
+            dt = time.perf_counter() - t_exp
+            summary_lines.append(
+                f"{'PASS' if ok else 'FAIL'}  {name:<16} "
+                f"{n_pass}/{len(records)} rows passed  ({dt:.1f}s)")
+            for r in records:
+                if not r.passed:
+                    summary_lines.append(f"      row ell={r.ell}: {r.note}")
     total = time.perf_counter() - t0
     summary_lines.append(f"total wall time: {total:.1f}s")
     with open(os.path.join(outdir, "summary.txt"), "w",

@@ -7,6 +7,7 @@ Fields are immutable and evaluate vectorized over many points.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +138,13 @@ def identity_field(n=2, p=1):
 
 
 def diagonal_field(diag, p=1):
-    """Diagonal field; entries are constants or callables of X2."""
-    diag = list(diag)
+    """Constant diagonal field diag(a11, a22, ...)."""
+    diag = [float(d) for d in diag]
     return field_from_entries(len(diag), p,
-                              {(i, i): diag[i] for i in range(len(diag))},
-                              kind="diagonal")
+                              {(i, i): d for i, d in enumerate(diag)},
+                              kind="diagonal",
+                              params={f"a{i}{i}": d
+                                      for i, d in enumerate(diag, 1)})
 
 
 def asymmetric_model_field(delta0=0.5):
@@ -230,8 +233,10 @@ def piecewise_constant_field(bounds, matrices, p=1):
                       0, len(mats) - 1)
         return mats[idx]
 
+    digest = hashlib.blake2b(bounds.tobytes() + mats.tobytes(),
+                             digest_size=16).hexdigest()
     return CoefficientField(n, p, fn, kind="piecewise-table",
-                            params={"cells": len(mats)},
+                            params={"cells": len(mats), "table": digest},
                             piecewise_constant=True)
 
 

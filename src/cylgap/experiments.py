@@ -8,6 +8,8 @@ cross-section eigenvalue (coarse/fine difference times three).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import time
@@ -159,15 +161,48 @@ def cross_context(field, cfg):
     return ctx
 
 
+# entries of the enclosing ``solve_memo`` block; None outside any block
+_MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
+
+
+@dataclass
+class _Solved:
+    """A memo entry: the solve's pairs and, once asked for, its
+    diagnostics; never forms or meshes."""
+
+    pairs: list
+    diag: dict | None = None
+
+
+@contextlib.contextmanager
+def solve_memo():
+    """Within the block, ``solve_cylinder`` assembles and solves each
+    distinct pencil once and answers repeats from entries the block owns;
+    outside any block every call solves afresh.  Tasks of
+    ``_run_ordered`` run in a copy of the caller's context, so its worker
+    threads share the block's entries (two threads that miss on the same
+    pencil at once both solve it, with the same result)."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
                    grading=None, diagnostics=False, dirichlet=False):
-    """Mesh + forms + smallest pairs, with optional concentration and
-    symmetry diagnostics (they self-check their identities on every call).
+    """Mesh, smallest pairs and, when asked for on a full cylinder, the
+    concentration and symmetry diagnostics (they self-check their
+    identities on every call); returns ``(mesh, pairs, diag)``.
 
     Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
     at least 4 cells for tiny ``ell``; the cross axes get
     ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
-    included (the comparison spectrum)."""
+    included (the comparison spectrum).  Inside ``solve_memo`` a pencil
+    already solved there (same mesh key, ``dirichlet``, field object,
+    ``count``, ``cfg.tol`` and ``cfg.seed``) is not assembled or solved
+    again, and repeats share the stored pairs and diagnostics, which
+    callers only read; a failed solve is never stored."""
     axial = max(cfg.axial_resolution, 2.0 / ell)
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
@@ -176,27 +211,39 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
         node_cap=cfg.node_cap)
     assemble = (asm.assemble_dirichlet_cylinder if dirichlet
                 else asm.assemble_cylinder)
-    K, M = assemble(mesh, field)
-    pairs = eig.smallest_eigenpairs(K, M, count=count, tol=cfg.tol,
-                                    seed=cfg.seed)
-    diag = {}
-    if diagnostics and kind == "full-cylinder":
-        split = an.concentration_split(pairs[0], K, M, mesh)
-        diag.update(n_plus=split.n_plus, n_minus=split.n_minus,
+    memo = _MEMO.get()
+    # fields compare by identity, and the key keeps its field alive
+    key = (mesh.key, dirichlet, field, count, cfg.tol, cfg.seed)
+    entry = None if memo is None else memo.get(key)
+    forms = None
+    if entry is None:
+        forms = assemble(mesh, field)
+        entry = _Solved(eig.smallest_eigenpairs(
+            *forms, count=count, tol=cfg.tol, seed=cfg.seed))
+        if memo is not None:
+            memo[key] = entry
+    if not (diagnostics and kind == "full-cylinder"):
+        return mesh, entry.pairs, {}
+    if entry.diag is None:
+        K, M = assemble(mesh, field) if forms is None else forms
+        split = an.concentration_split(entry.pairs[0], K, M, mesh)
+        diag = dict(n_plus=split.n_plus, n_minus=split.n_minus,
                     d_plus=split.d_plus, d_minus=split.d_minus)
         try:
-            diag["symmetry_defect"] = an.symmetry_defect(pairs[0], mesh,
-                                                         field=field)
+            diag["symmetry_defect"] = an.symmetry_defect(entry.pairs[0],
+                                                         mesh, field=field)
         except NoReflectionSymmetry:
             pass
-    return mesh, (K, M), pairs, diag
+        entry.diag = diag
+    return mesh, entry.pairs, entry.diag
 
 
 def _run_ordered(tasks, parallelism):
     if parallelism <= 1:
         return [t() for t in tasks]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(t) for t in tasks]
+        futures = [pool.submit(contextvars.copy_context().run, t)
+                   for t in tasks]
         return [f.result() for f in futures]
 
 
@@ -227,7 +274,7 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
         if ell is None:
             judge(rec, None, None)
         else:
-            mesh, _, pairs, diag = solve_cylinder(field, ell, cfg, **solve)
+            mesh, pairs, diag = solve_cylinder(field, ell, cfg, **solve)
             rec.resolution = "x".join(str(c) for c in mesh.cells_shape)
             setattr(rec, _FIRST_VALUE_COLUMN.get(mesh.domain_kind, "lambda1"),
                     pairs[0].value)
@@ -369,9 +416,9 @@ def exp_nu_half(field, side, L_schedule, cfg):
 def reflection_check(field, L, cfg):
     """lambda-tilde minus of A equals lambda-tilde plus of the reflected
     field, exactly up to solver tolerance."""
-    _, _, pm, _ = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
-    _, _, pp, _ = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
-                                 grading=1.0)
+    _, pm, _ = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
+    _, pp, _ = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
+                              grading=1.0)
     return pm[0].value, pp[0].value
 
 
@@ -397,9 +444,9 @@ def exp_limit_infinity(field, L_list, cfg):
         rec.check(not diffs or diff <= diffs[-1] + 10 * cfg.tol,
                   "|lambda - nu| not decreasing")
         # sandwich lambda_{L/2} <= tilde-lambda_L^+ on nested meshes
-        _, _, half_pairs, _ = solve_cylinder(field, L, cfg, kind="half-plus",
-                                             grading=1.0)
-        _, _, cyl_half, _ = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
+        _, half_pairs, _ = solve_cylinder(field, L, cfg, kind="half-plus",
+                                          grading=1.0)
+        _, cyl_half, _ = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
         rec.check(cyl_half[0].value <= half_pairs[0].value + 10 * cfg.tol,
                   "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
@@ -444,8 +491,8 @@ def exp_second_eigenvalue(field, L_list, cfg):
     def judge(rec, mesh, pairs):
         lam1, lam2 = pairs[0].value, pairs[1].value
         rec.lambda2 = lam2
-        _, _, half_pairs, _ = solve_cylinder(field, rec.ell, cfg,
-                                             kind="half-plus", grading=1.0)
+        _, half_pairs, _ = solve_cylinder(field, rec.ell, cfg,
+                                          kind="half-plus", grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
         rec.gap = gap
@@ -472,8 +519,8 @@ def exp_dirichlet_comparison(field, L_list, cfg):
 
     def judge(rec, mesh, pairs):
         L = rec.ell
-        _, _, dpairs, _ = solve_cylinder(field, L, cfg, grading=1.0,
-                                         dirichlet=True)
+        _, dpairs, _ = solve_cylinder(field, L, cfg, grading=1.0,
+                                      dirichlet=True)
         sig = dpairs[0]
         rec.sigma1 = sig.value
         rec.residual = max(rec.residual, sig.residual)
@@ -516,8 +563,8 @@ def exp_multi_direction(field3d, L_list, cfg):
             rec.check(rec.gap > ctx.margin,
                       "expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
-            _, _, bpairs, _ = solve_cylinder(bfield, rec.ell, cfg3,
-                                             grading=1.0)
+            _, bpairs, _ = solve_cylinder(bfield, rec.ell, cfg3,
+                                          grading=1.0)
             rec.target = bpairs[0].value
             rec.check(lam <= rec.target + 10 * cfg.tol,
                       "3D value above the row-restricted 2D bound")
@@ -573,8 +620,8 @@ def exp_end_profile(field, ell_list, cfg, half_length=None):
     half_length = max(ell_list) if half_length is None else half_length
     grading = cfg.grading if cfg.grading > 1 else \
         (2.0 if min(ell_list) >= 4 else 1.0)
-    hmesh, _, hpairs, _ = solve_cylinder(field, half_length, cfg,
-                                         kind="half-plus", grading=grading)
+    hmesh, hpairs, _ = solve_cylinder(field, half_length, cfg,
+                                      kind="half-plus", grading=grading)
     dists = []
 
     def judge(rec, mesh, pairs):

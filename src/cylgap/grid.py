@@ -8,6 +8,7 @@ tag: Dirichlet (eliminated) or free (natural/Neumann condition).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -181,12 +182,23 @@ class TensorMesh:
         return node_values[self.free_nodes]
 
     @property
-    def signature(self):
-        sizes = "x".join(str(s - 1) for s in self.shape)
-        return f"{self.domain_kind}[{sizes}]ell={self.ell}"
+    def key(self):
+        """Faithful identity: the domain kind plus a digest of the shape,
+        the partition bytes and the Dirichlet mask, so meshes with equal
+        keys have the same nodes and the same tags."""
+        if "key" not in self._cache:
+            h = hashlib.blake2b(np.asarray(self.shape).tobytes(),
+                                digest_size=16)
+            for part in self.axis_partitions:
+                h.update(part.tobytes())
+            h.update(self.dirichlet_mask.tobytes())
+            self._cache["key"] = f"{self.domain_kind}:{h.hexdigest()}"
+        return self._cache["key"]
 
     def __repr__(self):
-        return f"TensorMesh({self.signature}, nodes={self.n_nodes}, free={self.n_free})"
+        cells = "x".join(map(str, self.cells_shape))
+        return (f"TensorMesh({self.domain_kind}[{cells}], ell={self.ell}, "
+                f"nodes={self.n_nodes}, free={self.n_free})")
 
 
 def _axis_cells(length, res):

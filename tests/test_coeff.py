@@ -273,6 +273,16 @@ class TestFieldPlumbing:
         with pytest.raises(ValueError):
             coeff.field_from_table(path)
 
+    def test_signature_tells_fields_apart(self):
+        assert (coeff.diagonal_field([1, 2]).signature
+                != coeff.diagonal_field([3, 4]).signature)
+        bounds = [-1.0, 0.0, 1.0]
+        a = coeff.piecewise_constant_field(bounds, [np.eye(2)] * 2)
+        b = coeff.piecewise_constant_field(bounds, [np.eye(2), 2 * np.eye(2)])
+        assert a.signature != b.signature
+        assert a.signature == coeff.piecewise_constant_field(
+            bounds, [np.eye(2)] * 2).signature
+
     def test_row_restriction_blocks(self, rng):
         field = coeff.multi_model_field(0.6)
         B0 = coeff.row_restriction_field(field, 0)(0.2)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cylgap import coeff, eig
+from cylgap import cli, coeff, eig
 from cylgap import experiments as ex
 from cylgap.errors import (ConditionConFails, MemoryBudget, NoConvergence,
                            NoReflectionSymmetry, NotConverged)
@@ -19,6 +19,23 @@ def cfg():
 @pytest.fixture(scope="module")
 def model(cfg):
     return coeff.model_field(0.6)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Every eigen-solve from here on, as (mesh key, field signature,
+    reduced, count)."""
+    calls = []
+    solve = eig.smallest_eigenpairs
+
+    def counted(K, M, **kwargs):
+        prov = K.provenance
+        calls.append((prov["mesh"], prov["field"], prov["reduced"],
+                      kwargs.get("count", 1)))
+        return solve(K, M, **kwargs)
+
+    monkeypatch.setattr(eig, "smallest_eigenpairs", counted)
+    return calls
 
 
 class TestBoundsSweep:
@@ -56,12 +73,20 @@ class TestBoundsSweep:
         assert not recs[0].passed
         assert "MemoryBudget" in recs[0].note
 
-    def test_parallel_matches_serial(self, model, cfg):
-        par = ex.ExperimentConfig(resolution=16, axial_resolution=8,
-                                  parallelism=4)
-        serial = ex.exp_bounds_sweep(model, [0.5, 1.0, 2.0], cfg)
-        threaded = ex.exp_bounds_sweep(model, [0.5, 1.0, 2.0], par)
-        for a, b in zip(serial, threaded):
+    def test_parallel_matches_serial(self, model, cfg, solves):
+        ells = [0.5, 1.0, 2.0]
+        ex.cross_context(model, cfg)  # its cache key has no parallelism
+        records, counts = {}, {}
+        for c in (cfg, replace(cfg, parallelism=4)):
+            solves.clear()
+            with ex.solve_memo():
+                # worker threads answer the second sweep from the memo
+                records[c.parallelism] = [
+                    r for _ in range(2)
+                    for r in ex.exp_bounds_sweep(model, ells, c)]
+            counts[c.parallelism] = len(solves)
+        assert counts == {1: len(ells), 4: len(ells)}
+        for a, b in zip(records[1], records[4], strict=True):
             assert a.ell == b.ell
             assert a.lambda1 == b.lambda1
 
@@ -302,3 +327,105 @@ class TestRecordPlumbing:
         recs = ex.exp_bounds_sweep(model, [1.0], cfg)
         assert recs[0].symmetry_defect is not None
         assert recs[0].symmetry_defect <= 1e-7
+
+
+MEMO_CFG = """
+[run]
+experiments = bounds, gap, limit-infinity, second, dirichlet
+output_dir = {out}
+
+[field]
+kind = model
+delta = 0.6
+
+[mesh]
+resolution = 8
+axial_resolution = 4
+
+[schedules]
+ell_bounds = 4 8
+l_infinity = 4 8
+l_gap = 4 8
+l_second = 4 8
+l_dirichlet = 4 8
+"""
+
+
+class TestSolveMemo:
+    @pytest.fixture()
+    def run_cfg(self, tmp_path):
+        path = tmp_path / "memo.cfg"
+        path.write_text(MEMO_CFG.format(out=tmp_path / "out"))
+        return str(path)
+
+    def test_run_solves_each_distinct_pencil_once(self, run_cfg, solves,
+                                                  monkeypatch):
+        requests = []
+        solve_cylinder = ex.solve_cylinder
+
+        def counted(*args, **kwargs):
+            requests.append(args)
+            return solve_cylinder(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "solve_cylinder", counted)
+        cli.run(run_cfg)
+        assert len(solves) == len(set(solves))
+        cylinder_solves = [s for s in solves
+                           if not s[0].startswith("cross-section")]
+        assert len(requests) > len(cylinder_solves)
+
+    def test_consecutive_runs_solve_alike(self, run_cfg, solves,
+                                          monkeypatch):
+        # both runs get one field object, so only the scope of the memo
+        # tells them apart (cross-section data stays cached per field)
+        field = coeff.model_field(0.6)
+        monkeypatch.setattr(cli, "make_field", lambda rc: field)
+        counts = []
+        for _ in range(2):
+            solves.clear()
+            cli.run(run_cfg)
+            counts.append(sum(not s[0].startswith("cross-section")
+                              for s in solves))
+        assert counts[0] == counts[1] > 0
+
+    def test_failed_solve_is_not_stored(self, model, cfg, solves,
+                                        monkeypatch):
+        solve = eig.smallest_eigenpairs
+        failed = []
+
+        def fails_once_at_12(K, M, **kwargs):
+            if K.provenance["_mesh"].ell == 12 and not failed:
+                failed.append(K.provenance["mesh"])
+                raise NoConvergence("forced", best_residual=1.0)
+            return solve(K, M, **kwargs)
+
+        monkeypatch.setattr(eig, "smallest_eigenpairs", fails_once_at_12)
+        with ex.solve_memo():
+            first = ex.exp_gap(model, [8, 12, 16], cfg)
+            before = list(solves)
+            again = ex.exp_gap(model, [8, 12, 16], cfg)
+        assert [r.passed for r in first] == [True, False, True]
+        assert "NoConvergence" in first[1].note
+        assert all(r.passed for r in again)
+        assert [s[0] for s in solves[len(before):]] == failed
+
+    def test_diagnostics_on_a_hit_match_a_fresh_solve(self, model, cfg,
+                                                      solves):
+        _, fresh_pairs, fresh = ex.solve_cylinder(model, 4, cfg,
+                                                  diagnostics=True)
+        solves.clear()
+        with ex.solve_memo():
+            _, _, plain = ex.solve_cylinder(model, 4, cfg)
+            _, pairs, diag = ex.solve_cylinder(model, 4, cfg,
+                                               diagnostics=True)
+            _, _, again = ex.solve_cylinder(model, 4, cfg)
+        assert len(solves) == 1
+        assert plain == again == {}
+        assert set(diag) == {"n_plus", "n_minus", "d_plus", "d_minus",
+                             "symmetry_defect"}
+        assert diag == fresh
+        assert pairs[0].value == fresh_pairs[0].value
+        # no entry outlives its block
+        ex.solve_cylinder(model, 4, cfg)
+        assert len(solves) == 2
+

@@ -180,3 +180,18 @@ class TestFullDirichlet:
         assert len(d.free_boundary_nodes) == 0
         assert d.n_free < m.n_free
         assert set(d.free_nodes) <= set(m.free_nodes)
+
+
+class TestMeshKey:
+    def test_cross_sections_on_shifted_omega_differ(self):
+        a, b = (grid.build_mesh("cross-section", omega=omega, resolution=8)
+                for omega in ((-1, 1), (0, 2)))
+        assert a.cells_shape == b.cells_shape
+        assert a.key != b.key
+
+    def test_full_dirichlet_variant_differs(self):
+        m = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+                            resolution=4)
+        assert grid.with_full_dirichlet(m).key != m.key
+        assert grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+                               resolution=4).key == m.key
