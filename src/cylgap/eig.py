@@ -1,13 +1,18 @@
 """Generalized symmetric eigensolver for the assembled pencils K u = lambda M u.
 
-Shift-invert at sigma = 0 (K is positive definite on the constrained
-space; Ericsson & Ruhe, Math. Comp. 35, 1980): small pencils go through a
-dense solve, larger ones through ARPACK with a deterministic start vector
-on K^-1, factored once by SuperLU.  Since K is symmetric positive
-definite, the factor takes the minimum-degree ordering of the pattern of
-K^T + K (George & Liu, SIAM Review 31, 1989) with diagonal pivots, which
-on large pencils fills far less than scipy's default COLAMD ordering
-with partial pivoting.
+Small pencils go through a dense solve, larger ones through ARPACK with a
+deterministic start vector on one SuperLU factor of K - sigma M, shift-
+inverted at a floor sigma below the whole spectrum (Ericsson & Ruhe, Math.
+Comp. 35, 1980).  A cylinder stiffness is the Kronecker sum
+sum_ab F_ab x X_ab with exact axial factors and A sampled where the
+reduced cross assembly samples it, so u.Ku >= u.(M1 x Kc_red)u >=
+Lambda1 u.Mu and no eigenvalue lies below Lambda1.  Cylinder solves
+shift at Lambda1 - margin, strictly below it even where lambda1 =
+Lambda1.  A = K - sigma M is then symmetric positive definite, so the
+factor takes the minimum-degree ordering of the pattern of A^T + A
+(George & Liu, SIAM Review 31, 1989) with diagonal pivots, which on large
+pencils fills far less than scipy's default COLAMD ordering with partial
+pivoting.
 """
 
 from __future__ import annotations
@@ -65,22 +70,38 @@ def _normalize_columns(Mf, vecs):
     return vecs / norms[None, :]
 
 
-def _factor(Kf):
-    """SuperLU factor of the symmetric matrix Kf (CSR, so Kf.T is its CSC
+def _shifted(Kf, Mf, floor):
+    """Kf - floor * Mf.  On a shared sparsity pattern, as assembly gives,
+    it is one new data array on Kf's index arrays: the general sparse
+    difference allocates double-length buffers, and with them the peak
+    RSS of a whole run rose by about 4%."""
+    if not floor:
+        return Kf
+    if np.array_equal(Kf.indptr, Mf.indptr) and \
+            np.array_equal(Kf.indices, Mf.indices):
+        return sparse.csr_matrix((Kf.data - floor * Mf.data, Kf.indices,
+                                  Kf.indptr), shape=Kf.shape)
+    return Kf - floor * Mf
+
+
+def _factor(A):
+    """SuperLU factor of the symmetric matrix A (CSR, so A.T is its CSC
     form without a copy) in a symmetric minimum-degree ordering."""
     try:
-        return splu(Kf.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FactorizationFailed(f"shift-invert factorization failed: {exc}")
 
 
-def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
+def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
-    Vectors are M-normalized, pairwise M-orthogonal, and the first vector
-    is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is
-    checked against ``tol``.
+    ``floor`` must lie strictly below the whole spectrum; the ARPACK path
+    shift-inverts there, and a lambda_1 at or below it raises
+    FactorizationFailed.  Vectors are M-normalized, pairwise M-orthogonal,
+    and the first vector is sign-fixed positive.  Residual ||Ku - lambda
+    Mu|| / ||Mu|| is checked against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -101,12 +122,12 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise FactorizationFailed(f"dense factorization failed: {exc}")
     else:
-        lu = _factor(Kf)
+        lu = _factor(_shifted(Kf, Mf, floor))
         OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=0.0, which="LM",
+            vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=floor, which="LM",
                                v0=v0, tol=0.0, maxiter=MAX_RESTARTS,
                                OPinv=OPinv)
         except ArpackNoConvergence as exc:
@@ -123,10 +144,10 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
-    if vals[0] <= 0.0:
+    if vals[0] <= floor:
         raise FactorizationFailed(
-            f"pencil is not positive definite (lambda_1 = {vals[0]:.3e}); "
-            "assembly or boundary tagging bug")
+            f"lambda_1 = {vals[0]:.3e} is not above the floor {floor:.3e}; "
+            "assembly, boundary tagging or floor bug")
     vecs = _normalize_columns(Mf, vecs)
     gram = vecs.T @ (Mf @ vecs)
     if np.abs(gram - np.eye(gram.shape[0])).max() > 10 * tol:

@@ -30,7 +30,8 @@ class DimensionMismatch(CylgapError):
 
 
 class FactorizationFailed(CylgapError):
-    """Sparse factorization failed; the pencil is not positive definite."""
+    """Factorization failed, or the smallest eigenvalue is not above the
+    shift floor: the pencil is not positive definite past the floor."""
 
 
 class NoConvergence(CylgapError):

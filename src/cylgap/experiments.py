@@ -198,11 +198,13 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
     at least 4 cells for tiny ``ell``; the cross axes get
     ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
-    included (the comparison spectrum).  Inside ``solve_memo`` a pencil
-    already solved there (same mesh key, ``dirichlet``, field object,
-    ``count``, ``cfg.tol`` and ``cfg.seed``) is not assembled or solved
-    again, and repeats share the stored pairs and diagnostics, which
-    callers only read; a failed solve is never stored."""
+    included (the comparison spectrum).  The solve shift-inverts at the
+    field's ``Lambda1 - margin`` from ``cross_context``.  Inside
+    ``solve_memo`` a pencil already solved there (same mesh key,
+    ``dirichlet``, field object, ``count``, ``cfg.tol`` and ``cfg.seed``)
+    is not assembled or solved again, and repeats share the stored pairs
+    and diagnostics, which callers only read; a failed solve is never
+    stored."""
     axial = max(cfg.axial_resolution, 2.0 / ell)
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
@@ -217,9 +219,12 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     entry = None if memo is None else memo.get(key)
     forms = None
     if entry is None:
+        # no cylinder eigenvalue lies below the Schur floor Lambda1
+        ctx = cross_context(field, cfg)
         forms = assemble(mesh, field)
         entry = _Solved(eig.smallest_eigenpairs(
-            *forms, count=count, tol=cfg.tol, seed=cfg.seed))
+            *forms, count=count, tol=cfg.tol, seed=cfg.seed,
+            floor=ctx.Lambda1 - ctx.margin))
         if memo is not None:
             memo[key] = entry
     if not (diagnostics and kind == "full-cylinder"):

@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from cylgap import assemble, coeff, eig, grid
+from cylgap import assemble, coeff, eig, experiments, grid
 from cylgap.errors import FactorizationFailed
 
 from conftest import MU1
@@ -27,16 +27,38 @@ def pencil_1d():
     return K, M
 
 
+def schur_floor(field, resolution):
+    """Lambda1 - margin of ``field`` at a cross resolution: the shift
+    that ``solve_cylinder`` uses."""
+    ctx = experiments.cross_context(
+        field, experiments.ExperimentConfig(resolution=resolution))
+    return ctx.Lambda1 - ctx.margin
+
+
 @pytest.fixture(scope="module")
 def pencil_3d():
-    """Multi-direction (p = 2) pencil with 2535 free nodes and its two
-    smallest eigenvalues from a dense solve."""
+    """Multi-direction (p = 2) pencil with 2535 free nodes, its two
+    smallest eigenvalues from a dense solve and its Schur floor."""
+    field = coeff.multi_model_field(0.6)
     mesh = grid.build_mesh("multi-direction", ell=2, omega=(-1, 1),
                            resolution=(3, 3, 8))
-    K, M = assemble.assemble_cylinder(mesh, coeff.multi_model_field(0.6))
+    K, M = assemble.assemble_cylinder(mesh, field)
     dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
                               subset_by_index=[0, 1])[0]
-    return K, M, dense
+    return K, M, dense, schur_floor(field, 8)
+
+
+class CountingFactor:
+    """A SuperLU factor that counts its solves, one per operator
+    application of shift-invert Lanczos."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
 
 
 class TestSmallestEigenpairs:
@@ -128,20 +150,67 @@ class TestSmallestEigenpairs:
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
         assert K.dim > eig.DENSE_CUTOFF
-        pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9)
         dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
                                   subset_by_index=[0, 1])[0]
-        assert pairs[0].value == pytest.approx(dense[0], rel=1e-10)
-        assert pairs[1].value == pytest.approx(dense[1], rel=1e-10)
+        for floor in (0.0, schur_floor(model06, 16)):
+            pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9,
+                                            floor=floor)
+            assert pairs[0].value == pytest.approx(dense[0], rel=1e-10)
+            assert pairs[1].value == pytest.approx(dense[1], rel=1e-10)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_arpack_path_matches_dense_3d(self, pencil_3d, count):
-        K, M, dense = pencil_3d
+        K, M, dense, schur = pencil_3d
         assert K.dim > eig.DENSE_CUTOFF
-        pairs = eig.smallest_eigenpairs(K, M, count=count, tol=1e-9)
-        assert len(pairs) == count
-        for p, d in zip(pairs, dense):
-            assert p.value == pytest.approx(d, rel=1e-10)
+        for floor in (0.0, schur):
+            pairs = eig.smallest_eigenpairs(K, M, count=count, tol=1e-9,
+                                            floor=floor)
+            assert len(pairs) == count
+            for p, d in zip(pairs, dense):
+                assert p.value == pytest.approx(d, rel=1e-10)
+
+    @pytest.mark.parametrize("resolution", [4, 16])  # dense, ARPACK
+    def test_floor_above_lambda1_rejected(self, model06, resolution):
+        mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+                               resolution=resolution)
+        K, M = assemble.assemble_cylinder(mesh, model06)
+        assert (K.dim > eig.DENSE_CUTOFF) == (resolution == 16)
+        lam = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
+                                subset_by_index=[0, 1])[0]
+        with pytest.raises(FactorizationFailed, match="floor"):
+            eig.smallest_eigenpairs(K, M, floor=(lam[0] + lam[1]) / 2)
+
+    def test_floor_with_unshared_pattern(self):
+        # tridiagonal K against a diagonal M takes the general difference
+        n = eig.DENSE_CUTOFF + 100
+        K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
+                         format="csr")
+        M = sparse.identity(n, format="csr")
+        exact = 4 * np.sin(np.arange(1, 3) * np.pi / (2 * (n + 1)))**2
+        pairs = eig.smallest_eigenpairs(K, M, count=2, floor=exact[0] / 2)
+        for p, e in zip(pairs, exact):
+            assert p.value == pytest.approx(e, rel=1e-10)
+
+    def test_schur_floor_saves_operator_applications(self, model06,
+                                                     monkeypatch):
+        # the near-degenerate end pair of the L = 16 model cylinder
+        mesh = grid.build_mesh("full-cylinder", ell=16, omega=(-1, 1),
+                               resolution=(8, 16))
+        K, M = assemble.assemble_cylinder(mesh, model06)
+        assert K.dim == 7967
+        factors = []
+        factor = eig._factor
+
+        def counting_factor(A):
+            factors.append(CountingFactor(factor(A)))
+            return factors[-1]
+
+        monkeypatch.setattr(eig, "_factor", counting_factor)
+        values = [eig.smallest_eigenpairs(K, M, seed=0, floor=floor)[0].value
+                  for floor in (0.0, schur_floor(model06, 16))]
+        assert values[1] == pytest.approx(values[0], rel=1e-10)
+        at_zero, at_floor = (f.solves for f in factors)
+        assert at_floor < at_zero  # 75 against 129 when measured
 
     def test_singular_above_cutoff_is_factorization_failed(self):
         n = eig.DENSE_CUTOFF + 100

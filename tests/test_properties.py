@@ -1,0 +1,81 @@
+"""Property tests on random piecewise-constant coefficient tables.
+
+Examples are derandomized with a fixed count, so the suite stays
+deterministic; every pencil is small enough for the dense solve.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cylgap import assemble, coeff, eig, grid
+
+RESOLUTION = (4, 8)  # axial, cross cells per unit
+# kind -> (mesh kind, ell, grading, whole boundary Dirichlet)
+MESH_KINDS = {
+    "full": ("full-cylinder", 2, 1, False),
+    "half-plus": ("half-plus", 2, 1, False),
+    "half-minus": ("half-minus", 2, 1, False),
+    "graded": ("full-cylinder", 2, 2, False),
+    "full-dirichlet": ("full-cylinder", 2, 1, True),
+}
+# both ends free: W1 extended constantly along the axis is a trial vector
+FREE_ENDS = ("full", "graded")
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20,
+                             deadline=None, database=None)
+
+
+@st.composite
+def tables(draw):
+    """Piecewise-constant 2x2 field with 1-4 cells on (-1, 1), each cell
+    matrix R R^T + 0.2 I with R drawn entrywise from [-1, 1]."""
+    cuts = draw(st.lists(st.integers(-7, 7), max_size=3, unique=True))
+    bounds = [-1.0] + sorted(c / 8.0 for c in cuts) + [1.0]
+    entry = st.floats(-1.0, 1.0, allow_nan=False)
+    R = np.array(draw(st.lists(entry, min_size=4 * (len(bounds) - 1),
+                               max_size=4 * (len(bounds) - 1))))
+    R = R.reshape(-1, 2, 2)
+    return coeff.piecewise_constant_field(
+        bounds, R @ R.transpose(0, 2, 1) + 0.2 * np.eye(2))
+
+
+def first_value(K, M):
+    assert K.dim <= eig.DENSE_CUTOFF
+    return eig.smallest_eigenpairs(K, M)[0].value
+
+
+def cross_values(field):
+    """(mu1, Lambda1) at the cross resolution of the cylinder meshes."""
+    mesh = grid.build_mesh("cross-section", omega=(-1, 1),
+                           resolution=RESOLUTION[1])
+    return tuple(first_value(*assemble.assemble_cross_section(
+        mesh, field, reduced=reduced)) for reduced in (False, True))
+
+
+def cylinder_value(field, kind):
+    mesh_kind, ell, grading, dirichlet = MESH_KINDS[kind]
+    mesh = grid.build_mesh(mesh_kind, ell=ell, omega=(-1, 1),
+                           resolution=RESOLUTION, grading=grading)
+    assemble_fn = (assemble.assemble_dirichlet_cylinder if dirichlet
+                   else assemble.assemble_cylinder)
+    return first_value(*assemble_fn(mesh, field))
+
+
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_schur_floor_and_sandwich(field):
+    """Lambda1 <= lambda1 on every mesh (the shift floor of cylinder
+    solves), and lambda1 <= mu1 where both ends are free."""
+    mu1, Lambda1 = cross_values(field)
+    for kind in MESH_KINDS:
+        lam = cylinder_value(field, kind)
+        assert lam >= Lambda1 * (1 - 1e-12), kind
+        if kind in FREE_ENDS:
+            assert lam <= mu1 * (1 + 1e-12), kind
+
+
+def test_uncoupled_field_sits_on_the_floor():
+    """With delta = 0 the floor is attained: lambda1 = Lambda1."""
+    field = coeff.model_field(0.0)
+    _, Lambda1 = cross_values(field)
+    assert cylinder_value(field, "full") == pytest.approx(Lambda1, rel=1e-12)
