@@ -334,39 +334,44 @@ def rayleigh_of_testfn(tf, mesh, field, forms=None):
     return RayleighValue(num / den, num, den)
 
 
-# -- quadrature-level energies ----------------------------------------------
+# -- cross-section integrals at axial Gauss points -------------------------
 
 
-def _quad_contributions(mesh, full_values, field=None):
-    """Per-(cell, quad point) mass and energy densities and x1 coords."""
-    d = mesh.ndim
-    N, Gref = asm.reference_basis(d)
-    nq = 2**d
-    cells = mesh.cell_node_indices()
-    uloc = full_values[cells]
-    h = mesh.cell_sizes()
-    vol = mesh.cell_volumes()
-    w = (vol / nq)[:, None]
-    uq = uloc @ N.T
-    mass = w * uq**2
-    gq = np.einsum("qai,ci->cqa", Gref, uloc) / h[:, None, :]
-    if field is None:
-        energy = w * np.einsum("cqa,cqa->cq", gq, gq)
-    else:
-        # A depends on X2 only: with the axial axes first, cell c and point
-        # q see cross cell c % n_cross_cells and cross point q % nq_cross
-        C = asm.coefficient_samples(asm.factor_mesh(mesh.cross_partitions),
-                                    field, field.eval_many)
-        C = np.tile(C, (mesh.n_cells // C.shape[0], nq // C.shape[1], 1, 1))
-        energy = w * np.einsum("cqab,cqa,cqb->cq", C, gq, gq)
-    x1q = asm.quadrature_coords(mesh)[:, :, 0]
-    return mass, energy, x1q
+def axial_densities(full_values, parts, field=None):
+    """Mass and energy of a nodal function at each axial Gauss point of a
+    p = 1 box, integrated over its cross-section, and the x1 of each point.
 
+    ``parts`` are the box's axis partitions, the axial one first, and the
+    nodes are C-ordered as in them.  The cross integrals go through the
+    cross slot matrices X_ab and the cross mass Mc that assembly builds
+    its cylinder forms from, with A taken from ``coefficient_samples``
+    (the identity without a field: the plain |grad u|^2).  So the
+    energies add up to u.Ku and the masses to u.Mu.  Returns three arrays
+    of shape (axial cells, 2).
+    """
+    axis = parts[0]
+    cross = asm.factor_mesh(parts[1:])
+    C = (np.eye(1 + cross.ndim)[None, None] if field is None
+         else asm.coefficient_samples(cross, field, field.eval_many))
+    X = asm._slot_matrices(cross, C, 1)
+    Mc = asm._slot_matrices(cross, np.ones((1, 1, 1, 1)), 1)[0][0]
+    u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)
+    h = np.diff(axis)[:, None]
+    xi = asm.gauss_points_01()
+    # slot 0 holds the axial derivative, constant on an axial cell (it
+    # broadcasts over the cell's two points); the cross slots hold the
+    # values at the points, whose cross derivatives X applies
+    vals = u[:-1, None] * (1.0 - xi)[:, None] + u[1:, None] * xi[:, None]
+    slots = [((u[1:] - u[:-1]) / h)[:, None]] + [vals] * cross.ndim
 
-def mass_norm(mesh, full_values):
-    """Quadrature L2 norm of a nodal function."""
-    mass, _, _ = _quad_contributions(mesh, full_values)
-    return float(np.sqrt(mass.sum()))
+    def pair(mat, a, b):
+        return (a @ mat.toarray() * b).sum(axis=-1)
+
+    energy = 0.5 * h * sum(pair(X[a][b], sa, sb)
+                           for a, sa in enumerate(slots)
+                           for b, sb in enumerate(slots))
+    mass = 0.5 * h * pair(Mc, vals, vals)
+    return mass, energy, axis[:-1, None] + h * xi
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -379,9 +384,9 @@ class DecayProfile:
     slope_ci: tuple
     r2: float
     no_decay: bool
-    grad_masses: list | None = None
-    grad_alpha: float | None = None
-    grad_r2: float | None = None
+    grad_masses: list
+    grad_alpha: float
+    grad_r2: float
 
 
 def _fit_log_decay(ell, rs, masses):
@@ -403,34 +408,33 @@ def _fit_log_decay(ell, rs, masses):
     return slope, (slope - 2 * se, slope + 2 * se), r2
 
 
-def decay_profile(u, mesh, gradient=False):
+def decay_profile(u, mesh):
     """Bulk masses int_{|x1|<=r} u^2 for integer r and the fitted decay
-    base alpha (mass ~ alpha^(ell - r)); flags alpha near 1 as no-decay."""
+    base alpha (mass ~ alpha^(ell - r)); flags alpha near 1 as no-decay.
+    The same fit of the bulk |grad u|^2 gives the gradient rate."""
     if mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("decay profile needs a full cylinder")
     if mesh.ell < 4:
         raise TooShort("need ell >= 4 for a linear regime")
     vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
-    full = mesh.scatter_free(vec)
-    mass, energy, x1q = _quad_contributions(mesh, full)
+    mass, energy, x1q = axial_densities(mesh.scatter_free(vec),
+                                        mesh.axis_partitions)
     rs = list(range(1, int(math.floor(mesh.ell))))
     masses = [float(mass[np.abs(x1q) <= r].sum()) for r in rs]
+    gmasses = [float(energy[np.abs(x1q) <= r].sum()) for r in rs]
     slope, ci, r2 = _fit_log_decay(mesh.ell, rs, masses)
+    gslope, _, gr2 = _fit_log_decay(mesh.ell, rs, gmasses)
     alpha = math.exp(slope)
-    prof = DecayProfile(
+    return DecayProfile(
         masses=list(zip(rs, masses)),
         alpha_fit=alpha,
         slope_ci=(math.exp(ci[0]), math.exp(ci[1])),
         r2=r2,
         no_decay=alpha > NO_DECAY_ALPHA,
+        grad_masses=list(zip(rs, gmasses)),
+        grad_alpha=math.exp(gslope),
+        grad_r2=gr2,
     )
-    if gradient:
-        gmasses = [float(energy[np.abs(x1q) <= r].sum()) for r in rs]
-        gslope, _, gr2 = _fit_log_decay(mesh.ell, rs, gmasses)
-        prof.grad_masses = list(zip(rs, gmasses))
-        prof.grad_alpha = math.exp(gslope)
-        prof.grad_r2 = gr2
-    return prof
 
 
 @dataclass(frozen=True)
@@ -441,17 +445,15 @@ class ConcentrationSplit:
     d_minus: float
 
 
-def concentration_split(u, K, M, mesh):
-    """Stiffness and mass energies split at x1 = 0 (cells straddling zero
-    split by quadrature-point sign).  Verifies N+ + N- = lambda and
+def concentration_split(u, mesh, field):
+    """Stiffness and mass energies of the pair ``u`` of ``field`` on
+    ``mesh``, split at x1 = 0; an axial cell straddling zero is split by
+    the sign of its axial Gauss points.  Verifies N+ + N- = lambda and
     D+ + D- = 1 to the stated tolerances."""
     if mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("concentration split needs a full cylinder")
-    field = K.provenance.get("_field")
-    if field is None:
-        raise MeshMismatch("stiffness form lacks its field provenance")
-    full = mesh.scatter_free(u.vector)
-    mass, energy, x1q = _quad_contributions(mesh, full, field=field)
+    mass, energy, x1q = axial_densities(mesh.scatter_free(u.vector),
+                                        mesh.axis_partitions, field)
     plus = x1q > 0.0
     n_plus = float(energy[plus].sum())
     n_minus = float(energy[~plus].sum())
@@ -475,8 +477,8 @@ def symmetry_defect(u, mesh, field=None):
         raise NoReflectionSymmetry("field is not even in X2")
     vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
     full = mesh.scatter_free(vec)
-    diff = full - full[perm]
-    return mass_norm(mesh, diff)
+    mass, _, _ = axial_densities(full - full[perm], mesh.axis_partitions)
+    return float(np.sqrt(mass.sum()))
 
 
 def picone_gap(u, W1, mu1, mesh, forms):
@@ -519,7 +521,7 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
     cyl_grid = cyl_full.reshape(cyl_mesh.shape)[:k].ravel()
     half_grid = half_full.reshape(half_mesh.shape)[:k].ravel()
     # H1 norm of the sign-aligned difference on the collar box
-    collar = asm.factor_mesh([hx[:k], *half_mesh.cross_partitions])
     sign = 1.0 if float(cyl_grid @ half_grid) >= 0 else -1.0
-    mass, energy, _ = _quad_contributions(collar, cyl_grid - sign * half_grid)
+    mass, energy, _ = axial_densities(cyl_grid - sign * half_grid,
+                                      [hx[:k], *half_mesh.cross_partitions])
     return float(np.sqrt(mass.sum() + energy.sum()))

@@ -78,10 +78,6 @@ class SparseSymmetricForm:
         u = np.asarray(u, dtype=float)
         return float(u @ (self.full() @ u))
 
-    def scale(self, c):
-        return SparseSymmetricForm(self.dim, (self.lower * c).tocsr(),
-                                   self.kind, dict(self.provenance))
-
 
 def _audit_spd(C, what):
     w = np.linalg.eigvalsh(C.reshape(-1, C.shape[-1], C.shape[-1]))

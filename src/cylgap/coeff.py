@@ -292,9 +292,6 @@ class EllipticityBounds:
     argmin: np.ndarray
     argmax: np.ndarray
 
-    def __iter__(self):
-        return iter((self.lambda_a, self.c_a))
-
 
 def ellipticity_bounds(field, sample_grid):
     """Sampled ellipticity floor lambda_A and norm bound C_A.

@@ -165,15 +165,6 @@ def cross_context(field, cfg):
 _MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
 
 
-@dataclass
-class _Solved:
-    """A memo entry: the solve's pairs and, once asked for, its
-    diagnostics; never forms or meshes."""
-
-    pairs: list
-    diag: dict | None = None
-
-
 @contextlib.contextmanager
 def solve_memo():
     """Within the block, ``solve_cylinder`` assembles and solves each
@@ -190,10 +181,9 @@ def solve_memo():
 
 
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
-                   grading=None, diagnostics=False, dirichlet=False):
-    """Mesh, smallest pairs and, when asked for on a full cylinder, the
-    concentration and symmetry diagnostics (they self-check their
-    identities on every call); returns ``(mesh, pairs, diag)``.
+                   grading=None, dirichlet=False):
+    """Mesh and smallest pairs of a cylinder pencil; returns
+    ``(mesh, pairs)``.
 
     Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
     at least 4 cells for tiny ``ell``; the cross axes get
@@ -202,45 +192,29 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     field's ``Lambda1 - margin`` from ``cross_context``.  Inside
     ``solve_memo`` a pencil already solved there (same mesh key,
     ``dirichlet``, field object, ``count``, ``cfg.tol`` and ``cfg.seed``)
-    is not assembled or solved again, and repeats share the stored pairs
-    and diagnostics, which callers only read; a failed solve is never
-    stored."""
+    is not assembled or solved again, and repeats share the stored pairs,
+    which callers only read; a failed solve is never stored."""
     axial = max(cfg.axial_resolution, 2.0 / ell)
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
         resolution=[axial] * field.p + [cfg.resolution] * field.cross_dim,
         grading=cfg.grading if grading is None else grading,
         node_cap=cfg.node_cap)
-    assemble = (asm.assemble_dirichlet_cylinder if dirichlet
-                else asm.assemble_cylinder)
     memo = _MEMO.get()
     # fields compare by identity, and the key keeps its field alive
     key = (mesh.key, dirichlet, field, count, cfg.tol, cfg.seed)
-    entry = None if memo is None else memo.get(key)
-    forms = None
-    if entry is None:
+    pairs = None if memo is None else memo.get(key)
+    if pairs is None:
         # no cylinder eigenvalue lies below the Schur floor Lambda1
         ctx = cross_context(field, cfg)
-        forms = assemble(mesh, field)
-        entry = _Solved(eig.smallest_eigenpairs(
-            *forms, count=count, tol=cfg.tol, seed=cfg.seed,
-            floor=ctx.Lambda1 - ctx.margin))
+        assemble = (asm.assemble_dirichlet_cylinder if dirichlet
+                    else asm.assemble_cylinder)
+        pairs = eig.smallest_eigenpairs(
+            *assemble(mesh, field), count=count, tol=cfg.tol, seed=cfg.seed,
+            floor=ctx.Lambda1 - ctx.margin)
         if memo is not None:
-            memo[key] = entry
-    if not (diagnostics and kind == "full-cylinder"):
-        return mesh, entry.pairs, {}
-    if entry.diag is None:
-        K, M = assemble(mesh, field) if forms is None else forms
-        split = an.concentration_split(entry.pairs[0], K, M, mesh)
-        diag = dict(n_plus=split.n_plus, n_minus=split.n_minus,
-                    d_plus=split.d_plus, d_minus=split.d_minus)
-        try:
-            diag["symmetry_defect"] = an.symmetry_defect(entry.pairs[0],
-                                                         mesh, field=field)
-        except NoReflectionSymmetry:
-            pass
-        entry.diag = diag
-    return mesh, entry.pairs, entry.diag
+            memo[key] = pairs
+    return mesh, pairs
 
 
 def _run_ordered(tasks, parallelism):
@@ -258,16 +232,19 @@ _FIRST_VALUE_COLUMN = {"half-plus": "lambda_half_plus",
 
 
 def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
-         **solve):
+         diagnostics=False, **solve):
     """One timed record.
 
     With a length ``ell`` the row solves ``solve_cylinder(field, ell, cfg,
     **solve)`` and records the resolution, the first eigenvalue, the
-    largest residual and the diagnostics; ``judge(rec, mesh, pairs)`` then
-    fills in the rest and judges it through ``rec.check``.  A row without
-    a length only calls ``judge(rec, None, None)``.  ``ctx`` supplies
-    ``mu1_disc``.  The row starts passed with an empty note; a CylgapError
-    fails this row alone, with the exception in its note.
+    largest residual and, when ``diagnostics`` is set and the mesh is a
+    full cylinder, the concentration split of the first pair and its
+    symmetry defect (for reflection-symmetric fields; both self-check
+    their identities); ``judge(rec, mesh, pairs)`` then fills in the rest
+    and judges it through ``rec.check``.  A row without a length only
+    calls ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.
+    The row starts passed with an empty note; a CylgapError fails this
+    row alone, with the exception in its note.
     """
     t0 = time.perf_counter()
     rec = SweepRecord(experiment=experiment, field_kind=field.kind,
@@ -279,13 +256,18 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
         if ell is None:
             judge(rec, None, None)
         else:
-            mesh, pairs, diag = solve_cylinder(field, ell, cfg, **solve)
+            mesh, pairs = solve_cylinder(field, ell, cfg, **solve)
             rec.resolution = "x".join(str(c) for c in mesh.cells_shape)
             setattr(rec, _FIRST_VALUE_COLUMN.get(mesh.domain_kind, "lambda1"),
                     pairs[0].value)
             rec.residual = max(p.residual for p in pairs)
-            for k, v in diag.items():
-                setattr(rec, k, v)
+            if diagnostics and mesh.domain_kind == "full-cylinder":
+                split = an.concentration_split(pairs[0], mesh, field)
+                rec.n_plus, rec.n_minus = split.n_plus, split.n_minus
+                rec.d_plus, rec.d_minus = split.d_plus, split.d_minus
+                with contextlib.suppress(NoReflectionSymmetry):
+                    rec.symmetry_defect = an.symmetry_defect(
+                        pairs[0], mesh, field=field)
             judge(rec, mesh, pairs)
     except CylgapError as exc:
         rec.check(False, f"{type(exc).__name__}: {exc}")
@@ -421,8 +403,8 @@ def exp_nu_half(field, side, L_schedule, cfg):
 def reflection_check(field, L, cfg):
     """lambda-tilde minus of A equals lambda-tilde plus of the reflected
     field, exactly up to solver tolerance."""
-    _, pm, _ = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
-    _, pp, _ = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
+    _, pm = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
+    _, pp = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
                               grading=1.0)
     return pm[0].value, pp[0].value
 
@@ -449,9 +431,9 @@ def exp_limit_infinity(field, L_list, cfg):
         rec.check(not diffs or diff <= diffs[-1] + 10 * cfg.tol,
                   "|lambda - nu| not decreasing")
         # sandwich lambda_{L/2} <= tilde-lambda_L^+ on nested meshes
-        _, half_pairs, _ = solve_cylinder(field, L, cfg, kind="half-plus",
+        _, half_pairs = solve_cylinder(field, L, cfg, kind="half-plus",
                                           grading=1.0)
-        _, cyl_half, _ = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
+        _, cyl_half = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
         rec.check(cyl_half[0].value <= half_pairs[0].value + 10 * cfg.tol,
                   "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
@@ -496,7 +478,7 @@ def exp_second_eigenvalue(field, L_list, cfg):
     def judge(rec, mesh, pairs):
         lam1, lam2 = pairs[0].value, pairs[1].value
         rec.lambda2 = lam2
-        _, half_pairs, _ = solve_cylinder(field, rec.ell, cfg,
+        _, half_pairs = solve_cylinder(field, rec.ell, cfg,
                                           kind="half-plus", grading=1.0)
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
@@ -524,7 +506,7 @@ def exp_dirichlet_comparison(field, L_list, cfg):
 
     def judge(rec, mesh, pairs):
         L = rec.ell
-        _, dpairs, _ = solve_cylinder(field, L, cfg, grading=1.0,
+        _, dpairs = solve_cylinder(field, L, cfg, grading=1.0,
                                       dirichlet=True)
         sig = dpairs[0]
         rec.sigma1 = sig.value
@@ -568,7 +550,7 @@ def exp_multi_direction(field3d, L_list, cfg):
             rec.check(rec.gap > ctx.margin,
                       "expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
-            _, bpairs, _ = solve_cylinder(bfield, rec.ell, cfg3,
+            _, bpairs = solve_cylinder(bfield, rec.ell, cfg3,
                                           grading=1.0)
             rec.target = bpairs[0].value
             rec.check(lam <= rec.target + 10 * cfg.tol,
@@ -593,7 +575,7 @@ def exp_decay(field, ell, cfg):
     profiles = []
 
     def judge(rec, mesh, pairs):
-        prof = an.decay_profile(pairs[0], mesh, gradient=True)
+        prof = an.decay_profile(pairs[0], mesh)
         profiles.append(prof)
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
@@ -625,7 +607,7 @@ def exp_end_profile(field, ell_list, cfg, half_length=None):
     half_length = max(ell_list) if half_length is None else half_length
     grading = cfg.grading if cfg.grading > 1 else \
         (2.0 if min(ell_list) >= 4 else 1.0)
-    hmesh, hpairs, _ = solve_cylinder(field, half_length, cfg,
+    hmesh, hpairs = solve_cylinder(field, half_length, cfg,
                                       kind="half-plus", grading=grading)
     dists = []
 

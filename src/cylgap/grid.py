@@ -159,9 +159,6 @@ class TensorMesh:
     def cell_volumes(self):
         return np.prod(self.cell_sizes(), axis=1)
 
-    def measure(self):
-        return float(np.prod([p[-1] - p[0] for p in self.axis_partitions]))
-
     # -- vectors over nodes ----------------------------------------------
 
     def scatter_free(self, free_values):

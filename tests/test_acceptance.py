@@ -116,7 +116,7 @@ def test_criterion_06_gap_phenomenon():
         details.append(f"d={delta}: gap={r.gap:.1e} > {r.margin:.1e}")
     # equality cases sit below the mesh error
     ctx = ex.cross_context(coeff.model_field(0.0), cfg64)
-    mesh, pairs, _ = ex.solve_cylinder(coeff.model_field(0.0), 16, cfg64)
+    mesh, pairs = ex.solve_cylinder(coeff.model_field(0.0), 16, cfg64)
     flat = abs(ctx.mu1 - pairs[0].value)
     ok = ok and flat < ctx.mesh_err
     cfg3 = ex.ExperimentConfig(res3d_axial=3, res3d_cross=12)
@@ -143,9 +143,8 @@ def test_criterion_08_concentration_identities(cfg, model):
     worst_n, worst_d, worst_sym = 0.0, 0.0, 0.0
     for field, ell in ((model, 1.0), (model, 8.0),
                        (coeff.asymmetric_model_field(0.5), 8.0)):
-        mesh, pairs, _ = ex.solve_cylinder(field, ell, cfg)
-        K, M = assemble.assemble_cylinder(mesh, field)
-        split = an.concentration_split(pairs[0], K, M, mesh)
+        mesh, pairs = ex.solve_cylinder(field, ell, cfg)
+        split = an.concentration_split(pairs[0], mesh, field)
         worst_n = max(worst_n, abs(split.n_plus + split.n_minus
                                    - pairs[0].value) / pairs[0].value)
         worst_d = max(worst_d, abs(split.d_plus + split.d_minus - 1.0))

@@ -190,17 +190,18 @@ class TestTestFunctions:
 
 class TestQuadratureConsistency:
     def test_mass_norm_matches_assembled_mass(self, model06_mod):
-        # the diagnostic quadrature and the assembled mass matrix use the
-        # same rule, so energies agree to round-off, graded meshes included
+        # the diagnostic masses and the assembled mass matrix share the
+        # cross mass and the axial rule, so they agree to round-off,
+        # graded meshes included
         mesh = grid.build_mesh("full-cylinder", ell=6, omega=(-1, 1),
                                resolution=(4, 8), grading=2)
         _, M = assemble.assemble_cylinder(mesh, model06_mod)
         rng = np.random.default_rng(3)
         for _ in range(5):
             u = rng.standard_normal(mesh.n_free)
-            full = mesh.scatter_free(u)
-            assert an.mass_norm(mesh, full) ** 2 == pytest.approx(
-                M.energy(u), rel=1e-12)
+            mass, _, _ = an.axial_densities(mesh.scatter_free(u),
+                                            mesh.axis_partitions)
+            assert mass.sum() == pytest.approx(M.energy(u), rel=1e-12)
 
 
 class TestDecayProfile:
@@ -209,7 +210,7 @@ class TestDecayProfile:
                                resolution=(8, 16), grading=2)
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        prof = an.decay_profile(u, mesh, gradient=True)
+        prof = an.decay_profile(u, mesh)
         assert prof.alpha_fit < 1.0
         assert prof.r2 > 0.99
         assert not prof.no_decay
@@ -243,9 +244,9 @@ class TestDecayProfile:
 
 
 class TestConcentrationAndSymmetry:
-    def test_split_identities_and_symmetry(self, cyl8):
-        split = an.concentration_split(cyl8["pairs"][0], cyl8["K"],
-                                       cyl8["M"], cyl8["mesh"])
+    def test_split_identities_and_symmetry(self, cyl8, model06_mod):
+        split = an.concentration_split(cyl8["pairs"][0], cyl8["mesh"],
+                                       model06_mod)
         lam = cyl8["pairs"][0].value
         assert split.n_plus + split.n_minus == pytest.approx(lam,
                                                              rel=1e-8)

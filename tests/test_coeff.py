@@ -36,9 +36,9 @@ def brute_force_schur_value(B, Z2, lo=-10.0, hi=10.0, step=1e-3):
 
 class TestEllipticityBounds:
     def test_model_delta_06(self, model06):
-        lam, ca = coeff.ellipticity_bounds(model06, np.linspace(-1, 1, 9))
-        assert lam == pytest.approx(0.4, abs=1e-14)
-        assert ca == pytest.approx(1.6, abs=1e-14)
+        b = coeff.ellipticity_bounds(model06, np.linspace(-1, 1, 9))
+        assert b.lambda_a == pytest.approx(0.4, abs=1e-14)
+        assert b.c_a == pytest.approx(1.6, abs=1e-14)
 
     def test_identity(self):
         b = coeff.ellipticity_bounds(coeff.identity_field(),
@@ -117,7 +117,7 @@ class TestSchurReduce:
     def test_preserves_ellipticity_floor(self, rng):
         field = coeff.variable_a22_field(0.6)
         pts = np.linspace(-1, 1, 21)
-        lam, _ = coeff.ellipticity_bounds(field, pts)
+        lam = coeff.ellipticity_bounds(field, pts).lambda_a
         red = coeff.schur_reduce_many(field, pts)
         assert np.linalg.eigvalsh(red)[:, 0].min() >= lam - 1e-14
 
@@ -263,9 +263,9 @@ class TestFieldPlumbing:
         np.testing.assert_allclose(field(-0.5),
                                    [[2.0, 0.1], [0.1, 3.0]])
         np.testing.assert_allclose(field(0.5), [[1.0, 0.0], [0.0, 5.0]])
-        lam, ca = coeff.ellipticity_bounds(field, np.linspace(-0.9, 0.9, 16))
-        assert lam == pytest.approx(1.0)
-        assert ca == 5.0
+        b = coeff.ellipticity_bounds(field, np.linspace(-0.9, 0.9, 16))
+        assert b.lambda_a == pytest.approx(1.0)
+        assert b.c_a == 5.0
 
     def test_table_rejects_gaps(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cylgap import cli, coeff, eig
+from cylgap import assemble, cli, coeff, eig, grid
 from cylgap import experiments as ex
 from cylgap.errors import (ConditionConFails, MemoryBudget, NoConvergence,
                            NoReflectionSymmetry, NotConverged)
@@ -19,6 +19,14 @@ def cfg():
 @pytest.fixture(scope="module")
 def model(cfg):
     return coeff.model_field(0.6)
+
+
+def cylinder_key(cfg, ell):
+    """Key of the full-cylinder mesh that ``solve_cylinder`` builds at
+    length ``ell`` with the default grading and count."""
+    return grid.build_mesh("full-cylinder", ell=ell, omega=cfg.omega,
+                           resolution=(cfg.axial_resolution, cfg.resolution),
+                           grading=cfg.grading).key
 
 
 @pytest.fixture()
@@ -191,9 +199,10 @@ class TestGap:
 
     def test_failed_solve_fails_only_its_row(self, model, cfg, monkeypatch):
         solve = eig.smallest_eigenpairs
+        target = cylinder_key(cfg, 12)
 
         def fails_at_12(K, M, **kwargs):
-            if K.provenance["_mesh"].ell == 12:
+            if K.provenance["mesh"] == target:
                 raise NoConvergence("forced", best_residual=1.0)
             return solve(K, M, **kwargs)
 
@@ -391,10 +400,11 @@ class TestSolveMemo:
     def test_failed_solve_is_not_stored(self, model, cfg, solves,
                                         monkeypatch):
         solve = eig.smallest_eigenpairs
+        target = cylinder_key(cfg, 12)
         failed = []
 
         def fails_once_at_12(K, M, **kwargs):
-            if K.provenance["_mesh"].ell == 12 and not failed:
+            if K.provenance["mesh"] == target and not failed:
                 failed.append(K.provenance["mesh"])
                 raise NoConvergence("forced", best_residual=1.0)
             return solve(K, M, **kwargs)
@@ -411,21 +421,36 @@ class TestSolveMemo:
 
     def test_diagnostics_on_a_hit_match_a_fresh_solve(self, model, cfg,
                                                       solves):
-        _, fresh_pairs, fresh = ex.solve_cylinder(model, 4, cfg,
-                                                  diagnostics=True)
+        diag = ("n_plus", "n_minus", "d_plus", "d_minus", "symmetry_defect")
+        fresh = ex.exp_bounds_sweep(model, [4], cfg)[0]
         solves.clear()
         with ex.solve_memo():
-            _, _, plain = ex.solve_cylinder(model, 4, cfg)
-            _, pairs, diag = ex.solve_cylinder(model, 4, cfg,
-                                               diagnostics=True)
-            _, _, again = ex.solve_cylinder(model, 4, cfg)
+            mesh, pairs = ex.solve_cylinder(model, 4, cfg)
+            hit = ex.exp_bounds_sweep(model, [4], cfg)[0]
+            again_mesh, again = ex.solve_cylinder(model, 4, cfg)
         assert len(solves) == 1
-        assert plain == again == {}
-        assert set(diag) == {"n_plus", "n_minus", "d_plus", "d_minus",
-                             "symmetry_defect"}
-        assert diag == fresh
-        assert pairs[0].value == fresh_pairs[0].value
+        assert again is pairs and again_mesh.key == mesh.key
+        assert all(getattr(hit, k) is not None for k in diag)
+        assert [getattr(hit, k) for k in diag] == \
+            [getattr(fresh, k) for k in diag]
+        assert hit.lambda1 == fresh.lambda1 == pairs[0].value
         # no entry outlives its block
         ex.solve_cylinder(model, 4, cfg)
         assert len(solves) == 2
 
+    def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
+                                                        solves, monkeypatch):
+        assembled = []
+        assemble_cylinder = assemble.assemble_cylinder
+
+        def counted(mesh, field):
+            assembled.append(mesh.key)
+            return assemble_cylinder(mesh, field)
+
+        with ex.solve_memo():
+            ex.solve_cylinder(model, 4, cfg)
+            monkeypatch.setattr(assemble, "assemble_cylinder", counted)
+            solves.clear()
+            rec = ex.exp_gap(model, [4], cfg)[0]
+        assert rec.d_plus is not None and rec.n_plus is not None
+        assert assembled == [] and solves == []

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylgap import assemble, coeff, eig, grid
+from cylgap import analysis, assemble, coeff, eig, grid
+
+from test_assemble import cellwise_oracle
 
 RESOLUTION = (4, 8)  # axial, cross cells per unit
 # kind -> (mesh kind, ell, grading, whole boundary Dirichlet)
@@ -79,3 +81,55 @@ def test_uncoupled_field_sits_on_the_floor():
     field = coeff.model_field(0.0)
     _, Lambda1 = cross_values(field)
     assert cylinder_value(field, "full") == pytest.approx(Lambda1, rel=1e-12)
+
+
+# kind -> (mesh kind, ell, grading); the odd full cylinder has 9 axial
+# cells, so one cell straddles x1 = 0, which is a node on the others
+DENSITY_MESHES = {
+    "full-even": ("full-cylinder", 2, 1),
+    "full-odd": ("full-cylinder", 1.125, 1),
+    "graded": ("full-cylinder", 2, 2),
+    "half-plus": ("half-plus", 2, 1),
+}
+
+
+def plus_box_energy(mesh, field, full):
+    """u.Ku of the restriction of ``full`` to the [0, ell] part of the
+    mesh, under the cellwise oracle; its ends are free, so only lateral
+    (zero) values are dropped."""
+    axis = mesh.axis_partitions[0]
+    plus = axis >= 0.0
+    box = grid.TensorMesh("full-cylinder",
+                          [axis[plus], *mesh.cross_partitions], 1, mesh.ell)
+    K, _ = cellwise_oracle(box, lambda x: field.eval_many(x[:, 1:]),
+                           field.piecewise_constant)
+    u = box.restrict_free(full.reshape(mesh.shape)[plus].ravel())
+    return float(u @ K @ u)
+
+
+@PROPERTY_SETTINGS
+@given(field=tables(), seed=st.integers(0, 2**32 - 1))
+def test_axial_densities_add_up_to_the_forms(field, seed):
+    """Per-axial-point energies of a random nodal vector sum to u.Ku (and,
+    without a field, to its plain |grad u|^2), masses to u.Mu, and where
+    x1 = 0 is a node the x1 > 0 energies are the energy of the [0, ell]
+    part."""
+    rng = np.random.default_rng(seed)
+    for kind, (mesh_kind, ell, grading) in DENSITY_MESHES.items():
+        mesh = grid.build_mesh(mesh_kind, ell=ell, omega=(-1, 1),
+                               resolution=RESOLUTION, grading=grading)
+        u = rng.standard_normal(mesh.n_free)
+        full = mesh.scatter_free(u)
+        K, M = assemble.assemble_cylinder(mesh, field)
+        KI, _ = assemble.assemble_cylinder(mesh, coeff.identity_field())
+        mass, energy, x1q = analysis.axial_densities(
+            full, mesh.axis_partitions, field)
+        _, plain, _ = analysis.axial_densities(full, mesh.axis_partitions)
+        assert energy.sum() == pytest.approx(K.energy(u), rel=1e-12), kind
+        assert plain.sum() == pytest.approx(KI.energy(u), rel=1e-12), kind
+        assert mass.sum() == pytest.approx(M.energy(u), rel=1e-12), kind
+        if np.any(mesh.axis_partitions[0] == 0.0):
+            assert energy[x1q > 0.0].sum() == pytest.approx(
+                plus_box_energy(mesh, field, full), rel=1e-12), kind
+        else:
+            assert kind == "full-odd"
