@@ -2,8 +2,9 @@
 
 Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
 cross variable only, so cylinder forms are Kronecker sums of 1D axial and
-cross-section matrices.  Dirichlet rows and columns are dropped; forms
-store only the lower triangle, so they are exactly symmetric.
+cross-section matrices.  Dirichlet elimination happens on the factors,
+each restricted to its free indices before the products; forms store
+only the lower triangle, so they are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _audit_spd(C, what):
 
 def factor_mesh(parts):
     """Tensor mesh over some axes of another mesh, such as its
-    cross-section or one axial axis (its boundary tags go unused)."""
+    cross-section or one axial axis, with every axis end clamped (as the
+    cross axes of a cylinder are)."""
     return TensorMesh("cross-section", parts, 0, None)
 
 
@@ -152,26 +154,35 @@ def _assemble_pair(mesh, field, mats, reduced):
     cross slot matrices of A and F_k(a, b) is the 1D stiffness, mixed or
     mass matrix as a and b are or are not k; M = M_1 x ... x M_p x M_c.
     Nodes are C-ordered with the axial axes first, as in these products.
-    A cross-section pencil has no axial factor.
+    A cross-section pencil has no axial factor.  Each factor is sliced to
+    the free indices of its axes first (``mesh.axis_free[k]`` for F_k, the
+    cross mesh's free nodes for X_ab and Mc), so the products span the
+    free nodes only.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
     C = coefficient_samples(cross, field, mats)
-    X = _slot_matrices(cross, C, p)
-    axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
-                           np.ones((1, 1, 2, 2)), 1) for k in range(p)]
+
+    def free_slots(factor, C, n_values, free):
+        if free[-1] - free[0] + 1 == free.size:  # a run slices faster
+            free = slice(free[0], free[-1] + 1)
+        return [[S[free][:, free] for S in row]
+                for row in _slot_matrices(factor, C, n_values)]
+
+    X = free_slots(cross, C, p, cross.free_nodes)
+    axes = [free_slots(factor_mesh(mesh.axis_partitions[k:k + 1]),
+                       np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
+            for k in range(p)]
     K = sum(_kron([axes[k][int(a == k)][int(b == k)] for k in range(p)]
                   + [X[a][b]])
             for a, b in itertools.product(range(C.shape[-1]), repeat=2))
-    Mc = _slot_matrices(cross, np.ones((1, 1, 1, 1)), 1)[0][0]
+    Mc = free_slots(cross, np.ones((1, 1, 1, 1)), 1, cross.free_nodes)[0][0]
     M = _kron([ax[0][0] for ax in axes] + [Mc])
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": bool(reduced), "_mesh": mesh, "_field": field}
-    free = mesh.free_nodes
     return tuple(SparseSymmetricForm(mesh.n_free,
-                                     sparse.tril(mat[free][:, free],
-                                                 format="csr"),
+                                     sparse.tril(mat, format="csr"),
                                      kind, dict(prov))
                  for mat, kind in ((K, "stiffness"), (M, "mass")))
 

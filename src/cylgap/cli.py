@@ -182,28 +182,33 @@ def _validate(rc, path):
 
 
 def make_field(rc):
+    """The coefficient field of ``[field]``; a builder that rejects its
+    parameters or cannot read its table raises ``ConfigError``."""
     kind = rc.field_kind
     par = rc.field_params
-    if kind == "model":
-        return coeff_mod.model_field(par.get("delta", 0.6))
-    if kind == "identity":
-        return coeff_mod.identity_field(par.get("n", 2), par.get("p", 1))
-    if kind == "diagonal":
-        diag = par.get("diag", [1.0] * par.get("n", 2))
-        return coeff_mod.diagonal_field(diag, p=par.get("p", 1))
-    if kind == "asymmetric":
-        return coeff_mod.asymmetric_model_field(par.get("delta0", 0.5))
-    if kind == "variable-a22":
-        return coeff_mod.variable_a22_field(par.get("delta", 0.6))
-    if kind == "neg-coupling":
-        return coeff_mod.neg_coupling_field(par.get("c", 0.5),
-                                            par.get("a11", 2.0))
-    if kind == "multi-model":
-        return coeff_mod.multi_model_field(par.get("delta", 0.6))
-    if kind == "table":
-        if "table" not in par:
-            raise ConfigError("field kind 'table' needs table = <path>")
-        return coeff_mod.field_from_table(par["table"])
+    try:
+        if kind == "model":
+            return coeff_mod.model_field(par.get("delta", 0.6))
+        if kind == "identity":
+            return coeff_mod.identity_field(par.get("n", 2), par.get("p", 1))
+        if kind == "diagonal":
+            diag = par.get("diag", [1.0] * par.get("n", 2))
+            return coeff_mod.diagonal_field(diag, p=par.get("p", 1))
+        if kind == "asymmetric":
+            return coeff_mod.asymmetric_model_field(par.get("delta0", 0.5))
+        if kind == "variable-a22":
+            return coeff_mod.variable_a22_field(par.get("delta", 0.6))
+        if kind == "neg-coupling":
+            return coeff_mod.neg_coupling_field(par.get("c", 0.5),
+                                                par.get("a11", 2.0))
+        if kind == "multi-model":
+            return coeff_mod.multi_model_field(par.get("delta", 0.6))
+        if kind == "table":
+            if "table" not in par:
+                raise ConfigError("field kind 'table' needs table = <path>")
+            return coeff_mod.field_from_table(par["table"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"field kind '{kind}': {exc}") from exc
     raise ConfigError(f"unknown field kind '{kind}'")
 
 
@@ -387,7 +392,12 @@ def plot(csv_path, x_column, y_columns, out_svg, logy=False, group=None):
                     continue
                 if row[ix] == "" or row[iy] == "":
                     continue
-                pts.append((float(row[ix]), float(row[iy])))
+                try:
+                    pts.append((float(row[ix]), float(row[iy])))
+                except ValueError as exc:
+                    raise MissingColumn(
+                        f"{csv_path}: columns '{x_column}' and '{ycol}' "
+                        f"must be numeric ({exc})") from exc
             if not pts:
                 continue
             pts.sort(key=lambda p: p[0])

@@ -125,7 +125,6 @@ class CrossContext:
     mesh_err: float
     margin: float
     condition: coeff_mod.ConditionReport
-    field: object = None
 
 
 _CROSS_CACHE = {}
@@ -135,11 +134,10 @@ def cross_context(field, cfg):
     """Cross-section eigendata at ``cfg.resolution`` plus the two-level
     mesh-error estimate.
 
-    Cached per field instance and every ``cfg`` field read here (the
-    context keeps the field alive, so the id-based key cannot be
-    recycled)."""
+    Cached per field object and every ``cfg`` field read here (fields
+    compare by identity, and the key keeps its field alive)."""
     res = cfg.resolution
-    key = (id(field), tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
+    key = (field, tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
            cfg.node_cap)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
@@ -156,7 +154,7 @@ def cross_context(field, cfg):
     Lambda1 = first_pair(mesh, reduced=True).value
     err = abs(W1.value - first_pair(fine).value)
     ctx = CrossContext(mesh, W1.value, W1, Lambda1, err, 3.0 * err,
-                       coeff_mod.condition_con(field, W1, mesh), field)
+                       coeff_mod.condition_con(field, W1, mesh))
     _CROSS_CACHE[key] = ctx
     return ctx
 

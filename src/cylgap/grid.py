@@ -2,8 +2,10 @@
 
 Domains are axis-aligned products of intervals.  The first ``n_axial``
 axes are the elongated directions (length set by ``ell``); the remaining
-axes span the cross-section ``omega``.  Boundary nodes carry exactly one
-tag: Dirichlet (eliminated) or free (natural/Neumann condition).
+axes span the cross-section ``omega``.  Each axis records which of its
+ends are clamped (Dirichlet, eliminated); the free nodes are the product
+of the per-axis runs of unclamped indices, the other ends carrying the
+natural (Neumann) condition.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ _EPS = 1e-12
 
 
 class TensorMesh:
-    """Immutable tensor-product grid with boundary tags.
+    """Immutable tensor-product grid with clamped axis ends.
 
     Attributes
     ----------
@@ -37,7 +39,10 @@ class TensorMesh:
     axis_partitions : tuple of strictly increasing coordinate arrays
     n_axial : number of elongated axes (0 for a cross-section)
     ell : half-length of the elongated axes (None for a cross-section)
-    full_dirichlet : the whole boundary is Dirichlet, whatever the kind
+    clamped : per axis, whether its (lo, hi) ends are Dirichlet (both,
+        on every axis, for a cross-section or with ``full_dirichlet``)
+    axis_free : per axis, the indices of its unclamped nodes; the free
+        nodes are their product in C order
     """
 
     def __init__(self, domain_kind, axis_partitions, n_axial, ell,
@@ -62,50 +67,29 @@ class TensorMesh:
         self.n_nodes = int(np.prod(self.shape))
         self.cells_shape = tuple(s - 1 for s in self.shape)
         self.n_cells = int(np.prod(self.cells_shape))
-        self._tag_boundary(full_dirichlet)
-        self.free_index = np.full(self.n_nodes, -1, dtype=np.int64)
-        free = np.flatnonzero(~self.dirichlet_mask)
-        self.free_index[free] = np.arange(free.size)
-        self.free_nodes = free
-        self.n_free = int(free.size)
-        self._cache = {}
-
-    # -- tagging ---------------------------------------------------------
-
-    def _tag_boundary(self, full_dirichlet):
-        grids = np.meshgrid(
-            *[np.arange(s) for s in self.shape], indexing="ij", sparse=True
-        )
-        on_lo = [g == 0 for g in grids]
-        on_hi = [g == s - 1 for g, s in zip(grids, self.shape)]
-        boundary = np.zeros(self.shape, dtype=bool)
-        for lo, hi in zip(on_lo, on_hi):
-            boundary |= lo | hi
-        cross_axes = range(self.n_axial, self.ndim)
-        if full_dirichlet or self.domain_kind == "cross-section":
-            dirichlet = boundary
-        else:
-            dirichlet = np.zeros(self.shape, dtype=bool)
-            for a in cross_axes:
-                dirichlet = dirichlet | on_lo[a] | on_hi[a]
-            if self.domain_kind == "half-plus":
-                dirichlet = dirichlet | on_hi[0]
-            elif self.domain_kind == "half-minus":
-                dirichlet = dirichlet | on_lo[0]
-        self.dirichlet_mask = np.asarray(dirichlet).ravel()
-        self._boundary_mask = boundary.ravel()
+        # (lo, hi) clamped per axis: both ends of every cross axis, the
+        # x1 = ell end of a half-plus and the x1 = -ell end of a half-minus
+        everywhere = full_dirichlet or domain_kind == "cross-section"
+        ends = {"half-plus": (False, True), "half-minus": (True, False)}
+        self.clamped = tuple(
+            (True, True) if everywhere or a >= self.n_axial
+            else ends.get(domain_kind, (False, False))
+            for a in range(self.ndim))
+        self.axis_free = tuple(np.arange(int(lo), s - int(hi))
+                               for s, (lo, hi) in zip(self.shape, self.clamped))
+        self.free_nodes = np.ravel_multi_index(np.ix_(*self.axis_free),
+                                               self.shape).ravel()
+        self.n_free = int(self.free_nodes.size)
+        self.dirichlet_mask = np.ones(self.n_nodes, dtype=bool)
+        self.dirichlet_mask[self.free_nodes] = False
         self.dirichlet_mask.setflags(write=False)
-        self._boundary_mask.setflags(write=False)
+        self._cache = {}
 
     # -- derived geometry (cached) ---------------------------------------
 
     @property
     def dirichlet_nodes(self):
         return np.flatnonzero(self.dirichlet_mask)
-
-    @property
-    def free_boundary_nodes(self):
-        return np.flatnonzero(self._boundary_mask & ~self.dirichlet_mask)
 
     @property
     def cross_partitions(self):
@@ -297,27 +281,25 @@ def _axis_symmetric(part):
 def reflection_permutation(mesh):
     """Node permutation of (x1, X2) -> (-x1, -X2).
 
-    Requires every axis partition to be symmetric about 0 and the tagging
-    to be flip-invariant (full cylinders and cross-sections).
+    Requires every axis partition to be symmetric about 0 (full cylinders
+    and cross-sections).  Reversing every axis of the C-ordered node grid
+    reverses the node order itself.
     """
     if mesh.domain_kind in ("half-plus", "half-minus"):
         raise NoReflectionSymmetry("half meshes are not reflection symmetric")
     for part in mesh.axis_partitions:
         if not _axis_symmetric(part):
             raise NoReflectionSymmetry("axis partition not symmetric about 0")
-    grids = np.meshgrid(*[np.arange(s) for s in mesh.shape], indexing="ij")
-    flipped = tuple(s - 1 - g for g, s in zip(grids, mesh.shape))
-    perm = np.ravel_multi_index(flipped, mesh.shape).ravel()
-    return perm
+    return np.arange(mesh.n_nodes)[::-1]
 
 
 def free_reflection_permutation(mesh):
-    """Reflection permutation restricted to free nodes."""
-    perm = reflection_permutation(mesh)
-    if not np.array_equal(mesh.dirichlet_mask, mesh.dirichlet_mask[perm]):
-        raise NoReflectionSymmetry("boundary tags not reflection symmetric")
-    free_perm = mesh.free_index[perm[mesh.free_nodes]]
-    return free_perm
+    """Reflection permutation restricted to free nodes: the free grid
+    reversed, when every axis clamps both ends or neither."""
+    reflection_permutation(mesh)  # for its symmetry checks
+    if any(lo != hi for lo, hi in mesh.clamped):
+        raise NoReflectionSymmetry("clamped ends not reflection symmetric")
+    return np.arange(mesh.n_free)[::-1]
 
 
 def _match_run(sub_part, sup_part, shift):
@@ -347,19 +329,17 @@ def free_embedding(sub, sup, shift=None):
             shifts[0] = float(shift)
         else:
             shifts[:] = np.asarray(shift, dtype=float)
-    starts = [
-        _match_run(sub.axis_partitions[a], sup.axis_partitions[a], shifts[a])
-        for a in range(sub.ndim)
-    ]
-    grids = np.meshgrid(*[np.arange(s) for s in sub.shape], indexing="ij")
-    sup_nodes = np.ravel_multi_index(
-        tuple(g + st for g, st in zip(grids, starts)), sup.shape
-    ).ravel()
-    sub_free_to_sup_node = sup_nodes[sub.free_nodes]
-    mapped = sup.free_index[sub_free_to_sup_node]
-    if np.any(mapped < 0):
-        raise MeshMismatch("a free sub node lands on a Dirichlet super node")
-    return mapped
+    # per axis, the positions in the super free run of the sub free run
+    runs = []
+    for a in range(sub.ndim):
+        start = _match_run(sub.axis_partitions[a], sup.axis_partitions[a],
+                           shifts[a])
+        run = sub.axis_free[a] + start - sup.axis_free[a][0]
+        if run[0] < 0 or run[-1] >= len(sup.axis_free[a]):
+            raise MeshMismatch("a free sub node lands on a Dirichlet super node")
+        runs.append(run)
+    return np.ravel_multi_index(
+        np.ix_(*runs), [len(f) for f in sup.axis_free]).ravel()
 
 
 def extend_by_zero(sub, sup, free_values, shift=None):

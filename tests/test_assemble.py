@@ -395,3 +395,33 @@ class TestFormStorage:
                 for n, line in enumerate(path.read_text().splitlines(), 1)
                 if any(r.search(line) for r in reads)]
         assert hits == []
+
+
+def test_kronecker_products_span_free_nodes_only(model06, monkeypatch):
+    # Dirichlet elimination happens on the factors: every Kronecker
+    # product is already n_free x n_free, so no matrix over clamped nodes
+    # is formed and sliced afterwards
+    shapes = []
+    kron = assemble._kron
+
+    def recording_kron(factors):
+        out = kron(factors)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(assemble, "_kron", recording_kron)
+    cyl = grid.build_mesh("full-cylinder", ell=16, omega=(-1, 1),
+                          resolution=(8, 16))
+    multi = grid.build_mesh("multi-direction", ell=4, omega=(-1, 1),
+                            resolution=(3, 3, 12))
+    for mesh, field in ((cyl, model06),
+                        (grid.with_full_dirichlet(multi),
+                         coeff.multi_model_field(0.6))):
+        shapes.clear()
+        K, M = assemble.assemble_cylinder(mesh, field)
+        n = mesh.n_free
+        assert K.dim == M.dim == n
+        # p + n_cross slots squared for K, one product for M
+        assert len(shapes) == mesh.ndim**2 + 1
+        assert set(shapes) == {(n, n)}
+    assert cyl.n_free == 7967

@@ -176,6 +176,21 @@ l_gap = 2 4
         assert rows[0]["passed"] == "false"
         assert "ConditionConFails" in rows[0]["note"]
 
+    @pytest.mark.parametrize("field", [
+        "kind = model\ndelta = 1.5",
+        "kind = table\ntable = {tmp}/missing.txt",
+        "kind = table\ntable = {tmp}/bad.txt",
+    ], ids=["bad-param", "missing-table", "malformed-table"])
+    def test_field_builder_error_exits_one(self, tmp_path, capsys, field):
+        (tmp_path / "bad.txt").write_text("2 1\n-1 0 2 0\n")
+        cfg = SMALL_CFG.replace("kind = model\ndelta = 0.6",
+                                field.format(tmp=tmp_path))
+        path = write_cfg(tmp_path, cfg.format(out=tmp_path / "out"))
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field kind ")
+        assert "Traceback" not in err
+
     def test_short_schedules_fail_a_row(self, tmp_path):
         template = """
 [run]
@@ -304,6 +319,15 @@ class TestPlotAndReport:
                        "--x", "nope", "--y", "lambda1",
                        "--out", str(tmp_path / "x.svg")])
         assert rc == 1
+
+    def test_plot_non_numeric_column(self, results_dir, tmp_path, capsys):
+        rc = cli.main(["plot", str(results_dir / "bounds.csv"),
+                       "--x", "ell", "--y", "passed",
+                       "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'passed'" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_plot_empty_csv(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -6,6 +6,54 @@ from cylgap.errors import (BadResolution, MemoryBudget, MeshMismatch,
                            NoReflectionSymmetry)
 
 
+def boundary_nodes(mesh):
+    """Nodes on a face of the box, read off their coordinates."""
+    x = mesh.node_coords()
+    on = (x == x.min(axis=0)) | (x == x.max(axis=0))
+    return np.flatnonzero(on.any(axis=1))
+
+
+def free_boundary_nodes(mesh):
+    return np.intersect1d(boundary_nodes(mesh), mesh.free_nodes)
+
+
+def clamped_face_nodes(mesh, ell, omega, full_dirichlet=False):
+    """Nodes on a clamped face, from their coordinates and the domain kind
+    alone: the lateral faces (X2 on the boundary of omega), the x1 = ell
+    face of a half-plus and the x1 = -ell face of a half-minus, and every
+    axial face of a full-Dirichlet mesh."""
+    x = mesh.node_coords()
+    omega = np.reshape(omega, (-1, 2))
+    p = x.shape[1] - len(omega)
+    on = np.zeros(len(x), dtype=bool)
+    for j, (lo, hi) in enumerate(omega):
+        on |= (x[:, p + j] == lo) | (x[:, p + j] == hi)
+    if p:
+        faces = [-ell, ell] if full_dirichlet else {
+            "half-plus": [ell], "half-minus": [-ell]}.get(mesh.domain_kind, [])
+        on |= np.isin(x[:, :p], faces).any(axis=1)
+    return np.flatnonzero(on)
+
+
+TAG_CASES = {
+    "full": ("full-cylinder", 2, (-1, 1), 4, False),
+    "half-plus": ("half-plus", 2, (-1, 1), 4, False),
+    "half-minus": ("half-minus", 2, (-1, 1), 4, False),
+    "cross": ("cross-section", None, (-1, 1), 4, False),
+    "multi": ("multi-direction", 2, (-1, 1), (2, 2, 4), False),
+    "full-dirichlet": ("full-cylinder", 2, (-1, 1), 4, True),
+    "multi-dirichlet": ("multi-direction", 2, (-1, 1), (2, 2, 4), True),
+    "box": ("full-cylinder", 2, ((-1, 1), (0, 2)), (2, 4, 3), False),
+    "cross-box": ("cross-section", None, ((-1, 1), (0, 2)), (4, 3), False),
+}
+
+
+def tag_case(name):
+    kind, ell, omega, res, dirichlet = TAG_CASES[name]
+    m = grid.build_mesh(kind, ell=ell, omega=omega, resolution=res)
+    return grid.with_full_dirichlet(m) if dirichlet else m
+
+
 class TestBuildMesh:
     def test_full_cylinder_counts(self):
         m = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
@@ -13,7 +61,7 @@ class TestBuildMesh:
         assert m.cells_shape == (8, 8)
         assert m.n_nodes == 81
         # free end nodes: {x1 = +-1} x interior omega = 2 * 7
-        assert len(m.free_boundary_nodes) == 14
+        assert len(free_boundary_nodes(m)) == 14
         # Dirichlet: every node with x2 = +-1
         assert len(m.dirichlet_nodes) == 18
         coords = m.node_coords()
@@ -30,18 +78,20 @@ class TestBuildMesh:
         coords = m.node_coords()
         at_far_end = np.flatnonzero(coords[:, 0] == 4.0)
         assert set(at_far_end) <= set(m.dirichlet_nodes)
-        free_face = coords[m.free_boundary_nodes]
+        free_face = coords[free_boundary_nodes(m)]
         assert np.all(free_face[:, 0] == 0.0)
 
     def test_every_boundary_node_tagged_once(self):
-        for kind, ell in (("full-cylinder", 2), ("half-plus", 2),
-                          ("half-minus", 2), ("cross-section", None)):
-            m = grid.build_mesh(kind, ell=ell, omega=(-1, 1), resolution=4)
+        for name, (_, ell, omega, _, dirichlet) in TAG_CASES.items():
+            m = tag_case(name)
             d = set(m.dirichlet_nodes)
-            f = set(m.free_boundary_nodes)
-            assert not d & f
-            boundary = set(np.flatnonzero(m._boundary_mask))
-            assert d | f == boundary
+            f = set(free_boundary_nodes(m))
+            assert not d & f, name
+            boundary = set(boundary_nodes(m))
+            assert d | f == boundary, name
+            assert d == set(clamped_face_nodes(m, ell, omega, dirichlet)), name
+            assert set(m.free_nodes) == set(range(m.n_nodes)) - d, name
+            assert np.all(np.diff(m.free_nodes) > 0), name
 
     def test_half_matches_restricted_cylinder(self):
         full = grid.build_mesh("full-cylinder", ell=4, omega=(-1, 1),
@@ -127,6 +177,17 @@ class TestReflection:
         fp = grid.free_reflection_permutation(m)
         assert sorted(fp.tolist()) == list(range(m.n_free))
 
+    def test_p2_and_full_dirichlet_against_coords(self):
+        for name in ("multi", "full-dirichlet", "multi-dirichlet", "cross"):
+            m = tag_case(name)
+            coords = m.node_coords()
+            perm = grid.reflection_permutation(m)
+            np.testing.assert_allclose(coords[perm], -coords, atol=1e-14)
+            free_xy = coords[m.free_nodes]
+            fp = grid.free_reflection_permutation(m)
+            assert sorted(fp.tolist()) == list(range(m.n_free)), name
+            np.testing.assert_allclose(free_xy[fp], -free_xy, atol=1e-14)
+
     def test_asymmetric_omega_rejected(self):
         m = grid.build_mesh("full-cylinder", ell=2, omega=(0, 2),
                             resolution=4)
@@ -158,6 +219,37 @@ class TestEmbedding:
         mapping = grid.free_embedding(half, cyl, shift=-4.0)
         assert len(mapping) == half.n_free
 
+    def test_p2_and_full_dirichlet_against_coords(self):
+        def embedded(sub, sup, shift=None):
+            mapping = grid.free_embedding(sub, sup, shift)
+            sub_xy = sub.node_coords()[sub.free_nodes]
+            if shift is not None:
+                sub_xy = sub_xy + (np.eye(sub.ndim)[0] * shift
+                                   if np.isscalar(shift) else shift)
+            sup_xy = sup.node_coords()[sup.free_nodes]
+            np.testing.assert_allclose(sup_xy[mapping], sub_xy, atol=1e-12)
+            assert len(set(mapping.tolist())) == sub.n_free
+
+        def multi(ell):
+            return grid.build_mesh("multi-direction", ell=ell,
+                                   omega=(-1, 1), resolution=(2, 2, 4))
+
+        def full(ell):
+            return grid.build_mesh("full-cylinder", ell=ell, omega=(-1, 1),
+                                   resolution=4)
+
+        dirichlet = grid.with_full_dirichlet
+        embedded(multi(1), multi(2))
+        embedded(multi(1), multi(2), shift=(0.5, -1.0, 0.0))
+        embedded(dirichlet(multi(1)), dirichlet(multi(2)))
+        embedded(dirichlet(full(2)), full(2))
+        embedded(full(1), dirichlet(full(2)), shift=0.5)
+        # free axial ends land on the clamped ends of the same box
+        for sub, sup in ((full(2), dirichlet(full(2))),
+                         (multi(2), dirichlet(multi(2)))):
+            with pytest.raises(MeshMismatch):
+                grid.free_embedding(sub, sup)
+
     def test_mismatched_spacing_rejected(self):
         sub = grid.build_mesh("half-plus", ell=4, omega=(-1, 1), resolution=3)
         sup = grid.build_mesh("half-plus", ell=8, omega=(-1, 1), resolution=4)
@@ -178,7 +270,7 @@ class TestFullDirichlet:
         m = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                             resolution=4)
         d = grid.with_full_dirichlet(m)
-        assert len(d.free_boundary_nodes) == 0
+        assert len(free_boundary_nodes(d)) == 0
         assert d.n_free < m.n_free
         assert set(d.free_nodes) <= set(m.free_nodes)
 
