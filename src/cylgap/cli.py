@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import coeff as coeff_mod
 from . import experiments as ex
 from ._svg import render_line_plot
@@ -324,6 +326,11 @@ def run(config_path):
         _validate(rc, ENV_PARALLELISM)
     os.makedirs(outdir, exist_ok=True)
     field = make_field(rc)
+    omega_dim = np.size(rc.cfg.omega) // 2
+    if field.cross_dim != omega_dim:
+        raise ConfigError(
+            f"field kind '{rc.field_kind}' has cross dimension "
+            f"{field.cross_dim}, but omega has dimension {omega_dim}")
     summary_lines = []
     any_fail = False
     t0 = time.perf_counter()

@@ -1,18 +1,30 @@
 """Generalized symmetric eigensolver for the assembled pencils K u = lambda M u.
 
 Small pencils go through a dense solve, larger ones through ARPACK with a
-deterministic start vector on one SuperLU factor of K - sigma M, shift-
-inverted at a floor sigma below the whole spectrum (Ericsson & Ruhe, Math.
-Comp. 35, 1980).  A cylinder stiffness is the Kronecker sum
+deterministic start vector on one banded Cholesky factor of K - sigma M,
+shift-inverted at a floor sigma below the whole spectrum (Ericsson & Ruhe,
+Math. Comp. 35, 1980).  A cylinder stiffness is the Kronecker sum
 sum_ab F_ab x X_ab with exact axial factors and A sampled where the
 reduced cross assembly samples it, so u.Ku >= u.(M1 x Kc_red)u >=
 Lambda1 u.Mu and no eigenvalue lies below Lambda1.  Cylinder solves
 shift at Lambda1 - margin, strictly below it even where lambda1 =
-Lambda1.  A = K - sigma M is then symmetric positive definite, so the
-factor takes the minimum-degree ordering of the pattern of A^T + A
-(George & Liu, SIAM Review 31, 1989) with diagonal pivots, which on large
-pencils fills far less than scipy's default COLAMD ordering with partial
-pivoting.
+Lambda1.
+
+A = K - sigma M is then symmetric positive definite, and since A depends
+on X2 only it is block tridiagonal in x1.  Nodes are C-ordered with the
+axial axes first, so A is banded: its half-bandwidth b is the offset to
+the farthest neighbour in the next x1 layer, one layer plus one node in
+2D (32 on the pencils of the configs) and one layer, one row and one
+node in 3D (599 on the pencil of ``multi_direction`` at L = 4).  LAPACK
+``dpbtrf`` factors the lower band in place, in exactly n (b + 1) stored
+values, known before the factor starts, and ``dpbtrs`` applies the
+shift-invert operator.  The factor is also a certificate: it succeeds
+exactly when the discrete lambda_1 lies above sigma (to rounding), and
+raises FactorizationFailed otherwise.  A fill-reducing sparse factor
+wins only on cross-sections much finer than any config uses: at 128
+cross cells per unit (n = 32 895, b = 256, on a 2-vCPU VM) a banded
+solve takes 8.0 ms against 5.6 ms for a minimum-degree SuperLU factor,
+which stores 28.9 MiB against the band's 64.5 MiB.
 """
 
 from __future__ import annotations
@@ -23,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                  LinearOperator, eigsh, splu)
+                                  LinearOperator, eigsh)
 
 from .errors import FactorizationFailed, NoConvergence
 
@@ -84,14 +97,43 @@ def _shifted(Kf, Mf, floor):
     return Kf - floor * Mf
 
 
+def _half_bandwidth(A):
+    """max |i - j| over the stored entries of the symmetric CSR matrix A
+    with sorted indices: the first column of each row is its farthest below
+    the diagonal, so this reads one entry per row."""
+    starts = A.indptr[:-1]
+    rows = np.flatnonzero(starts < A.indptr[1:])
+    return int((rows - A.indices[starts[rows]]).max(initial=0))
+
+
+@dataclass
+class BandCholesky:
+    """Lower Cholesky factor L of a banded SPD matrix in LAPACK band
+    storage, ``band[i - j, j] = L[i, j]``, shape (b + 1, n)."""
+
+    band: np.ndarray
+
+    def solve(self, rhs):
+        return dpbtrs(self.band, rhs, lower=1)[0]
+
+
 def _factor(A):
-    """SuperLU factor of the symmetric matrix A (CSR, so A.T is its CSC
-    form without a copy) in a symmetric minimum-degree ordering."""
-    try:
-        return splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise FactorizationFailed(f"shift-invert factorization failed: {exc}")
+    """Banded Cholesky factor of the symmetric CSR matrix A.  The band is
+    Fortran-ordered so that ``dpbtrf`` factors it in place: a C-ordered
+    band would be copied, doubling its storage."""
+    A = A if A.has_sorted_indices else A.sorted_indices()
+    n = A.shape[0]
+    band = np.zeros((_half_bandwidth(A) + 1, n), order="F")
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    lower = A.indices <= rows
+    cols = A.indices[lower]
+    band[rows[lower] - cols, cols] = A.data[lower]
+    del rows, lower, cols
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info:
+        raise FactorizationFailed(
+            f"singular or not positive definite at leading minor {info}")
+    return BandCholesky(band)
 
 
 def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
@@ -122,8 +164,13 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise FactorizationFailed(f"dense factorization failed: {exc}")
     else:
-        lu = _factor(_shifted(Kf, Mf, floor))
-        OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        try:
+            chol = _factor(_shifted(Kf, Mf, floor))
+        except FactorizationFailed as exc:
+            raise FactorizationFailed(
+                f"K - floor M at the floor {floor:.3e} is {exc}; lambda_1 "
+                "is not above the floor") from None
+        OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:

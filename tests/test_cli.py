@@ -191,6 +191,21 @@ l_gap = 2 4
         assert err.startswith("error: field kind ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, domain", [
+        ("kind = diagonal\ndiag = 1 1 1", ""),
+        ("kind = identity\nn = 3", ""),
+        ("kind = model\ndelta = 0.6", "[domain]\nomega = -1 1 -1 1\n"),
+    ], ids=["diagonal-3", "identity-3", "box-omega"])
+    def test_field_omega_dimension_mismatch_exits_one(self, tmp_path, capsys,
+                                                      field, domain):
+        cfg = SMALL_CFG.replace("kind = model\ndelta = 0.6", field) + domain
+        path = write_cfg(tmp_path, cfg.format(out=tmp_path / "out"))
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field kind ")
+        assert "but omega has dimension" in err
+        assert not (tmp_path / "out" / "bounds.csv").exists()
+
     def test_short_schedules_fail_a_row(self, tmp_path):
         template = """
 [run]

@@ -6,9 +6,11 @@ deterministic; every pencil is small enough for the dense solve.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cylgap import analysis, assemble, coeff, eig, grid
+from cylgap.errors import FactorizationFailed
 
 from test_assemble import cellwise_oracle
 
@@ -54,13 +56,17 @@ def cross_values(field):
         mesh, field, reduced=reduced)) for reduced in (False, True))
 
 
-def cylinder_value(field, kind):
+def cylinder_forms(field, kind):
     mesh_kind, ell, grading, dirichlet = MESH_KINDS[kind]
     mesh = grid.build_mesh(mesh_kind, ell=ell, omega=(-1, 1),
                            resolution=RESOLUTION, grading=grading)
     assemble_fn = (assemble.assemble_dirichlet_cylinder if dirichlet
                    else assemble.assemble_cylinder)
-    return first_value(*assemble_fn(mesh, field))
+    return assemble_fn(mesh, field)
+
+
+def cylinder_value(field, kind):
+    return first_value(*cylinder_forms(field, kind))
 
 
 @PROPERTY_SETTINGS
@@ -74,6 +80,21 @@ def test_schur_floor_and_sandwich(field):
         assert lam >= Lambda1 * (1 - 1e-12), kind
         if kind in FREE_ENDS:
             assert lam <= mu1 * (1 + 1e-12), kind
+
+
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_band_cholesky_certifies_the_floor(field):
+    """The banded factor of K - sigma M exists for sigma just below the
+    dense lambda1 and fails just above it, so a factored shift is a proof
+    that lambda1 > sigma."""
+    for kind in MESH_KINDS:
+        Kf, Mf = (form.full() for form in cylinder_forms(field, kind))
+        lam = scipy.linalg.eigh(Kf.toarray(), Mf.toarray(),
+                                subset_by_index=[0, 0])[0][0]
+        eig._factor(eig._shifted(Kf, Mf, lam * (1 - 1e-6)))
+        with pytest.raises(FactorizationFailed):
+            eig._factor(eig._shifted(Kf, Mf, lam * (1 + 1e-6)))
 
 
 def test_uncoupled_field_sits_on_the_floor():
