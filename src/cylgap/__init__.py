@@ -10,15 +10,13 @@ eigenvalue, half-cylinder limits, and the collapsing second eigenvalue).
 """
 
 from .coeff import (CoefficientField, asymmetric_model_field, condition_con,
-                    diagonal_field, ellipticity_bounds, field_from_table,
-                    identity_field, model_field, multi_model_field,
-                    neg_coupling_field, piecewise_constant_field,
-                    row_restriction_field, schur_minimizer, schur_reduce,
+                    diagonal_field, field_from_table, identity_field,
+                    model_field, multi_model_field, neg_coupling_field,
+                    piecewise_constant_field, row_restriction_field,
                     variable_a22_field)
 from .grid import TensorMesh, build_mesh
 from .assemble import (SparseSymmetricForm, assemble_cross_section,
-                       assemble_cylinder, assemble_dirichlet_cylinder,
-                       dump_coordinate)
+                       assemble_cylinder, assemble_dirichlet_cylinder)
 from .eig import EigenPair, smallest_eigenpairs
 
 __version__ = "0.1.0"
@@ -28,8 +26,7 @@ __all__ = [
     "model_field", "identity_field", "diagonal_field",
     "asymmetric_model_field", "variable_a22_field", "neg_coupling_field",
     "multi_model_field", "piecewise_constant_field", "field_from_table",
-    "row_restriction_field", "ellipticity_bounds", "schur_reduce",
-    "schur_minimizer", "condition_con", "build_mesh", "assemble_cylinder",
-    "assemble_cross_section", "assemble_dirichlet_cylinder",
-    "dump_coordinate", "smallest_eigenpairs",
+    "row_restriction_field", "condition_con", "build_mesh",
+    "assemble_cylinder", "assemble_cross_section",
+    "assemble_dirichlet_cylinder", "smallest_eigenpairs",
 ]

@@ -223,11 +223,3 @@ def assemble_cross_section(mesh, field, reduced=False):
         return field.eval_many(pts)[:, field.p:, field.p:]
 
     return _assemble_pair(mesh, field, mats, reduced)
-
-
-def dump_coordinate(form, path):
-    """Write the stored lower triangle as 'row col value' lines."""
-    mat = form.lower.tocoo()
-    with open(path, "w", encoding="utf-8") as f:
-        for i, j, v in zip(mat.row, mat.col, mat.data):
-            f.write(f"{i} {j} {v:.17g}\n")

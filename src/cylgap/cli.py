@@ -18,13 +18,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import coeff as coeff_mod
+from . import eig
 from . import experiments as ex
 from ._svg import render_line_plot
 from .errors import ConfigError, CylgapError, MissingColumn
 from .experiments import CSV_COLUMNS, SweepRecord
 
 ENV_OUTPUT_DIR = "CYLGAP_OUTPUT_DIR"
-ENV_PARALLELISM = "CYLGAP_PARALLELISM"
 
 _FLOAT, _INT, _STR, _FLIST, _SLIST = "float", "int", "str", "floatlist", "strlist"
 
@@ -67,8 +67,8 @@ EXPERIMENT_NAMES = ["bounds", "limit-zero", "nu-half", "limit-infinity",
 @dataclass
 class RunConfig:
     """A parsed config file.  Every key outside ``[run] experiments,
-    output_dir``, ``[field]`` and ``[schedules]`` sets the ``cfg`` field of
-    the same name (``[domain] omega`` after reshaping)."""
+    output_dir, parallelism``, ``[field]`` and ``[schedules]`` sets the
+    ``cfg`` field of the same name (``[domain] omega`` after reshaping)."""
 
     experiments: list = dc_field(default_factory=lambda: ["bounds"])
     output_dir: str = "out"
@@ -145,6 +145,11 @@ def _apply(rc, section, key, val, path, lineno):
         rc.experiments = names
     elif section == "run" and key == "output_dir":
         rc.output_dir = val
+    elif section == "run" and key == "parallelism":
+        # goes once the benchmark's configs stop writing it (ROADMAP item 1)
+        if val != 1:
+            raise ConfigError(f"{path}:{lineno}: parallelism must be 1 "
+                              "(runs are serial)")
     elif section == "field":
         if key == "kind":
             rc.field_kind = val
@@ -167,6 +172,11 @@ def _validate(rc, path):
     cfg = rc.cfg
     if cfg.tol <= 0 or cfg.conv_tol <= 0 or cfg.tol_inf <= 0:
         raise ConfigError(f"{path}: tolerances must be positive")
+    if cfg.tol < eig.MIN_TOL:
+        raise ConfigError(f"{path}: solver.tol must be at least "
+                          f"{eig.MIN_TOL:g}")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: run.seed must be non-negative")
     for name, sched in rc.schedules.items():
         if not sched:
             raise ConfigError(f"{path}: schedule {name} is empty")
@@ -179,8 +189,6 @@ def _validate(rc, path):
     for key in SCHEMA["mesh"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{path}: mesh.{key} must be positive")
-    if cfg.parallelism < 1:
-        raise ConfigError(f"{path}: parallelism must be >= 1")
 
 
 def make_field(rc):
@@ -317,13 +325,6 @@ def run(config_path):
     and solves each distinct pencil once."""
     rc = parse_config(config_path)
     outdir = os.environ.get(ENV_OUTPUT_DIR, rc.output_dir)
-    par_env = os.environ.get(ENV_PARALLELISM)
-    if par_env is not None:
-        try:
-            rc.cfg.parallelism = int(par_env)
-        except ValueError:
-            raise ConfigError(f"{ENV_PARALLELISM} must be an integer")
-        _validate(rc, ENV_PARALLELISM)
     os.makedirs(outdir, exist_ok=True)
     field = make_field(rc)
     omega_dim = np.size(rc.cfg.omega) // 2

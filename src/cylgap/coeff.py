@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshMismatch, NotElliptic, SingularBlock
+from .errors import MeshMismatch, SingularBlock
 
 RCOND_SINGULAR = 1e-12
 TOL_CON = 1e-8
@@ -285,33 +285,6 @@ def field_from_table(path):
 # -- operations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllipticityBounds:
-    lambda_a: float
-    c_a: float
-    argmin: np.ndarray
-    argmax: np.ndarray
-
-
-def ellipticity_bounds(field, sample_grid):
-    """Sampled ellipticity floor lambda_A and norm bound C_A.
-
-    lambda_A is the smallest eigenvalue of A over the samples, C_A the
-    largest; the attaining sample points are reported alongside.
-    """
-    pts = field.as_points(sample_grid)
-    if len(pts) == 0:
-        raise ValueError("sample grid is empty")
-    w = np.linalg.eigvalsh(field.eval_many(pts))
-    i_min = int(np.argmin(w[:, 0]))
-    i_max = int(np.argmax(w[:, -1]))
-    lam = float(w[i_min, 0])
-    if lam <= 0.0:
-        raise NotElliptic(
-            f"smallest sampled eigenvalue {lam:.3e} at X2={pts[i_min]}")
-    return EllipticityBounds(lam, float(w[i_max, -1]), pts[i_min], pts[i_max])
-
-
 def _a11_blocks(field, pts):
     A = field.eval_many(pts)
     p = field.p
@@ -331,20 +304,6 @@ def schur_reduce_many(field, pts):
     A11, A12, A22 = _a11_blocks(field, pts)
     red = A22 - np.einsum("mpi,mpj->mij", A12, np.linalg.solve(A11, A12))
     return 0.5 * (red + red.transpose(0, 2, 1))
-
-
-def schur_reduce(field, X2):
-    """Effective cross-section coefficient after minimizing the quadratic
-    form over the axial components; symmetric positive definite."""
-    return schur_reduce_many(field, X2)[0]
-
-
-def schur_minimizer(field, X2, Z2):
-    """Axial components Z1 = -A11^-1 A12 Z2 attaining the blockwise minimum."""
-    pts = field.as_points(X2)
-    A11, A12, _ = _a11_blocks(field, pts)
-    Z2 = np.atleast_1d(np.asarray(Z2, dtype=float))
-    return -np.linalg.solve(A11[0], A12[0] @ Z2)
 
 
 def cell_center_gradients(mesh, node_values):

@@ -44,6 +44,7 @@ from .errors import FactorizationFailed, NoConvergence
 DENSE_CUTOFF = 400
 DEGENERACY_RTOL = 1e-8
 DEFAULT_TOL = 1e-9
+MIN_TOL = 1e-12  # the smallest residual tolerance a solve accepts
 MAX_RESTARTS = 500
 
 
@@ -147,8 +148,8 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
-    if tol < 1e-12:
-        raise ValueError("tol must be at least 1e-12")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol must be at least {MIN_TOL:g}")
     Kf, Mf = _full(K), _full(M)
     n = Kf.shape[0]
     if Kf.shape != Mf.shape:

@@ -42,20 +42,12 @@ class NoConvergence(CylgapError):
         self.best_residual = best_residual
 
 
-class ZeroFunction(CylgapError):
-    """Test function has (numerically) zero mass."""
-
-
 class TooShort(CylgapError):
     """Cylinder too short for the requested profile fit."""
 
 
 class NoReflectionSymmetry(CylgapError):
     """Mesh/field pair admits no reflection node permutation."""
-
-
-class DegenerateWeight(CylgapError):
-    """Positive weight function vanishes at a needed interior node."""
 
 
 class ConditionConFails(CylgapError):

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
@@ -45,7 +43,6 @@ class ExperimentConfig:
     node_cap: int = grid_mod.DEFAULT_NODE_CAP
     conv_tol: float = 5e-3          # last truncation step of a settled nu
     tol_inf: float = 5e-3           # final |lambda - min nu| in limit-infinity
-    parallelism: int = 1
     omega: tuple = (-1.0, 1.0)
     res3d_axial: float = 3.0
     res3d_cross: float = 12.0
@@ -167,10 +164,7 @@ _MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
 def solve_memo():
     """Within the block, ``solve_cylinder`` assembles and solves each
     distinct pencil once and answers repeats from entries the block owns;
-    outside any block every call solves afresh.  Tasks of
-    ``_run_ordered`` run in a copy of the caller's context, so its worker
-    threads share the block's entries (two threads that miss on the same
-    pencil at once both solve it, with the same result)."""
+    outside any block every call solves afresh."""
     token = _MEMO.set({})
     try:
         yield
@@ -213,15 +207,6 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
         if memo is not None:
             memo[key] = pairs
     return mesh, pairs
-
-
-def _run_ordered(tasks, parallelism):
-    if parallelism <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, t)
-                   for t in tasks]
-        return [f.result() for f in futures]
 
 
 # the first eigenvalue of a half-cylinder is the tilde-lambda of its side
@@ -297,10 +282,8 @@ def exp_bounds_sweep(field, ell_list, cfg):
                       "delta=0 should pin lambda to mu1")
         rec.gap = ctx.mu1 - lam
 
-    return _run_ordered(
-        [functools.partial(_row, "bounds", field, cfg, ell, judge, ctx=ctx,
-                           margin=ctx.margin, diagnostics=True)
-         for ell in ell_list], cfg.parallelism)
+    return [_row("bounds", field, cfg, ell, judge, ctx=ctx,
+                 margin=ctx.margin, diagnostics=True) for ell in ell_list]
 
 
 def _richardson(lams):

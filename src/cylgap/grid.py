@@ -291,60 +291,3 @@ def reflection_permutation(mesh):
         if not _axis_symmetric(part):
             raise NoReflectionSymmetry("axis partition not symmetric about 0")
     return np.arange(mesh.n_nodes)[::-1]
-
-
-def free_reflection_permutation(mesh):
-    """Reflection permutation restricted to free nodes: the free grid
-    reversed, when every axis clamps both ends or neither."""
-    reflection_permutation(mesh)  # for its symmetry checks
-    if any(lo != hi for lo, hi in mesh.clamped):
-        raise NoReflectionSymmetry("clamped ends not reflection symmetric")
-    return np.arange(mesh.n_free)[::-1]
-
-
-def _match_run(sub_part, sup_part, shift):
-    shifted = sub_part + shift
-    start = int(np.searchsorted(sup_part, shifted[0] - _EPS))
-    stop = start + len(shifted)
-    if stop > len(sup_part):
-        raise MeshMismatch("shifted partition extends past the target mesh")
-    if not np.allclose(sup_part[start:stop], shifted, atol=1e-10):
-        raise MeshMismatch("axis partitions are not nested cell-for-cell")
-    return start
-
-
-def free_embedding(sub, sup, shift=None):
-    """Map free-node indices of ``sub`` onto free-node indices of ``sup``.
-
-    The shifted sub partition must appear cell-for-cell inside the super
-    partition on every axis, so that extension by zero of a sub function
-    is an exact member of the super trial space.  ``shift`` translates
-    the sub mesh (per axis; scalar applies to axis 0).
-    """
-    if sub.ndim != sup.ndim:
-        raise MeshMismatch("meshes have different dimension")
-    shifts = np.zeros(sub.ndim)
-    if shift is not None:
-        if np.isscalar(shift):
-            shifts[0] = float(shift)
-        else:
-            shifts[:] = np.asarray(shift, dtype=float)
-    # per axis, the positions in the super free run of the sub free run
-    runs = []
-    for a in range(sub.ndim):
-        start = _match_run(sub.axis_partitions[a], sup.axis_partitions[a],
-                           shifts[a])
-        run = sub.axis_free[a] + start - sup.axis_free[a][0]
-        if run[0] < 0 or run[-1] >= len(sup.axis_free[a]):
-            raise MeshMismatch("a free sub node lands on a Dirichlet super node")
-        runs.append(run)
-    return np.ravel_multi_index(
-        np.ix_(*runs), [len(f) for f in sup.axis_free]).ravel()
-
-
-def extend_by_zero(sub, sup, free_values, shift=None):
-    """Zero-extension of a sub free vector into the super free space."""
-    mapping = free_embedding(sub, sup, shift)
-    out = np.zeros(sup.n_free)
-    out[mapping] = np.asarray(free_values, dtype=float)
-    return out

@@ -15,6 +15,7 @@ from cylgap import analysis as an
 from cylgap import assemble, cli, coeff, eig, grid
 from cylgap import experiments as ex
 
+import proofs
 from conftest import MU1, random_spd
 
 
@@ -195,12 +196,12 @@ def test_criterion_11_picone():
     for _ in range(50):
         u = rng.standard_normal(half.n_free)
         u /= np.sqrt(u @ (Mf @ u))
-        worst = min(worst, an.picone_gap(u, W1, MU1, half, forms))
+        worst = min(worst, proofs.picone_gap(u, W1, MU1, half, forms))
     gaps = []
     for width in (2.0, 4.0, 8.0):
-        u = an.cutoff_w1(width).free_values(half)
+        u = proofs.cutoff_w1(width).free_values(half)
         u /= np.sqrt(u @ (Mf @ u))
-        gaps.append(an.picone_gap(u, W1, MU1, half, forms))
+        gaps.append(proofs.picone_gap(u, W1, MU1, half, forms))
     mono = gaps[0] > gaps[1] > gaps[2] >= -1e-8 and gaps[2] < 0.6 * gaps[0]
     ok = worst >= -1e-8 and mono
     check(11, "Picone nonnegativity", ok,
@@ -226,7 +227,7 @@ def test_criterion_13_algebraic_unit_suite(cfg, model):
             n, 1, lambda pts, B=B: np.broadcast_to(B, (len(pts), n, n)).copy(),
             kind="user")
         Z2 = rng.standard_normal(n - 1)
-        red = coeff.schur_reduce(field, np.zeros(n - 1))
+        red = proofs.schur_reduce(field, np.zeros(n - 1))
         zs = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
         quad = (B[0, 0] * zs * zs + 2 * zs * (B[0, 1:] @ Z2)
                 + Z2 @ B[1:, 1:] @ Z2)
@@ -242,10 +243,11 @@ def test_criterion_13_algebraic_unit_suite(cfg, model):
     cm = grid.build_mesh("cross-section", omega=(-1, 1), resolution=32)
     Kc, Mc = assemble.assemble_cross_section(cm, model)
     W1 = eig.smallest_eigenpairs(Kc, Mc)[0]
-    tilde = an.tilde_vl(model, cm, W1)
+    tilde = proofs.tilde_vl(model, cm, W1)
     upper_ok = True
-    for tf in (an.model_vl(0.6), tilde, an.glued_phi(tilde, 0.5, 2.0)):
-        q = an.rayleigh_of_testfn(tf, mesh, model, forms=forms).quotient
+    for tf in (proofs.model_vl(0.6), tilde,
+               proofs.glued_phi(tilde, 0.5, 2.0)):
+        q = proofs.rayleigh_of_testfn(tf, mesh, model, forms=forms).quotient
         upper_ok = upper_ok and q >= lam1
     ok = worst < 1e-6 and upper_ok
     check(13, "algebraic unit suite", ok,

@@ -4,9 +4,9 @@ from scipy.integrate import quad
 
 from cylgap import analysis as an
 from cylgap import assemble, coeff, eig, grid
-from cylgap.errors import (DegenerateWeight, MeshMismatch,
-                           NoReflectionSymmetry, TooShort, ZeroFunction)
+from cylgap.errors import MeshMismatch, NoReflectionSymmetry, TooShort
 
+import proofs
 from conftest import MU1
 
 
@@ -67,16 +67,16 @@ class TestTestFunctions:
                                resolution=(8, 32))
         half = grid.build_mesh("half-plus", ell=8, omega=(-1, 1),
                                resolution=(8, 32))
-        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"])
+        tilde = proofs.tilde_vl(model06_mod, cm, cross_mod["W1"])
         cases = [
-            (an.model_vl(0.6), mesh),
+            (proofs.model_vl(0.6), mesh),
             (tilde, mesh),
-            (an.general_vl(model06_mod, cm, cross_mod["w1"]),
+            (proofs.general_vl(model06_mod, cm, cross_mod["w1"]),
              mesh),
-            (an.glued_phi(tilde, 0.5, 4.0), mesh),
-            (an.exp_decay(0.5), half),
-            (an.z_alpha(0.2, 0.5, tilde), half),
-            (an.cutoff_w1(4.0), half),
+            (proofs.glued_phi(tilde, 0.5, 4.0), mesh),
+            (proofs.exp_decay(0.5), half),
+            (proofs.z_alpha(0.2, 0.5, tilde), half),
+            (proofs.cutoff_w1(4.0), half),
         ]
         for tf, m in cases:
             vals = tf.nodal(m)
@@ -87,15 +87,15 @@ class TestTestFunctions:
         mesh, forms = cyl8["mesh"], (cyl8["K"], cyl8["M"])
         lam1 = cyl8["pairs"][0].value
         cm = cross_mod["mesh"]
-        tilde = an.tilde_vl(model06_mod, cm, cross_mod["W1"])
-        for tf in (an.model_vl(0.6), tilde,
-                   an.glued_phi(tilde, 0.5, 4.0)):
-            q = an.rayleigh_of_testfn(tf, mesh, model06_mod, forms=forms)
+        tilde = proofs.tilde_vl(model06_mod, cm, cross_mod["W1"])
+        for tf in (proofs.model_vl(0.6), tilde,
+                   proofs.glued_phi(tilde, 0.5, 4.0)):
+            q = proofs.rayleigh_of_testfn(tf, mesh, model06_mod, forms=forms)
             assert q.quotient >= lam1
 
     def test_eigenvector_attains_lambda(self, cyl8, model06_mod):
         u = cyl8["pairs"][0]
-        q = an.rayleigh_of_testfn(u.vector, cyl8["mesh"], model06_mod,
+        q = proofs.rayleigh_of_testfn(u.vector, cyl8["mesh"], model06_mod,
                                   forms=(cyl8["K"], cyl8["M"]))
         assert q.quotient == pytest.approx(u.value, rel=1e-8)
 
@@ -105,7 +105,7 @@ class TestTestFunctions:
         eps = 0.5
         half = grid.build_mesh("half-plus", ell=16, omega=(-1, 1),
                                resolution=(8, 64))
-        q = an.rayleigh_of_testfn(an.exp_decay(eps), half, model06_mod)
+        q = proofs.rayleigh_of_testfn(proofs.exp_decay(eps), half, model06_mod)
         assert q.quotient == pytest.approx(MU1 + eps**2, abs=1e-3)
 
     def test_model_vl_matches_subs_oracle(self, model06_mod):
@@ -116,7 +116,8 @@ class TestTestFunctions:
             mesh = grid.build_mesh(
                 "full-cylinder", ell=ell, omega=(-1, 1),
                 resolution=(max(8, 4 / ell), 64))
-            q = an.rayleigh_of_testfn(an.model_vl(0.6), mesh, model06_mod)
+            q = proofs.rayleigh_of_testfn(proofs.model_vl(0.6), mesh,
+                                          model06_mod)
             oracle = subs_oracle_quotient(0.6, ell, 0.5)
             assert q.quotient == pytest.approx(oracle, abs=2e-3)
             quotients.append(q.quotient)
@@ -126,9 +127,9 @@ class TestTestFunctions:
     def test_glued_phi_even_on_ramp(self, model06_mod, cross_mod):
         mesh = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                                resolution=(8, 32))
-        tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
+        tilde = proofs.tilde_vl(model06_mod, cross_mod["mesh"],
                             cross_mod["W1"])
-        tf = an.glued_phi(tilde, ell0=0.5, eta=4.0)
+        tf = proofs.glued_phi(tilde, ell0=0.5, eta=4.0)
         vals = tf.nodal(mesh).reshape(mesh.shape)
         x1 = mesh.axis_partitions[0]
         band = (np.abs(x1) < 7.5) & (np.abs(x1) > 3.5)
@@ -140,10 +141,10 @@ class TestTestFunctions:
                                                  cross_mod, cyl8):
         # good gluing parameters exist whenever the coupling is active;
         # a coarse grid search must find a quotient below mu1
-        tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
+        tilde = proofs.tilde_vl(model06_mod, cross_mod["mesh"],
                             cross_mod["W1"])
-        qs = [an.rayleigh_of_testfn(
-                  an.glued_phi(tilde, ell0=l0, eta=eta), cyl8["mesh"],
+        qs = [proofs.rayleigh_of_testfn(
+                  proofs.glued_phi(tilde, ell0=l0, eta=eta), cyl8["mesh"],
                   model06_mod, forms=(cyl8["K"], cyl8["M"])).quotient
               for l0 in (0.25, 0.5, 1.0) for eta in (4.0, 6.0)]
         assert min(qs) < cross_mod["mu1"]
@@ -152,9 +153,9 @@ class TestTestFunctions:
         half = grid.build_mesh("half-plus", ell=16, omega=(-1, 1),
                                resolution=(8, 32))
         forms = assemble.assemble_cylinder(half, model06_mod)
-        tilde = an.tilde_vl(model06_mod, cross_mod["mesh"],
+        tilde = proofs.tilde_vl(model06_mod, cross_mod["mesh"],
                             cross_mod["W1"])
-        qs = [an.rayleigh_of_testfn(an.z_alpha(a, 0.5, tilde), half,
+        qs = [proofs.rayleigh_of_testfn(proofs.z_alpha(a, 0.5, tilde), half,
                                     model06_mod, forms=forms).quotient
               for a in (0.2, 0.3)]
         assert min(qs) < cross_mod["mu1"]
@@ -162,8 +163,9 @@ class TestTestFunctions:
     def test_zero_function_rejected(self, model06_mod):
         mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                resolution=8)
-        with pytest.raises(ZeroFunction):
-            an.rayleigh_of_testfn(np.zeros(mesh.n_nodes), mesh, model06_mod)
+        with pytest.raises(proofs.ZeroFunction):
+            proofs.rayleigh_of_testfn(np.zeros(mesh.n_nodes), mesh,
+                                      model06_mod)
 
     def test_box_cross_section_profile(self):
         # n = 3, p = 1 with a box omega: same machinery, 2D cross data
@@ -179,10 +181,10 @@ class TestTestFunctions:
                                resolution=(10, 8, 8))
         forms = assemble.assemble_cylinder(mesh, field)
         lam1 = eig.smallest_eigenpairs(*forms, tol=1e-9)[0].value
-        tf = an.tilde_vl(field, cm, W1)
+        tf = proofs.tilde_vl(field, cm, W1)
         vals = tf.nodal(mesh)
         assert np.all(vals[mesh.dirichlet_nodes] == 0.0)
-        q = an.rayleigh_of_testfn(tf, mesh, field, forms=forms)
+        q = proofs.rayleigh_of_testfn(tf, mesh, field, forms=forms)
         assert q.quotient >= lam1
         # on a thin cylinder the coupling buys a bound below mu1
         assert q.quotient < W1.value
@@ -302,7 +304,7 @@ class TestPicone:
         for _ in range(50):
             u = rng.standard_normal(half.n_free)
             u /= np.sqrt(u @ (M @ u))
-            gap = an.picone_gap(u, W1, MU1, half, forms)
+            gap = proofs.picone_gap(u, W1, MU1, half, forms)
             assert gap >= -1e-8
 
     def test_widening_cutoff_decreases_to_zero(self, picone_setup):
@@ -310,9 +312,9 @@ class TestPicone:
         M = forms[1].full()
         gaps = []
         for width in (2.0, 4.0, 8.0):
-            u = an.cutoff_w1(width).free_values(half)
+            u = proofs.cutoff_w1(width).free_values(half)
             u = u / np.sqrt(u @ (M @ u))
-            gaps.append(an.picone_gap(u, W1, MU1, half, forms))
+            gaps.append(proofs.picone_gap(u, W1, MU1, half, forms))
         assert gaps[0] > gaps[1] > gaps[2] >= -1e-8
         assert gaps[2] < 0.6 * gaps[0]
 
@@ -323,7 +325,7 @@ class TestPicone:
                                resolution=(8, 32))
         forms = assemble.assemble_cylinder(half, model06_mod)
         u = eig.smallest_eigenpairs(*forms, tol=1e-9)[0]
-        gap = an.picone_gap(u.vector, cross_mod["W1"], cross_mod["mu1"],
+        gap = proofs.picone_gap(u.vector, cross_mod["W1"], cross_mod["mu1"],
                             half, forms)
         assert gap < -1e-3
 
@@ -331,8 +333,8 @@ class TestPicone:
         field, half, forms, cm, W1 = picone_setup
         bad = W1.vector.copy()
         bad[len(bad) // 2] = 0.0
-        with pytest.raises(DegenerateWeight):
-            an.picone_gap(np.ones(half.n_free), bad, MU1, half, forms)
+        with pytest.raises(proofs.DegenerateWeight):
+            proofs.picone_gap(np.ones(half.n_free), bad, MU1, half, forms)
 
 
 class TestEndProfiles:
@@ -345,7 +347,7 @@ class TestEndProfiles:
         # translated profile then coincides with the minimizer itself
         cyl = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                               resolution=(8, 16))
-        ext = grid.extend_by_zero(half, cyl, u.vector, shift=-8.0)
+        ext = proofs.extend_by_zero(half, cyl, u.vector, shift=-8.0)
         d = an.end_profile_distance(ext, cyl, u, half, 3.0)
         assert d == pytest.approx(0.0, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import pathlib
 import re
@@ -8,6 +9,7 @@ import pytest
 from cylgap import assemble, coeff, eig, grid
 from cylgap.errors import DimensionMismatch, MeshMismatch, NotElliptic
 
+import proofs
 from conftest import MU1
 
 
@@ -251,7 +253,7 @@ class TestCylinderAssembly:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=8)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        perm = grid.free_reflection_permutation(mesh)
+        perm = proofs.free_reflection_permutation(mesh)
         Kf = K.full().toarray()
         np.testing.assert_allclose(Kf[np.ix_(perm, perm)], Kf, atol=1e-12)
 
@@ -350,22 +352,6 @@ class TestFormStorage:
         full = K.full()
         np.testing.assert_allclose((full - full.T).toarray(), 0.0, atol=0.0)
 
-    def test_coordinate_dump_round_trip(self, tmp_path, model06):
-        mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
-        K, _ = assemble.assemble_cross_section(mesh, model06)
-        path = tmp_path / "K.txt"
-        assemble.dump_coordinate(K, path)
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            i, j, v = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-        ref = K.lower.tocoo()
-        np.testing.assert_array_equal(rows, ref.row)
-        np.testing.assert_array_equal(cols, ref.col)
-        np.testing.assert_allclose(vals, ref.data, rtol=0, atol=0)
-
     def test_provenance(self, model06):
         mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
         K, M = assemble.assemble_cross_section(mesh, model06)
@@ -395,6 +381,41 @@ class TestFormStorage:
                 for n, line in enumerate(path.read_text().splitlines(), 1)
                 if any(r.search(line) for r in reads)]
         assert hits == []
+
+
+def test_package_defines_only_what_a_run_reaches():
+    # a module-level def or class is dead when no Name or Attribute
+    # outside dead bodies (and outside __init__.py, which only re-exports)
+    # refers to it; repeat until nothing changes.  The console script
+    # cli.main is the one entry point.  Code only tests need belongs in
+    # tests/proofs.py
+    src = pathlib.Path(assemble.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"}
+    defs = {(mod, node.name): node for mod, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+    dead = set()
+    while True:
+        names = set()
+        for mod, tree in trees.items():
+            for node in tree.body:
+                key = (mod, getattr(node, "name", None))
+                if key in dead:
+                    continue
+                refs = {n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute))}
+                # a def's references to itself do not keep it alive
+                names |= refs - {key[1]} if key in defs else refs
+        new = {key for key in defs
+               if key not in dead and key[1] not in names} - {("cli", "main")}
+        if not new:
+            break
+        dead |= new
+    assert sorted(dead) == []
 
 
 def test_kronecker_products_span_free_nodes_only(model06, monkeypatch):

@@ -63,7 +63,7 @@ class TestConfigParsing:
         # every committed config resolves to the default experiment settings
         expected = ex.ExperimentConfig(resolution=16.0, axial_resolution=8.0,
                                        grading=1.0, tol=1e-9, seed=0,
-                                       parallelism=1, omega=(-1.0, 1.0),
+                                       omega=(-1.0, 1.0),
                                        conv_tol=5e-3, tol_inf=5e-3,
                                        res3d_axial=3.0, res3d_cross=12.0)
         rc = cli.parse_config(write_cfg(tmp_path, text))
@@ -80,10 +80,9 @@ class TestConfigParsing:
         assert rc.cfg == dataclasses.replace(expected, seed=7)
 
     def test_every_setting_reaches_experiment_config(self, tmp_path):
-        path = write_cfg(tmp_path, """
+        text = """
 [run]
 seed = 3
-parallelism = 2
 [domain]
 omega = -1 1 -2 2
 [mesh]
@@ -98,12 +97,19 @@ tol = 1e-8
 [tolerances]
 conv_tol = 1e-3
 tol_inf = 2e-3
-""")
+"""
+        path = write_cfg(tmp_path, text)
         assert cli.parse_config(path).cfg == ex.ExperimentConfig(
             resolution=10.0, axial_resolution=5.0, grading=2.0, tol=1e-8,
             seed=3, node_cap=1000, conv_tol=1e-3, tol_inf=2e-3,
-            parallelism=2, omega=((-1.0, 1.0), (-2.0, 2.0)), res3d_axial=4.0,
+            omega=((-1.0, 1.0), (-2.0, 2.0)), res3d_axial=4.0,
             res3d_cross=6.0)
+        # runs are serial: parallelism parses only as 1
+        path = write_cfg(tmp_path, text.replace("seed = 3\n",
+                                                "seed = 3\nparallelism = 2\n"))
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert ":4:" in str(err.value) and "parallelism" in str(err.value)
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, "[mesh]\nbogus = 3\n")
@@ -121,6 +127,21 @@ tol_inf = 2e-3
         with pytest.raises(ConfigError):
             cli.parse_config(path)
         assert cli.main(["run", path]) == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seed = 0", "seed = -1", "seed must be non-negative"),
+        ("[mesh]", "[solver]\ntol = 1e-13\n[mesh]",
+         "tol must be at least 1e-12"),
+    ])
+    def test_out_of_range_seed_and_tol_rejected(self, tmp_path, capsys,
+                                                old, new, message):
+        # unchecked, each would crash the run with a raw ValueError
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")
+                         .replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            cli.parse_config(path)
+        assert cli.main(["run", path]) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\ntol = 1e-8\n")
@@ -270,18 +291,6 @@ axial_resolution = 4
         monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
         assert cli.main(["run", path]) == 0
         assert (out / "bounds.csv").exists()
-
-    def test_env_parallelism_override(self, tmp_path, monkeypatch, capsys):
-        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
-        monkeypatch.setenv(cli.ENV_PARALLELISM, "2")
-        assert cli.main(["run", path]) == 0
-        monkeypatch.setenv(cli.ENV_PARALLELISM, "nope")
-        assert cli.main(["run", path]) == 1
-        # the override goes through the same check as the config key
-        monkeypatch.setenv(cli.ENV_PARALLELISM, "0")
-        capsys.readouterr()
-        assert cli.main(["run", path]) == 1
-        assert "parallelism must be >= 1" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "a"))

@@ -4,6 +4,7 @@ import pytest
 from cylgap import assemble, coeff, eig, grid
 from cylgap.errors import MeshMismatch, NotElliptic, SingularBlock
 
+import proofs
 from conftest import MU1, random_spd
 
 
@@ -36,12 +37,12 @@ def brute_force_schur_value(B, Z2, lo=-10.0, hi=10.0, step=1e-3):
 
 class TestEllipticityBounds:
     def test_model_delta_06(self, model06):
-        b = coeff.ellipticity_bounds(model06, np.linspace(-1, 1, 9))
+        b = proofs.ellipticity_bounds(model06, np.linspace(-1, 1, 9))
         assert b.lambda_a == pytest.approx(0.4, abs=1e-14)
         assert b.c_a == pytest.approx(1.6, abs=1e-14)
 
     def test_identity(self):
-        b = coeff.ellipticity_bounds(coeff.identity_field(),
+        b = proofs.ellipticity_bounds(coeff.identity_field(),
                                      np.linspace(-1, 1, 5))
         assert (b.lambda_a, b.c_a) == (1.0, 1.0)
 
@@ -50,7 +51,7 @@ class TestEllipticityBounds:
             [-1.0, 0.0, 1.0],
             [np.diag([2.0, 3.0]), np.diag([1.0, 5.0])])
         samples = np.linspace(-0.9, 0.9, 10)
-        b = coeff.ellipticity_bounds(field, samples)
+        b = proofs.ellipticity_bounds(field, samples)
         # oracle: direct eigenvalue enumeration per sample
         per = np.linalg.eigvalsh(field.eval_many(samples))
         assert b.lambda_a == per[:, 0].min() == 1.0
@@ -59,11 +60,11 @@ class TestEllipticityBounds:
     def test_not_elliptic(self):
         bad = constant_field([[1.0, 1.2], [1.2, 1.0]])
         with pytest.raises(NotElliptic):
-            coeff.ellipticity_bounds(bad, [0.0])
+            proofs.ellipticity_bounds(bad, [0.0])
 
     def test_attaining_points_reported(self):
         field = coeff.asymmetric_model_field(0.5)
-        b = coeff.ellipticity_bounds(field, np.linspace(-1, 1, 33))
+        b = proofs.ellipticity_bounds(field, np.linspace(-1, 1, 33))
         # coupling grows with x2, so extremes sit at the right edge
         assert b.argmin[0] == pytest.approx(1.0)
         assert b.argmax[0] == pytest.approx(1.0)
@@ -72,11 +73,11 @@ class TestEllipticityBounds:
 class TestSchurReduce:
     def test_model_is_one_minus_delta_squared(self):
         for delta in (0.0, 0.3, 0.6, 0.9):
-            red = coeff.schur_reduce(coeff.model_field(delta), 0.1)
+            red = proofs.schur_reduce(coeff.model_field(delta), 0.1)
             assert red[0, 0] == pytest.approx(1 - delta**2, abs=1e-15)
 
     def test_identity_scalar_one(self):
-        assert coeff.schur_reduce(coeff.identity_field(), 0.3)[0, 0] == 1.0
+        assert proofs.schur_reduce(coeff.identity_field(), 0.3)[0, 0] == 1.0
 
     def test_model_identity_expansion(self, rng):
         # (A_delta xi).xi == (1-d^2) xi2^2 + (xi1 + d xi2)^2 at random xi
@@ -90,7 +91,7 @@ class TestSchurReduce:
     def test_against_brute_force_grid(self, rng):
         B = random_spd(rng, 3)
         field = constant_field(B, p=1)
-        red = coeff.schur_reduce(field, [0.0, 0.0])
+        red = proofs.schur_reduce(field, [0.0, 0.0])
         for Z2 in rng.standard_normal((5, 2)):
             value = Z2 @ red @ Z2 + 0.0
             brute = brute_force_schur_value(B, Z2)
@@ -101,7 +102,7 @@ class TestSchurReduce:
             n = int(rng.integers(2, 4))
             B = random_spd(rng, n, scale=float(rng.uniform(0, 2)))
             field = constant_field(B, p=1)
-            red = coeff.schur_reduce(field, np.zeros(n - 1))
+            red = proofs.schur_reduce(field, np.zeros(n - 1))
             Z2 = rng.standard_normal(n - 1)
             assert Z2 @ red @ Z2 == pytest.approx(
                 brute_force_schur_value(B, Z2), abs=1e-6)
@@ -111,13 +112,13 @@ class TestSchurReduce:
         A = np.zeros((3, 3))
         A[0, 0] = 2.0
         A[1:, 1:] = A22
-        red = coeff.schur_reduce(constant_field(A), [0.0, 0.0])
+        red = proofs.schur_reduce(constant_field(A), [0.0, 0.0])
         np.testing.assert_array_equal(red, A22)
 
     def test_preserves_ellipticity_floor(self, rng):
         field = coeff.variable_a22_field(0.6)
         pts = np.linspace(-1, 1, 21)
-        lam = coeff.ellipticity_bounds(field, pts).lambda_a
+        lam = proofs.ellipticity_bounds(field, pts).lambda_a
         red = coeff.schur_reduce_many(field, pts)
         assert np.linalg.eigvalsh(red)[:, 0].min() >= lam - 1e-14
 
@@ -126,26 +127,26 @@ class TestSchurReduce:
             2, 1, lambda pts: np.tile(np.array([[1e-15, 0.0], [0.0, 1.0]]),
                                       (len(pts), 1, 1)), kind="user")
         with pytest.raises(SingularBlock):
-            coeff.schur_reduce(bad, 0.0)
+            proofs.schur_reduce(bad, 0.0)
 
     def test_p2_equals_two_single_axis_reductions(self, rng):
         # sequential elimination of the two elongated axes, block-diagonal A11
         for _ in range(20):
             B = random_spd(rng, 3)
             B[0, 1] = B[1, 0] = 0.0
-            full = coeff.schur_reduce(constant_field(B, p=2), [0.0])
-            step1 = coeff.schur_reduce(constant_field(B, p=1), [0.0, 0.0])
-            step2 = coeff.schur_reduce(constant_field(step1, p=1), [0.0])
+            full = proofs.schur_reduce(constant_field(B, p=2), [0.0])
+            step1 = proofs.schur_reduce(constant_field(B, p=1), [0.0, 0.0])
+            step2 = proofs.schur_reduce(constant_field(step1, p=1), [0.0])
             np.testing.assert_allclose(full, step2, atol=1e-12)
 
 
 class TestSchurMinimizer:
     def test_model_minimizer(self):
-        z1 = coeff.schur_minimizer(coeff.model_field(0.6), 0.0, [1.0])
+        z1 = proofs.schur_minimizer(coeff.model_field(0.6), 0.0, [1.0])
         assert z1[0] == pytest.approx(-0.6, abs=1e-15)
 
     def test_diagonal_gives_zero(self):
-        z1 = coeff.schur_minimizer(coeff.diagonal_field([2.0, 3.0]), 0.2,
+        z1 = proofs.schur_minimizer(coeff.diagonal_field([2.0, 3.0]), 0.2,
                                    [1.5])
         assert z1[0] == 0.0
 
@@ -153,16 +154,16 @@ class TestSchurMinimizer:
         B = random_spd(rng, 3)
         field = constant_field(B, p=1)
         Z2 = rng.standard_normal(2)
-        z1 = coeff.schur_minimizer(field, [0.0, 0.0], Z2)
+        z1 = proofs.schur_minimizer(field, [0.0, 0.0], Z2)
         z = np.concatenate([z1, Z2])
         assert z @ B @ z == pytest.approx(
-            Z2 @ coeff.schur_reduce(field, [0.0, 0.0]) @ Z2, abs=1e-12)
+            Z2 @ proofs.schur_reduce(field, [0.0, 0.0]) @ Z2, abs=1e-12)
 
     def test_randomized_dominance_p2(self, rng):
         B = random_spd(rng, 3)
         field = constant_field(B, p=2)
         Z2 = np.array([1.0])
-        z1 = coeff.schur_minimizer(field, [0.0], Z2)
+        z1 = proofs.schur_minimizer(field, [0.0], Z2)
         best = np.concatenate([z1, Z2]) @ B @ np.concatenate([z1, Z2])
         cands = rng.standard_normal((10_000, 2)) * 3.0
         vals = np.einsum("mi,ij,mj->m",
@@ -263,7 +264,7 @@ class TestFieldPlumbing:
         np.testing.assert_allclose(field(-0.5),
                                    [[2.0, 0.1], [0.1, 3.0]])
         np.testing.assert_allclose(field(0.5), [[1.0, 0.0], [0.0, 5.0]])
-        b = coeff.ellipticity_bounds(field, np.linspace(-0.9, 0.9, 16))
+        b = proofs.ellipticity_bounds(field, np.linspace(-0.9, 0.9, 16))
         assert b.lambda_a == pytest.approx(1.0)
         assert b.c_a == 5.0
 
@@ -294,5 +295,5 @@ class TestFieldPlumbing:
         mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                resolution=4)
         pts = assemble.quadrature_coords(mesh).reshape(-1, mesh.ndim)
-        b = coeff.ellipticity_bounds(model06, pts[:, mesh.n_axial:])
+        b = proofs.ellipticity_bounds(model06, pts[:, mesh.n_axial:])
         assert b.lambda_a == pytest.approx(0.4)

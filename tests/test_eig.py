@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from cylgap import assemble, coeff, eig, experiments, grid
 from cylgap.errors import FactorizationFailed
 
+import proofs
 from conftest import MU1
 
 
@@ -284,7 +285,7 @@ class TestTrialSpaceMonotonicity:
         pc = eig.smallest_eigenpairs(Kc, Mc, tol=1e-9)[0]
         assert pc.value <= ph.value + 1e-8
         # matrix-level check: the extension preserves both energies
-        ext = grid.extend_by_zero(half, cyl, ph.vector, shift=-L / 2)
+        ext = proofs.extend_by_zero(half, cyl, ph.vector, shift=-L / 2)
         assert Kc.energy(ext) == pytest.approx(Kh.energy(ph.vector),
                                                rel=1e-12)
         assert Mc.energy(ext) == pytest.approx(Mh.energy(ph.vector),

@@ -81,23 +81,6 @@ class TestBoundsSweep:
         assert not recs[0].passed
         assert "MemoryBudget" in recs[0].note
 
-    def test_parallel_matches_serial(self, model, cfg, solves):
-        ells = [0.5, 1.0, 2.0]
-        ex.cross_context(model, cfg)  # its cache key has no parallelism
-        records, counts = {}, {}
-        for c in (cfg, replace(cfg, parallelism=4)):
-            solves.clear()
-            with ex.solve_memo():
-                # worker threads answer the second sweep from the memo
-                records[c.parallelism] = [
-                    r for _ in range(2)
-                    for r in ex.exp_bounds_sweep(model, ells, c)]
-            counts[c.parallelism] = len(solves)
-        assert counts == {1: len(ells), 4: len(ells)}
-        for a, b in zip(records[1], records[4], strict=True):
-            assert a.ell == b.ell
-            assert a.lambda1 == b.lambda1
-
 
 class TestLimitZero:
     def test_model_extrapolates_to_reduced_value(self, model, cfg):

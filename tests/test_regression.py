@@ -31,7 +31,6 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
 def test_config_matches_reference(tmp_path, monkeypatch, workload):
     out = tmp_path / workload
     monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
-    monkeypatch.delenv(cli.ENV_PARALLELISM, raising=False)
     cli.run(str(ROOT / "configs" / CONFIGS[workload]))
     result = load_gate().check(ROOT / "perfbench" / "reference" / workload,
                                out)
