@@ -59,6 +59,9 @@ DEFAULT_SCHEDULES = {
     "l_multi": [2.0, 4.0],
 }
 
+# lengths the experiments take as integers (``_ints``)
+INT_SCHEDULES = ("l_infinity", "l_gap", "l_second", "l_dirichlet", "l_multi")
+
 EXPERIMENT_NAMES = ["bounds", "limit-zero", "nu-half", "limit-infinity",
                     "gap", "second", "dirichlet", "decay", "end-profile",
                     "multi-direction"]
@@ -186,6 +189,10 @@ def _validate(rc, path):
             raise ConfigError(f"{path}: schedule {name} must be sorted")
         if any(v <= 0 for v in sched):
             raise ConfigError(f"{path}: schedule {name} must be positive")
+        fractional = [v for v in sched if not v.is_integer()]
+        if name in INT_SCHEDULES and fractional:
+            raise ConfigError(f"{path}: schedule {name} takes whole lengths, "
+                              f"got {fractional[0]:g}")
     for key in SCHEMA["mesh"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{path}: mesh.{key} must be positive")
@@ -226,7 +233,7 @@ def make_field(rc):
 
 
 def _ints(sched):
-    return [int(round(v)) for v in sched]
+    return [int(v) for v in sched]
 
 
 def _run_nu_half(field, rc):

@@ -39,6 +39,13 @@ class CoefficientField:
         self.kind = kind
         self.params = dict(params or {})
         self.piecewise_constant = bool(piecewise_constant)
+        self._origin = None
+
+    @property
+    def unreflected(self):
+        """The field that this one is a reflection of (through any number
+        of ``reflected`` calls), else the field itself."""
+        return self._origin or self
 
     def as_points(self, X2):
         """Normalize X2 input to shape (m, cross_dim)."""
@@ -78,9 +85,11 @@ class CoefficientField:
             A[:, p:, :p] *= -1.0
             return A
 
-        return CoefficientField(n, p, fn, kind=self.kind + "-reflected",
-                                params=self.params,
-                                piecewise_constant=self.piecewise_constant)
+        out = CoefficientField(n, p, fn, kind=self.kind + "-reflected",
+                               params=self.params,
+                               piecewise_constant=self.piecewise_constant)
+        out._origin = self.unreflected
+        return out
 
     def is_even(self, samples):
         """Check A(-X2) = A(X2) on sample points (property (S) half)."""

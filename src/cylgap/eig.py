@@ -6,9 +6,17 @@ shift-inverted at a floor sigma below the whole spectrum (Ericsson & Ruhe,
 Math. Comp. 35, 1980).  A cylinder stiffness is the Kronecker sum
 sum_ab F_ab x X_ab with exact axial factors and A sampled where the
 reduced cross assembly samples it, so u.Ku >= u.(M1 x Kc_red)u >=
-Lambda1 u.Mu and no eigenvalue lies below Lambda1.  Cylinder solves
-shift at Lambda1 - margin, strictly below it even where lambda1 =
-Lambda1.
+Lambda1 u.Mu and no eigenvalue lies below Lambda1.  The floor of a
+cylinder solve is Lambda1 - margin, strictly below it even where
+lambda1 = Lambda1.  The floor sits far below lambda1 (about 0.8 on the
+model field), and Lanczos converges at the rate (lambda1 - sigma) /
+(lambda_next - sigma), so a solve may also bring a guess: a shift just
+below a lambda1 that an earlier solve of the run already holds (see
+``experiments.solve_cylinder`` for which guesses are proven and which
+only observed).  The solve factors K - guess M first and keeps that
+factor if it exists, else it factors at the floor.  On the ell = 16
+model cylinder a guess at lambda1 - margin takes 21 operator
+applications where the floor takes 75 (87 at count 2).
 
 A = K - sigma M is then symmetric positive definite, and since A depends
 on X2 only it is block tridiagonal in x1.  Nodes are C-ordered with the
@@ -20,11 +28,13 @@ node in 3D (599 on the pencil of ``multi_direction`` at L = 4).  LAPACK
 values, known before the factor starts, and ``dpbtrs`` applies the
 shift-invert operator.  The factor is also a certificate: it succeeds
 exactly when the discrete lambda_1 lies above sigma (to rounding), and
-raises FactorizationFailed otherwise.  A fill-reducing sparse factor
-wins only on cross-sections much finer than any config uses: at 128
-cross cells per unit (n = 32 895, b = 256, on a 2-vCPU VM) a banded
-solve takes 8.0 ms against 5.6 ms for a minimum-degree SuperLU factor,
-which stores 28.9 MiB against the band's 64.5 MiB.
+raises FactorizationFailed otherwise.  So a guessed shift needs no
+trust: it costs one factor try, and a failed try is freed before the
+floor is factored, so one band is alive at a time.  A fill-reducing
+sparse factor wins only on cross-sections much finer than any config
+uses: at 128 cross cells per unit (n = 32 895, b = 256, on a 2-vCPU VM)
+a banded solve takes 8.0 ms against 5.6 ms for a minimum-degree SuperLU
+factor, which stores 28.9 MiB against the band's 64.5 MiB.
 """
 
 from __future__ import annotations
@@ -137,14 +147,38 @@ def _factor(A):
     return BandCholesky(band)
 
 
-def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
+def _factor_above(Kf, Mf, floor, guess):
+    """``(factor, shift)``: the banded factor of K - guess M when it exists,
+    which proves lambda_1 > guess, else that of K - floor M.  A failed try
+    is dropped before the floor is factored (its band goes with the
+    traceback), so one band is alive at a time."""
+    if guess is not None and guess > floor:
+        try:
+            return _factor(_shifted(Kf, Mf, guess)), guess
+        except FactorizationFailed:
+            pass
+    try:
+        return _factor(_shifted(Kf, Mf, floor)), floor
+    except FactorizationFailed as exc:
+        raise FactorizationFailed(
+            f"K - floor M at the floor {floor:.3e} is {exc}; lambda_1 "
+            "is not above the floor") from None
+
+
+def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
+                        guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
     ``floor`` must lie strictly below the whole spectrum; the ARPACK path
     shift-inverts there, and a lambda_1 at or below it raises
-    FactorizationFailed.  Vectors are M-normalized, pairwise M-orthogonal,
-    and the first vector is sign-fixed positive.  Residual ||Ku - lambda
-    Mu|| / ||Mu|| is checked against ``tol``.
+    FactorizationFailed.  A ``guess`` above the floor is tried first on
+    the ARPACK path: if K - guess M factors, lambda_1 > guess is proven
+    and the solve shift-inverts at the guess, closer to lambda_1 and so
+    in fewer operator applications; otherwise it shift-inverts at the
+    floor exactly as without a guess.  The dense path ignores the guess.
+    Vectors are M-normalized, pairwise M-orthogonal, and the first vector
+    is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is
+    checked against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -158,6 +192,7 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
         raise ValueError(f"requested {count} pairs from a dimension-{n} pencil")
     want = min(count + 1, n)
 
+    shift = floor
     if n <= DENSE_CUTOFF or want >= n - 1:
         try:
             vals, vecs = scipy.linalg.eigh(
@@ -165,17 +200,12 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise FactorizationFailed(f"dense factorization failed: {exc}")
     else:
-        try:
-            chol = _factor(_shifted(Kf, Mf, floor))
-        except FactorizationFailed as exc:
-            raise FactorizationFailed(
-                f"K - floor M at the floor {floor:.3e} is {exc}; lambda_1 "
-                "is not above the floor") from None
+        chol, shift = _factor_above(Kf, Mf, floor, guess)
         OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=floor, which="LM",
+            vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=shift, which="LM",
                                v0=v0, tol=0.0, maxiter=MAX_RESTARTS,
                                OPinv=OPinv)
         except ArpackNoConvergence as exc:
@@ -192,9 +222,9 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
-    if vals[0] <= floor:
+    if vals[0] <= shift:
         raise FactorizationFailed(
-            f"lambda_1 = {vals[0]:.3e} is not above the floor {floor:.3e}; "
+            f"lambda_1 = {vals[0]:.3e} is not above the shift {shift:.3e}; "
             "assembly, boundary tagging or floor bug")
     vecs = _normalize_columns(Mf, vecs)
     gram = vecs.T @ (Mf @ vecs)

@@ -29,6 +29,7 @@ TOL_LIMIT_GENERAL = 2e-2
 DIRICHLET_SPREAD = 0.30
 SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
 END_COLLAR = 3.0         # end-profile collar length r, at the plus end
+FREE_ENDS = ("full-cylinder", "multi-direction")  # no clamped axial end
 
 
 @dataclass
@@ -172,6 +173,28 @@ def solve_memo():
         _MEMO.reset(token)
 
 
+@dataclass(frozen=True)
+class _Held:
+    """A memo entry: the pairs of one pencil, and the cross context, mesh
+    kind and length they were solved at."""
+
+    ctx: CrossContext
+    kind: str
+    ell: float
+    pairs: list
+
+
+def _held_lambda1(memo, ctx, ell):
+    """The largest lambda_1 that ``memo`` holds under the cross context
+    ``ctx`` (so for one field up to reflection) on a mixed pencil with
+    both ends free and no longer than ``ell``; None if it holds none."""
+    return max((entry.pairs[0].value
+                for (_, dirichlet, *_), entry in memo.items()
+                if entry.ctx is ctx and not dirichlet
+                and entry.kind in FREE_ENDS and entry.ell <= ell),
+               default=None)
+
+
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
                    grading=None, dirichlet=False):
     """Mesh and smallest pairs of a cylinder pencil; returns
@@ -180,12 +203,30 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
     at least 4 cells for tiny ``ell``; the cross axes get
     ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
-    included (the comparison spectrum).  The solve shift-inverts at the
-    field's ``Lambda1 - margin`` from ``cross_context``.  Inside
-    ``solve_memo`` a pencil already solved there (same mesh key,
+    included (the comparison spectrum).  The solve's floor is the
+    field's ``Lambda1 - margin`` from ``cross_context``, taken for the
+    unreflected field: a reflection negates A12 only, so it leaves A22
+    and the Schur complement, and with them Lambda1 and the margin,
+    bit-identical.
+
+    Inside ``solve_memo`` a pencil already solved there (same mesh key,
     ``dirichlet``, field object, ``count``, ``cfg.tol`` and ``cfg.seed``)
     is not assembled or solved again, and repeats share the stored pairs,
-    which callers only read; a failed solve is never stored."""
+    which callers only read; a failed solve is never stored.  A new
+    pencil gets the guess ``P - margin`` (see ``eig.smallest_eigenpairs``),
+    where P is the largest lambda_1 the block holds under the same cross
+    context on a mixed pencil with both ends free (full-cylinder,
+    multi-direction) no longer than ``ell``.  P has a proven comparison
+    pencil below the solved lambda_1 for
+      * an all-Dirichlet pencil: the mixed pencil on the same mesh;
+      * a half-cylinder of length L: the full cylinder at ell = L / 2 on
+        a matched mesh (extension by zero);
+      * a count-2 solve: the count-1 solve of the same pencil.
+    P is that comparison value wherever lambda_1 of the full cylinder
+    rises with ell, which every committed row shows but nothing proves;
+    for a longer full cylinder P rests on that observation alone.  The
+    factor of K - guess M decides either way, and a rejected guess costs
+    one factor before the solve falls back to the floor."""
     axial = max(cfg.axial_resolution, 2.0 / ell)
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
@@ -195,18 +236,21 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     memo = _MEMO.get()
     # fields compare by identity, and the key keeps its field alive
     key = (mesh.key, dirichlet, field, count, cfg.tol, cfg.seed)
-    pairs = None if memo is None else memo.get(key)
-    if pairs is None:
+    entry = None if memo is None else memo.get(key)
+    if entry is None:
         # no cylinder eigenvalue lies below the Schur floor Lambda1
-        ctx = cross_context(field, cfg)
+        ctx = cross_context(field.unreflected, cfg)
+        held = None if memo is None else _held_lambda1(memo, ctx, mesh.ell)
         assemble = (asm.assemble_dirichlet_cylinder if dirichlet
                     else asm.assemble_cylinder)
         pairs = eig.smallest_eigenpairs(
             *assemble(mesh, field), count=count, tol=cfg.tol, seed=cfg.seed,
-            floor=ctx.Lambda1 - ctx.margin)
+            floor=ctx.Lambda1 - ctx.margin,
+            guess=None if held is None else held - ctx.margin)
+        entry = _Held(ctx, mesh.domain_kind, mesh.ell, pairs)
         if memo is not None:
-            memo[key] = pairs
-    return mesh, pairs
+            memo[key] = entry
+    return mesh, entry.pairs
 
 
 # the first eigenvalue of a half-cylinder is the tilde-lambda of its side

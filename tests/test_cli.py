@@ -153,6 +153,16 @@ tol_inf = 2e-3
         with pytest.raises(ConfigError):
             cli.parse_config(path)
 
+    def test_fractional_integer_schedule_rejected(self, tmp_path, capsys):
+        # rounded, l_gap = 2 2.4 would run two identical ell = 2 rows
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")
+                         .replace("bounds, nu-half", "gap")
+                         .replace("l_half = 2 4", "l_gap = 2 2.4"))
+        with pytest.raises(ConfigError, match="schedule l_gap .* got 2.4"):
+            cli.parse_config(path)
+        assert cli.main(["run", path]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_experiment(self, tmp_path):
         path = write_cfg(tmp_path, "[run]\nexperiments = warp\n")
         with pytest.raises(ConfigError):

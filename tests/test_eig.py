@@ -49,6 +49,20 @@ def pencil_3d():
     return K, M, dense, schur_floor(field, 8)
 
 
+@pytest.fixture(scope="module")
+def cylinder_16():
+    """The full model cylinder at ell = 16 (n = 7 967, with the
+    near-degenerate end pair), its Schur floor and the margin below it."""
+    field = coeff.model_field(0.6)
+    mesh = grid.build_mesh("full-cylinder", ell=16, omega=(-1, 1),
+                           resolution=(8, 16))
+    K, M = assemble.assemble_cylinder(mesh, field)
+    assert K.dim == 7967
+    ctx = experiments.cross_context(
+        field, experiments.ExperimentConfig(resolution=16))
+    return K, M, ctx.Lambda1 - ctx.margin, ctx.margin
+
+
 class CountingFactor:
     """A banded Cholesky factor that counts its solves, one per operator
     application of shift-invert Lanczos."""
@@ -60,6 +74,21 @@ class CountingFactor:
     def solve(self, b):
         self.solves += 1
         return self.lu.solve(b)
+
+
+@pytest.fixture()
+def factors(monkeypatch):
+    """Every banded factor made from here on, as a CountingFactor; a
+    factor that fails is not listed."""
+    made = []
+    factor = eig._factor
+
+    def counting_factor(A):
+        made.append(CountingFactor(factor(A)))
+        return made[-1]
+
+    monkeypatch.setattr(eig, "_factor", counting_factor)
+    return made
 
 
 class TestSmallestEigenpairs:
@@ -194,23 +223,11 @@ class TestSmallestEigenpairs:
         for p, e in zip(pairs, exact):
             assert p.value == pytest.approx(e, rel=1e-10)
 
-    def test_schur_floor_saves_operator_applications(self, model06,
-                                                     monkeypatch):
-        # the near-degenerate end pair of the L = 16 model cylinder
-        mesh = grid.build_mesh("full-cylinder", ell=16, omega=(-1, 1),
-                               resolution=(8, 16))
-        K, M = assemble.assemble_cylinder(mesh, model06)
-        assert K.dim == 7967
-        factors = []
-        factor = eig._factor
-
-        def counting_factor(A):
-            factors.append(CountingFactor(factor(A)))
-            return factors[-1]
-
-        monkeypatch.setattr(eig, "_factor", counting_factor)
+    def test_schur_floor_saves_operator_applications(self, cylinder_16,
+                                                     factors):
+        K, M, schur, _ = cylinder_16
         values = [eig.smallest_eigenpairs(K, M, seed=0, floor=floor)[0].value
-                  for floor in (0.0, schur_floor(model06, 16))]
+                  for floor in (0.0, schur)]
         assert values[1] == pytest.approx(values[0], rel=1e-10)
         at_zero, at_floor = (f.solves for f in factors)
         assert at_floor < at_zero  # 75 against 129 when measured
@@ -260,6 +277,56 @@ class TestSmallestEigenpairs:
         exact = separable_mixed_spectrum(1.0)
         assert pairs[0].value == pytest.approx(exact[0], rel=3e-3)
         assert pairs[1].value == pytest.approx(exact[1], rel=3e-3)
+
+
+class TestGuessedShift:
+    """A guess above the floor is a shift the banded factor certifies or
+    rejects; a rejected guess leaves the floor solve as it was."""
+
+    def test_guess_above_lambda1_falls_back_to_the_floor(self, cylinder_16,
+                                                         factors):
+        K, M, floor, _ = cylinder_16
+        at_floor = eig.smallest_eigenpairs(K, M, count=2, floor=floor)
+        guessed = eig.smallest_eigenpairs(K, M, count=2, floor=floor,
+                                          guess=at_floor[0].value + 1e-3)
+        for g, f in zip(guessed, at_floor):
+            assert g.value == f.value
+            np.testing.assert_array_equal(g.vector, f.vector)
+        # the guess did not factor; both solves ran on a floor factor
+        assert [f.solves for f in factors] == [factors[0].solves] * 2
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_guess_below_lambda1_is_used(self, cylinder_16, factors, count):
+        K, M, floor, margin = cylinder_16
+        at_floor = eig.smallest_eigenpairs(K, M, count=count, floor=floor)
+        # the guess a run makes from this pencil's own lambda_1
+        guessed = eig.smallest_eigenpairs(
+            K, M, count=count, floor=floor,
+            guess=at_floor[0].value - margin)
+        for g, f in zip(guessed, at_floor):
+            assert g.value == pytest.approx(f.value, rel=1e-12)
+        at_floor_solves, guessed_solves = (f.solves for f in factors)
+        assert guessed_solves <= min(25, at_floor_solves)
+        # 21 against 75 at count 1 and 87 at count 2 when measured
+
+    def test_floor_at_or_above_lambda1_raises_whatever_the_guess(
+            self, cylinder_16):
+        K, M, floor, _ = cylinder_16
+        lam = eig.smallest_eigenpairs(K, M, floor=floor)[0].value
+        for bad_floor in (lam * (1 + 1e-6), lam + 0.1):
+            for guess in (None, floor, bad_floor + 0.1):
+                with pytest.raises(FactorizationFailed, match="floor"):
+                    eig.smallest_eigenpairs(K, M, floor=bad_floor,
+                                            guess=guess)
+
+    def test_dense_path_ignores_the_guess(self, model06):
+        mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+                               resolution=4)
+        K, M = assemble.assemble_cylinder(mesh, model06)
+        assert K.dim <= eig.DENSE_CUTOFF
+        plain = eig.smallest_eigenpairs(K, M)[0]
+        guessed = eig.smallest_eigenpairs(K, M, guess=2 * plain.value)[0]
+        assert guessed.value == plain.value
 
 
 class TestTrialSpaceMonotonicity:

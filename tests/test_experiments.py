@@ -127,6 +127,14 @@ class TestNuHalf:
         lm, lp = ex.reflection_check(model, 4, cfg)
         assert abs(lm - lp) <= 1e-8
 
+    def test_reflected_field_reuses_the_cross_context(self, model, cfg):
+        # A22 and the Schur complement do not change under x1 -> -x1
+        ex.cross_context(model, cfg)
+        built = len(ex._CROSS_CACHE)
+        ex.reflection_check(model, 4, cfg)
+        assert len(ex._CROSS_CACHE) == built
+        assert model.reflected().reflected().unreflected is model
+
     def test_not_converged_raises_with_sequence(self, cfg):
         field = coeff.asymmetric_model_field(0.5)
         # an unsettled sequence is still reported, as an upper bound
@@ -420,6 +428,24 @@ class TestSolveMemo:
         # no entry outlives its block
         ex.solve_cylinder(model, 4, cfg)
         assert len(solves) == 2
+
+    def test_count_two_shifts_below_the_held_lambda1(self, model, cfg,
+                                                     monkeypatch):
+        applications = []
+        solve = eig.BandCholesky.solve
+
+        def counted(chol, rhs):
+            applications.append(1)
+            return solve(chol, rhs)
+
+        monkeypatch.setattr(eig.BandCholesky, "solve", counted)
+        with ex.solve_memo():
+            _, first = ex.solve_cylinder(model, 16, cfg, grading=1.0)
+            applications.clear()
+            _, pairs = ex.solve_cylinder(model, 16, cfg, count=2,
+                                         grading=1.0)
+        assert pairs[0].value == pytest.approx(first[0].value, rel=1e-12)
+        assert len(applications) <= 40  # 21 against 87 at the floor
 
     def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
                                                         solves, monkeypatch):

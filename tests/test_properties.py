@@ -97,6 +97,23 @@ def test_band_cholesky_certifies_the_floor(field):
             eig._factor(eig._shifted(Kf, Mf, lam * (1 + 1e-6)))
 
 
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_comparison_pencils_below_the_shift_guess(field):
+    """The comparisons that make a held lambda1 a proven shift guess: the
+    mixed lambda1 lies below the all-Dirichlet one on the same mesh, and
+    the full cylinder at ell = L / 2 below both half-cylinders of length
+    L on matched meshes (extension by zero)."""
+    assert cylinder_value(field, "full") <= \
+        cylinder_value(field, "full-dirichlet") * (1 + 1e-12)
+    L = MESH_KINDS["half-plus"][1]
+    mesh = grid.build_mesh("full-cylinder", ell=L / 2, omega=(-1, 1),
+                           resolution=RESOLUTION)
+    short = first_value(*assemble.assemble_cylinder(mesh, field))
+    for kind in ("half-plus", "half-minus"):
+        assert short <= cylinder_value(field, kind) * (1 + 1e-12), kind
+
+
 def test_uncoupled_field_sits_on_the_floor():
     """With delta = 0 the floor is attained: lambda1 = Lambda1."""
     field = coeff.model_field(0.0)
