@@ -16,7 +16,7 @@ from .coeff import (CoefficientField, asymmetric_model_field, condition_con,
                     variable_a22_field)
 from .grid import TensorMesh, build_mesh
 from .assemble import (SparseSymmetricForm, assemble_cross_section,
-                       assemble_cylinder, assemble_dirichlet_cylinder)
+                       assemble_cylinder)
 from .eig import EigenPair, smallest_eigenpairs
 
 __version__ = "0.1.0"
@@ -27,6 +27,5 @@ __all__ = [
     "asymmetric_model_field", "variable_a22_field", "neg_coupling_field",
     "multi_model_field", "piecewise_constant_field", "field_from_table",
     "row_restriction_field", "condition_con", "build_mesh",
-    "assemble_cylinder", "assemble_cross_section",
-    "assemble_dirichlet_cylinder", "smallest_eigenpairs",
+    "assemble_cylinder", "assemble_cross_section", "smallest_eigenpairs",
 ]

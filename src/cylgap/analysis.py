@@ -170,7 +170,7 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
     if half_mesh.domain_kind != "half-plus":
         raise MeshMismatch("second mesh must be a half-plus mesh")
     if r <= 0 or r > min(cyl_mesh.ell, half_mesh.ell):
-        raise ValueError("r must fit in both meshes")
+        raise TooShort("r must fit in both meshes")
     for a in range(1, cyl_mesh.ndim):
         if not np.allclose(cyl_mesh.axis_partitions[a],
                            half_mesh.axis_partitions[a], atol=1e-12):

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from . import coeff as coeff_mod
 from .errors import DimensionMismatch, MeshMismatch, NotElliptic
-from .grid import TensorMesh, with_full_dirichlet
+from .grid import TensorMesh
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -200,12 +200,6 @@ def assemble_cylinder(mesh, field):
             f"mesh cross dimension {mesh.ndim - mesh.n_axial} != field "
             f"cross dimension {field.cross_dim}")
     return _assemble_pair(mesh, field, field.eval_many, False)
-
-
-def assemble_dirichlet_cylinder(mesh, field):
-    """Same bilinear forms with the whole boundary Dirichlet (the
-    comparison spectrum of the all-sides-clamped problem)."""
-    return assemble_cylinder(with_full_dirichlet(mesh), field)
 
 
 def assemble_cross_section(mesh, field, reduced=False):

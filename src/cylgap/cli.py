@@ -26,6 +26,50 @@ from .experiments import CSV_COLUMNS, SweepRecord
 
 ENV_OUTPUT_DIR = "CYLGAP_OUTPUT_DIR"
 
+
+def _decay(field, lengths, cfg):
+    """``exp_decay`` with its fitted profiles as the decay_profile.csv
+    table."""
+    records, profiles = ex.exp_decay(field, lengths, cfg)
+    rows = [{"ell": ell, "r": r, "mass": m, "grad_mass": g}
+            for ell, prof in profiles
+            for (r, m), (_, g) in zip(prof.masses, prof.grad_masses)]
+    return records, {"decay_profile.csv": (["ell", "r", "mass", "grad_mass"],
+                                           rows)}
+
+
+# name -> (experiment(field, lengths, cfg), schedule key, default lengths);
+# an experiment returns its records, or (``decay``) its records and its
+# extra CSV tables {csv name: (header, rows)}
+EXPERIMENTS = {
+    "bounds": (ex.exp_bounds_sweep, "ell_bounds",
+               [0.1, 0.5, 1.0, 2.0, 4.0, 8.0]),
+    "limit-zero": (ex.exp_limit_zero, "ell_zero", [0.4, 0.2, 0.1, 0.05]),
+    "nu-half": (ex.exp_nu_half, "l_half", [4.0, 8.0, 16.0]),
+    "limit-infinity": (ex.exp_limit_infinity, "l_infinity",
+                       [8.0, 12.0, 16.0]),
+    "gap": (ex.exp_gap, "l_gap", [8.0, 12.0, 16.0]),
+    "second": (ex.exp_second_eigenvalue, "l_second", [8.0, 12.0, 16.0]),
+    "dirichlet": (ex.exp_dirichlet_comparison, "l_dirichlet",
+                  [4.0, 8.0, 16.0]),
+    "decay": (_decay, "ell_decay", [12.0]),
+    "end-profile": (ex.exp_end_profile, "ell_end_profile",
+                    [6.0, 10.0, 14.0]),
+    "multi-direction": (ex.exp_multi_direction, "l_multi", [2.0, 4.0]),
+}
+
+
+def _executor(experiment, key):
+    def execute(field, rc):
+        out = experiment(field, rc.schedules[key], rc.cfg)
+        return out if isinstance(out, tuple) else (out, {})
+    return execute
+
+
+# name -> executor(field, rc) returning (records, {csv name: table})
+EXECUTORS = {name: _executor(experiment, key)
+             for name, (experiment, key, _) in EXPERIMENTS.items()}
+
 _FLOAT, _INT, _STR, _FLIST, _SLIST = "float", "int", "str", "floatlist", "strlist"
 
 SCHEMA = {
@@ -39,32 +83,9 @@ SCHEMA = {
              "grading": _FLOAT, "node_cap": _INT, "res3d_axial": _FLOAT,
              "res3d_cross": _FLOAT},
     "solver": {"tol": _FLOAT},
-    "schedules": {"ell_bounds": _FLIST, "ell_zero": _FLIST, "l_half": _FLIST,
-                  "l_infinity": _FLIST, "l_gap": _FLIST, "l_second": _FLIST,
-                  "l_dirichlet": _FLIST, "ell_decay": _FLIST,
-                  "ell_end_profile": _FLIST, "l_multi": _FLIST},
+    "schedules": {key: _FLIST for _, key, _ in EXPERIMENTS.values()},
     "tolerances": {"conv_tol": _FLOAT, "tol_inf": _FLOAT},
 }
-
-DEFAULT_SCHEDULES = {
-    "ell_bounds": [0.1, 0.5, 1.0, 2.0, 4.0, 8.0],
-    "ell_zero": [0.4, 0.2, 0.1, 0.05],
-    "l_half": [4.0, 8.0, 16.0],
-    "l_infinity": [8.0, 12.0, 16.0],
-    "l_gap": [8.0, 12.0, 16.0],
-    "l_second": [8.0, 12.0, 16.0],
-    "l_dirichlet": [4.0, 8.0, 16.0],
-    "ell_decay": [12.0],
-    "ell_end_profile": [6.0, 10.0, 14.0],
-    "l_multi": [2.0, 4.0],
-}
-
-# lengths the experiments take as integers (``_ints``)
-INT_SCHEDULES = ("l_infinity", "l_gap", "l_second", "l_dirichlet", "l_multi")
-
-EXPERIMENT_NAMES = ["bounds", "limit-zero", "nu-half", "limit-infinity",
-                    "gap", "second", "dirichlet", "decay", "end-profile",
-                    "multi-direction"]
 
 
 @dataclass
@@ -77,7 +98,8 @@ class RunConfig:
     output_dir: str = "out"
     field_kind: str = "model"
     field_params: dict = dc_field(default_factory=dict)
-    schedules: dict = dc_field(default_factory=lambda: dict(DEFAULT_SCHEDULES))
+    schedules: dict = dc_field(default_factory=lambda: {
+        key: list(lengths) for _, key, lengths in EXPERIMENTS.values()})
     cfg: ex.ExperimentConfig = dc_field(default_factory=ex.ExperimentConfig)
 
 
@@ -140,9 +162,9 @@ def _apply(rc, section, key, val, path, lineno):
     if section == "run" and key == "experiments":
         names = val
         if names == ["all"]:
-            names = list(EXPERIMENT_NAMES)
+            names = list(EXPERIMENTS)
         for n in names:
-            if n not in EXPERIMENT_NAMES:
+            if n not in EXPERIMENTS:
                 raise ConfigError(f"{path}:{lineno}: unknown experiment "
                                   f"'{n}'")
         rc.experiments = names
@@ -189,10 +211,6 @@ def _validate(rc, path):
             raise ConfigError(f"{path}: schedule {name} must be sorted")
         if any(v <= 0 for v in sched):
             raise ConfigError(f"{path}: schedule {name} must be positive")
-        fractional = [v for v in sched if not v.is_integer()]
-        if name in INT_SCHEDULES and fractional:
-            raise ConfigError(f"{path}: schedule {name} takes whole lengths, "
-                              f"got {fractional[0]:g}")
     for key in SCHEMA["mesh"]:
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{path}: mesh.{key} must be positive")
@@ -227,76 +245,6 @@ def make_field(rc):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"field kind '{kind}': {exc}") from exc
     raise ConfigError(f"unknown field kind '{kind}'")
-
-
-# -- experiment dispatch -----------------------------------------------------
-
-
-def _ints(sched):
-    return [int(v) for v in sched]
-
-
-def _run_nu_half(field, rc):
-    plus = ex.exp_nu_half(field, "+", rc.schedules["l_half"], rc.cfg)
-    minus = ex.exp_nu_half(field, "-", rc.schedules["l_half"], rc.cfg)
-    for est in (plus, minus):
-        last = est.records[-1]
-        last.add_note(f"bracket=[{est.bracket[0]:.9g},{est.bracket[1]:.9g}]")
-        if not est.converged:
-            last.add_note("truncation sequence not converged")
-    L0 = rc.schedules["l_half"][0]
-    rec = SweepRecord(experiment="nu-half", field_kind=field.kind,
-                      n=field.n, p=field.p, ell=L0,
-                      note="reflection identity lambda-(A) vs lambda+(A~)")
-    try:
-        lm, lp = ex.reflection_check(field, L0, rc.cfg)
-        rec.lambda_half_minus, rec.lambda_half_plus = lm, lp
-        rec.gap = abs(lm - lp)
-        rec.check(rec.gap <= 1e-8, "reflection identity violated")
-    except CylgapError as exc:
-        rec.check(False, f"{type(exc).__name__}: {exc}")
-    return plus.records + minus.records + [rec], {}
-
-
-def _run_decay(field, rc):
-    records = []
-    profile_rows = []
-    for ell in rc.schedules["ell_decay"]:
-        recs, prof = ex.exp_decay(field, ell, rc.cfg)
-        records.extend(recs)
-        if prof is None:
-            continue
-        for (r, m), (_, g) in zip(prof.masses, prof.grad_masses):
-            profile_rows.append({"ell": ell, "r": r, "mass": m,
-                                 "grad_mass": g})
-    return records, {"decay_profile.csv": (["ell", "r", "mass", "grad_mass"],
-                                           profile_rows)}
-
-
-# name -> executor(field, rc) returning (records, {csv name: table})
-EXECUTORS = {
-    "bounds": lambda f, rc: (
-        ex.exp_bounds_sweep(f, rc.schedules["ell_bounds"], rc.cfg), {}),
-    "limit-zero": lambda f, rc: (
-        ex.exp_limit_zero(f, rc.schedules["ell_zero"], rc.cfg), {}),
-    "nu-half": _run_nu_half,
-    "limit-infinity": lambda f, rc: (
-        ex.exp_limit_infinity(f, _ints(rc.schedules["l_infinity"]), rc.cfg),
-        {}),
-    "gap": lambda f, rc: (
-        ex.exp_gap(f, _ints(rc.schedules["l_gap"]), rc.cfg), {}),
-    "second": lambda f, rc: (
-        ex.exp_second_eigenvalue(f, _ints(rc.schedules["l_second"]), rc.cfg),
-        {}),
-    "dirichlet": lambda f, rc: (
-        ex.exp_dirichlet_comparison(f, _ints(rc.schedules["l_dirichlet"]),
-                                    rc.cfg), {}),
-    "decay": _run_decay,
-    "end-profile": lambda f, rc: (
-        ex.exp_end_profile(f, rc.schedules["ell_end_profile"], rc.cfg), {}),
-    "multi-direction": lambda f, rc: (
-        ex.exp_multi_direction(f, _ints(rc.schedules["l_multi"]), rc.cfg), {}),
-}
 
 
 def _fmt_cell(v):

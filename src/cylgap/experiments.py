@@ -21,15 +21,16 @@ from . import assemble as asm
 from . import coeff as coeff_mod
 from . import eig
 from . import grid as grid_mod
-from .errors import ConditionConFails, CylgapError, NoReflectionSymmetry, NotConverged
+from .errors import (ConditionConFails, CylgapError, DimensionMismatch,
+                     NoReflectionSymmetry, NotConverged)
 
 STRICT_MARGIN = 1e-3
+REFLECTION_TOL = 1e-8    # |lambda-(A) - lambda+(A~)|, one pencil reflected
 TOL_LIMIT_MODEL = 1e-2
 TOL_LIMIT_GENERAL = 2e-2
 DIRICHLET_SPREAD = 0.30
 SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
 END_COLLAR = 3.0         # end-profile collar length r, at the plus end
-FREE_ENDS = ("full-cylinder", "multi-direction")  # no clamped axial end
 
 
 @dataclass
@@ -175,12 +176,12 @@ def solve_memo():
 
 @dataclass(frozen=True)
 class _Held:
-    """A memo entry: the pairs of one pencil, and the cross context, mesh
-    kind and length they were solved at."""
+    """A memo entry: the pairs of one pencil, the cross context and length
+    they were solved at, and whether both axial ends were free."""
 
     ctx: CrossContext
-    kind: str
     ell: float
+    free_ends: bool
     pairs: list
 
 
@@ -188,10 +189,8 @@ def _held_lambda1(memo, ctx, ell):
     """The largest lambda_1 that ``memo`` holds under the cross context
     ``ctx`` (so for one field up to reflection) on a mixed pencil with
     both ends free and no longer than ``ell``; None if it holds none."""
-    return max((entry.pairs[0].value
-                for (_, dirichlet, *_), entry in memo.items()
-                if entry.ctx is ctx and not dirichlet
-                and entry.kind in FREE_ENDS and entry.ell <= ell),
+    return max((entry.pairs[0].value for entry in memo.values()
+                if entry.ctx is ctx and entry.free_ends and entry.ell <= ell),
                default=None)
 
 
@@ -203,16 +202,17 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     Every elongated axis gets ``cfg.axial_resolution`` cells per unit, but
     at least 4 cells for tiny ``ell``; the cross axes get
     ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
-    included (the comparison spectrum).  The solve's floor is the
-    field's ``Lambda1 - margin`` from ``cross_context``, taken for the
-    unreflected field: a reflection negates A12 only, so it leaves A22
-    and the Schur complement, and with them Lambda1 and the margin,
-    bit-identical.
+    included (the comparison spectrum), and the returned mesh is that
+    clamped mesh.  The solve's floor is the field's ``Lambda1 - margin``
+    from ``cross_context``, taken for the unreflected field: a reflection
+    negates A12 only, so it leaves A22 and the Schur complement, and with
+    them Lambda1 and the margin, bit-identical.
 
     Inside ``solve_memo`` a pencil already solved there (same mesh key,
-    ``dirichlet``, field object, ``count``, ``cfg.tol`` and ``cfg.seed``)
-    is not assembled or solved again, and repeats share the stored pairs,
-    which callers only read; a failed solve is never stored.  A new
+    which holds the clamped ends, field object, ``count``, ``cfg.tol``
+    and ``cfg.seed``) is not assembled or solved again, and repeats share
+    the stored pairs, which callers only read; a failed solve is never
+    stored.  A new
     pencil gets the guess ``P - margin`` (see ``eig.smallest_eigenpairs``),
     where P is the largest lambda_1 the block holds under the same cross
     context on a mixed pencil with both ends free (full-cylinder,
@@ -233,21 +233,23 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
         resolution=[axial] * field.p + [cfg.resolution] * field.cross_dim,
         grading=cfg.grading if grading is None else grading,
         node_cap=cfg.node_cap)
+    if dirichlet:
+        mesh = grid_mod.with_full_dirichlet(mesh)
     memo = _MEMO.get()
     # fields compare by identity, and the key keeps its field alive
-    key = (mesh.key, dirichlet, field, count, cfg.tol, cfg.seed)
+    key = (mesh.key, field, count, cfg.tol, cfg.seed)
     entry = None if memo is None else memo.get(key)
     if entry is None:
         # no cylinder eigenvalue lies below the Schur floor Lambda1
         ctx = cross_context(field.unreflected, cfg)
         held = None if memo is None else _held_lambda1(memo, ctx, mesh.ell)
-        assemble = (asm.assemble_dirichlet_cylinder if dirichlet
-                    else asm.assemble_cylinder)
         pairs = eig.smallest_eigenpairs(
-            *assemble(mesh, field), count=count, tol=cfg.tol, seed=cfg.seed,
-            floor=ctx.Lambda1 - ctx.margin,
+            *asm.assemble_cylinder(mesh, field), count=count, tol=cfg.tol,
+            seed=cfg.seed, floor=ctx.Lambda1 - ctx.margin,
             guess=None if held is None else held - ctx.margin)
-        entry = _Held(ctx, mesh.domain_kind, mesh.ell, pairs)
+        free_ends = not any(any(ends)
+                            for ends in mesh.clamped[:mesh.n_axial])
+        entry = _Held(ctx, mesh.ell, free_ends, pairs)
         if memo is not None:
             memo[key] = entry
     return mesh, entry.pairs
@@ -376,28 +378,17 @@ def exp_limit_zero(field, ell_list, cfg):
     return records
 
 
-@dataclass
-class NuEstimate:
-    nu: float
-    bracket: tuple
-    records: list
-    sequence: list
-    converged: bool = True
+def _half_truncations(field, side, lengths, cfg):
+    """Records of the half-cylinder truncations of one side (``"+"`` or
+    ``"-"``), nonincreasing in L down to the semi-infinite value nu, which
+    every record carries in its ``nu_plus`` or ``nu_minus`` column.
 
-
-def exp_nu_half(field, side, L_schedule, cfg):
-    """Monotone half-cylinder truncations converging down to the
-    semi-infinite value; the no-coupling case is identified with mu1.
-
-    The last value is reported as an (always valid) upper bound;
-    ``converged`` tells whether the sequence settled within
-    ``cfg.conv_tol``.
+    nu is the last truncation, an upper bound; with no coupling it is
+    identified with mu1.  The last record notes the bracket of the last
+    step and whether the sequence settled within ``cfg.conv_tol``.
     Fewer than two solved lengths raise NotConverged.
     """
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
     ctx = cross_context(field, cfg)
-    kind = "half-plus" if side == "+" else "half-minus"
     seq = []
 
     def judge(rec, mesh, pairs):
@@ -407,22 +398,26 @@ def exp_nu_half(field, side, L_schedule, cfg):
         seq.append(val)
 
     records = [_row(f"nu-half{side}", field, cfg, L, judge, ctx=ctx,
-                    kind=kind, grading=1.0) for L in sorted(L_schedule)]
+                    kind="half-plus" if side == "+" else "half-minus",
+                    grading=1.0) for L in sorted(lengths)]
     if len(seq) < 2:
         raise NotConverged("half-cylinder estimate needs 2 solved "
                            f"lengths, got {len(seq)}", sequence=seq)
+    last = records[-1]
     converged = abs(seq[-2] - seq[-1]) < cfg.conv_tol
-    bracket = (seq[-1] - (seq[-2] - seq[-1]), seq[-1])
-    if ctx.condition.holds:
-        nu = seq[-1]
-    else:
+    nu = seq[-1]
+    if not ctx.condition.holds:
         # equality case: the limit is mu1 itself; truncations only bound it
         nu = ctx.mu1
-        records[-1].add_note("no coupling: limit identified with mu1")
+        last.add_note("no coupling: limit identified with mu1")
         converged = True
     for rec in records:
         setattr(rec, "nu_plus" if side == "+" else "nu_minus", nu)
-    return NuEstimate(nu, bracket, records, seq, converged)
+    lower = seq[-1] - (seq[-2] - seq[-1])
+    last.add_note(f"bracket=[{lower:.9g},{seq[-1]:.9g}]")
+    if not converged:
+        last.add_note("truncation sequence not converged")
+    return records
 
 
 def reflection_check(field, L, cfg):
@@ -430,8 +425,29 @@ def reflection_check(field, L, cfg):
     field, exactly up to solver tolerance."""
     _, pm = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
     _, pp = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
-                              grading=1.0)
+                           grading=1.0)
     return pm[0].value, pp[0].value
+
+
+def exp_nu_half(field, lengths, cfg):
+    """Both half-cylinder truncation sequences, then the reflection
+    identity at the first length: lambda-tilde minus of A equals
+    lambda-tilde plus of the reflected field within ``REFLECTION_TOL``.
+
+    The reflection row keeps empty delta, resolution and grading cells."""
+    records = (_half_truncations(field, "+", lengths, cfg)
+               + _half_truncations(field, "-", lengths, cfg))
+    rec = SweepRecord(experiment="nu-half", field_kind=field.kind,
+                      n=field.n, p=field.p, ell=lengths[0],
+                      note="reflection identity lambda-(A) vs lambda+(A~)")
+    try:
+        lm, lp = reflection_check(field, lengths[0], cfg)
+        rec.lambda_half_minus, rec.lambda_half_plus = lm, lp
+        rec.gap = abs(lm - lp)
+        rec.check(rec.gap <= REFLECTION_TOL, "reflection identity violated")
+    except CylgapError as exc:
+        rec.check(False, f"{type(exc).__name__}: {exc}")
+    return records + [rec]
 
 
 def exp_limit_infinity(field, L_list, cfg):
@@ -440,17 +456,17 @@ def exp_limit_infinity(field, L_list, cfg):
     Ls = sorted(L_list)
     Lmax = Ls[-1]
     sched = sorted({max(4, Lmax // 4), max(4, Lmax // 2), Lmax})
-    nu_p = exp_nu_half(field, "+", sched, cfg)
-    nu_m = exp_nu_half(field, "-", sched, cfg)
-    nu_min = min(nu_p.nu, nu_m.nu)
+    nu_p = _half_truncations(field, "+", sched, cfg)[-1].nu_plus
+    nu_m = _half_truncations(field, "-", sched, cfg)[-1].nu_minus
+    nu_min = min(nu_p, nu_m)
     ctx = cross_context(field, cfg)
     diffs = []
 
     def judge(rec, mesh, pairs):
         L = rec.ell
         lam = rec.lambda1
-        rec.nu_plus = nu_p.nu
-        rec.nu_minus = nu_m.nu
+        rec.nu_plus = nu_p
+        rec.nu_minus = nu_m
         diff = abs(lam - nu_min)
         rec.gap = diff
         rec.check(not diffs or diff <= diffs[-1] + 10 * cfg.tol,
@@ -556,7 +572,7 @@ def exp_multi_direction(field3d, L_list, cfg):
     exactly when some row of A12 couples to the cross gradient, and the
     row-restricted 2D pencil upper-bounds the 3D value."""
     if field3d.p != 2 or field3d.n != 3:
-        raise ValueError("multi-direction experiment needs n=3, p=2")
+        raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
     cfg3 = replace(cfg, axial_resolution=cfg.res3d_axial,
                    resolution=cfg.res3d_cross)
     ctx = cross_context(field3d, cfg3)
@@ -590,18 +606,19 @@ def exp_multi_direction(field3d, L_list, cfg):
             for L in sorted(L_list)]
 
 
-def exp_decay(field, ell, cfg):
-    """Bulk decay of the eigenfunction; flags the separable no-decay case.
+def exp_decay(field, ell_list, cfg):
+    """Bulk decay of the eigenfunction, one row per length; flags the
+    separable no-decay case.
 
-    Returns the records and the decay profile (None when the row failed).
+    Returns the records and ``(ell, profile)`` for each row that fitted
+    its decay profile.
     """
     ctx = cross_context(field, cfg)
-    grading = cfg.grading if cfg.grading > 1 else (2.0 if ell >= 4 else 1.0)
     profiles = []
 
     def judge(rec, mesh, pairs):
         prof = an.decay_profile(pairs[0], mesh)
-        profiles.append(prof)
+        profiles.append((rec.ell, prof))
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
         if ctx.condition.holds:
@@ -616,8 +633,10 @@ def exp_decay(field, ell, cfg):
             rec.add_note("no-decay")
 
     records = [_row("decay", field, cfg, ell, judge, ctx=ctx,
-                    grading=grading, diagnostics=True)]
-    return records, (profiles[0] if profiles else None)
+                    grading=cfg.grading if cfg.grading > 1
+                    else (2.0 if ell >= 4 else 1.0), diagnostics=True)
+               for ell in ell_list]
+    return records, profiles
 
 
 def exp_end_profile(field, ell_list, cfg, half_length=None):

@@ -15,7 +15,8 @@ import itertools
 
 import numpy as np
 
-from .errors import BadResolution, MemoryBudget, MeshMismatch, NoReflectionSymmetry
+from .errors import (BadResolution, DimensionMismatch, MemoryBudget,
+                     MeshMismatch, NoReflectionSymmetry)
 
 DOMAIN_KINDS = (
     "full-cylinder",
@@ -246,7 +247,10 @@ def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0,
     if n_axial and (ell is None or ell <= 0):
         raise ValueError("ell must be positive for cylinder meshes")
     ndim = n_axial + omega.shape[0]
-    res = np.broadcast_to(np.asarray(resolution, dtype=float), (ndim,))
+    res = np.asarray(resolution, dtype=float)
+    if res.size not in (1, ndim):
+        raise DimensionMismatch(f"{res.size} resolutions for {ndim} axes")
+    res = np.broadcast_to(res, (ndim,))
     parts = []
     for a in range(n_axial):
         if kind == "half-plus":

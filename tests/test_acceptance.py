@@ -82,10 +82,10 @@ def test_criterion_03_limit_zero(cfg, model):
 
 
 def test_criterion_04_half_cylinder_monotone(cfg, model):
-    est = ex.exp_nu_half(model, "+", [4, 8, 16], cfg)
-    seq = est.sequence
+    recs = ex.exp_nu_half(model, [4, 8, 16], cfg)
+    seq = [r.lambda_half_plus for r in recs if r.experiment == "nu-half+"]
     mono = all(b - a <= 1e-9 for a, b in zip(seq, seq[1:]))
-    lm, lp = ex.reflection_check(model, 4, cfg)
+    lm, lp = recs[-1].lambda_half_minus, recs[-1].lambda_half_plus
     refl = abs(lm - lp) <= 1e-8
     check(4, "half-cylinder monotonicity + reflection", mono and refl,
           f"seq={[f'{v:.6f}' for v in seq]}, |refl diff|={abs(lm - lp):.1e}")
@@ -129,10 +129,11 @@ def test_criterion_06_gap_phenomenon():
 
 
 def test_criterion_07_decay(cfg, model):
-    recs, prof = ex.exp_decay(model, 12, cfg)
+    recs, [(_, prof)] = ex.exp_decay(model, [12], cfg)
     ok = (prof.r2 > 0.99 and prof.alpha_fit < 1.0
           and abs(prof.grad_alpha - prof.alpha_fit) <= 0.2 * prof.alpha_fit)
-    drecs, dprof = ex.exp_decay(coeff.diagonal_field([1.0, 1.0]), 12, cfg)
+    drecs, [(_, dprof)] = ex.exp_decay(coeff.diagonal_field([1.0, 1.0]),
+                                       [12], cfg)
     ok = ok and dprof.no_decay and dprof.alpha_fit > an.NO_DECAY_ALPHA
     check(7, "exponential decay", ok,
           f"alpha={prof.alpha_fit:.3f}, R2={prof.r2:.4f}, "

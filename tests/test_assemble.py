@@ -140,10 +140,8 @@ def test_kronecker_assembly_matches_cellwise_oracle(case):
                                resolution=opts["resolution"],
                                grading=opts["grading"])
         if kind == "dirichlet":
-            K, M = assemble.assemble_dirichlet_cylinder(mesh, field)
             mesh = grid.with_full_dirichlet(mesh)
-        else:
-            K, M = assemble.assemble_cylinder(mesh, field)
+        K, M = assemble.assemble_cylinder(mesh, field)
         mats = lambda x: field.eval_many(x[:, p:])
     Ko, Mo = cellwise_oracle(mesh, mats, field.piecewise_constant)
     for form, oracle in ((K, Ko), (M, Mo)):
@@ -318,7 +316,8 @@ class TestDirichletCylinder:
         field = coeff.identity_field()
         mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                resolution=32)
-        K, M = assemble.assemble_dirichlet_cylinder(mesh, field)
+        K, M = assemble.assemble_cylinder(
+            grid.with_full_dirichlet(mesh), field)
         sig = eig.smallest_eigenpairs(K, M)[0].value
         assert sig == pytest.approx(np.pi**2 / 2.0, rel=2e-3)
 
@@ -326,7 +325,8 @@ class TestDirichletCylinder:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=8)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        Kd, Md = assemble.assemble_dirichlet_cylinder(mesh, model06)
+        Kd, Md = assemble.assemble_cylinder(
+            grid.with_full_dirichlet(mesh), model06)
         lam = eig.smallest_eigenpairs(K, M)[0].value
         sig = eig.smallest_eigenpairs(Kd, Md)[0].value
         assert lam <= sig + 1e-10
@@ -337,7 +337,8 @@ class TestDirichletCylinder:
         for L in (2, 4, 8):
             mesh = grid.build_mesh("full-cylinder", ell=L, omega=(-1, 1),
                                    resolution=(8, 32))
-            Kd, Md = assemble.assemble_dirichlet_cylinder(mesh, model06)
+            Kd, Md = assemble.assemble_cylinder(
+                grid.with_full_dirichlet(mesh), model06)
             sig = eig.smallest_eigenpairs(Kd, Md)[0].value
             cs.append((sig - cross32["mu1"]) * L * L)
         assert max(cs) / min(cs) < 1.3

@@ -153,15 +153,19 @@ tol_inf = 2e-3
         with pytest.raises(ConfigError):
             cli.parse_config(path)
 
-    def test_fractional_integer_schedule_rejected(self, tmp_path, capsys):
-        # rounded, l_gap = 2 2.4 would run two identical ell = 2 rows
-        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")
+    def test_fractional_lengths_write_their_rows(self, tmp_path):
+        # lengths stay floats: l_gap = 2 2.4 runs two distinct cylinders
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
                          .replace("bounds, nu-half", "gap")
                          .replace("l_half = 2 4", "l_gap = 2 2.4"))
-        with pytest.raises(ConfigError, match="schedule l_gap .* got 2.4"):
-            cli.parse_config(path)
-        assert cli.main(["run", path]) == 1
-        assert not (tmp_path / "out").exists()
+        assert cli.parse_config(path).schedules["l_gap"] == [2.0, 2.4]
+        assert cli.main(["run", path]) == 0
+        with open(out / "gap.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["ell"]) for r in rows] == [2.0, 2.4]
+        assert rows[0]["resolution"] != rows[1]["resolution"]
+        assert all(r["passed"] == "true" for r in rows)
 
     def test_unknown_experiment(self, tmp_path):
         path = write_cfg(tmp_path, "[run]\nexperiments = warp\n")
@@ -270,6 +274,39 @@ axial_resolution = 4
             assert len(failed) == 1, name
             assert "NotConverged" in failed[0]["note"]
             assert shortfall in failed[0]["note"]
+
+    def test_end_collar_longer_than_a_cylinder_fails_its_row(self,
+                                                              tmp_path):
+        # the ell = 2 cylinder cannot hold the collar of length 3
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("bounds, nu-half", "end-profile")
+                         .replace("l_half = 2 4", "ell_end_profile = 2 6"))
+        assert cli.main(["run", path]) == 2
+        with open(out / "end-profile.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["ell"], r["passed"]) for r in rows] == \
+            [("2", "false"), ("6", "true")]
+        assert "TooShort" in rows[0]["note"]
+        assert (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("field, experiment, n_rows", [
+        ("kind = model", "multi-direction", 1),
+        ("kind = multi-model", "bounds", 2),
+    ], ids=["p1-on-multi-direction", "p2-on-bounds"])
+    def test_field_with_the_wrong_axis_count_fails_its_rows(
+            self, tmp_path, field, experiment, n_rows):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("kind = model", field)
+                         .replace("bounds, nu-half", experiment))
+        assert cli.main(["run", path]) == 2
+        with open(out / f"{experiment}.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == n_rows
+        assert all(r["passed"] == "false" and "DimensionMismatch" in r["note"]
+                   for r in rows)
+        assert f"FAIL  {experiment}" in (out / "summary.txt").read_text()
 
     def test_failed_reflection_check_fails_only_its_row(self, tmp_path,
                                                         monkeypatch):

@@ -262,9 +262,9 @@ class TestSmallestEigenpairs:
             else model06
         mesh = grid.build_mesh(kind, ell=2, omega=(-1, 1),
                                resolution=resolution, grading=grading)
-        assemble_fn = (assemble.assemble_dirichlet_cylinder if dirichlet
-                       else assemble.assemble_cylinder)
-        Kf = assemble_fn(mesh, field)[0].full()
+        if dirichlet:
+            mesh = grid.with_full_dirichlet(mesh)
+        Kf = assemble.assemble_cylinder(mesh, field)[0].full()
         coo = Kf.tocoo()
         assert eig._half_bandwidth(Kf) == np.abs(coo.row - coo.col).max()
 
@@ -334,7 +334,8 @@ class TestTrialSpaceMonotonicity:
         mesh = grid.build_mesh("full-cylinder", ell=4, omega=(-1, 1),
                                resolution=8)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        Kd, Md = assemble.assemble_dirichlet_cylinder(mesh, model06)
+        Kd, Md = assemble.assemble_cylinder(
+            grid.with_full_dirichlet(mesh), model06)
         lam = eig.smallest_eigenpairs(K, M)[0].value
         sig = eig.smallest_eigenpairs(Kd, Md)[0].value
         assert lam <= sig + 1e-8

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from cylgap import assemble, cli, coeff, eig, grid
 from cylgap import experiments as ex
-from cylgap.errors import (ConditionConFails, MemoryBudget, NoConvergence,
-                           NoReflectionSymmetry, NotConverged)
+from cylgap.errors import (ConditionConFails, DimensionMismatch,
+                           MemoryBudget, NoConvergence, NoReflectionSymmetry,
+                           NotConverged)
 
 from conftest import MU1
 
@@ -106,26 +108,43 @@ class TestLimitZero:
         assert abs(summary.extrapolated - summary.Lambda1_disc) < 2e-2
 
 
+def plus_side(records):
+    return [r for r in records if r.experiment == "nu-half+"]
+
+
 class TestNuHalf:
     def test_model_monotone_and_below_mu(self, model, cfg):
-        est = ex.exp_nu_half(model, "+", [4, 8, 16], cfg)
-        seq = est.sequence
+        plus = plus_side(ex.exp_nu_half(model, [4, 8, 16], cfg))
+        seq = [r.lambda_half_plus for r in plus]
         assert all(b <= a + 1e-9 for a, b in zip(seq, seq[1:]))
-        assert est.converged
+        assert "not converged" not in plus[-1].note
         mu = ex.cross_context(model, cfg).mu1
-        assert est.nu < mu - 1e-2
-        assert est.bracket[0] <= est.nu <= est.bracket[1]
+        nu = plus[-1].nu_plus
+        assert nu < mu - 1e-2
+        lower, upper = map(float, re.search(r"bracket=\[(.*),(.*)\]",
+                                            plus[-1].note).groups())
+        # the note prints the bracket to 9 digits
+        assert lower <= nu <= upper * (1 + 1e-8)
 
     def test_diagonal_identified_with_mu(self, cfg):
         field = coeff.diagonal_field([1.0, 1.0])
-        est = ex.exp_nu_half(field, "+", [4, 8, 16], cfg)
+        plus = plus_side(ex.exp_nu_half(field, [4, 8, 16], cfg))
         mu = ex.cross_context(field, cfg).mu1
-        assert est.nu == mu
-        assert all(v >= mu - 1e-9 for v in est.sequence)
+        assert plus[-1].nu_plus == mu
+        assert all(r.lambda_half_plus >= mu - 1e-9 for r in plus)
 
     def test_reflection_identity(self, model, cfg):
         lm, lp = ex.reflection_check(model, 4, cfg)
         assert abs(lm - lp) <= 1e-8
+
+    def test_reflection_row(self, model, cfg):
+        rec = ex.exp_nu_half(model, [4, 8], cfg)[-1]
+        assert (rec.experiment, rec.ell, rec.passed) == ("nu-half", 4, True)
+        assert (rec.lambda_half_minus, rec.lambda_half_plus) == \
+            ex.reflection_check(model, 4, cfg)
+        assert rec.gap <= ex.REFLECTION_TOL
+        assert rec.delta is None and rec.resolution == "" and \
+            rec.grading is None
 
     def test_reflected_field_reuses_the_cross_context(self, model, cfg):
         # A22 and the Schur complement do not change under x1 -> -x1
@@ -138,13 +157,14 @@ class TestNuHalf:
     def test_not_converged_raises_with_sequence(self, cfg):
         field = coeff.asymmetric_model_field(0.5)
         # an unsettled sequence is still reported, as an upper bound
-        est = ex.exp_nu_half(field, "+", [2, 4],
-                             replace(cfg, conv_tol=1e-6))
-        assert est.converged is False
-        assert len(est.sequence) == 2 and est.nu == est.sequence[-1]
+        plus = plus_side(ex.exp_nu_half(field, [2, 4],
+                                        replace(cfg, conv_tol=1e-6)))
+        assert "truncation sequence not converged" in plus[-1].note
+        assert len(plus) == 2
+        assert plus[-1].nu_plus == plus[-1].lambda_half_plus
         # a single length gives no estimate at all
         with pytest.raises(NotConverged) as err:
-            ex.exp_nu_half(field, "+", [4], cfg)
+            ex.exp_nu_half(field, [4], cfg)
         assert len(err.value.sequence) == 1
 
 
@@ -246,6 +266,18 @@ class TestDirichletComparison:
             assert r.sigma1 >= r.mu1_disc - r.margin
             assert r.lambda1 <= r.sigma1 + 1e-8
 
+    def test_dirichlet_solve_returns_the_clamped_mesh(self, model):
+        cfg = ex.ExperimentConfig(resolution=8, axial_resolution=4)
+        with ex.solve_memo():
+            mixed, mpairs = ex.solve_cylinder(model, 4, cfg, grading=1.0)
+            mesh, pairs = ex.solve_cylinder(model, 4, cfg, grading=1.0,
+                                            dirichlet=True)
+        assert all(ends == (True, True) for ends in mesh.clamped)
+        assert mesh.n_free == pairs[0].vector.size < mixed.n_free
+        full = mesh.scatter_free(pairs[0].vector)
+        assert np.all(full[mesh.dirichlet_mask] == 0.0)
+        assert pairs[0].value > mpairs[0].value
+
 
 class TestMultiDirection:
     def test_coupled_field_gap_and_row_bound(self):
@@ -266,13 +298,14 @@ class TestMultiDirection:
         assert abs(r.lambda1 - r.mu1_disc) <= 1e-8
 
     def test_wrong_field_rejected(self, model):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             ex.exp_multi_direction(model, [2], ex.ExperimentConfig())
 
 
 class TestDecayAndProfiles:
     def test_decay_records(self, model, cfg):
-        recs, prof = ex.exp_decay(model, 12, cfg)
+        recs, [(ell, prof)] = ex.exp_decay(model, [12], cfg)
+        assert ell == 12
         assert recs[0].passed
         assert recs[0].alpha_fit < 0.8
         assert recs[0].r2 > 0.99

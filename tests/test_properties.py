@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cylgap import analysis, assemble, coeff, eig, grid
+from cylgap import analysis, assemble, coeff, eig, experiments, grid
 from cylgap.errors import FactorizationFailed
 
 from test_assemble import cellwise_oracle
@@ -60,9 +60,9 @@ def cylinder_forms(field, kind):
     mesh_kind, ell, grading, dirichlet = MESH_KINDS[kind]
     mesh = grid.build_mesh(mesh_kind, ell=ell, omega=(-1, 1),
                            resolution=RESOLUTION, grading=grading)
-    assemble_fn = (assemble.assemble_dirichlet_cylinder if dirichlet
-                   else assemble.assemble_cylinder)
-    return assemble_fn(mesh, field)
+    if dirichlet:
+        mesh = grid.with_full_dirichlet(mesh)
+    return assemble.assemble_cylinder(mesh, field)
 
 
 def cylinder_value(field, kind):
@@ -171,3 +171,15 @@ def test_axial_densities_add_up_to_the_forms(field, seed):
                 plus_box_energy(mesh, field, full), rel=1e-12), kind
         else:
             assert kind == "full-odd"
+
+
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_nu_half_rows_pass(field):
+    """On nested half-cylinder meshes both truncation sequences are
+    nonincreasing, and the reflection identity holds."""
+    cfg = experiments.ExperimentConfig(resolution=RESOLUTION[1],
+                                       axial_resolution=RESOLUTION[0])
+    records = experiments.exp_nu_half(field, [1, 2, 3], cfg)
+    assert len(records) == 7
+    assert all(r.passed for r in records), [r.note for r in records]
