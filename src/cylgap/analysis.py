@@ -66,7 +66,6 @@ class DecayProfile:
     no_decay: bool
     grad_masses: list
     grad_alpha: float
-    grad_r2: float
 
 
 def _fit_log_decay(ell, rs, masses):
@@ -103,7 +102,7 @@ def decay_profile(u, mesh):
     masses = [float(mass[np.abs(x1q) <= r].sum()) for r in rs]
     gmasses = [float(energy[np.abs(x1q) <= r].sum()) for r in rs]
     slope, ci, r2 = _fit_log_decay(mesh.ell, rs, masses)
-    gslope, _, gr2 = _fit_log_decay(mesh.ell, rs, gmasses)
+    gslope, _, _ = _fit_log_decay(mesh.ell, rs, gmasses)
     alpha = math.exp(slope)
     return DecayProfile(
         masses=list(zip(rs, masses)),
@@ -113,7 +112,6 @@ def decay_profile(u, mesh):
         no_decay=alpha > NO_DECAY_ALPHA,
         grad_masses=list(zip(rs, gmasses)),
         grad_alpha=math.exp(gslope),
-        grad_r2=gr2,
     )
 
 

@@ -4,12 +4,15 @@ Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
 cross variable only, so cylinder forms are Kronecker sums of 1D axial and
 cross-section matrices.  Dirichlet elimination happens on the factors,
 each restricted to its free indices before the products; forms store
-only the lower triangle, so they are exactly symmetric.
+only the lower triangle, so they are exactly symmetric.  Inside a
+``solve_memo`` block each distinct factor is built once and shared.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import hashlib
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -21,6 +24,10 @@ from .errors import DimensionMismatch, MeshMismatch, NotElliptic
 from .grid import TensorMesh
 
 _SQRT3 = np.sqrt(3.0)
+
+# entries of the enclosing ``experiments.solve_memo`` block (solved
+# pencils and slot-matrix sets); None outside any block
+_MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
 
 
 def gauss_points_01():
@@ -117,7 +124,22 @@ def _slot_matrices(mesh, C, n_values):
     psi_a is the Q1 basis function itself for a < n_values and its
     derivative along axis a - n_values after that; C has shape
     (n_cells, nq, s, s), or broadcasts to it.
+
+    Inside a ``solve_memo`` block the set of each mesh key, ``n_values``
+    and C (shape and bytes) is built once and shared, so callers only
+    read it; outside any block every call builds afresh.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _build_slots(mesh, C, n_values)
+    key = (mesh.key, n_values, C.shape,
+           hashlib.blake2b(C.tobytes(), digest_size=16).hexdigest())
+    if key not in memo:
+        memo[key] = _build_slots(mesh, C, n_values)
+    return memo[key]
+
+
+def _build_slots(mesh, C, n_values):
     N, G = reference_basis(mesh.ndim)
     nq, nloc = N.shape
     s = n_values + mesh.ndim

@@ -160,14 +160,11 @@ def parse_config(path):
 
 def _apply(rc, section, key, val, path, lineno):
     if section == "run" and key == "experiments":
-        names = val
-        if names == ["all"]:
-            names = list(EXPERIMENTS)
-        for n in names:
+        for n in val:
             if n not in EXPERIMENTS:
                 raise ConfigError(f"{path}:{lineno}: unknown experiment "
                                   f"'{n}'")
-        rc.experiments = names
+        rc.experiments = val
     elif section == "run" and key == "output_dir":
         rc.output_dir = val
     elif section == "run" and key == "parallelism":

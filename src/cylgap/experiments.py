@@ -9,7 +9,6 @@ cross-section eigenvalue (coarse/fine difference times three).
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
 import time
 from dataclasses import dataclass, fields as dc_fields, replace
@@ -158,20 +157,18 @@ def cross_context(field, cfg):
     return ctx
 
 
-# entries of the enclosing ``solve_memo`` block; None outside any block
-_MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
-
-
 @contextlib.contextmanager
 def solve_memo():
     """Within the block, ``solve_cylinder`` assembles and solves each
-    distinct pencil once and answers repeats from entries the block owns;
-    outside any block every call solves afresh."""
-    token = _MEMO.set({})
+    distinct pencil once, and assembly and diagnostics build each
+    distinct slot-matrix set once; repeats are answered from entries the
+    block owns (``asm._MEMO``).  Outside any block every call solves and
+    builds afresh."""
+    token = asm._MEMO.set({})
     try:
         yield
     finally:
-        _MEMO.reset(token)
+        asm._MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,8 @@ def _held_lambda1(memo, ctx, ell):
     ``ctx`` (so for one field up to reflection) on a mixed pencil with
     both ends free and no longer than ``ell``; None if it holds none."""
     return max((entry.pairs[0].value for entry in memo.values()
-                if entry.ctx is ctx and entry.free_ends and entry.ell <= ell),
+                if isinstance(entry, _Held) and entry.ctx is ctx
+                and entry.free_ends and entry.ell <= ell),
                default=None)
 
 
@@ -235,7 +233,7 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
         node_cap=cfg.node_cap)
     if dirichlet:
         mesh = grid_mod.with_full_dirichlet(mesh)
-    memo = _MEMO.get()
+    memo = asm._MEMO.get()
     # fields compare by identity, and the key keeps its field alive
     key = (mesh.key, field, count, cfg.tol, cfg.seed)
     entry = None if memo is None else memo.get(key)
@@ -508,10 +506,7 @@ def exp_second_eigenvalue(field, L_list, cfg):
     """Second eigenvalue closes onto the first under property (S), squeezed
     by the matched half-cylinder value."""
     ctx = cross_context(field, cfg)
-    for part in ctx.mesh.axis_partitions:
-        if abs(part[0] + part[-1]) > 1e-12:
-            raise NoReflectionSymmetry(
-                "property (S) requires omega symmetric about the origin")
+    grid_mod.reflection_permutation(ctx.mesh)
     if not field.is_even(ctx.mesh.cell_centers()):
         raise NoReflectionSymmetry("property (S) requires an even field")
     gaps = []

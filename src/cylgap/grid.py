@@ -11,7 +11,6 @@ natural (Neumann) condition.
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -84,9 +83,8 @@ class TensorMesh:
         self.dirichlet_mask = np.ones(self.n_nodes, dtype=bool)
         self.dirichlet_mask[self.free_nodes] = False
         self.dirichlet_mask.setflags(write=False)
-        self._cache = {}
 
-    # -- derived geometry (cached) ---------------------------------------
+    # -- derived geometry ------------------------------------------------
 
     @property
     def dirichlet_nodes(self):
@@ -98,45 +96,23 @@ class TensorMesh:
 
     def node_coords(self):
         """(n_nodes, ndim) array of node coordinates, C-ordered."""
-        if "coords" not in self._cache:
-            grids = np.meshgrid(*self.axis_partitions, indexing="ij")
-            self._cache["coords"] = np.stack([g.ravel() for g in grids], axis=1)
-        return self._cache["coords"]
+        return _product_points(self.axis_partitions)
 
     def cell_node_indices(self):
         """(n_cells, 2**ndim) corner node indices; corners ordered with the
         last axis fastest, matching the reference element."""
-        if "cells" not in self._cache:
-            grids = np.meshgrid(
-                *[np.arange(s - 1) for s in self.shape], indexing="ij"
-            )
-            base = [g.ravel() for g in grids]
-            out = np.empty((self.n_cells, 2**self.ndim), dtype=np.int64)
-            for k, corner in enumerate(
-                itertools.product((0, 1), repeat=self.ndim)
-            ):
-                out[:, k] = np.ravel_multi_index(
-                    tuple(base[a] + corner[a] for a in range(self.ndim)),
-                    self.shape,
-                )
-            self._cache["cells"] = out
-        return self._cache["cells"]
+        nodes = np.arange(self.n_nodes).reshape(self.shape)
+        lows = nodes[(slice(-1),) * self.ndim].ravel()
+        # corner offsets: the node indices of the first cell
+        return lows[:, None] + nodes[(slice(2),) * self.ndim].ravel()
 
     def cell_sizes(self):
         """(n_cells, ndim) per-axis cell extents."""
-        if "sizes" not in self._cache:
-            diffs = [np.diff(p) for p in self.axis_partitions]
-            grids = np.meshgrid(*diffs, indexing="ij")
-            self._cache["sizes"] = np.stack([g.ravel() for g in grids], axis=1)
-        return self._cache["sizes"]
+        return _product_points([np.diff(p) for p in self.axis_partitions])
 
     def cell_origins(self):
         """(n_cells, ndim) lower-corner coordinates."""
-        if "origins" not in self._cache:
-            lows = [p[:-1] for p in self.axis_partitions]
-            grids = np.meshgrid(*lows, indexing="ij")
-            self._cache["origins"] = np.stack([g.ravel() for g in grids], axis=1)
-        return self._cache["origins"]
+        return _product_points([p[:-1] for p in self.axis_partitions])
 
     def cell_centers(self):
         return self.cell_origins() + 0.5 * self.cell_sizes()
@@ -168,19 +144,22 @@ class TensorMesh:
         """Faithful identity: the domain kind plus a digest of the shape,
         the partition bytes and the Dirichlet mask, so meshes with equal
         keys have the same nodes and the same tags."""
-        if "key" not in self._cache:
-            h = hashlib.blake2b(np.asarray(self.shape).tobytes(),
-                                digest_size=16)
-            for part in self.axis_partitions:
-                h.update(part.tobytes())
-            h.update(self.dirichlet_mask.tobytes())
-            self._cache["key"] = f"{self.domain_kind}:{h.hexdigest()}"
-        return self._cache["key"]
+        h = hashlib.blake2b(np.asarray(self.shape).tobytes(), digest_size=16)
+        for part in self.axis_partitions:
+            h.update(part.tobytes())
+        h.update(self.dirichlet_mask.tobytes())
+        return f"{self.domain_kind}:{h.hexdigest()}"
 
     def __repr__(self):
         cells = "x".join(map(str, self.cells_shape))
         return (f"TensorMesh({self.domain_kind}[{cells}], ell={self.ell}, "
                 f"nodes={self.n_nodes}, free={self.n_free})")
+
+
+def _product_points(axes):
+    """(n, len(axes)) array of the C-ordered tensor product of ``axes``."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
 
 
 def _axis_cells(length, res):

@@ -23,6 +23,14 @@ def cross32(model06):
             "mu1": W1.value, "Lambda1": w1.value}
 
 
+def same_bits(a, b):
+    """Forms, or nested lists of them, with bitwise equal lower triangles."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return all(np.array_equal(getattr(a.lower, k), getattr(b.lower, k))
+               for k in ("data", "indices", "indptr"))
+
+
 def random_spd(rng, n, scale=1.0):
     R = rng.standard_normal((n, n))
     A = R @ R.T
@@ -32,3 +40,17 @@ def random_spd(rng, n, scale=1.0):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def slot_builds(monkeypatch):
+    """Every slot-matrix set built from here on, as its memo key."""
+    builds = []
+    build = assemble._build_slots
+
+    def counted(mesh, C, n_values):
+        builds.append((mesh.key, n_values, C.shape, C.tobytes()))
+        return build(mesh, C, n_values)
+
+    monkeypatch.setattr(assemble, "_build_slots", counted)
+    return builds

@@ -7,6 +7,9 @@ longer ones, the explicit Rayleigh test functions v_l, v~_l, the glued
 phi and z_alpha, and the Picone gap.  No run executes them, so they live
 here rather than in the package.
 
+The cellwise oracle is the reference assembly that the Kronecker
+forms are checked against.
+
 Test functions are evaluated as nodal interpolants on the active mesh;
 every interpolant vanishes exactly on Dirichlet-tagged nodes, so its
 Rayleigh quotient is a true upper bound for the discrete first
@@ -460,3 +463,34 @@ def picone_gap(u, W1, mu1, mesh, forms):
         raise DegenerateWeight("W1 is not strictly positive at interior nodes")
     K, M = forms
     return K.energy(u) - mu1 * M.energy(u)
+
+
+# -- reference assembly -----------------------------------------------------
+
+
+def cellwise_oracle(mesh, mats, midpoint):
+    """Dense (K, M) assembled cell by cell: the coefficient sampled at every
+    2-point Gauss point of every cell (at its centre when ``midpoint``),
+    one einsum over all cells, Dirichlet rows and columns dropped."""
+    d = mesh.ndim
+    N, G = asm.reference_basis(d)
+    nq = 2**d
+    h = mesh.cell_sizes()
+    vol = mesh.cell_volumes()
+    if midpoint:
+        C = np.repeat(mats(mesh.cell_centers())[:, None], nq, axis=1)
+    else:
+        pts = asm.quadrature_coords(mesh).reshape(-1, d)
+        C = mats(pts).reshape(mesh.n_cells, nq, d, d)
+    Cs = C / h[:, None, :, None] / h[:, None, None, :]
+    Kloc = np.einsum("cqab,qai,qbj->cij", Cs, G, G) * (vol / nq)[:, None, None]
+    Mloc = vol[:, None, None] * (N.T @ N / nq)
+    cells = mesh.cell_node_indices()
+    idx = (cells[:, :, None], cells[:, None, :])
+    free = np.ix_(mesh.free_nodes, mesh.free_nodes)
+    out = []
+    for loc in (Kloc, Mloc):
+        full = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        np.add.at(full, idx, loc)
+        out.append(full[free])
+    return out

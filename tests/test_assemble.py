@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from cylgap import assemble, coeff, eig, grid
+from cylgap import analysis, assemble, coeff, eig, grid
+from cylgap import experiments as ex
 from cylgap.errors import DimensionMismatch, MeshMismatch, NotElliptic
 
 import proofs
-from conftest import MU1
+from conftest import MU1, same_bits
 
 
 def interp_sq_integral_1d(part, values):
@@ -18,34 +19,6 @@ def interp_sq_integral_1d(part, values):
     a, b = values[:-1], values[1:]
     h = np.diff(part)
     return float(np.sum(h * (a * a + a * b + b * b) / 3.0))
-
-
-def cellwise_oracle(mesh, mats, midpoint):
-    """Dense (K, M) assembled cell by cell: the coefficient sampled at every
-    2-point Gauss point of every cell (at its centre when ``midpoint``),
-    one einsum over all cells, Dirichlet rows and columns dropped."""
-    d = mesh.ndim
-    N, G = assemble.reference_basis(d)
-    nq = 2**d
-    h = mesh.cell_sizes()
-    vol = mesh.cell_volumes()
-    if midpoint:
-        C = np.repeat(mats(mesh.cell_centers())[:, None], nq, axis=1)
-    else:
-        pts = assemble.quadrature_coords(mesh).reshape(-1, d)
-        C = mats(pts).reshape(mesh.n_cells, nq, d, d)
-    Cs = C / h[:, None, :, None] / h[:, None, None, :]
-    Kloc = np.einsum("cqab,qai,qbj->cij", Cs, G, G) * (vol / nq)[:, None, None]
-    Mloc = vol[:, None, None] * (N.T @ N / nq)
-    cells = mesh.cell_node_indices()
-    idx = (cells[:, :, None], cells[:, None, :])
-    free = np.ix_(mesh.free_nodes, mesh.free_nodes)
-    out = []
-    for loc in (Kloc, Mloc):
-        full = np.zeros((mesh.n_nodes, mesh.n_nodes))
-        np.add.at(full, idx, loc)
-        out.append(full[free])
-    return out
 
 
 def test_reference_tables_match_loop_form():
@@ -143,7 +116,7 @@ def test_kronecker_assembly_matches_cellwise_oracle(case):
             mesh = grid.with_full_dirichlet(mesh)
         K, M = assemble.assemble_cylinder(mesh, field)
         mats = lambda x: field.eval_many(x[:, p:])
-    Ko, Mo = cellwise_oracle(mesh, mats, field.piecewise_constant)
+    Ko, Mo = proofs.cellwise_oracle(mesh, mats, field.piecewise_constant)
     for form, oracle in ((K, Ko), (M, Mo)):
         dev = np.abs(form.full().toarray() - oracle).max()
         assert dev <= 1e-13 * np.abs(oracle).max()
@@ -263,6 +236,67 @@ class TestCylinderAssembly:
         assert np.array_equal(K1.lower.data, K2.lower.data)
         assert np.array_equal(M1.lower.data, M2.lower.data)
         assert np.array_equal(K1.lower.indices, K2.lower.indices)
+
+
+class TestSlotMemo:
+    @staticmethod
+    def meshes():
+        cyl = grid.build_mesh("full-cylinder", ell=6, omega=(-1, 1),
+                              resolution=(4, 8))
+        half = grid.build_mesh("half-plus", ell=6, omega=(-1, 1),
+                               resolution=(4, 8))
+        return cyl, half, grid.with_full_dirichlet(cyl)
+
+    def test_each_distinct_set_is_built_once_in_a_block(self, model06,
+                                                        slot_builds):
+        cyl, half, _ = self.meshes()
+        full = cyl.scatter_free(np.ones(cyl.n_free))
+        with ex.solve_memo():
+            for _ in range(2):
+                assemble.assemble_cylinder(cyl, model06)
+                assemble.assemble_cylinder(half, model06)
+                assemble.assemble_cylinder(cyl, model06.reflected())
+                analysis.axial_densities(full, cyl.axis_partitions, model06)
+                analysis.axial_densities(full, cyl.axis_partitions)
+        # the two axial factors, the cross slots of A, of the reflected A
+        # and of C = I, and the cross mass; diagnostics share the
+        # assembly's cross sets
+        assert len(slot_builds) == len(set(slot_builds)) == 6
+
+    def test_block_values_equal_fresh_ones_bitwise(self, model06):
+        meshes = self.meshes()
+        cyl = meshes[0]
+
+        def everything():
+            # the reflected field's samples differ from A's in bytes only
+            forms = [assemble.assemble_cylinder(m, f) for m in meshes
+                     for f in (model06, model06.reflected())]
+            pair = eig.smallest_eigenpairs(*forms[0])[0]
+            return forms, pair, [
+                analysis.concentration_split(pair, cyl, model06),
+                analysis.decay_profile(pair, cyl),
+                analysis.symmetry_defect(pair, cyl, field=model06)]
+
+        forms, pair, diagnostics = everything()
+        with ex.solve_memo():
+            for _ in range(2):
+                held_forms, held_pair, held_diagnostics = everything()
+                assert same_bits(held_forms, forms)
+                assert np.array_equal(held_pair.vector, pair.vector)
+                assert held_diagnostics == diagnostics
+
+    def test_nothing_is_stored_outside_a_block(self, model06, slot_builds):
+        cyl = self.meshes()[0]
+        assert assemble._MEMO.get() is None
+        first = assemble.assemble_cylinder(cyl, model06)
+        again = assemble.assemble_cylinder(cyl, model06)
+        assert same_bits(first, again)
+        assert len(slot_builds) == 2 * 3  # axial factor, cross slots, mass
+        with ex.solve_memo():
+            assemble.assemble_cylinder(cyl, model06)
+        assert assemble._MEMO.get() is None
+        assemble.assemble_cylinder(cyl, model06)
+        assert len(slot_builds) == 4 * 3
 
 
 class TestCrossSection:

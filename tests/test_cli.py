@@ -172,6 +172,14 @@ tol_inf = 2e-3
         with pytest.raises(ConfigError):
             cli.parse_config(path)
 
+    def test_all_is_not_an_experiment(self, tmp_path):
+        # no field runs every experiment (multi-direction needs p = 2,
+        # the others p = 1), so there is no alias for all of them
+        path = write_cfg(tmp_path, "# every one\n[run]\nexperiments = all\n")
+        with pytest.raises(ConfigError,
+                           match=r":3: unknown experiment 'all'"):
+            cli.parse_config(path)
+
 
 class TestRun:
     def test_happy_path_exit_zero(self, tmp_path):
@@ -338,6 +346,17 @@ axial_resolution = 4
         monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
         assert cli.main(["run", path]) == 0
         assert (out / "bounds.csv").exists()
+
+    def test_a_second_run_builds_its_slot_sets_again(self, tmp_path,
+                                                      slot_builds):
+        # the slot-matrix entries end with the run's solve_memo block
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
+        counts = []
+        for _ in range(2):
+            slot_builds.clear()
+            assert cli.main(["run", path]) == 0
+            counts.append(len(slot_builds))
+        assert counts[0] == counts[1] > 0
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "a"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,22 @@ class TestBuildMesh:
         spans = [p[-1] - p[0] for p in m.axis_partitions]
         assert np.prod(spans) == pytest.approx(12.0)
         assert m.cell_volumes().sum() == pytest.approx(12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, omega, res", [
+        ("cross-section", ((-1, 1), (0, 2)), (3, 2)),
+        ("half-plus", (-1, 1), (3, 4)),
+        ("multi-direction", (-1, 1), (2, 3, 3)),
+    ])
+    def test_cell_corners_against_coords(self, kind, omega, res):
+        # corner k of a cell is its origin plus its size times the k-th
+        # 0/1 offset, the offsets ordered with the last axis fastest
+        m = grid.build_mesh(kind, ell=2, omega=omega, resolution=res,
+                            grading=2)
+        offsets = np.array(list(itertools.product((0, 1), repeat=m.ndim)))
+        np.testing.assert_allclose(
+            m.node_coords()[m.cell_node_indices()],
+            m.cell_origins()[:, None] + m.cell_sizes()[:, None] * offsets,
+            rtol=0, atol=1e-12)
 
 
 class TestGrading:

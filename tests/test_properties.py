@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from cylgap import analysis, assemble, coeff, eig, experiments, grid
 from cylgap.errors import FactorizationFailed
 
-from test_assemble import cellwise_oracle
+from conftest import same_bits
+from proofs import cellwise_oracle
 
 RESOLUTION = (4, 8)  # axial, cross cells per unit
 # kind -> (mesh kind, ell, grading, whole boundary Dirichlet)
@@ -56,13 +57,15 @@ def cross_values(field):
         mesh, field, reduced=reduced)) for reduced in (False, True))
 
 
-def cylinder_forms(field, kind):
+def cylinder_mesh(kind):
     mesh_kind, ell, grading, dirichlet = MESH_KINDS[kind]
     mesh = grid.build_mesh(mesh_kind, ell=ell, omega=(-1, 1),
                            resolution=RESOLUTION, grading=grading)
-    if dirichlet:
-        mesh = grid.with_full_dirichlet(mesh)
-    return assemble.assemble_cylinder(mesh, field)
+    return grid.with_full_dirichlet(mesh) if dirichlet else mesh
+
+
+def cylinder_forms(field, kind):
+    return assemble.assemble_cylinder(cylinder_mesh(kind), field)
 
 
 def cylinder_value(field, kind):
@@ -112,6 +115,29 @@ def test_comparison_pencils_below_the_shift_guess(field):
     short = first_value(*assemble.assemble_cylinder(mesh, field))
     for kind in ("half-plus", "half-minus"):
         assert short <= cylinder_value(field, kind) * (1 + 1e-12), kind
+
+
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_kronecker_assembly_matches_the_oracle_in_and_out_of_a_block(field):
+    """Forms assembled outside any ``solve_memo`` block, and twice inside
+    one (the second from the block's slot-matrix entries), match the
+    cellwise oracle; the in-block forms equal the fresh ones bitwise."""
+    for kind in ("full", "half-plus"):
+        mesh = cylinder_mesh(kind)
+        fresh = assemble.assemble_cylinder(mesh, field)
+        with experiments.solve_memo():
+            first = assemble.assemble_cylinder(mesh, field)
+            held = len(assemble._MEMO.get())
+            second = assemble.assemble_cylinder(mesh, field)
+            assert len(assemble._MEMO.get()) == held > 0, kind
+        oracle = cellwise_oracle(mesh, lambda x: field.eval_many(x[:, 1:]),
+                                 field.piecewise_constant)
+        for forms in (fresh, first, second):
+            for form, ref in zip(forms, oracle):
+                dev = np.abs(form.full().toarray() - ref).max()
+                assert dev <= 1e-13 * np.abs(ref).max(), kind
+        assert same_bits(first, fresh) and same_bits(second, fresh), kind
 
 
 def test_uncoupled_field_sits_on_the_floor():

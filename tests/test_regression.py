@@ -1,10 +1,17 @@
 """Portable regression check: a fresh run of each committed config against
 the committed reference CSVs, compared by the benchmark's correctness
 gate (identity and ``passed`` columns exact, eigenvalue columns to a
-relative tolerance) rather than byte for byte."""
+relative tolerance) rather than byte for byte.  A traced run of the
+benchmark's child on a small config checks that the names its tracer
+rebinds and reads still exist."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -30,10 +37,14 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
 # and 80 with shifts guessed from the memo, 1096, 512 and 98 at the floor)
 MAX_APPLICATIONS = {"asymmetric": 360, "model_gap": 600,
                     "multi_direction": 85}
+# most slot-matrix sets a run may build: one per distinct set (77, 180
+# and 26 when every assembly and diagnostic built its own)
+MAX_SLOT_BUILDS = {"asymmetric": 24, "model_gap": 38, "multi_direction": 9}
 
 
 @pytest.mark.parametrize("workload", list(CONFIGS))
-def test_config_matches_reference(tmp_path, monkeypatch, workload):
+def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
+                                  workload):
     out = tmp_path / workload
     monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
     applications = []
@@ -50,3 +61,49 @@ def test_config_matches_reference(tmp_path, monkeypatch, workload):
     assert result.rows > 0
     assert result.ok, result.problems
     assert len(applications) <= MAX_APPLICATIONS[workload]
+    assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
+
+
+TRACE_CFG = """
+[run]
+experiments = bounds, nu-half, second
+output_dir = {out}
+seed = 0
+
+[field]
+kind = model
+delta = 0.6
+
+[mesh]
+resolution = 8
+axial_resolution = 4
+
+[schedules]
+ell_bounds = 1 2
+l_half = 2 4
+l_second = 4 6
+"""
+
+
+def test_benchmark_trace_reads_the_package(tmp_path):
+    """The benchmark's traced child runs a small config to the end, and
+    its tracer still finds the names it rebinds and reads: 13 solves of
+    13 distinct pencils (10 cylinders and the 3 cross-section pencils of
+    the one cross context), each assembled once.  A subprocess keeps the
+    rebinding out of this process."""
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text(TRACE_CFG.format(out=tmp_path / "out"))
+    result = tmp_path / "result.json"
+    env = {k: v for k, v in os.environ.items() if k != cli.ENV_OUTPUT_DIR}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(cfg),
+         str(result), repr(time.perf_counter()), "--trace"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    layers = out["layers"]
+    assert out["exit"] == 0
+    assert layers["eig.calls"] == layers["eig.distinct"] == 13
+    assert layers["assemble.calls"] == 13
+    assert layers["experiments.cross_context.builds"] == 1
