@@ -1,9 +1,9 @@
 """Generalized symmetric eigensolver for the assembled pencils K u = lambda M u.
 
-Small pencils go through a dense solve, larger ones through ARPACK with a
-deterministic start vector on one banded Cholesky factor of K - sigma M,
-shift-inverted at a floor sigma below the whole spectrum (Ericsson & Ruhe,
-Math. Comp. 35, 1980).  A cylinder stiffness is the Kronecker sum
+Every pencil goes through ARPACK with a deterministic start vector on
+one banded Cholesky factor of K - sigma M, shift-inverted at a floor
+sigma below the whole spectrum (Ericsson & Ruhe, Math. Comp. 35, 1980).
+A cylinder stiffness is the Kronecker sum
 sum_ab F_ab x X_ab with exact axial factors and A sampled where the
 reduced cross assembly samples it, so u.Ku >= u.(M1 x Kc_red)u >=
 Lambda1 u.Mu and no eigenvalue lies below Lambda1.  The floor of a
@@ -51,7 +51,6 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
 
 from .errors import FactorizationFailed, NoConvergence
 
-DENSE_CUTOFF = 400
 DEGENERACY_RTOL = 1e-8
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # the smallest residual tolerance a solve accepts
@@ -169,16 +168,17 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
                         guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
-    ``floor`` must lie strictly below the whole spectrum; the ARPACK path
-    shift-inverts there, and a lambda_1 at or below it raises
-    FactorizationFailed.  A ``guess`` above the floor is tried first on
-    the ARPACK path: if K - guess M factors, lambda_1 > guess is proven
-    and the solve shift-inverts at the guess, closer to lambda_1 and so
-    in fewer operator applications; otherwise it shift-inverts at the
-    floor exactly as without a guess.  The dense path ignores the guess.
-    Vectors are M-normalized, pairwise M-orthogonal, and the first vector
-    is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is
-    checked against ``tol``.
+    ``floor`` must lie strictly below the whole spectrum: the solve
+    factors K - floor M, and a lambda_1 at or below it raises
+    FactorizationFailed.  A ``guess`` above the floor is factored first:
+    if K - guess M factors, lambda_1 > guess is proven and the solve
+    shift-inverts at the guess, closer to lambda_1 and so in fewer
+    operator applications; otherwise it shift-inverts at the floor
+    exactly as without a guess.  A pencil of at most count + 2 unknowns,
+    which ARPACK cannot take, is solved by dense ``eigh`` after the same
+    factor.  Vectors are M-normalized, pairwise M-orthogonal, and the
+    first vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| /
+    ||Mu|| is checked against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -192,15 +192,14 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
         raise ValueError(f"requested {count} pairs from a dimension-{n} pencil")
     want = min(count + 1, n)
 
-    shift = floor
-    if n <= DENSE_CUTOFF or want >= n - 1:
+    chol, shift = _factor_above(Kf, Mf, floor, guess)
+    if want >= n - 1:
         try:
             vals, vecs = scipy.linalg.eigh(
                 Kf.toarray(), Mf.toarray(), subset_by_index=[0, want - 1])
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise FactorizationFailed(f"dense factorization failed: {exc}")
     else:
-        chol, shift = _factor_above(Kf, Mf, floor, guess)
         OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)

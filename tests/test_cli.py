@@ -1,7 +1,10 @@
 import csv
 import dataclasses
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,23 @@ delta = 0.6
 [mesh]
 resolution = 8
 axial_resolution = 4
+
+[schedules]
+ell_bounds = 0.5 1
+l_half = 2 4
+"""
+
+
+# a small run on the default mesh (no [mesh] section)
+DEFAULT_MESH_CFG = """
+[run]
+experiments = bounds, nu-half
+output_dir = {out}
+seed = 0
+
+[field]
+kind = model
+delta = 0.6
 
 [schedules]
 ell_bounds = 0.5 1
@@ -368,6 +388,31 @@ axial_resolution = 4
             b1 = (tmp_path / "r1" / name).read_bytes()
             b2 = (tmp_path / "r2" / name).read_bytes()
             assert b1 == b2
+
+    def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Every 2D pencil is solved by Lanczos on its banded factor, so
+        the CSVs come out the same under one and two OpenBLAS threads.
+        The thread count is set in each child's environment only, since
+        OpenBLAS reads it when numpy is first imported."""
+        path = write_cfg(tmp_path,
+                         DEFAULT_MESH_CFG.format(out=tmp_path / "ignored"))
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(src))
+            env[cli.ENV_OUTPUT_DIR] = str(out)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cylgap.cli", "run", path], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+        assert names[0] == names[1] == ["bounds.csv", "nu-half.csv"]
+        for name in names[0]:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
 
 
 class TestPlotAndReport:

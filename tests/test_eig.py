@@ -91,6 +91,20 @@ def factors(monkeypatch):
     return made
 
 
+@pytest.fixture()
+def lanczos_calls(monkeypatch):
+    """One entry per shift-invert Lanczos run from here on."""
+    calls = []
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    eigsh = eig.eigsh
+    monkeypatch.setattr(eig, "eigsh", counting_eigsh)
+    return calls
+
+
 class TestSmallestEigenpairs:
     def test_1d_identity_spectrum(self, pencil_1d):
         pairs = eig.smallest_eigenpairs(*pencil_1d, count=2)
@@ -176,45 +190,74 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError):
             eig.smallest_eigenpairs(K, M, tol=1e-13)
 
-    def test_arpack_path_matches_dense(self, model06):
-        # > DENSE_CUTOFF free nodes forces the shift-invert path
+    def test_arpack_path_matches_dense(self, model06, lanczos_calls):
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        assert K.dim > eig.DENSE_CUTOFF
         dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
                                   subset_by_index=[0, 1])[0]
-        for floor in (0.0, schur_floor(model06, 16)):
+        floors = (0.0, schur_floor(model06, 16))
+        lanczos_calls.clear()  # the cross-section solves of the floor
+        for floor in floors:
             pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9,
                                             floor=floor)
             assert pairs[0].value == pytest.approx(dense[0], rel=1e-10)
             assert pairs[1].value == pytest.approx(dense[1], rel=1e-10)
+        assert len(lanczos_calls) == len(floors)
 
     @pytest.mark.parametrize("count", [1, 2])
-    def test_arpack_path_matches_dense_3d(self, pencil_3d, count):
+    def test_arpack_path_matches_dense_3d(self, pencil_3d, lanczos_calls,
+                                          count):
         K, M, dense, schur = pencil_3d
-        assert K.dim > eig.DENSE_CUTOFF
         for floor in (0.0, schur):
             pairs = eig.smallest_eigenpairs(K, M, count=count, tol=1e-9,
                                             floor=floor)
             assert len(pairs) == count
             for p, d in zip(pairs, dense):
                 assert p.value == pytest.approx(d, rel=1e-10)
+        assert len(lanczos_calls) == 2
 
-    @pytest.mark.parametrize("resolution", [4, 16])  # dense, ARPACK
-    def test_floor_above_lambda1_rejected(self, model06, resolution):
-        mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+    @pytest.mark.parametrize("kind, resolution", [
+        ("cross-section", 2), ("full-cylinder", 16)],
+        ids=["fallback", "lanczos"])
+    def test_floor_above_lambda1_rejected(self, model06, kind, resolution):
+        mesh = grid.build_mesh(kind, ell=2, omega=(-1, 1),
                                resolution=resolution)
-        K, M = assemble.assemble_cylinder(mesh, model06)
-        assert (K.dim > eig.DENSE_CUTOFF) == (resolution == 16)
+        assemble_forms = assemble.assemble_cross_section \
+            if kind == "cross-section" else assemble.assemble_cylinder
+        K, M = assemble_forms(mesh, model06)
+        # the fallback takes pencils of at most count + 2 unknowns
+        assert (K.dim > 3) == (kind == "full-cylinder")
         lam = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
                                 subset_by_index=[0, 1])[0]
         with pytest.raises(FactorizationFailed, match="floor"):
             eig.smallest_eigenpairs(K, M, floor=(lam[0] + lam[1]) / 2)
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_fallback_boundary(self, factors, lanczos_calls, count):
+        """Pencils of count + 2 unknowns go to dense eigh, one more
+        unknown to Lanczos; both after the factor at the floor."""
+        for n in (count + 2, count + 3):
+            K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
+                             format="csr")
+            M = sparse.diags(np.linspace(1.0, 2.0, n), format="csr")
+            exact = scipy.linalg.eigh(K.toarray(), M.toarray(),
+                                      eigvals_only=True)
+            factors.clear()
+            lanczos_calls.clear()
+            pairs = eig.smallest_eigenpairs(K, M, count=count,
+                                            floor=exact[0] / 2)
+            for p, e in zip(pairs, exact):
+                assert p.value == pytest.approx(e, rel=1e-12)
+            assert len(factors) == 1
+            assert len(lanczos_calls) == (n == count + 3)
+            with pytest.raises(FactorizationFailed, match="floor"):
+                eig.smallest_eigenpairs(K, M, count=count,
+                                        floor=(exact[0] + exact[1]) / 2)
+
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M takes the general difference
-        n = eig.DENSE_CUTOFF + 100
+        n = 500
         K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
                          format="csr")
         M = sparse.identity(n, format="csr")
@@ -233,7 +276,7 @@ class TestSmallestEigenpairs:
         assert at_floor < at_zero  # 75 against 129 when measured
 
     def test_singular_above_cutoff_is_factorization_failed(self):
-        n = eig.DENSE_CUTOFF + 100
+        n = 500
         K = sparse.diags(np.arange(n, dtype=float)).tocsr()  # K[0, 0] = 0
         M = sparse.identity(n, format="csr")
         with pytest.raises(FactorizationFailed, match="singular"):
@@ -319,14 +362,23 @@ class TestGuessedShift:
                     eig.smallest_eigenpairs(K, M, floor=bad_floor,
                                             guess=guess)
 
-    def test_dense_path_ignores_the_guess(self, model06):
+    def test_small_cylinder_takes_the_guess(self, model06, factors):
+        """The resolution-4 cylinder (n = 119) is factored and solved by
+        Lanczos like every larger pencil, and a certified guess saves
+        operator applications on it too."""
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=4)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        assert K.dim <= eig.DENSE_CUTOFF
-        plain = eig.smallest_eigenpairs(K, M)[0]
-        guessed = eig.smallest_eigenpairs(K, M, guess=2 * plain.value)[0]
-        assert guessed.value == plain.value
+        margin = experiments.cross_context(
+            model06, experiments.ExperimentConfig(resolution=4)).margin
+        factors.clear()  # the cross-section solves of the context
+        at_floor = eig.smallest_eigenpairs(K, M, count=2)
+        guessed = eig.smallest_eigenpairs(
+            K, M, count=2, guess=at_floor[0].value - margin)
+        for g, f in zip(guessed, at_floor):
+            assert g.value == pytest.approx(f.value, rel=1e-12)
+        at_floor_solves, guessed_solves = (f.solves for f in factors)
+        assert guessed_solves < at_floor_solves  # 21 against 36 measured
 
 
 class TestTrialSpaceMonotonicity:

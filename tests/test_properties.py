@@ -1,7 +1,7 @@
 """Property tests on random piecewise-constant coefficient tables.
 
 Examples are derandomized with a fixed count, so the suite stays
-deterministic; every pencil is small enough for the dense solve.
+deterministic.
 """
 
 import numpy as np
@@ -45,7 +45,6 @@ def tables(draw):
 
 
 def first_value(K, M):
-    assert K.dim <= eig.DENSE_CUTOFF
     return eig.smallest_eigenpairs(K, M)[0].value
 
 
