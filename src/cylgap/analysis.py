@@ -61,7 +61,6 @@ def axial_densities(full_values, parts, field=None):
 class DecayProfile:
     masses: list
     alpha_fit: float
-    slope_ci: tuple
     r2: float
     no_decay: bool
     grad_masses: list
@@ -82,9 +81,7 @@ def _fit_log_decay(ell, rs, masses):
     ss_res = float(((yy - pred) ** 2).sum())
     ss_tot = float(((yy - yy.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    dof = max(len(tt) - 2, 1)
-    se = math.sqrt(ss_res / dof / float(((tt - tt.mean()) ** 2).sum()))
-    return slope, (slope - 2 * se, slope + 2 * se), r2
+    return slope, r2
 
 
 def decay_profile(u, mesh):
@@ -101,13 +98,12 @@ def decay_profile(u, mesh):
     rs = list(range(1, int(math.floor(mesh.ell))))
     masses = [float(mass[np.abs(x1q) <= r].sum()) for r in rs]
     gmasses = [float(energy[np.abs(x1q) <= r].sum()) for r in rs]
-    slope, ci, r2 = _fit_log_decay(mesh.ell, rs, masses)
-    gslope, _, _ = _fit_log_decay(mesh.ell, rs, gmasses)
+    slope, r2 = _fit_log_decay(mesh.ell, rs, masses)
+    gslope, _ = _fit_log_decay(mesh.ell, rs, gmasses)
     alpha = math.exp(slope)
     return DecayProfile(
         masses=list(zip(rs, masses)),
         alpha_fit=alpha,
-        slope_ci=(math.exp(ci[0]), math.exp(ci[1])),
         r2=r2,
         no_decay=alpha > NO_DECAY_ALPHA,
         grad_masses=list(zip(rs, gmasses)),

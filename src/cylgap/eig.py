@@ -1,6 +1,7 @@
 """Generalized symmetric eigensolver for the assembled pencils K u = lambda M u.
 
-Every pencil goes through ARPACK with a deterministic start vector on
+Every pencil with more unknowns than requested pairs goes through one
+ARPACK run for exactly those pairs, with a deterministic start vector on
 one banded Cholesky factor of K - sigma M, shift-inverted at a floor
 sigma below the whole spectrum (Ericsson & Ruhe, Math. Comp. 35, 1980).
 A cylinder stiffness is the Kronecker sum
@@ -16,7 +17,7 @@ below a lambda1 that an earlier solve of the run already holds (see
 only observed).  The solve factors K - guess M first and keeps that
 factor if it exists, else it factors at the floor.  On the ell = 16
 model cylinder a guess at lambda1 - margin takes 21 operator
-applications where the floor takes 75 (87 at count 2).
+applications where the floor takes 51 (75 at count 2).
 
 A = K - sigma M is then symmetric positive definite, and since A depends
 on X2 only it is block tridiagonal in x1.  Nodes are C-ordered with the
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
@@ -51,7 +51,6 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
 
 from .errors import FactorizationFailed, NoConvergence
 
-DEGENERACY_RTOL = 1e-8
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # the smallest residual tolerance a solve accepts
 MAX_RESTARTS = 500
@@ -64,8 +63,6 @@ class EigenPair:
     value: float
     vector: np.ndarray
     residual: float
-    next_gap: float = math.nan
-    degenerate: bool = False
 
 
 def _full(form):
@@ -174,11 +171,11 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
     if K - guess M factors, lambda_1 > guess is proven and the solve
     shift-inverts at the guess, closer to lambda_1 and so in fewer
     operator applications; otherwise it shift-inverts at the floor
-    exactly as without a guess.  A pencil of at most count + 2 unknowns,
-    which ARPACK cannot take, is solved by dense ``eigh`` after the same
-    factor.  Vectors are M-normalized, pairwise M-orthogonal, and the
-    first vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| /
-    ||Mu|| is checked against ``tol``.
+    exactly as without a guess.  The pencil needs more than ``count``
+    unknowns, and one Lanczos run computes exactly ``count`` pairs.
+    Vectors are M-normalized, pairwise M-orthogonal, and the first
+    vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu||
+    is checked against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -188,35 +185,23 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
     n = Kf.shape[0]
     if Kf.shape != Mf.shape:
         raise ValueError("K and M dimensions differ")
-    if count > n:
+    if count >= n:
         raise ValueError(f"requested {count} pairs from a dimension-{n} pencil")
-    want = min(count + 1, n)
 
     chol, shift = _factor_above(Kf, Mf, floor, guess)
-    if want >= n - 1:
-        try:
-            vals, vecs = scipy.linalg.eigh(
-                Kf.toarray(), Mf.toarray(), subset_by_index=[0, want - 1])
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise FactorizationFailed(f"dense factorization failed: {exc}")
-    else:
-        OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        try:
-            vals, vecs = eigsh(Kf, k=want, M=Mf, sigma=shift, which="LM",
-                               v0=v0, tol=0.0, maxiter=MAX_RESTARTS,
-                               OPinv=OPinv)
-        except ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            best = math.nan
-            if got:
-                best = float(
-                    _residuals(Kf, Mf, exc.eigenvalues, exc.eigenvectors).min())
-            raise NoConvergence(
-                f"ARPACK converged {got}/{want} pairs", best_residual=best)
-        except (ArpackError, RuntimeError) as exc:
-            raise FactorizationFailed(f"shift-invert Lanczos failed: {exc}")
+    OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = eigsh(Kf, k=count, M=Mf, sigma=shift, which="LM",
+                           v0=v0, tol=0.0, maxiter=MAX_RESTARTS, OPinv=OPinv)
+    except ArpackNoConvergence as exc:
+        got = len(exc.eigenvalues)
+        best = float(_residuals(Kf, Mf, exc.eigenvalues,
+                                exc.eigenvectors).min()) if got else math.nan
+        raise NoConvergence(f"ARPACK converged {got}/{count} pairs, "
+                            f"best residual {best:.3e}")
+    except (ArpackError, RuntimeError) as exc:
+        raise FactorizationFailed(f"shift-invert Lanczos failed: {exc}")
 
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
@@ -227,24 +212,13 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
             "assembly, boundary tagging or floor bug")
     vecs = _normalize_columns(Mf, vecs)
     gram = vecs.T @ (Mf @ vecs)
-    if np.abs(gram - np.eye(gram.shape[0])).max() > 10 * tol:
+    if np.abs(gram - np.eye(count)).max() > 10 * tol:
         # re-orthonormalize in the M inner product (gram is near identity)
         vecs = vecs @ np.linalg.inv(np.linalg.cholesky(gram).T)
         vals = np.einsum("ij,ij->j", vecs, Kf @ vecs)
     res = _residuals(Kf, Mf, vals, vecs)
-    if np.any(res[:count] > tol):
-        raise NoConvergence(
-            f"residuals {res[:count]} exceed tol {tol}",
-            best_residual=float(res[:count].max()))
-
-    thresh = DEGENERACY_RTOL * max(abs(vals[0]), 1e-300)
-    pairs = []
-    for i in range(count):
-        gap = float(vals[i + 1] - vals[i]) if i + 1 < len(vals) else math.nan
-        vec = _sign_fix(vecs[:, i]) if i == 0 else vecs[:, i]
-        pairs.append(EigenPair(float(vals[i]), vec, float(res[i]), gap))
-    for i in range(len(pairs) - 1):
-        if pairs[i].next_gap < thresh:
-            pairs[i].degenerate = True
-            pairs[i + 1].degenerate = True
-    return pairs
+    if np.any(res > tol):
+        raise NoConvergence(f"residuals {res} exceed tol {tol}")
+    return [EigenPair(float(vals[i]),
+                      _sign_fix(vecs[:, i]) if i == 0 else vecs[:, i],
+                      float(res[i])) for i in range(count)]

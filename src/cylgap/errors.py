@@ -35,11 +35,8 @@ class FactorizationFailed(CylgapError):
 
 
 class NoConvergence(CylgapError):
-    """Eigensolver did not reach the requested residual."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Eigensolver did not reach the requested residual; the message
+    holds the best residual it reached."""
 
 
 class TooShort(CylgapError):
@@ -55,11 +52,8 @@ class ConditionConFails(CylgapError):
 
 
 class NotConverged(CylgapError):
-    """Length sequence too short for its estimate; carries the sequence."""
-
-    def __init__(self, message, sequence=None):
-        super().__init__(message)
-        self.sequence = list(sequence) if sequence is not None else []
+    """Length sequence too short for its estimate; the message holds the
+    values it solved."""
 
 
 class ConfigError(CylgapError):

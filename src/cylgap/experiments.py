@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
@@ -29,6 +28,7 @@ TOL_LIMIT_MODEL = 1e-2
 TOL_LIMIT_GENERAL = 2e-2
 DIRICHLET_SPREAD = 0.30
 SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
+DEGENERACY_RTOL = 1e-8   # a smaller lambda2 - lambda1, relative, skips checks
 END_COLLAR = 3.0         # end-profile collar length r, at the plus end
 
 
@@ -86,7 +86,6 @@ class SweepRecord:
     residual: float | None = None
     passed: bool = True
     note: str = ""
-    wall_time_s: float | None = None
 
     def add_note(self, text):
         """Append ``text`` to the note, ``"; "``-separated."""
@@ -100,8 +99,7 @@ class SweepRecord:
             self.add_note(reason)
 
 
-# wall time is volatile; it stays off the byte-stable CSV schema
-CSV_COLUMNS = [f.name for f in dc_fields(SweepRecord) if f.name != "wall_time_s"]
+CSV_COLUMNS = [f.name for f in dc_fields(SweepRecord)]
 
 
 def _delta_of(field):
@@ -132,8 +130,10 @@ def cross_context(field, cfg):
     """Cross-section eigendata at ``cfg.resolution`` plus the two-level
     mesh-error estimate.
 
-    Cached per field object and every ``cfg`` field read here (fields
-    compare by identity, and the key keeps its field alive)."""
+    Inside a ``solve_memo`` block it is cached per field object and every
+    ``cfg`` field read here (fields compare by identity, and the key keeps
+    its field alive) until the outermost block closes; outside any block
+    every call builds afresh."""
     res = cfg.resolution
     key = (field, tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
            cfg.node_cap)
@@ -153,7 +153,8 @@ def cross_context(field, cfg):
     err = abs(W1.value - first_pair(fine).value)
     ctx = CrossContext(mesh, W1.value, W1, Lambda1, err, 3.0 * err,
                        coeff_mod.condition_con(field, W1, mesh))
-    _CROSS_CACHE[key] = ctx
+    if asm._MEMO.get() is not None:
+        _CROSS_CACHE[key] = ctx
     return ctx
 
 
@@ -162,13 +163,16 @@ def solve_memo():
     """Within the block, ``solve_cylinder`` assembles and solves each
     distinct pencil once, and assembly and diagnostics build each
     distinct slot-matrix set once; repeats are answered from entries the
-    block owns (``asm._MEMO``).  Outside any block every call solves and
-    builds afresh."""
+    block owns (``asm._MEMO``), and cross contexts from ``_CROSS_CACHE``,
+    which the outermost block empties when it closes.  Outside any block
+    every call solves and builds afresh."""
     token = asm._MEMO.set({})
     try:
         yield
     finally:
         asm._MEMO.reset(token)
+        if asm._MEMO.get() is None:
+            _CROSS_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,7 @@ _FIRST_VALUE_COLUMN = {"half-plus": "lambda_half_plus",
 
 def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
          diagnostics=False, **solve):
-    """One timed record.
+    """One record.
 
     With a length ``ell`` the row solves ``solve_cylinder(field, ell, cfg,
     **solve)`` and records the resolution, the first eigenvalue, the
@@ -273,7 +277,6 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
     The row starts passed with an empty note; a CylgapError fails this
     row alone, with the exception in its note.
     """
-    t0 = time.perf_counter()
     rec = SweepRecord(experiment=experiment, field_kind=field.kind,
                       delta=_delta_of(field), n=field.n, p=field.p, ell=ell,
                       grading=cfg.grading,
@@ -298,7 +301,6 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
             judge(rec, mesh, pairs)
     except CylgapError as exc:
         rec.check(False, f"{type(exc).__name__}: {exc}")
-    rec.wall_time_s = time.perf_counter() - t0
     return rec
 
 
@@ -334,7 +336,7 @@ def _richardson(lams):
     """Extrapolate lambda(ell) to ell -> 0 from a halving schedule."""
     if len(lams) < 3:
         raise NotConverged("Richardson extrapolation needs 3 solved "
-                           f"lengths, got {len(lams)}", sequence=lams)
+                           f"lengths, got {len(lams)}: {lams}")
     d2 = lams[-2] - lams[-3]
     d3 = lams[-1] - lams[-2]
     if d3 == 0 or d2 / d3 <= 1.0:
@@ -400,7 +402,7 @@ def _half_truncations(field, side, lengths, cfg):
                     grading=1.0) for L in sorted(lengths)]
     if len(seq) < 2:
         raise NotConverged("half-cylinder estimate needs 2 solved "
-                           f"lengths, got {len(seq)}", sequence=seq)
+                           f"lengths, got {len(seq)}: {seq}")
     last = records[-1]
     converged = abs(seq[-2] - seq[-1]) < cfg.conv_tol
     nu = seq[-1]
@@ -504,7 +506,9 @@ def exp_gap(field, L_list, cfg):
 
 def exp_second_eigenvalue(field, L_list, cfg):
     """Second eigenvalue closes onto the first under property (S), squeezed
-    by the matched half-cylinder value."""
+    by the matched half-cylinder value.  A row whose own lambda2 - lambda1
+    is below ``DEGENERACY_RTOL`` lambda1 notes a near-degenerate pair and
+    skips its checks."""
     ctx = cross_context(field, cfg)
     grid_mod.reflection_permutation(ctx.mesh)
     if not field.is_even(ctx.mesh.cell_centers()):
@@ -519,7 +523,7 @@ def exp_second_eigenvalue(field, L_list, cfg):
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
         rec.gap = gap
-        if pairs[0].degenerate or pairs[1].degenerate:
+        if gap < DEGENERACY_RTOL * lam1:
             rec.add_note("near-degenerate pair")
         else:
             rec.check(lam1 < lam2, "lambda1 < lambda2 failed")

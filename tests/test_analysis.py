@@ -221,7 +221,6 @@ class TestDecayProfile:
         env = max(m ** (1.0 / max(1, int(np.floor(mesh.ell - r))))
                   for r, m in prof.masses[:-1])
         assert env < 1.0
-        assert prof.slope_ci[0] <= prof.alpha_fit <= prof.slope_ci[1]
 
     def test_uncoupled_field_flat_profile(self):
         field = coeff.diagonal_field([1.0, 1.0])

@@ -34,15 +34,16 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
            "multi_direction": "multi_direction.cfg"}
 # most shift-invert operator applications a run of each config may make
 # on factors of more than LARGE unknowns; ARPACK's start vector is seeded,
-# so the count repeats exactly (567, 336 and 80 with shifts guessed from
-# the memo, 1096, 512 and 98 at the floor)
+# so the count repeats exactly (567, 336 and 63 with shifts guessed from
+# the memo, 865, 396 and 73 at the floor); multi_direction's bound stays
+# below the 80 a run makes when every solve asks ARPACK for one extra pair
 LARGE = 400
 MAX_APPLICATIONS = {"asymmetric": 360, "model_gap": 600,
-                    "multi_direction": 85}
+                    "multi_direction": 68}
 # most applications on factors of any size, the cross-section and short
-# cylinder pencils included (798, 420 and 227, the counts of a run)
+# cylinder pencils included (798, 420 and 210, the counts of a run)
 MAX_ALL_APPLICATIONS = {"asymmetric": 420, "model_gap": 798,
-                        "multi_direction": 227}
+                        "multi_direction": 210}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 24, "model_gap": 38, "multi_direction": 9}
