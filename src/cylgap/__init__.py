@@ -15,14 +15,14 @@ from .coeff import (CoefficientField, asymmetric_model_field, condition_con,
                     piecewise_constant_field, row_restriction_field,
                     variable_a22_field)
 from .grid import TensorMesh, build_mesh
-from .assemble import (SparseSymmetricForm, assemble_cross_section,
+from .assemble import (KroneckerForm, assemble_cross_section,
                        assemble_cylinder)
 from .eig import EigenPair, smallest_eigenpairs
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientField", "TensorMesh", "SparseSymmetricForm", "EigenPair",
+    "CoefficientField", "TensorMesh", "KroneckerForm", "EigenPair",
     "model_field", "identity_field", "diagonal_field",
     "asymmetric_model_field", "variable_a22_field", "neg_coupling_field",
     "multi_model_field", "piecewise_constant_field", "field_from_table",

@@ -74,6 +74,8 @@ def _fit_log_decay(ell, rs, masses):
     lo = n // 3
     hi = max(lo + 3, (2 * n + 2) // 3)
     tt, yy = t[lo:hi], y[lo:hi]
+    if len(tt) < 3:  # a line fits two points with r2 = 1, decay or not
+        raise TooShort(f"fit window holds {len(tt)} lengths, need 3")
     A = np.stack([tt, np.ones_like(tt)], axis=1)
     sol, *_ = np.linalg.lstsq(A, yy, rcond=None)
     slope, intercept = sol
@@ -90,8 +92,6 @@ def decay_profile(u, mesh):
     The same fit of the bulk |grad u|^2 gives the gradient rate."""
     if mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("decay profile needs a full cylinder")
-    if mesh.ell < 4:
-        raise TooShort("need ell >= 4 for a linear regime")
     vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
     mass, energy, x1q = axial_densities(mesh.scatter_free(vec),
                                         mesh.axis_partitions)

@@ -3,9 +3,9 @@
 Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
 cross variable only, so cylinder forms are Kronecker sums of 1D axial and
 cross-section matrices.  Dirichlet elimination happens on the factors,
-each restricted to its free indices before the products; forms store
-only the lower triangle, so they are exactly symmetric.  Inside a
-``solve_memo`` block each distinct factor is built once and shared.
+each restricted to its free indices; a form holds these factors, term by
+term, and never forms their products.  Inside a ``solve_memo`` block
+each distinct factor is built once and shared.
 """
 
 from __future__ import annotations
@@ -61,30 +61,35 @@ def quadrature_coords(mesh):
 
 
 @dataclass
-class SparseSymmetricForm:
-    """Assembled symmetric bilinear form over the free nodes.
-
-    Only the lower triangle (including the diagonal) is stored in CSR;
-    ``full()`` mirrors it on first use and keeps the mirror.
-    """
+class KroneckerForm:
+    """Symmetric form over the free nodes as a sum of Kronecker products:
+    each term is a tuple of CSR factors F_1, ..., F_k, restricted to the
+    free indices of their axes, for F_1 x ... x F_k.  ``form @ u``
+    applies it to a vector or a block factor by factor; ``lower``, the
+    CSR lower triangle of the sum, is built on first access."""
 
     dim: int
-    lower: sparse.csr_matrix
+    terms: list
     kind: str
     provenance: dict = dc_field(default_factory=dict)
-    _full: sparse.csr_matrix | None = dc_field(default=None, init=False,
-                                               repr=False, compare=False)
 
-    def full(self):
-        if self._full is None:
-            low = self.lower.tocsr()
-            diag = sparse.diags(low.diagonal())
-            self._full = (low + low.T - diag).tocsr()
-        return self._full
-
-    def energy(self, u):
+    def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
-        return float(u @ (self.full() @ u))
+        total = 0.0
+        for term in self.terms:
+            # each factor acts on the leading axis and the transpose
+            # rotates it to the back, so (n_1, ..., cols) ends (cols, ...)
+            V = u
+            for F in term:
+                V = (F @ V.reshape(F.shape[1], -1)).T
+            total = total + V
+        return total.reshape(-1, self.dim).T.reshape(u.shape)
+
+    @functools.cached_property
+    def lower(self):
+        return sparse.tril(sum(functools.reduce(
+            lambda a, b: sparse.kron(a, b, format="csr"), term)
+            for term in self.terms), format="csr")
 
 
 def _audit_spd(C, what):
@@ -161,11 +166,6 @@ def _build_slots(mesh, C, n_values):
              for b in range(s)] for a in range(s)]
 
 
-def _kron(factors):
-    return functools.reduce(
-        lambda a, b: sparse.kron(a, b, format="csr"), factors)
-
-
 def _assemble_pair(mesh, field, mats, reduced):
     """Stiffness and mass as Kronecker sums of 1D axial slot matrices and
     cross-section slot matrices.
@@ -178,7 +178,7 @@ def _assemble_pair(mesh, field, mats, reduced):
     Nodes are C-ordered with the axial axes first, as in these products.
     A cross-section pencil has no axial factor.  Each factor is sliced to
     the free indices of its axes first (``mesh.axis_free[k]`` for F_k, the
-    cross mesh's free nodes for X_ab and Mc), so the products span the
+    cross mesh's free nodes for X_ab and Mc), so every term spans the
     free nodes only.
     """
     p = mesh.n_axial
@@ -195,18 +195,16 @@ def _assemble_pair(mesh, field, mats, reduced):
     axes = [free_slots(factor_mesh(mesh.axis_partitions[k:k + 1]),
                        np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
             for k in range(p)]
-    K = sum(_kron([axes[k][int(a == k)][int(b == k)] for k in range(p)]
-                  + [X[a][b]])
-            for a, b in itertools.product(range(C.shape[-1]), repeat=2))
+    K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
+         + (X[a][b],)
+         for a, b in itertools.product(range(C.shape[-1]), repeat=2)]
     Mc = free_slots(cross, np.ones((1, 1, 1, 1)), 1, cross.free_nodes)[0][0]
-    M = _kron([ax[0][0] for ax in axes] + [Mc])
+    M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": bool(reduced), "_mesh": mesh, "_field": field}
-    return tuple(SparseSymmetricForm(mesh.n_free,
-                                     sparse.tril(mat, format="csr"),
-                                     kind, dict(prov))
-                 for mat, kind in ((K, "stiffness"), (M, "mass")))
+    return tuple(KroneckerForm(mesh.n_free, terms, kind, dict(prov))
+                 for terms, kind in ((K, "stiffness"), (M, "mass")))
 
 
 def assemble_cylinder(mesh, field):

@@ -19,27 +19,28 @@ factor if it exists, else it factors at the floor.  On the ell = 16
 model cylinder a guess at lambda1 - margin takes 21 operator
 applications where the floor takes 51 (75 at count 2).
 
-A = K - sigma M is then symmetric positive definite, and since A depends
-on X2 only it is block tridiagonal in x1.  Nodes are C-ordered with the
-axial axes first, so A is banded: its half-bandwidth b is the offset to
-the farthest neighbour in the next x1 layer, one layer plus one node in
-2D (32 on the pencils of the configs) and one layer, one row and one
-node in 3D (599 on the pencil of ``multi_direction`` at L = 4).  LAPACK
-``dpbtrf`` factors the lower band in place, in exactly n (b + 1) stored
-values, known before the factor starts, and ``dpbtrs`` applies the
+K - sigma M is banded, and its lower band comes straight from the
+Kronecker terms of the forms (``assemble.KroneckerForm``): a term
+F_1 x ... x F_k adds the outer product of diagonal d_k of each factor,
+v_k[j] = F_k[j + d_k, j], at band row D = sum_k d_k s_k, with s_k the
+stride of axis k.  Rows D >= 0 are the lower band, so the half-bandwidth
+b is known before the band is allocated: one x1 layer plus one node in
+2D (32 on the pencils of the configs), one layer, one row and one node
+in 3D (599 on ``multi_direction`` at L = 4).  LAPACK ``dpbtrf`` factors
+the band in place in n (b + 1) values, and ``dpbtrs`` applies the
 shift-invert operator.  The factor is also a certificate: it succeeds
-exactly when the discrete lambda_1 lies above sigma (to rounding), and
-raises FactorizationFailed otherwise.  So a guessed shift needs no
-trust: it costs one factor try, and a failed try is freed before the
-floor is factored, so one band is alive at a time.  A fill-reducing
-sparse factor wins only on cross-sections much finer than any config
-uses: at 128 cross cells per unit (n = 32 895, b = 256, on a 2-vCPU VM)
-a banded solve takes 8.0 ms against 5.6 ms for a minimum-degree SuperLU
-factor, which stores 28.9 MiB against the band's 64.5 MiB.
+exactly when lambda_1 lies above sigma (to rounding), so a guessed shift
+costs one factor try.  A fill-reducing sparse factor wins only on
+cross-sections much finer than any config uses: at 128 cross cells per
+unit (n = 32 895, b = 256, on a 2-vCPU VM) a banded solve takes 8.0 ms
+against 5.6 ms for a minimum-degree SuperLU factor, which stores
+28.9 MiB against the band's 64.5 MiB.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                   LinearOperator, eigsh)
 
+from .assemble import KroneckerForm
 from .errors import FactorizationFailed, NoConvergence
 
 DEFAULT_TOL = 1e-9
@@ -65,15 +67,9 @@ class EigenPair:
     residual: float
 
 
-def _full(form):
-    if hasattr(form, "full"):
-        return form.full()
-    return sparse.csr_matrix(form)
-
-
-def _residuals(Kf, Mf, vals, vecs):
-    KV = Kf @ vecs
-    MV = Mf @ vecs
+def _residuals(K, M, vals, vecs):
+    KV = K @ vecs
+    MV = M @ vecs
     res = np.linalg.norm(KV - MV * vals[None, :], axis=0)
     den = np.linalg.norm(MV, axis=0)
     return res / np.where(den > 0, den, 1.0)
@@ -84,33 +80,21 @@ def _sign_fix(vec):
     return vec if vec[i] >= 0 else -vec
 
 
-def _normalize_columns(Mf, vecs):
-    MV = Mf @ vecs
+def _normalize_columns(M, vecs):
+    MV = M @ vecs
     norms = np.sqrt(np.einsum("ij,ij->j", vecs, MV))
     return vecs / norms[None, :]
 
 
-def _shifted(Kf, Mf, floor):
-    """Kf - floor * Mf.  On a shared sparsity pattern, as assembly gives,
-    it is one new data array on Kf's index arrays: the general sparse
-    difference allocates double-length buffers, and with them the peak
-    RSS of a whole run rose by about 4%."""
-    if not floor:
-        return Kf
-    if np.array_equal(Kf.indptr, Mf.indptr) and \
-            np.array_equal(Kf.indices, Mf.indices):
-        return sparse.csr_matrix((Kf.data - floor * Mf.data, Kf.indices,
-                                  Kf.indptr), shape=Kf.shape)
-    return Kf - floor * Mf
-
-
-def _half_bandwidth(A):
-    """max |i - j| over the stored entries of the symmetric CSR matrix A
-    with sorted indices: the first column of each row is its farthest below
-    the diagonal, so this reads one entry per row."""
-    starts = A.indptr[:-1]
-    rows = np.flatnonzero(starts < A.indptr[1:])
-    return int((rows - A.indices[starts[rows]]).max(initial=0))
+def _diagonals(F):
+    """``(d, v)`` for each stored diagonal of the square CSR matrix F, with
+    v[j] = F[j + d, j] and zero where j + d falls outside F."""
+    n = F.shape[0]
+    offsets = np.repeat(np.arange(n), np.diff(F.indptr)) - F.indices
+    for d in np.unique(offsets).tolist():
+        v = np.zeros(n)
+        v[max(-d, 0):n - max(d, 0)] = F.diagonal(-d)
+        yield d, v
 
 
 @dataclass
@@ -124,37 +108,49 @@ class BandCholesky:
         return dpbtrs(self.band, rhs, lower=1)[0]
 
 
-def _factor(A):
-    """Banded Cholesky factor of the symmetric CSR matrix A.  The band is
+def _band(K, M, shift):
+    """Lower band of K - shift M in LAPACK storage, ``band[i - j, j] =
+    A[i, j]``, shape (b + 1, n), filled from the Kronecker terms.  It is
     Fortran-ordered so that ``dpbtrf`` factors it in place: a C-ordered
     band would be copied, doubling its storage."""
-    A = A if A.has_sorted_indices else A.sorted_indices()
-    n = A.shape[0]
-    band = np.zeros((_half_bandwidth(A) + 1, n), order="F")
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    lower = A.indices <= rows
-    cols = A.indices[lower]
-    band[rows[lower] - cols, cols] = A.data[lower]
-    del rows, lower, cols
-    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    rows = {}
+    for form, scale in ((K, 1.0), (M, -shift)):
+        for term in form.terms:
+            sizes = [F.shape[0] for F in term]
+            strides = [math.prod(sizes[k + 1:]) for k in range(len(term))]
+            for combo in itertools.product(*map(_diagonals, term)):
+                D = sum(d * s for (d, _), s in zip(combo, strides))
+                if D >= 0:
+                    v = functools.reduce(np.multiply.outer,
+                                         [diag for _, diag in combo])
+                    rows[D] = rows.get(D, 0.0) + scale * v.ravel()
+    band = np.zeros((max(rows) + 1, K.dim), order="F")
+    for D, v in rows.items():
+        band[D] = v
+    return band
+
+
+def _factor(K, M, shift):
+    """Banded Cholesky factor of K - shift M."""
+    band, info = dpbtrf(_band(K, M, shift), lower=1, overwrite_ab=1)
     if info:
         raise FactorizationFailed(
             f"singular or not positive definite at leading minor {info}")
     return BandCholesky(band)
 
 
-def _factor_above(Kf, Mf, floor, guess):
+def _factor_above(K, M, floor, guess):
     """``(factor, shift)``: the banded factor of K - guess M when it exists,
     which proves lambda_1 > guess, else that of K - floor M.  A failed try
     is dropped before the floor is factored (its band goes with the
     traceback), so one band is alive at a time."""
     if guess is not None and guess > floor:
         try:
-            return _factor(_shifted(Kf, Mf, guess)), guess
+            return _factor(K, M, guess), guess
         except FactorizationFailed:
             pass
     try:
-        return _factor(_shifted(Kf, Mf, floor)), floor
+        return _factor(K, M, floor), floor
     except FactorizationFailed as exc:
         raise FactorizationFailed(
             f"K - floor M at the floor {floor:.3e} is {exc}; lambda_1 "
@@ -165,38 +161,42 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
                         guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
-    ``floor`` must lie strictly below the whole spectrum: the solve
-    factors K - floor M, and a lambda_1 at or below it raises
-    FactorizationFailed.  A ``guess`` above the floor is factored first:
-    if K - guess M factors, lambda_1 > guess is proven and the solve
-    shift-inverts at the guess, closer to lambda_1 and so in fewer
-    operator applications; otherwise it shift-inverts at the floor
-    exactly as without a guess.  The pencil needs more than ``count``
-    unknowns, and one Lanczos run computes exactly ``count`` pairs.
-    Vectors are M-normalized, pairwise M-orthogonal, and the first
-    vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu||
-    is checked against ``tol``.
+    K and M are assembled forms or sparse matrices.  ``floor`` must lie
+    strictly below the whole spectrum: the solve factors K - floor M, and
+    a lambda_1 at or below it raises FactorizationFailed.  A ``guess``
+    above the floor is factored first: if K - guess M factors,
+    lambda_1 > guess is proven and the solve shift-inverts at the guess,
+    closer to lambda_1 and so in fewer operator applications; otherwise it
+    shift-inverts at the floor exactly as without a guess.  The pencil
+    needs more than ``count`` unknowns, and one Lanczos run computes
+    exactly ``count`` pairs.  Vectors are M-normalized, pairwise
+    M-orthogonal, and the first vector is sign-fixed positive.  Residual
+    ||Ku - lambda Mu|| / ||Mu|| is checked against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be at least {MIN_TOL:g}")
-    Kf, Mf = _full(K), _full(M)
-    n = Kf.shape[0]
-    if Kf.shape != Mf.shape:
+    # a bare sparse matrix is the one-term, one-factor form
+    K, M = (A if isinstance(A, KroneckerForm) else KroneckerForm(
+        A.shape[0], [(sparse.csr_matrix(A),)], "matrix") for A in (K, M))
+    n = K.dim
+    if M.dim != n:
         raise ValueError("K and M dimensions differ")
     if count >= n:
         raise ValueError(f"requested {count} pairs from a dimension-{n} pencil")
 
-    chol, shift = _factor_above(Kf, Mf, floor, guess)
-    OPinv = LinearOperator((n, n), matvec=chol.solve, dtype=float)
+    chol, shift = _factor_above(K, M, floor, guess)
+    # in shift-invert mode with OPinv, ARPACK applies only OPinv and M
+    Kop, Mop, OPinv = (LinearOperator((n, n), matvec=f, dtype=float)
+                       for f in (K.__matmul__, M.__matmul__, chol.solve))
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        vals, vecs = eigsh(Kf, k=count, M=Mf, sigma=shift, which="LM",
+        vals, vecs = eigsh(Kop, k=count, M=Mop, sigma=shift, which="LM",
                            v0=v0, tol=0.0, maxiter=MAX_RESTARTS, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
-        best = float(_residuals(Kf, Mf, exc.eigenvalues,
+        best = float(_residuals(K, M, exc.eigenvalues,
                                 exc.eigenvectors).min()) if got else math.nan
         raise NoConvergence(f"ARPACK converged {got}/{count} pairs, "
                             f"best residual {best:.3e}")
@@ -210,13 +210,13 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
         raise FactorizationFailed(
             f"lambda_1 = {vals[0]:.3e} is not above the shift {shift:.3e}; "
             "assembly, boundary tagging or floor bug")
-    vecs = _normalize_columns(Mf, vecs)
-    gram = vecs.T @ (Mf @ vecs)
+    vecs = _normalize_columns(M, vecs)
+    gram = vecs.T @ (M @ vecs)
     if np.abs(gram - np.eye(count)).max() > 10 * tol:
         # re-orthonormalize in the M inner product (gram is near identity)
         vecs = vecs @ np.linalg.inv(np.linalg.cholesky(gram).T)
-        vals = np.einsum("ij,ij->j", vecs, Kf @ vecs)
-    res = _residuals(Kf, Mf, vals, vecs)
+        vals = np.einsum("ij,ij->j", vecs, K @ vecs)
+    res = _residuals(K, M, vals, vecs)
     if np.any(res > tol):
         raise NoConvergence(f"residuals {res} exceed tol {tol}")
     return [EigenPair(float(vals[i]),

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from cylgap import assemble as asm
 from cylgap import coeff as coeff_mod
@@ -445,8 +446,8 @@ def rayleigh_of_testfn(tf, mesh, field, forms=None):
         u = np.asarray(tf, dtype=float)
         if u.shape != (mesh.n_free,):
             u = mesh.restrict_free(u)
-    num = K.energy(u)
-    den = M.energy(u)
+    num = energy(K, u)
+    den = energy(M, u)
     if den < 1e-14:
         raise ZeroFunction("test function has numerically zero mass")
     return RayleighValue(num / den, num, den)
@@ -462,10 +463,24 @@ def picone_gap(u, W1, mu1, mesh, forms):
     if np.any(wvec < 1e-12 * wmax):
         raise DegenerateWeight("W1 is not strictly positive at interior nodes")
     K, M = forms
-    return K.energy(u) - mu1 * M.energy(u)
+    return energy(K, u) - mu1 * energy(M, u)
 
 
 # -- reference assembly -----------------------------------------------------
+
+
+def full(form):
+    """The whole matrix of an assembled form in CSR, mirrored from its
+    lower triangle: the oracle that the products of its Kronecker terms
+    are checked against."""
+    low = form.lower
+    return (low + low.T - sparse.diags(low.diagonal())).tocsr()
+
+
+def energy(form, u):
+    """u.Au of an assembled form, through ``full``."""
+    u = np.asarray(u, dtype=float)
+    return float(u @ (full(form) @ u))
 
 
 def cellwise_oracle(mesh, mats, midpoint):

@@ -191,7 +191,7 @@ def test_criterion_11_picone():
     cm = grid.build_mesh("cross-section", omega=(-1, 1), resolution=32)
     Kc, Mc = assemble.assemble_cross_section(cm, field)
     W1 = eig.smallest_eigenpairs(Kc, Mc)[0]
-    Mf = forms[1].full()
+    Mf = proofs.full(forms[1])
     rng = np.random.default_rng(2024)
     worst = np.inf
     for _ in range(50):

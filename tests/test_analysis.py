@@ -203,7 +203,7 @@ class TestQuadratureConsistency:
             u = rng.standard_normal(mesh.n_free)
             mass, _, _ = an.axial_densities(mesh.scatter_free(u),
                                             mesh.axis_partitions)
-            assert mass.sum() == pytest.approx(M.energy(u), rel=1e-12)
+            assert mass.sum() == pytest.approx(proofs.energy(M, u), rel=1e-12)
 
 
 class TestDecayProfile:
@@ -241,6 +241,16 @@ class TestDecayProfile:
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
         u = eig.smallest_eigenpairs(K, M)[0]
         with pytest.raises(TooShort):
+            an.decay_profile(u, mesh)
+
+    def test_fit_window_of_two_lengths_is_too_short(self, model06_mod):
+        # at ell = 4.5 the masses at r = 1, 2, 3 leave 2 in the fit
+        # window, and a line through them has r2 = 1 by construction
+        mesh = grid.build_mesh("full-cylinder", ell=4.5, omega=(-1, 1),
+                               resolution=(4, 8))
+        K, M = assemble.assemble_cylinder(mesh, model06_mod)
+        u = eig.smallest_eigenpairs(K, M)[0]
+        with pytest.raises(TooShort, match="fit window"):
             an.decay_profile(u, mesh)
 
 
@@ -299,7 +309,7 @@ class TestPicone:
     def test_random_vectors_nonnegative(self, picone_setup):
         field, half, forms, cm, W1 = picone_setup
         rng = np.random.default_rng(7)
-        M = forms[1].full()
+        M = proofs.full(forms[1])
         for _ in range(50):
             u = rng.standard_normal(half.n_free)
             u /= np.sqrt(u @ (M @ u))
@@ -308,7 +318,7 @@ class TestPicone:
 
     def test_widening_cutoff_decreases_to_zero(self, picone_setup):
         field, half, forms, cm, W1 = picone_setup
-        M = forms[1].full()
+        M = proofs.full(forms[1])
         gaps = []
         for width in (2.0, 4.0, 8.0):
             u = proofs.cutoff_w1(width).free_values(half)

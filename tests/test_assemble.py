@@ -118,7 +118,7 @@ def test_kronecker_assembly_matches_cellwise_oracle(case):
         mats = lambda x: field.eval_many(x[:, p:])
     Ko, Mo = proofs.cellwise_oracle(mesh, mats, field.piecewise_constant)
     for form, oracle in ((K, Ko), (M, Mo)):
-        dev = np.abs(form.full().toarray() - oracle).max()
+        dev = np.abs(proofs.full(form).toarray() - oracle).max()
         assert dev <= 1e-13 * np.abs(oracle).max()
 
 
@@ -176,8 +176,8 @@ class TestCylinderAssembly:
         gy[0] = gy[-1] = 0.0
         oracle = (interp_sq_integral_1d(mesh.axis_partitions[0], gx)
                   * interp_sq_integral_1d(mesh.axis_partitions[1], gy))
-        assert M.energy(ones) == pytest.approx(oracle, rel=1e-12)
-        assert M.full().sum() == pytest.approx(oracle, rel=1e-10)
+        assert proofs.energy(M, ones) == pytest.approx(oracle, rel=1e-12)
+        assert proofs.full(M).sum() == pytest.approx(oracle, rel=1e-10)
 
     def test_w1_interpolant_stiffness_energy(self, model06):
         # u = W1(x2) on the cylinder: cross terms vanish and
@@ -190,7 +190,7 @@ class TestCylinderAssembly:
             vals = np.cos(np.pi * mesh.node_coords()[:, 1] / 2.0)
             vals[mesh.dirichlet_nodes] = 0.0
             u = mesh.restrict_free(vals)
-            errs.append(abs(K.energy(u) - 2.0 * MU1))
+            errs.append(abs(proofs.energy(K, u) - 2.0 * MU1))
         assert errs[2] < errs[0]
         assert errs[2] < 2e-3
 
@@ -198,7 +198,7 @@ class TestCylinderAssembly:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=8, grading=2)
         _, M = assemble.assemble_cylinder(mesh, model06)
-        full = M.full()
+        full = proofs.full(M)
         assert np.all(np.asarray(full.sum(axis=1)).ravel() > 0.0)
         np.linalg.cholesky(full.toarray())  # raises unless M is SPD
 
@@ -225,7 +225,7 @@ class TestCylinderAssembly:
                                resolution=8)
         K, M = assemble.assemble_cylinder(mesh, model06)
         perm = proofs.free_reflection_permutation(mesh)
-        Kf = K.full().toarray()
+        Kf = proofs.full(K).toarray()
         np.testing.assert_allclose(Kf[np.ix_(perm, perm)], Kf, atol=1e-12)
 
     def test_deterministic_assembly(self, model06):
@@ -384,7 +384,7 @@ class TestFormStorage:
         K, _ = assemble.assemble_cross_section(mesh, model06)
         low = K.lower.tocoo()
         assert np.all(low.row >= low.col)
-        full = K.full()
+        full = proofs.full(K)
         np.testing.assert_allclose((full - full.T).toarray(), 0.0, atol=0.0)
 
     def test_provenance(self, model06):
@@ -453,19 +453,10 @@ def test_package_defines_only_what_a_run_reaches():
     assert sorted(dead) == []
 
 
-def test_kronecker_products_span_free_nodes_only(model06, monkeypatch):
-    # Dirichlet elimination happens on the factors: every Kronecker
-    # product is already n_free x n_free, so no matrix over clamped nodes
-    # is formed and sliced afterwards
-    shapes = []
-    kron = assemble._kron
-
-    def recording_kron(factors):
-        out = kron(factors)
-        shapes.append(out.shape)
-        return out
-
-    monkeypatch.setattr(assemble, "_kron", recording_kron)
+def test_kronecker_products_span_free_nodes_only(model06):
+    # Dirichlet elimination happens on the factors: every factor of a
+    # term is already restricted to the free indices of its axes, so the
+    # terms span the free nodes and no matrix over clamped nodes is formed
     cyl = grid.build_mesh("full-cylinder", ell=16, omega=(-1, 1),
                           resolution=(8, 16))
     multi = grid.build_mesh("multi-direction", ell=4, omega=(-1, 1),
@@ -473,11 +464,12 @@ def test_kronecker_products_span_free_nodes_only(model06, monkeypatch):
     for mesh, field in ((cyl, model06),
                         (grid.with_full_dirichlet(multi),
                          coeff.multi_model_field(0.6))):
-        shapes.clear()
         K, M = assemble.assemble_cylinder(mesh, field)
-        n = mesh.n_free
-        assert K.dim == M.dim == n
-        # p + n_cross slots squared for K, one product for M
-        assert len(shapes) == mesh.ndim**2 + 1
-        assert set(shapes) == {(n, n)}
+        sizes = [len(free) for free in mesh.axis_free[:mesh.n_axial]]
+        sizes.append(assemble.factor_mesh(mesh.cross_partitions).n_free)
+        assert K.dim == M.dim == np.prod(sizes) == mesh.n_free
+        # p + n_cross slots squared for K, one term for M
+        assert len(K.terms) == mesh.ndim**2 and len(M.terms) == 1
+        for term in K.terms + M.terms:
+            assert [F.shape for F in term] == [(m, m) for m in sizes]
     assert cyl.n_free == 7967

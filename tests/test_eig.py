@@ -44,7 +44,8 @@ def pencil_3d():
     mesh = grid.build_mesh("multi-direction", ell=2, omega=(-1, 1),
                            resolution=(3, 3, 8))
     K, M = assemble.assemble_cylinder(mesh, field)
-    dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
+    dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                              proofs.full(M).toarray(),
                               subset_by_index=[0, 1])[0]
     return K, M, dense, schur_floor(field, 8)
 
@@ -83,8 +84,8 @@ def factors(monkeypatch):
     made = []
     factor = eig._factor
 
-    def counting_factor(A):
-        made.append(CountingFactor(factor(A)))
+    def counting_factor(K, M, shift):
+        made.append(CountingFactor(factor(K, M, shift)))
         return made[-1]
 
     monkeypatch.setattr(eig, "_factor", counting_factor)
@@ -120,7 +121,7 @@ class TestSmallestEigenpairs:
             assert p.value == pytest.approx(1.0, abs=1e-12)
         # any M-orthonormal set is valid
         V = np.stack([p.vector for p in pairs], axis=1)
-        G = V.T @ (M.full() @ V)
+        G = V.T @ (proofs.full(M) @ V)
         np.testing.assert_allclose(G, np.eye(3), atol=1e-8)
 
     def test_model_strictly_inside_bounds(self, model06):
@@ -136,7 +137,7 @@ class TestSmallestEigenpairs:
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
         pairs = eig.smallest_eigenpairs(K, M, count=3, tol=1e-9)
-        Mf = M.full()
+        Mf = proofs.full(M)
         for p in pairs:
             assert p.vector @ (Mf @ p.vector) == pytest.approx(1.0, abs=1e-10)
             assert p.residual <= 1e-9
@@ -157,14 +158,15 @@ class TestSmallestEigenpairs:
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
         p = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        assert K.energy(p.vector) / M.energy(p.vector) == pytest.approx(
-            p.value, rel=1e-8)
+        assert proofs.energy(K, p.vector) / proofs.energy(M, p.vector) == \
+            pytest.approx(p.value, rel=1e-8)
 
     def test_pencil_scaling(self, pencil_1d):
         K, M = pencil_1d
         base = eig.smallest_eigenpairs(K, M, count=2)
-        K7, M7 = (assemble.SparseSymmetricForm(f.dim, f.lower * 7.5, f.kind)
-                  for f in (K, M))
+        K7, M7 = (assemble.KroneckerForm(
+            f.dim, [(7.5 * term[0],) + term[1:] for term in f.terms], f.kind)
+            for f in (K, M))
         both = eig.smallest_eigenpairs(K7, M7, count=2)
         only_k = eig.smallest_eigenpairs(K7, M, count=2)
         for b, s, k in zip(base, both, only_k):
@@ -204,7 +206,8 @@ class TestSmallestEigenpairs:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        dense = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
+        dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                  proofs.full(M).toarray(),
                                   subset_by_index=[0, 1])[0]
         floors = (0.0, schur_floor(model06, 16))
         lanczos_calls.clear()  # the cross-section solves of the floor
@@ -236,7 +239,8 @@ class TestSmallestEigenpairs:
         assemble_forms = assemble.assemble_cross_section \
             if kind == "cross-section" else assemble.assemble_cylinder
         K, M = assemble_forms(mesh, model06)
-        lam = scipy.linalg.eigh(K.full().toarray(), M.full().toarray(),
+        lam = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                proofs.full(M).toarray(),
                                 subset_by_index=[0, 1])[0]
         with pytest.raises(FactorizationFailed, match="floor"):
             eig.smallest_eigenpairs(K, M, floor=(lam[0] + lam[1]) / 2)
@@ -268,7 +272,7 @@ class TestSmallestEigenpairs:
                     eig.smallest_eigenpairs(K, M, count=n)
 
     def test_floor_with_unshared_pattern(self):
-        # tridiagonal K against a diagonal M takes the general difference
+        # tridiagonal K against a diagonal M: M reaches fewer band rows
         n = 500
         K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
                          format="csr")
@@ -297,9 +301,9 @@ class TestSmallestEigenpairs:
     def test_symmetric_ordering_fills_less_than_default(self, pencil_3d):
         # the band stores n (b + 1) values: 537 420 against an L + U fill
         # of 673 164 for SuperLU's default ordering when measured
-        Kf = pencil_3d[0].full()
-        band = eig._factor(Kf).band
-        default = splu(Kf.tocsc())
+        K, M = pencil_3d[:2]
+        band = eig._factor(K, M, 0.0).band
+        default = splu(proofs.full(K).tocsc())
         assert band.size < default.L.nnz + default.U.nnz
 
     @pytest.mark.parametrize("kind, dirichlet, grading, resolution", [
@@ -319,9 +323,10 @@ class TestSmallestEigenpairs:
                                resolution=resolution, grading=grading)
         if dirichlet:
             mesh = grid.with_full_dirichlet(mesh)
-        Kf = assemble.assemble_cylinder(mesh, field)[0].full()
-        coo = Kf.tocoo()
-        assert eig._half_bandwidth(Kf) == np.abs(coo.row - coo.col).max()
+        K, M = assemble.assemble_cylinder(mesh, field)
+        coo = proofs.full(K).tocoo()
+        b = eig._band(K, M, 0.0).shape[0] - 1
+        assert b == np.abs(coo.row - coo.col).max()
 
     def test_separable_second_eigenvalue(self):
         field = coeff.identity_field()
@@ -418,10 +423,10 @@ class TestTrialSpaceMonotonicity:
         assert pc.value <= ph.value + 1e-8
         # matrix-level check: the extension preserves both energies
         ext = proofs.extend_by_zero(half, cyl, ph.vector, shift=-L / 2)
-        assert Kc.energy(ext) == pytest.approx(Kh.energy(ph.vector),
-                                               rel=1e-12)
-        assert Mc.energy(ext) == pytest.approx(Mh.energy(ph.vector),
-                                               rel=1e-12)
+        assert proofs.energy(Kc, ext) == pytest.approx(
+            proofs.energy(Kh, ph.vector), rel=1e-12)
+        assert proofs.energy(Mc, ext) == pytest.approx(
+            proofs.energy(Mh, ph.vector), rel=1e-12)
 
     def test_half_monotone_in_length(self, model06):
         vals = []

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cylgap import analysis, assemble, coeff, eig, experiments, grid
 from cylgap.errors import FactorizationFailed
 
+import proofs
 from conftest import same_bits
 from proofs import cellwise_oracle
 
@@ -31,17 +32,18 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20,
 
 
 @st.composite
-def tables(draw):
-    """Piecewise-constant 2x2 field with 1-4 cells on (-1, 1), each cell
-    matrix R R^T + 0.2 I with R drawn entrywise from [-1, 1]."""
+def tables(draw, n=2, p=1):
+    """Piecewise-constant n x n field with 1-4 cells along the first cross
+    coordinate on (-1, 1), each cell matrix R R^T + 0.2 I with R drawn
+    entrywise from [-1, 1]."""
     cuts = draw(st.lists(st.integers(-7, 7), max_size=3, unique=True))
     bounds = [-1.0] + sorted(c / 8.0 for c in cuts) + [1.0]
     entry = st.floats(-1.0, 1.0, allow_nan=False)
-    R = np.array(draw(st.lists(entry, min_size=4 * (len(bounds) - 1),
-                               max_size=4 * (len(bounds) - 1))))
-    R = R.reshape(-1, 2, 2)
+    size = n * n * (len(bounds) - 1)
+    R = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    R = R.reshape(-1, n, n)
     return coeff.piecewise_constant_field(
-        bounds, R @ R.transpose(0, 2, 1) + 0.2 * np.eye(2))
+        bounds, R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n), p=p)
 
 
 def first_value(K, M):
@@ -91,12 +93,81 @@ def test_band_cholesky_certifies_the_floor(field):
     dense lambda1 and fails just above it, so a factored shift is a proof
     that lambda1 > sigma."""
     for kind in MESH_KINDS:
-        Kf, Mf = (form.full() for form in cylinder_forms(field, kind))
-        lam = scipy.linalg.eigh(Kf.toarray(), Mf.toarray(),
+        K, M = cylinder_forms(field, kind)
+        lam = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                proofs.full(M).toarray(),
                                 subset_by_index=[0, 0])[0][0]
-        eig._factor(eig._shifted(Kf, Mf, lam * (1 - 1e-6)))
+        eig._factor(K, M, lam * (1 - 1e-6))
         with pytest.raises(FactorizationFailed):
-            eig._factor(eig._shifted(Kf, Mf, lam * (1 + 1e-6)))
+            eig._factor(K, M, lam * (1 + 1e-6))
+
+
+# fields of each shape, with the meshes of their pencils: a 1D
+# cross-section (p = 1, n = 2), a 2D one (p = 1, n = 3) and the
+# multi-direction cylinder (p = 2, n = 3)
+BOX_OMEGA = ((-1, 1), (-1, 1))
+FIELD_SHAPES = {
+    (2, 1): [cylinder_mesh(kind) for kind in MESH_KINDS]
+    + [grid.build_mesh("cross-section", omega=(-1, 1),
+                       resolution=RESOLUTION[1])],
+    (3, 1): [grid.build_mesh("full-cylinder", ell=1, omega=BOX_OMEGA,
+                             resolution=(2, 3, 3)),
+             grid.build_mesh("cross-section", omega=BOX_OMEGA,
+                             resolution=4)],
+    (3, 2): [grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
+                             resolution=(2, 2, 4)),
+             grid.with_full_dirichlet(grid.build_mesh(
+                 "multi-direction", ell=1, omega=(-1, 1),
+                 resolution=(2, 2, 4)))],
+}
+FIXED_FIELDS = [coeff.model_field(0.6), coeff.asymmetric_model_field(0.5),
+                coeff.multi_model_field(0.6)]
+any_field = st.one_of(st.sampled_from(FIXED_FIELDS),
+                      *(tables(n, p) for n, p in FIELD_SHAPES))
+
+
+def field_pencils(field):
+    """(K, M) of ``field`` on every mesh of its shape, the cross-section
+    ones both plain and Schur-reduced."""
+    for mesh in FIELD_SHAPES[field.n, field.p]:
+        if mesh.domain_kind != "cross-section":
+            yield assemble.assemble_cylinder(mesh, field)
+            continue
+        for reduced in (False, True):
+            yield assemble.assemble_cross_section(mesh, field, reduced)
+
+
+def oracle_band(K, M, shift):
+    """Lower band of K - shift M in LAPACK storage, sliced from the CSR
+    lower triangles of the forms, with b the farthest stored offset."""
+    lows = [K.lower.tocoo(), M.lower.tocoo()]
+    b = max(int((low.row - low.col).max()) for low in lows)
+    A = (K.lower - shift * M.lower).tocoo()
+    band = np.zeros((b + 1, K.dim))
+    band[A.row - A.col, A.col] = A.data
+    return band
+
+
+@PROPERTY_SETTINGS
+@given(field=any_field, shift=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kronecker_terms_match_the_lower_oracle(field, shift, seed):
+    """The band of K - shift M filled from the Kronecker terms equals,
+    bit for bit, the band sliced from the assembled lower triangles, and
+    the terms apply K and M to a vector and to a block as the assembled
+    matrices do."""
+    rng = np.random.default_rng(seed)
+    for K, M in field_pencils(field):
+        kind = K.provenance["mesh"]
+        assert np.array_equal(eig._band(K, M, shift),
+                              oracle_band(K, M, shift)), kind
+        for form in (K, M):
+            for u in (rng.standard_normal(form.dim),
+                      rng.standard_normal((form.dim, 3))):
+                got, ref = form @ u, proofs.full(form) @ u
+                assert got.shape == u.shape, kind
+                assert np.linalg.norm(got - ref) <= \
+                    1e-14 * np.linalg.norm(ref), kind
 
 
 @PROPERTY_SETTINGS
@@ -134,7 +205,7 @@ def test_kronecker_assembly_matches_the_oracle_in_and_out_of_a_block(field):
                                  field.piecewise_constant)
         for forms in (fresh, first, second):
             for form, ref in zip(forms, oracle):
-                dev = np.abs(form.full().toarray() - ref).max()
+                dev = np.abs(proofs.full(form).toarray() - ref).max()
                 assert dev <= 1e-13 * np.abs(ref).max(), kind
         assert same_bits(first, fresh) and same_bits(second, fresh), kind
 
@@ -188,9 +259,12 @@ def test_axial_densities_add_up_to_the_forms(field, seed):
         mass, energy, x1q = analysis.axial_densities(
             full, mesh.axis_partitions, field)
         _, plain, _ = analysis.axial_densities(full, mesh.axis_partitions)
-        assert energy.sum() == pytest.approx(K.energy(u), rel=1e-12), kind
-        assert plain.sum() == pytest.approx(KI.energy(u), rel=1e-12), kind
-        assert mass.sum() == pytest.approx(M.energy(u), rel=1e-12), kind
+        assert energy.sum() == pytest.approx(proofs.energy(K, u),
+                                             rel=1e-12), kind
+        assert plain.sum() == pytest.approx(proofs.energy(KI, u),
+                                            rel=1e-12), kind
+        assert mass.sum() == pytest.approx(proofs.energy(M, u),
+                                           rel=1e-12), kind
         if np.any(mesh.axis_partitions[0] == 0.0):
             assert energy[x1q > 0.0].sum() == pytest.approx(
                 plus_box_energy(mesh, field, full), rel=1e-12), kind

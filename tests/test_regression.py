@@ -3,8 +3,10 @@ the committed reference CSVs, compared by the benchmark's correctness
 gate (identity and ``passed`` columns exact, eigenvalue columns to a
 relative tolerance) rather than byte for byte.  A traced run of the
 benchmark's child on a small config checks that the names its tracer
-rebinds and reads still exist."""
+rebinds and reads still exist, and a plain run of the same config that
+it forms no CSR pencil."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -14,6 +16,7 @@ import sys
 import time
 
 import pytest
+from scipy import sparse
 
 from cylgap import cli, eig
 
@@ -115,3 +118,26 @@ def test_benchmark_trace_reads_the_package(tmp_path):
     assert layers["eig.calls"] == layers["eig.distinct"] == 13
     assert layers["assemble.calls"] == 13
     assert layers["experiments.cross_context.builds"] == 1
+    # the sizes the tracer reads from each form's ``lower`` and ``dim``
+    assert layers["eig.nnz_sum"] == 23569
+    assert layers["eig.unknowns_max"] == 735
+    assert layers["assemble.dofs_sum"] == 2881
+
+
+def test_run_builds_no_csr_pencil(tmp_path, monkeypatch):
+    """A run fills every band and applies K and M from the Kronecker
+    factors: it forms no Kronecker product and no CSR lower triangle, and
+    every row passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSR pencil was built on the run path")
+
+    monkeypatch.setattr(sparse, "kron", refuse)
+    monkeypatch.setattr(sparse, "tril", refuse)
+    monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
+    out = tmp_path / "out"
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(TRACE_CFG.format(out=out))
+    assert cli.run(str(cfg)) == 0
+    rows = [row for path in sorted(out.glob("*.csv"))
+            for row in csv.DictReader(path.open())]
+    assert len(rows) == 9 and all(r["passed"] == "true" for r in rows)
