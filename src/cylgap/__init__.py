@@ -9,9 +9,9 @@ infinity (end concentration, the spectral gap below the cross-section
 eigenvalue, half-cylinder limits, and the collapsing second eigenvalue).
 """
 
-from .coeff import (CoefficientField, asymmetric_model_field, condition_con,
-                    diagonal_field, field_from_table, identity_field,
-                    model_field, multi_model_field, neg_coupling_field,
+from .coeff import (CoefficientField, asymmetric_model_field, diagonal_field,
+                    field_from_table, identity_field, model_field,
+                    multi_model_field, neg_coupling_field,
                     piecewise_constant_field, row_restriction_field,
                     variable_a22_field)
 from .grid import TensorMesh, build_mesh
@@ -26,6 +26,6 @@ __all__ = [
     "model_field", "identity_field", "diagonal_field",
     "asymmetric_model_field", "variable_a22_field", "neg_coupling_field",
     "multi_model_field", "piecewise_constant_field", "field_from_table",
-    "row_restriction_field", "condition_con", "build_mesh",
+    "row_restriction_field", "build_mesh",
     "assemble_cylinder", "assemble_cross_section", "smallest_eigenpairs",
 ]

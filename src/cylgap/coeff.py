@@ -8,14 +8,12 @@ Fields are immutable and evaluate vectorized over many points.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MeshMismatch, SingularBlock
 
 RCOND_SINGULAR = 1e-12
-TOL_CON = 1e-8
 
 
 class CoefficientField:
@@ -69,9 +67,6 @@ class CoefficientField:
         if out.shape != (len(pts), self.n, self.n):
             raise ValueError("matrix_fn returned wrong shape")
         return out
-
-    def __call__(self, X2):
-        return self.eval_many(X2)[0]
 
     def reflected(self):
         """Field with the axial coupling negated (x1 -> -x1 change of
@@ -313,59 +308,3 @@ def schur_reduce_many(field, pts):
     A11, A12, A22 = _a11_blocks(field, pts)
     red = A22 - np.einsum("mpi,mpj->mij", A12, np.linalg.solve(A11, A12))
     return 0.5 * (red + red.transpose(0, 2, 1))
-
-
-def cell_center_gradients(mesh, node_values):
-    """Per-cell gradient of a multilinear nodal function at cell centers."""
-    vals = node_values[mesh.cell_node_indices()]
-    d = mesh.ndim
-    t = vals.reshape((mesh.n_cells,) + (2,) * d)
-    h = mesh.cell_sizes()
-    grads = np.empty((mesh.n_cells, d))
-    for a in range(d):
-        dv = np.diff(t, axis=1 + a)
-        grads[:, a] = dv.reshape(mesh.n_cells, -1).mean(axis=1) / h[:, a]
-    return grads
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    holds: bool
-    norm: float
-    signed_integral: object
-    pointwise_nonpositive: bool
-
-
-def condition_con(field, W1, mesh):
-    """Audit the coupling condition A12 . grad(W1) != 0 on the cross-section.
-
-    ``norm`` is the L2(omega) norm of A12 . grad(W1) with elementwise
-    gradients and midpoint quadrature; ``signed_integral`` is the
-    quadrature value of the boundary-flux integral (A12 . grad W1) W1,
-    one value per elongated axis (a scalar when p = 1);
-    ``pointwise_nonpositive`` reports the one-signed case
-    A12 . grad(W1) <= TOL_CON at every midpoint; ``holds`` means a norm
-    above TOL_CON.
-    """
-    if mesh.domain_kind != "cross-section":
-        raise MeshMismatch("condition audit needs a cross-section mesh")
-    if mesh.ndim != field.cross_dim:
-        raise MeshMismatch("mesh dimension does not match the field")
-    vec = W1.vector if hasattr(W1, "vector") else np.asarray(W1, dtype=float)
-    full = mesh.scatter_free(vec)
-    grads = cell_center_gradients(mesh, full)
-    centers = mesh.cell_centers()
-    A = field.eval_many(centers)
-    p = field.p
-    g = np.einsum("mpq,mq->mp", A[:, :p, p:], grads)
-    vol = mesh.cell_volumes()
-    norm = float(np.sqrt((vol[:, None] * g**2).sum()))
-    w_center = full[mesh.cell_node_indices()].mean(axis=1)
-    signed = (vol[:, None] * g * w_center[:, None]).sum(axis=0)
-    signed_out = float(signed[0]) if p == 1 else signed
-    return ConditionReport(
-        holds=norm > TOL_CON,
-        norm=norm,
-        signed_integral=signed_out,
-        pointwise_nonpositive=bool(np.all(g <= TOL_CON)),
-    )

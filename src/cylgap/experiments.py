@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import (dataclass, field as dc_field, fields as dc_fields,
+                         replace)
 
 import numpy as np
 
@@ -30,6 +31,7 @@ DIRICHLET_SPREAD = 0.30
 SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
 DEGENERACY_RTOL = 1e-8   # a smaller lambda2 - lambda1, relative, skips checks
 END_COLLAR = 3.0         # end-profile collar length r, at the plus end
+TOL_CON = 1e-8           # a smaller sqrt of the Schur energy drop: uncoupled
 
 
 @dataclass
@@ -114,13 +116,32 @@ def _delta_of(field):
 
 @dataclass
 class CrossContext:
+    """The run's record of one field at one cross resolution: W1 and mu1,
+    Lambda1, the mesh-error margin, the unreduced cross ``stiffness``,
+    the Schur energy drop ``coupling`` of W1 (see ``cross_context``), and
+    ``held``, the ``(ell, lambda_1)`` of every pencil with both ends free
+    solved under this context."""
+
     mesh: object
     mu1: float
     W1: eig.EigenPair
     Lambda1: float
     mesh_err: float
     margin: float
-    condition: coeff_mod.ConditionReport
+    stiffness: asm.KroneckerForm
+    coupling: float
+    held: list = dc_field(default_factory=list)
+
+    @property
+    def coupled(self):
+        """Condition (Con): A12.grad(W1) does not vanish, read as
+        sqrt(coupling) > TOL_CON."""
+        return self.coupling > TOL_CON**2
+
+
+def _energy_drop(K, K_red, w):
+    """w.(K - K_red)w for two stiffness forms on one mesh."""
+    return float(w @ (K @ w - K_red @ w))
 
 
 _CROSS_CACHE = {}
@@ -130,10 +151,19 @@ def cross_context(field, cfg):
     """Cross-section eigendata at ``cfg.resolution`` plus the two-level
     mesh-error estimate.
 
+    ``coupling`` is the drop c = W1.(K - K_red)W1 between the unreduced
+    and the Schur-reduced cross stiffness, both already assembled for mu1
+    and Lambda1.  Both sample A at the same points
+    (``asm.coefficient_samples``), so c is the integral of
+    (A12 grad W1)^t A11^-1 (A12 grad W1) under the pencils' own rule:
+    W1.K_red.W1 = mu1 - c.  Where A12 vanishes the reduced samples equal
+    A22 bit for bit, and c is exactly 0.
+
     Inside a ``solve_memo`` block it is cached per field object and every
     ``cfg`` field read here (fields compare by identity, and the key keeps
-    its field alive) until the outermost block closes; outside any block
-    every call builds afresh."""
+    its field alive) until the outermost block closes, and its ``held``
+    values serve every solve of the block; outside any block every call
+    builds afresh and holds nothing."""
     res = cfg.resolution
     key = (field, tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
            cfg.node_cap)
@@ -142,17 +172,17 @@ def cross_context(field, cfg):
 
     def first_pair(mesh, reduced=False):
         K, M = asm.assemble_cross_section(mesh, field, reduced=reduced)
-        return eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
-                                       seed=cfg.seed)[0]
+        return K, eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
+                                          seed=cfg.seed)[0]
 
     mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
                                       resolution=r, node_cap=cfg.node_cap)
                   for r in (res, 2 * res)]
-    W1 = first_pair(mesh)
-    Lambda1 = first_pair(mesh, reduced=True).value
-    err = abs(W1.value - first_pair(fine).value)
-    ctx = CrossContext(mesh, W1.value, W1, Lambda1, err, 3.0 * err,
-                       coeff_mod.condition_con(field, W1, mesh))
+    K, W1 = first_pair(mesh)
+    K_red, w1 = first_pair(mesh, reduced=True)
+    err = abs(W1.value - first_pair(fine)[1].value)
+    ctx = CrossContext(mesh, W1.value, W1, w1.value, err, 3.0 * err, K,
+                       _energy_drop(K, K_red, W1.vector))
     if asm._MEMO.get() is not None:
         _CROSS_CACHE[key] = ctx
     return ctx
@@ -175,27 +205,6 @@ def solve_memo():
             _CROSS_CACHE.clear()
 
 
-@dataclass(frozen=True)
-class _Held:
-    """A memo entry: the pairs of one pencil, the cross context and length
-    they were solved at, and whether both axial ends were free."""
-
-    ctx: CrossContext
-    ell: float
-    free_ends: bool
-    pairs: list
-
-
-def _held_lambda1(memo, ctx, ell):
-    """The largest lambda_1 that ``memo`` holds under the cross context
-    ``ctx`` (so for one field up to reflection) on a mixed pencil with
-    both ends free and no longer than ``ell``; None if it holds none."""
-    return max((entry.pairs[0].value for entry in memo.values()
-                if isinstance(entry, _Held) and entry.ctx is ctx
-                and entry.free_ends and entry.ell <= ell),
-               default=None)
-
-
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
                    grading=None, dirichlet=False):
     """Mesh and smallest pairs of a cylinder pencil; returns
@@ -214,12 +223,13 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     which holds the clamped ends, field object, ``count``, ``cfg.tol``
     and ``cfg.seed``) is not assembled or solved again, and repeats share
     the stored pairs, which callers only read; a failed solve is never
-    stored.  A new
-    pencil gets the guess ``P - margin`` (see ``eig.smallest_eigenpairs``),
-    where P is the largest lambda_1 the block holds under the same cross
-    context on a mixed pencil with both ends free (full-cylinder,
-    multi-direction) no longer than ``ell``.  P has a proven comparison
-    pencil below the solved lambda_1 for
+    stored.  A new pencil gets the guess ``P - margin`` (see
+    ``eig.smallest_eigenpairs``), where P is the largest lambda_1 that the
+    cross context holds (``CrossContext.held``: pencils with both ends
+    free, full-cylinder or multi-direction) at an ell no longer than its
+    own; outside a block the context is fresh and holds none, so no guess
+    is made.  P has a proven comparison pencil below the solved lambda_1
+    for
       * an all-Dirichlet pencil: the mixed pencil on the same mesh;
       * a half-cylinder of length L: the full cylinder at ell = L / 2 on
         a matched mesh (extension by zero);
@@ -240,21 +250,21 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     memo = asm._MEMO.get()
     # fields compare by identity, and the key keeps its field alive
     key = (mesh.key, field, count, cfg.tol, cfg.seed)
-    entry = None if memo is None else memo.get(key)
-    if entry is None:
+    pairs = None if memo is None else memo.get(key)
+    if pairs is None:
         # no cylinder eigenvalue lies below the Schur floor Lambda1
         ctx = cross_context(field.unreflected, cfg)
-        held = None if memo is None else _held_lambda1(memo, ctx, mesh.ell)
+        held = max((lam for ell_held, lam in ctx.held
+                    if ell_held <= mesh.ell), default=None)
         pairs = eig.smallest_eigenpairs(
             *asm.assemble_cylinder(mesh, field), count=count, tol=cfg.tol,
             seed=cfg.seed, floor=ctx.Lambda1 - ctx.margin,
             guess=None if held is None else held - ctx.margin)
-        free_ends = not any(any(ends)
-                            for ends in mesh.clamped[:mesh.n_axial])
-        entry = _Held(ctx, mesh.ell, free_ends, pairs)
+        if not any(any(ends) for ends in mesh.clamped[:mesh.n_axial]):
+            ctx.held.append((mesh.ell, pairs[0].value))
         if memo is not None:
-            memo[key] = entry
-    return mesh, entry.pairs
+            memo[key] = pairs
+    return mesh, pairs
 
 
 # the first eigenvalue of a half-cylinder is the tilde-lambda of its side
@@ -406,7 +416,7 @@ def _half_truncations(field, side, lengths, cfg):
     last = records[-1]
     converged = abs(seq[-2] - seq[-1]) < cfg.conv_tol
     nu = seq[-1]
-    if not ctx.condition.holds:
+    if not ctx.coupled:
         # equality case: the limit is mu1 itself; truncations only bound it
         nu = ctx.mu1
         last.add_note("no coupling: limit identified with mu1")
@@ -491,9 +501,10 @@ def exp_limit_infinity(field, L_list, cfg):
 def exp_gap(field, L_list, cfg):
     """Gap phenomenon: mu1 - lambda stays above three mesh errors."""
     ctx = cross_context(field, cfg)
-    if not ctx.condition.holds:
+    if not ctx.coupled:
         raise ConditionConFails(
-            "A12.grad(W1) vanishes in L2; the gap experiment needs coupling")
+            f"A12.grad(W1) vanishes (Schur energy drop {ctx.coupling:.1e}); "
+            "the gap experiment needs coupling")
 
     def judge(rec, mesh, pairs):
         rec.gap = ctx.mu1 - rec.lambda1
@@ -569,24 +580,28 @@ def exp_dirichlet_comparison(field, L_list, cfg):
 def exp_multi_direction(field3d, L_list, cfg):
     """Two elongated directions at coarse resolution: the gap appears
     exactly when some row of A12 couples to the cross gradient, and the
-    row-restricted 2D pencil upper-bounds the 3D value."""
+    row-restricted 2D pencil upper-bounds the 3D value.
+
+    The bound row is the one whose reduced cross stiffness drops W1's
+    energy most, the drop of ``cross_context`` measured on each
+    row-restricted reduced pencil: a row restriction keeps A22, so the
+    unreduced stiffness and W1 are the context's own."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
     cfg3 = replace(cfg, axial_resolution=cfg.res3d_axial,
                    resolution=cfg.res3d_cross)
     ctx = cross_context(field3d, cfg3)
-    if ctx.condition.holds:
-        # the row coupling most strongly to W1 gives the tightest bound
-        norms = [coeff_mod.condition_con(
-            coeff_mod.row_restriction_field(field3d, i), ctx.W1,
-            ctx.mesh).norm for i in range(field3d.p)]
-        bfield = coeff_mod.row_restriction_field(field3d,
-                                                 int(np.argmax(norms)))
+    if ctx.coupled:
+        rows = [coeff_mod.row_restriction_field(field3d, i)
+                for i in range(field3d.p)]
+        drops = [_energy_drop(ctx.stiffness, asm.assemble_cross_section(
+            ctx.mesh, row, reduced=True)[0], ctx.W1.vector) for row in rows]
+        bfield = rows[int(np.argmax(drops))]
 
     def judge(rec, mesh, pairs):
         lam = rec.lambda1
         rec.gap = ctx.mu1 - lam
-        if ctx.condition.holds:
+        if ctx.coupled:
             rec.check(rec.gap > ctx.margin,
                       "expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
@@ -620,7 +635,7 @@ def exp_decay(field, ell_list, cfg):
         profiles.append((rec.ell, prof))
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
-        if ctx.condition.holds:
+        if ctx.coupled:
             rec.check(not prof.no_decay and prof.r2 > 0.99,
                       "expected exponential decay")
             rec.check(abs(prof.grad_alpha - prof.alpha_fit)

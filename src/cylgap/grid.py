@@ -87,16 +87,8 @@ class TensorMesh:
     # -- derived geometry ------------------------------------------------
 
     @property
-    def dirichlet_nodes(self):
-        return np.flatnonzero(self.dirichlet_mask)
-
-    @property
     def cross_partitions(self):
         return self.axis_partitions[self.n_axial :]
-
-    def node_coords(self):
-        """(n_nodes, ndim) array of node coordinates, C-ordered."""
-        return _product_points(self.axis_partitions)
 
     def cell_node_indices(self):
         """(n_cells, 2**ndim) corner node indices; corners ordered with the
@@ -132,12 +124,6 @@ class TensorMesh:
         full = np.zeros(self.n_nodes)
         full[self.free_nodes] = free_values
         return full
-
-    def restrict_free(self, node_values):
-        node_values = np.asarray(node_values, dtype=float)
-        if node_values.shape != (self.n_nodes,):
-            raise MeshMismatch("node vector has wrong length")
-        return node_values[self.free_nodes]
 
     @property
     def key(self):

@@ -8,7 +8,10 @@ phi and z_alpha, and the Picone gap.  No run executes them, so they live
 here rather than in the package.
 
 The cellwise oracle is the reference assembly that the Kronecker
-forms are checked against.
+forms are checked against, and the midpoint coupling audit the
+reference for the Schur energy drop of a cross context.  Node
+coordinates, Dirichlet nodes, free-node restriction and point values of
+a field are helpers only tests need.
 
 Test functions are evaluated as nodal interpolants on the active mesh;
 every interpolant vanishes exactly on Dirichlet-tagged nodes, so its
@@ -25,6 +28,7 @@ from scipy import sparse
 
 from cylgap import assemble as asm
 from cylgap import coeff as coeff_mod
+from cylgap import experiments as ex
 from cylgap import grid as grid_mod
 from cylgap.errors import (CylgapError, MeshMismatch, NotElliptic,
                            NoReflectionSymmetry)
@@ -36,6 +40,32 @@ class ZeroFunction(CylgapError):
 
 class DegenerateWeight(CylgapError):
     """Positive weight function vanishes at a needed interior node."""
+
+
+# -- nodes and point values -------------------------------------------------
+
+
+def node_coords(mesh):
+    """(n_nodes, ndim) node coordinates, C-ordered as the mesh's nodes."""
+    return np.stack([g.ravel() for g in np.meshgrid(*mesh.axis_partitions,
+                                                    indexing="ij")], axis=1)
+
+
+def dirichlet_nodes(mesh):
+    return np.flatnonzero(mesh.dirichlet_mask)
+
+
+def restrict_free(mesh, node_values):
+    """All-node vector -> its free-node values."""
+    node_values = np.asarray(node_values, dtype=float)
+    if node_values.shape != (mesh.n_nodes,):
+        raise MeshMismatch("node vector has wrong length")
+    return node_values[mesh.free_nodes]
+
+
+def at(field, X2):
+    """A(X2) at one cross-section point."""
+    return field.eval_many(X2)[0]
 
 
 # -- coefficient algebra ----------------------------------------------------
@@ -80,6 +110,54 @@ def schur_minimizer(field, X2, Z2):
     A11, A12, _ = coeff_mod._a11_blocks(field, pts)
     Z2 = np.atleast_1d(np.asarray(Z2, dtype=float))
     return -np.linalg.solve(A11[0], A12[0] @ Z2)
+
+
+def cell_center_gradients(mesh, node_values):
+    """Per-cell gradient of a multilinear nodal function at cell centers."""
+    vals = node_values[mesh.cell_node_indices()]
+    d = mesh.ndim
+    t = vals.reshape((mesh.n_cells,) + (2,) * d)
+    h = mesh.cell_sizes()
+    grads = np.empty((mesh.n_cells, d))
+    for a in range(d):
+        dv = np.diff(t, axis=1 + a)
+        grads[:, a] = dv.reshape(mesh.n_cells, -1).mean(axis=1) / h[:, a]
+    return grads
+
+
+@dataclass(frozen=True)
+class CouplingAudit:
+    norm: float
+    signed_integral: object
+    pointwise_nonpositive: bool
+
+
+def coupling_audit(field, W1, mesh):
+    """Midpoint audit of the coupling g = A12.grad(W1) on a cross-section
+    mesh: elementwise gradients and A at cell centres, independent of the
+    pencils, so it is the oracle for ``CrossContext.coupling``.
+
+    ``norm`` is sqrt(sum_cells vol g^t A11^-1 g), which equals sqrt(c)
+    for fields constant on each cell; ``signed_integral`` is the
+    quadrature value of the boundary-flux integral (A12.grad W1) W1, one
+    value per elongated axis (a scalar when p = 1);
+    ``pointwise_nonpositive`` reports the one-signed case g <= TOL_CON at
+    every midpoint.
+    """
+    full = mesh.scatter_free(W1.vector)
+    grads = cell_center_gradients(mesh, full)
+    A = field.eval_many(mesh.cell_centers())
+    p = field.p
+    g = np.einsum("mpq,mq->mp", A[:, :p, p:], grads)
+    weighted = np.einsum("mp,mp->m", g, np.linalg.solve(A[:, :p, :p],
+                                                        g[:, :, None])[..., 0])
+    vol = mesh.cell_volumes()
+    w_center = full[mesh.cell_node_indices()].mean(axis=1)
+    signed = (vol[:, None] * g * w_center[:, None]).sum(axis=0)
+    return CouplingAudit(
+        norm=float(np.sqrt((vol * weighted).sum())),
+        signed_integral=float(signed[0]) if p == 1 else signed,
+        pointwise_nonpositive=bool(np.all(g <= ex.TOL_CON)))
 
 
 # -- nesting meshes ---------------------------------------------------------
@@ -178,7 +256,7 @@ def cross_values_on(mesh, cross_mesh, full_cross_values):
 
 def node_projected_gradient(cross_mesh, full_values):
     """Elementwise gradients averaged to nodes with volume weights."""
-    grads = coeff_mod.cell_center_gradients(cross_mesh, full_values)
+    grads = cell_center_gradients(cross_mesh, full_values)
     vol = cross_mesh.cell_volumes()
     cells = cross_mesh.cell_node_indices()
     num = np.zeros((cross_mesh.n_nodes, cross_mesh.ndim))
@@ -192,7 +270,7 @@ def node_projected_gradient(cross_mesh, full_values):
 def boundary_ramp(cross_mesh, width):
     """Piecewise-linear cutoff: 0 on the omega boundary, 1 at distance
     >= width (per-node, distance taken axiswise)."""
-    coords = cross_mesh.node_coords()
+    coords = node_coords(cross_mesh)
     d = np.full(len(coords), np.inf)
     for a, part in enumerate(cross_mesh.axis_partitions):
         d = np.minimum(d, np.minimum(coords[:, a] - part[0],
@@ -210,12 +288,12 @@ def coupling_ratio_nodes(field, cross_mesh, pair):
         raise MeshMismatch("coupling ratio is built for p = 1 fields")
     full = cross_mesh.scatter_free(pair.vector)
     node_grad = node_projected_gradient(cross_mesh, full)
-    A = field.eval_many(cross_mesh.node_coords())
+    A = field.eval_many(node_coords(cross_mesh))
     a11 = A[:, 0, 0]
     A12 = A[:, :1, 1:]
     g = np.einsum("mpq,mq->m", A12, node_grad) / a11
     g = g * boundary_ramp(cross_mesh, COUPLING_CUTOFF)
-    g[cross_mesh.dirichlet_nodes] = 0.0
+    g[dirichlet_nodes(cross_mesh)] = 0.0
     return g
 
 
@@ -236,21 +314,21 @@ class TestFunction:
 
     def nodal(self, mesh):
         vals = self._nodal(mesh)
-        if np.any(vals[mesh.dirichlet_nodes] != 0.0):
+        if np.any(vals[dirichlet_nodes(mesh)] != 0.0):
             raise CylgapError(
                 f"test function {self.name} is nonzero on a Dirichlet node")
         return vals
 
     def free_values(self, mesh):
-        return mesh.restrict_free(self.nodal(mesh))
+        return restrict_free(mesh, self.nodal(mesh))
 
 
 def _snap_dirichlet(mesh, vals):
     scale = max(1.0, float(np.abs(vals).max()))
-    bvals = vals[mesh.dirichlet_nodes]
+    bvals = vals[dirichlet_nodes(mesh)]
     if np.any(np.abs(bvals) > SNAP_TOL * scale):
         raise CylgapError("test function does not vanish on Dirichlet nodes")
-    vals[mesh.dirichlet_nodes] = 0.0
+    vals[dirichlet_nodes(mesh)] = 0.0
     return vals
 
 
@@ -264,7 +342,7 @@ def _require_model_omega(mesh):
 def model_w1_nodes(mesh):
     """Analytic cos profile at the nodes of a mesh."""
     _require_model_omega(mesh)
-    return w1_model(mesh.node_coords()[:, mesh.n_axial])
+    return w1_model(node_coords(mesh)[:, mesh.n_axial])
 
 
 def discrete_w1_nodes(cross_mesh, pair):
@@ -284,7 +362,7 @@ def model_profile(delta):
     def g_of(mesh):
         _require_model_omega(mesh)
         width = min(1.0, float(mesh.ell) ** MODEL_ALPHA_CUT)
-        x2 = mesh.node_coords()[:, mesh.n_axial]
+        x2 = node_coords(mesh)[:, mesh.n_axial]
         rho = np.clip(np.minimum((x2 + 1.0) / width, (1.0 - x2) / width),
                       0.0, 1.0)
         return delta * w1_model_prime(x2) * rho
@@ -305,7 +383,7 @@ def _separable_testfn(name, params, profile):
     def nodal(mesh):
         if mesh.domain_kind not in ("full-cylinder",):
             raise MeshMismatch(f"{name} lives on a full cylinder")
-        x1 = mesh.node_coords()[:, 0]
+        x1 = node_coords(mesh)[:, 0]
         vals = profile.w_of(mesh) - profile.g_of(mesh) * x1
         return _snap_dirichlet(mesh, vals)
 
@@ -347,7 +425,7 @@ def glued_phi(inner, ell0, eta):
         ell = mesh.ell
         if ell <= ell0 + eta:
             raise ValueError("need ell > ell0 + eta")
-        x1 = mesh.node_coords()[:, 0]
+        x1 = node_coords(mesh)[:, 0]
         W = profile.w_of(mesh)
         G = profile.g_of(mesh)
         vals = np.zeros(mesh.n_nodes)
@@ -372,9 +450,9 @@ def exp_decay(epsilon):
     def nodal(mesh):
         if mesh.domain_kind not in ("half-plus", "half-minus"):
             raise MeshMismatch("exp-decay lives on a half cylinder")
-        x1 = mesh.node_coords()[:, 0]
+        x1 = node_coords(mesh)[:, 0]
         vals = np.exp(-epsilon * np.abs(x1)) * model_w1_nodes(mesh)
-        vals[mesh.dirichlet_nodes] = 0.0
+        vals[dirichlet_nodes(mesh)] = 0.0
         return vals
 
     return TestFunction("exp-decay", {"epsilon": epsilon}, None, nodal)
@@ -390,13 +468,13 @@ def z_alpha(alpha, ell1, inner):
     def nodal(mesh):
         if mesh.domain_kind != "half-plus":
             raise MeshMismatch("z-alpha lives on a half-plus mesh")
-        x1 = mesh.node_coords()[:, 0]
+        x1 = node_coords(mesh)[:, 0]
         W = profile.w_of(mesh)
         G = profile.g_of(mesh)
         head = x1 < ell1
         vals = np.where(head, W - G * (x1 - ell1),
                         W * np.exp(-alpha * np.maximum(x1 - ell1, 0.0)))
-        vals[mesh.dirichlet_nodes] = 0.0
+        vals[dirichlet_nodes(mesh)] = 0.0
         return vals
 
     return TestFunction("z-alpha", {"alpha": alpha, "ell1": ell1,
@@ -410,11 +488,11 @@ def cutoff_w1(width):
     def nodal(mesh):
         if mesh.domain_kind != "half-plus":
             raise MeshMismatch("cutoff-w1 lives on a half-plus mesh")
-        x1 = mesh.node_coords()[:, 0]
+        x1 = node_coords(mesh)[:, 0]
         up = np.clip(x1, 0.0, 1.0)
         down = np.clip(width + 1.0 - x1, 0.0, 1.0)
         vals = model_w1_nodes(mesh) * np.minimum(up, down)
-        vals[mesh.dirichlet_nodes] = 0.0
+        vals[dirichlet_nodes(mesh)] = 0.0
         return vals
 
     return TestFunction("cutoff-w1", {"width": width}, None, nodal)
@@ -445,7 +523,7 @@ def rayleigh_of_testfn(tf, mesh, field, forms=None):
     else:
         u = np.asarray(tf, dtype=float)
         if u.shape != (mesh.n_free,):
-            u = mesh.restrict_free(u)
+            u = restrict_free(mesh, u)
     num = energy(K, u)
     den = energy(M, u)
     if den < 1e-14:

@@ -187,9 +187,9 @@ class TestCylinderAssembly:
             mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                    resolution=res)
             K, _ = assemble.assemble_cylinder(mesh, model06)
-            vals = np.cos(np.pi * mesh.node_coords()[:, 1] / 2.0)
-            vals[mesh.dirichlet_nodes] = 0.0
-            u = mesh.restrict_free(vals)
+            vals = np.cos(np.pi * proofs.node_coords(mesh)[:, 1] / 2.0)
+            vals[proofs.dirichlet_nodes(mesh)] = 0.0
+            u = proofs.restrict_free(mesh, vals)
             errs.append(abs(proofs.energy(K, u) - 2.0 * MU1))
         assert errs[2] < errs[0]
         assert errs[2] < 2e-3
@@ -419,34 +419,57 @@ class TestFormStorage:
 
 
 def test_package_defines_only_what_a_run_reaches():
-    # a module-level def or class is dead when no Name or Attribute
-    # outside dead bodies (and outside __init__.py, which only re-exports)
-    # refers to it; repeat until nothing changes.  The console script
-    # cli.main is the one entry point.  Code only tests need belongs in
-    # tests/proofs.py
+    # a module-level def or class, or a public method or property of a
+    # class, is dead when no Name or Attribute outside dead bodies (and
+    # outside __init__.py, which only re-exports) refers to it; repeat
+    # until nothing changes.  The console script cli.main is the one entry
+    # point; dunders are called by Python itself.  Code only tests need
+    # belongs in tests/proofs.py
     src = pathlib.Path(assemble.__file__).parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))
              if path.name != "__init__.py"}
-    defs = {(mod, node.name): node for mod, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def public_methods(cls):
+        return [node for node in cls.body if isinstance(node, kinds[:2])
+                and not node.name.startswith("_")]
+
+    # (key, owner, def, body): a module-level def or class, or a public
+    # method owned by its class, with the nodes whose references it keeps
+    # alive; a class keeps all but its public methods alive, and other
+    # module statements have no key and always live
+    units = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                units.append((None, None, None, [node]))
+                continue
+            methods = (public_methods(node)
+                       if isinstance(node, ast.ClassDef) else [])
+            units.append(((mod, node.name), None, node,
+                          [n for n in ast.iter_child_nodes(node)
+                           if n not in methods]))
+            units += [((mod, f"{node.name}.{m.name}"), (mod, node.name), m,
+                       [m]) for m in methods]
+    exempt = {("cli", "main"),
+              # the benchmark's tracer (perfbench/tracer.py) reads it
+              # until ROADMAP item 1b/8 replaces that tracer
+              ("assemble", "KroneckerForm.lower")}
     dead = set()
     while True:
         names = set()
-        for mod, tree in trees.items():
-            for node in tree.body:
-                key = (mod, getattr(node, "name", None))
-                if key in dead:
-                    continue
-                refs = {n.id if isinstance(n, ast.Name) else n.attr
-                        for n in ast.walk(node)
-                        if isinstance(n, (ast.Name, ast.Attribute))}
-                # a def's references to itself do not keep it alive
-                names |= refs - {key[1]} if key in defs else refs
-        new = {key for key in defs
-               if key not in dead and key[1] not in names} - {("cli", "main")}
+        for key, owner, node, body in units:
+            if key in dead or owner in dead:
+                continue
+            refs = {n.id if isinstance(n, ast.Name) else n.attr
+                    for part in body for n in ast.walk(part)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            # a def's references to itself do not keep it alive
+            names |= refs - {node.name} if node else refs
+        new = {key for key, _, node, _ in units
+               if key and key not in dead and node.name not in names}
+        new -= exempt
         if not new:
             break
         dead |= new

@@ -360,6 +360,32 @@ class TestCrossContext:
             with pytest.raises(MemoryBudget):
                 ex.cross_context(model, replace(cfg, node_cap=40))
 
+    def test_only_a_block_holds_lambda1_for_guesses(self, model, cfg,
+                                                    monkeypatch):
+        # outside solve_memo every call builds a fresh context, so a
+        # solve finds nothing held and makes no guess
+        guesses = []
+        solve = eig.smallest_eigenpairs
+
+        def spied(K, M, **kwargs):
+            if K.provenance["mesh"].startswith("full-cylinder"):
+                guesses.append(kwargs["guess"])
+            return solve(K, M, **kwargs)
+
+        monkeypatch.setattr(eig, "smallest_eigenpairs", spied)
+        for ell in (2, 4):
+            ex.solve_cylinder(model, ell, cfg)
+        assert ex.cross_context(model, cfg).held == []
+        assert guesses == [None, None]
+        guesses.clear()
+        with ex.solve_memo():
+            _, short = ex.solve_cylinder(model, 2, cfg)
+            _, long = ex.solve_cylinder(model, 4, cfg)
+            held = ex.cross_context(model, cfg).held
+        assert held == [(2.0, short[0].value), (4.0, long[0].value)]
+        ctx = ex.cross_context(model, cfg)
+        assert guesses == [None, short[0].value - ctx.margin]
+
 
 class TestRecordPlumbing:
     def test_wall_time_not_in_csv_schema(self):

@@ -12,7 +12,7 @@ import proofs
 
 def boundary_nodes(mesh):
     """Nodes on a face of the box, read off their coordinates."""
-    x = mesh.node_coords()
+    x = proofs.node_coords(mesh)
     on = (x == x.min(axis=0)) | (x == x.max(axis=0))
     return np.flatnonzero(on.any(axis=1))
 
@@ -26,7 +26,7 @@ def clamped_face_nodes(mesh, ell, omega, full_dirichlet=False):
     alone: the lateral faces (X2 on the boundary of omega), the x1 = ell
     face of a half-plus and the x1 = -ell face of a half-minus, and every
     axial face of a full-Dirichlet mesh."""
-    x = mesh.node_coords()
+    x = proofs.node_coords(mesh)
     omega = np.reshape(omega, (-1, 2))
     p = x.shape[1] - len(omega)
     on = np.zeros(len(x), dtype=bool)
@@ -67,28 +67,28 @@ class TestBuildMesh:
         # free end nodes: {x1 = +-1} x interior omega = 2 * 7
         assert len(free_boundary_nodes(m)) == 14
         # Dirichlet: every node with x2 = +-1
-        assert len(m.dirichlet_nodes) == 18
-        coords = m.node_coords()
-        assert np.all(np.abs(coords[m.dirichlet_nodes][:, 1]) == 1.0)
+        assert len(proofs.dirichlet_nodes(m)) == 18
+        coords = proofs.node_coords(m)
+        assert np.all(np.abs(coords[proofs.dirichlet_nodes(m)][:, 1]) == 1.0)
 
     def test_cross_section_counts(self):
         m = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
         assert m.n_cells == 16
         assert m.n_nodes == 17
-        assert len(m.dirichlet_nodes) == 2
+        assert len(proofs.dirichlet_nodes(m)) == 2
 
     def test_half_plus_tags(self):
         m = grid.build_mesh("half-plus", ell=4, omega=(-1, 1), resolution=4)
-        coords = m.node_coords()
+        coords = proofs.node_coords(m)
         at_far_end = np.flatnonzero(coords[:, 0] == 4.0)
-        assert set(at_far_end) <= set(m.dirichlet_nodes)
+        assert set(at_far_end) <= set(proofs.dirichlet_nodes(m))
         free_face = coords[free_boundary_nodes(m)]
         assert np.all(free_face[:, 0] == 0.0)
 
     def test_every_boundary_node_tagged_once(self):
         for name, (_, ell, omega, _, dirichlet) in TAG_CASES.items():
             m = tag_case(name)
-            d = set(m.dirichlet_nodes)
+            d = set(proofs.dirichlet_nodes(m))
             f = set(free_boundary_nodes(m))
             assert not d & f, name
             boundary = set(boundary_nodes(m))
@@ -112,8 +112,8 @@ class TestBuildMesh:
         m = grid.build_mesh("multi-direction", ell=2, omega=(-1, 1),
                             resolution=(2, 2, 4))
         assert m.ndim == 3 and m.n_axial == 2
-        coords = m.node_coords()
-        assert np.all(np.abs(coords[m.dirichlet_nodes][:, 2]) == 1.0)
+        coords = proofs.node_coords(m)
+        assert np.all(np.abs(coords[proofs.dirichlet_nodes(m)][:, 2]) == 1.0)
 
     def test_bad_resolution(self):
         with pytest.raises(BadResolution):
@@ -144,7 +144,7 @@ class TestBuildMesh:
                             grading=2)
         offsets = np.array(list(itertools.product((0, 1), repeat=m.ndim)))
         np.testing.assert_allclose(
-            m.node_coords()[m.cell_node_indices()],
+            proofs.node_coords(m)[m.cell_node_indices()],
             m.cell_origins()[:, None] + m.cell_sizes()[:, None] * offsets,
             rtol=0, atol=1e-12)
 
@@ -188,7 +188,7 @@ class TestReflection:
                             resolution=4)
         perm = grid.reflection_permutation(m)
         np.testing.assert_array_equal(perm[perm], np.arange(m.n_nodes))
-        coords = m.node_coords()
+        coords = proofs.node_coords(m)
         np.testing.assert_allclose(coords[perm], -coords, atol=1e-14)
 
     def test_free_permutation_closed(self):
@@ -200,7 +200,7 @@ class TestReflection:
     def test_p2_and_full_dirichlet_against_coords(self):
         for name in ("multi", "full-dirichlet", "multi-dirichlet", "cross"):
             m = tag_case(name)
-            coords = m.node_coords()
+            coords = proofs.node_coords(m)
             perm = grid.reflection_permutation(m)
             np.testing.assert_allclose(coords[perm], -coords, atol=1e-14)
             free_xy = coords[m.free_nodes]
@@ -225,8 +225,8 @@ class TestEmbedding:
         sub = grid.build_mesh("half-plus", ell=4, omega=(-1, 1), resolution=4)
         sup = grid.build_mesh("half-plus", ell=8, omega=(-1, 1), resolution=4)
         mapping = proofs.free_embedding(sub, sup)
-        sub_xy = sub.node_coords()[sub.free_nodes]
-        sup_xy = sup.node_coords()[sup.free_nodes]
+        sub_xy = proofs.node_coords(sub)[sub.free_nodes]
+        sup_xy = proofs.node_coords(sup)[sup.free_nodes]
         np.testing.assert_allclose(sup_xy[mapping], sub_xy, atol=1e-12)
 
     def test_half_into_translated_cylinder(self):
@@ -242,11 +242,11 @@ class TestEmbedding:
     def test_p2_and_full_dirichlet_against_coords(self):
         def embedded(sub, sup, shift=None):
             mapping = proofs.free_embedding(sub, sup, shift)
-            sub_xy = sub.node_coords()[sub.free_nodes]
+            sub_xy = proofs.node_coords(sub)[sub.free_nodes]
             if shift is not None:
                 sub_xy = sub_xy + (np.eye(sub.ndim)[0] * shift
                                    if np.isscalar(shift) else shift)
-            sup_xy = sup.node_coords()[sup.free_nodes]
+            sup_xy = proofs.node_coords(sup)[sup.free_nodes]
             np.testing.assert_allclose(sup_xy[mapping], sub_xy, atol=1e-12)
             assert len(set(mapping.tolist())) == sub.n_free
 

@@ -32,18 +32,20 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20,
 
 
 @st.composite
-def tables(draw, n=2, p=1):
+def tables(draw, n=2, p=1, coupled=True):
     """Piecewise-constant n x n field with 1-4 cells along the first cross
     coordinate on (-1, 1), each cell matrix R R^T + 0.2 I with R drawn
-    entrywise from [-1, 1]."""
+    entrywise from [-1, 1]; without ``coupled`` the A12 blocks are 0."""
     cuts = draw(st.lists(st.integers(-7, 7), max_size=3, unique=True))
     bounds = [-1.0] + sorted(c / 8.0 for c in cuts) + [1.0]
     entry = st.floats(-1.0, 1.0, allow_nan=False)
     size = n * n * (len(bounds) - 1)
     R = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
     R = R.reshape(-1, n, n)
-    return coeff.piecewise_constant_field(
-        bounds, R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n), p=p)
+    A = R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n)
+    if not coupled:
+        A[:, :p, p:] = A[:, p:, :p] = 0.0
+    return coeff.piecewise_constant_field(bounds, A, p=p)
 
 
 def first_value(K, M):
@@ -210,6 +212,50 @@ def test_kronecker_assembly_matches_the_oracle_in_and_out_of_a_block(field):
         assert same_bits(first, fresh) and same_bits(second, fresh), kind
 
 
+def coupling_of(field):
+    """The cross context of ``field`` at the cross resolution of the
+    cylinder meshes, and the midpoint audit of its W1."""
+    ctx = experiments.cross_context(
+        field, experiments.ExperimentConfig(resolution=RESOLUTION[1]))
+    return ctx, proofs.coupling_audit(field, ctx.W1, ctx.mesh)
+
+
+@PROPERTY_SETTINGS
+@given(field=tables())
+def test_coupling_is_the_midpoint_audit(field):
+    """On a table W1' is constant per cell and A is sampled at midpoints,
+    so the Schur energy drop equals the audit's sum of vol g^t A11^-1 g,
+    g = A12 W1'.  The drop is a difference of two energies of size mu1,
+    so 1e-12 mu1 absolute is allowed too: where the coupling is below
+    the rounding of A22 the reduced samples round to A22 and the drop is
+    0 while the audit is not."""
+    ctx, audit = coupling_of(field)
+    assert ctx.coupling == pytest.approx(audit.norm**2, rel=1e-12,
+                                         abs=1e-12 * ctx.mu1)
+    assert ctx.coupled == (audit.norm > experiments.TOL_CON)
+
+
+@PROPERTY_SETTINGS
+@given(field=tables(coupled=False))
+def test_uncoupled_table_drops_nothing(field):
+    ctx, audit = coupling_of(field)
+    assert ctx.coupling == 0.0 and not ctx.coupled
+    assert audit.norm == 0.0
+
+
+@pytest.mark.parametrize("field", [
+    coeff.model_field(0.0), coeff.model_field(0.6),
+    coeff.asymmetric_model_field(0.5), coeff.identity_field(),
+    coeff.diagonal_field([2.0, 3.0]), coeff.neg_coupling_field(),
+    coeff.variable_a22_field(0.6), coeff.multi_model_field(0.6)],
+    ids=lambda f: f.signature)
+def test_coupled_verdict_matches_the_audit(field):
+    ctx, audit = coupling_of(field)
+    assert ctx.coupled == (audit.norm > experiments.TOL_CON)
+    if not ctx.coupled:
+        assert ctx.coupling == 0.0
+
+
 def test_uncoupled_field_sits_on_the_floor():
     """With delta = 0 the floor is attained: lambda1 = Lambda1."""
     field = coeff.model_field(0.0)
@@ -237,7 +283,7 @@ def plus_box_energy(mesh, field, full):
                           [axis[plus], *mesh.cross_partitions], 1, mesh.ell)
     K, _ = cellwise_oracle(box, lambda x: field.eval_many(x[:, 1:]),
                            field.piecewise_constant)
-    u = box.restrict_free(full.reshape(mesh.shape)[plus].ravel())
+    u = proofs.restrict_free(box, full.reshape(mesh.shape)[plus].ravel())
     return float(u @ K @ u)
 
 
