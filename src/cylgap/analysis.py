@@ -25,16 +25,16 @@ def axial_densities(full_values, parts, field=None):
     nodes are C-ordered as in them.  The cross integrals go through the
     cross slot matrices X_ab and the cross mass Mc that assembly builds
     its cylinder forms from, with A taken from ``coefficient_samples``
-    (the identity without a field: the plain |grad u|^2).  So the
-    energies add up to u.Ku and the masses to u.Mu.  Returns three arrays
-    of shape (axial cells, 2).
+    (C = I without a field: the plain |grad u|^2; Mc is its value slot).
+    So the energies add up to u.Ku and the masses to u.Mu.  Returns three
+    arrays of shape (axial cells, 2).
     """
     axis = parts[0]
     cross = asm.factor_mesh(parts[1:])
-    C = (np.eye(1 + cross.ndim)[None, None] if field is None
-         else asm.coefficient_samples(cross, field, field.eval_many))
-    X = asm._slot_matrices(cross, C, 1)
-    Mc = asm._slot_matrices(cross, np.ones((1, 1, 1, 1)), 1)[0][0]
+    unit = asm._slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1)
+    X = unit if field is None else asm._slot_matrices(
+        cross, asm.coefficient_samples(cross, field, field.eval_many), 1)
+    Mc = unit[0][0]
     u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)
     h = np.diff(axis)[:, None]
     xi = asm.gauss_points_01()

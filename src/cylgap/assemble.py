@@ -25,8 +25,8 @@ from .grid import TensorMesh
 
 _SQRT3 = np.sqrt(3.0)
 
-# entries of the enclosing ``experiments.solve_memo`` block (solved
-# pencils and slot-matrix sets); None outside any block
+# the slot-matrix sets of the enclosing ``experiments.solve_memo``
+# block; None outside any block
 _MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
 
 
@@ -70,7 +70,6 @@ class KroneckerForm:
 
     dim: int
     terms: list
-    kind: str
     provenance: dict = dc_field(default_factory=dict)
 
     def __matmul__(self, u):
@@ -176,19 +175,22 @@ def _assemble_pair(mesh, field, mats, reduced):
     cross slot matrices of A and F_k(a, b) is the 1D stiffness, mixed or
     mass matrix as a and b are or are not k; M = M_1 x ... x M_p x M_c.
     Nodes are C-ordered with the axial axes first, as in these products.
-    A cross-section pencil has no axial factor.  Each factor is sliced to
-    the free indices of its axes first (``mesh.axis_free[k]`` for F_k, the
-    cross mesh's free nodes for X_ab and Mc), so every term spans the
-    free nodes only.
+    Mc is the value slot of the cross set of C = I, and a cross-section
+    pencil has no axial factor.  Each factor is sliced to the free indices
+    of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
+    nodes for X_ab and Mc), so every term spans the free nodes only.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
     C = coefficient_samples(cross, field, mats)
 
-    def free_slots(factor, C, n_values, free):
+    def restrict(S, free):
         if free[-1] - free[0] + 1 == free.size:  # a run slices faster
             free = slice(free[0], free[-1] + 1)
-        return [[S[free][:, free] for S in row]
+        return S[free][:, free]
+
+    def free_slots(factor, C, n_values, free):
+        return [[restrict(S, free) for S in row]
                 for row in _slot_matrices(factor, C, n_values)]
 
     X = free_slots(cross, C, p, cross.free_nodes)
@@ -198,13 +200,14 @@ def _assemble_pair(mesh, field, mats, reduced):
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
          for a, b in itertools.product(range(C.shape[-1]), repeat=2)]
-    Mc = free_slots(cross, np.ones((1, 1, 1, 1)), 1, cross.free_nodes)[0][0]
+    Mc = restrict(_slot_matrices(cross, np.eye(1 + cross.ndim)[None, None],
+                                 1)[0][0], cross.free_nodes)
     M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": bool(reduced), "_mesh": mesh, "_field": field}
-    return tuple(KroneckerForm(mesh.n_free, terms, kind, dict(prov))
-                 for terms, kind in ((K, "stiffness"), (M, "mass")))
+    return tuple(KroneckerForm(mesh.n_free, terms, dict(prov))
+                 for terms in (K, M))
 
 
 def assemble_cylinder(mesh, field):

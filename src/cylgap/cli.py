@@ -254,14 +254,6 @@ def _fmt_cell(v):
     return str(v)
 
 
-def write_records_csv(path, records):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow([_fmt_cell(getattr(rec, c)) for c in CSV_COLUMNS])
-
-
 def _write_table_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -297,7 +289,8 @@ def run(config_path):
                                        n=field.n, p=field.p, passed=False,
                                        note=f"{type(exc).__name__}: {exc}")]
                 extras = {}
-            write_records_csv(os.path.join(outdir, f"{name}.csv"), records)
+            _write_table_csv(os.path.join(outdir, f"{name}.csv"),
+                             CSV_COLUMNS, [vars(r) for r in records])
             for fname, (header, rows) in extras.items():
                 _write_table_csv(os.path.join(outdir, fname), header, rows)
             n_pass = sum(1 for r in records if r.passed)

@@ -45,13 +45,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                   LinearOperator, eigsh)
 
-from .assemble import KroneckerForm
-from .errors import FactorizationFailed, NoConvergence
+from .errors import BadResolution, FactorizationFailed, NoConvergence
 
 DEFAULT_TOL = 1e-9
 MIN_TOL = 1e-12  # the smallest residual tolerance a solve accepts
@@ -161,30 +159,29 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
                         guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
-    K and M are assembled forms or sparse matrices.  ``floor`` must lie
-    strictly below the whole spectrum: the solve factors K - floor M, and
-    a lambda_1 at or below it raises FactorizationFailed.  A ``guess``
-    above the floor is factored first: if K - guess M factors,
-    lambda_1 > guess is proven and the solve shift-inverts at the guess,
-    closer to lambda_1 and so in fewer operator applications; otherwise it
-    shift-inverts at the floor exactly as without a guess.  The pencil
-    needs more than ``count`` unknowns, and one Lanczos run computes
-    exactly ``count`` pairs.  Vectors are M-normalized, pairwise
-    M-orthogonal, and the first vector is sign-fixed positive.  Residual
-    ||Ku - lambda Mu|| / ||Mu|| is checked against ``tol``.
+    K and M are assembled forms (``assemble.KroneckerForm``).  ``floor``
+    must lie strictly below the whole spectrum: the solve factors
+    K - floor M, and a lambda_1 at or below it raises FactorizationFailed.
+    A ``guess`` above the floor is factored first: if K - guess M
+    factors, lambda_1 > guess is proven and the solve shift-inverts at
+    the guess, closer to lambda_1 and so in fewer operator applications;
+    otherwise it shift-inverts at the floor exactly as without a guess.
+    One Lanczos run computes exactly ``count`` pairs, so the pencil needs
+    more than ``count`` unknowns; fewer raise BadResolution.  Vectors are
+    M-normalized, pairwise M-orthogonal, and the first vector is
+    sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is checked
+    against ``tol``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be at least {MIN_TOL:g}")
-    # a bare sparse matrix is the one-term, one-factor form
-    K, M = (A if isinstance(A, KroneckerForm) else KroneckerForm(
-        A.shape[0], [(sparse.csr_matrix(A),)], "matrix") for A in (K, M))
     n = K.dim
     if M.dim != n:
         raise ValueError("K and M dimensions differ")
     if count >= n:
-        raise ValueError(f"requested {count} pairs from a dimension-{n} pencil")
+        raise BadResolution(
+            f"requested {count} pairs from a dimension-{n} pencil")
 
     chol, shift = _factor_above(K, M, floor, guess)
     # in shift-invert mode with OPinv, ARPACK applies only OPinv and M

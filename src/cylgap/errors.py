@@ -18,7 +18,8 @@ class MeshMismatch(CylgapError):
 
 
 class BadResolution(CylgapError):
-    """Requested resolution leaves an axis with fewer than 2 cells."""
+    """Requested resolution leaves an axis with fewer than 2 cells, or a
+    pencil with no more unknowns than the eigenpairs asked of it."""
 
 
 class MemoryBudget(CylgapError):

@@ -119,8 +119,8 @@ class CrossContext:
     """The run's record of one field at one cross resolution: W1 and mu1,
     Lambda1, the mesh-error margin, the unreduced cross ``stiffness``,
     the Schur energy drop ``coupling`` of W1 (see ``cross_context``), and
-    ``held``, the ``(ell, lambda_1)`` of every pencil with both ends free
-    solved under this context."""
+    ``solved``: ``(mesh key, field, count)`` of every cylinder pencil
+    solved under it to its pairs and ell (None if an axial end clamps)."""
 
     mesh: object
     mu1: float
@@ -130,7 +130,7 @@ class CrossContext:
     margin: float
     stiffness: asm.KroneckerForm
     coupling: float
-    held: list = dc_field(default_factory=list)
+    solved: dict = dc_field(default_factory=dict)
 
     @property
     def coupled(self):
@@ -159,11 +159,14 @@ def cross_context(field, cfg):
     W1.K_red.W1 = mu1 - c.  Where A12 vanishes the reduced samples equal
     A22 bit for bit, and c is exactly 0.
 
-    Inside a ``solve_memo`` block it is cached per field object and every
+    A field and its reflections share the context of
+    ``field.unreflected``: a reflection negates A12 only, which leaves
+    mu1, W1, Lambda1, the margin and c bit-identical.  Inside a
+    ``solve_memo`` block it is cached per that field object and every
     ``cfg`` field read here (fields compare by identity, and the key keeps
-    its field alive) until the outermost block closes, and its ``held``
-    values serve every solve of the block; outside any block every call
-    builds afresh and holds nothing."""
+    its field alive) until the outermost block closes; outside any block
+    every call builds afresh and holds nothing."""
+    field = field.unreflected
     res = cfg.resolution
     key = (field, tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
            cfg.node_cap)
@@ -190,12 +193,11 @@ def cross_context(field, cfg):
 
 @contextlib.contextmanager
 def solve_memo():
-    """Within the block, ``solve_cylinder`` assembles and solves each
-    distinct pencil once, and assembly and diagnostics build each
-    distinct slot-matrix set once; repeats are answered from entries the
-    block owns (``asm._MEMO``), and cross contexts from ``_CROSS_CACHE``,
-    which the outermost block empties when it closes.  Outside any block
-    every call solves and builds afresh."""
+    """Within the block, assembly and diagnostics build each distinct
+    slot-matrix set once (``asm._MEMO``), and each field's cross context,
+    which keeps every pencil ``solve_cylinder`` solves under it, is built
+    once (``_CROSS_CACHE``, emptied when the outermost block closes).
+    Outside any block every call solves and builds afresh."""
     token = asm._MEMO.set({})
     try:
         yield
@@ -214,22 +216,18 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     at least 4 cells for tiny ``ell``; the cross axes get
     ``cfg.resolution``.  ``dirichlet`` clamps the whole boundary, ends
     included (the comparison spectrum), and the returned mesh is that
-    clamped mesh.  The solve's floor is the field's ``Lambda1 - margin``
-    from ``cross_context``, taken for the unreflected field: a reflection
-    negates A12 only, so it leaves A22 and the Schur complement, and with
-    them Lambda1 and the margin, bit-identical.
+    clamped mesh.
 
-    Inside ``solve_memo`` a pencil already solved there (same mesh key,
-    which holds the clamped ends, field object, ``count``, ``cfg.tol``
-    and ``cfg.seed``) is not assembled or solved again, and repeats share
-    the stored pairs, which callers only read; a failed solve is never
-    stored.  A new pencil gets the guess ``P - margin`` (see
-    ``eig.smallest_eigenpairs``), where P is the largest lambda_1 that the
-    cross context holds (``CrossContext.held``: pencils with both ends
-    free, full-cylinder or multi-direction) at an ell no longer than its
-    own; outside a block the context is fresh and holds none, so no guess
-    is made.  P has a proven comparison pencil below the solved lambda_1
-    for
+    The pencil lives on the field's ``cross_context``, whose ``Lambda1 -
+    margin`` is the solve's floor: a pencil already in its ``solved`` is
+    not assembled or solved again, and repeats share the stored pairs,
+    which callers only read; a failed solve is never stored.  A new
+    pencil gets the guess ``P - margin`` (see ``eig.smallest_eigenpairs``),
+    where P is the largest stored lambda_1 of a pencil with both ends
+    free (full-cylinder or multi-direction) at an ell no longer than its
+    own; outside ``solve_memo`` the context is fresh and holds none, so no
+    guess is made.  P has a proven comparison pencil below the solved
+    lambda_1 for
       * an all-Dirichlet pencil: the mixed pencil on the same mesh;
       * a half-cylinder of length L: the full cylinder at ell = L / 2 on
         a matched mesh (extension by zero);
@@ -247,24 +245,20 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
         node_cap=cfg.node_cap)
     if dirichlet:
         mesh = grid_mod.with_full_dirichlet(mesh)
-    memo = asm._MEMO.get()
+    ctx = cross_context(field, cfg)
     # fields compare by identity, and the key keeps its field alive
-    key = (mesh.key, field, count, cfg.tol, cfg.seed)
-    pairs = None if memo is None else memo.get(key)
-    if pairs is None:
+    key = (mesh.key, field, count)
+    if key not in ctx.solved:
+        below = [pairs[0].value for pairs, at in ctx.solved.values()
+                 if at is not None and at <= mesh.ell]
         # no cylinder eigenvalue lies below the Schur floor Lambda1
-        ctx = cross_context(field.unreflected, cfg)
-        held = max((lam for ell_held, lam in ctx.held
-                    if ell_held <= mesh.ell), default=None)
         pairs = eig.smallest_eigenpairs(
             *asm.assemble_cylinder(mesh, field), count=count, tol=cfg.tol,
             seed=cfg.seed, floor=ctx.Lambda1 - ctx.margin,
-            guess=None if held is None else held - ctx.margin)
-        if not any(any(ends) for ends in mesh.clamped[:mesh.n_axial]):
-            ctx.held.append((mesh.ell, pairs[0].value))
-        if memo is not None:
-            memo[key] = pairs
-    return mesh, pairs
+            guess=max(below) - ctx.margin if below else None)
+        clamped = any(any(ends) for ends in mesh.clamped[:mesh.n_axial])
+        ctx.solved[key] = (pairs, None if clamped else mesh.ell)
+    return mesh, ctx.solved[key][0]
 
 
 # the first eigenvalue of a half-cylinder is the tilde-lambda of its side

@@ -10,8 +10,8 @@ here rather than in the package.
 The cellwise oracle is the reference assembly that the Kronecker
 forms are checked against, and the midpoint coupling audit the
 reference for the Schur energy drop of a cross context.  Node
-coordinates, Dirichlet nodes, free-node restriction and point values of
-a field are helpers only tests need.
+coordinates, Dirichlet nodes, free-node restriction, point values of a
+field and the form of a bare sparse matrix are helpers only tests need.
 
 Test functions are evaluated as nodal interpolants on the active mesh;
 every interpolant vanishes exactly on Dirichlet-tagged nodes, so its
@@ -545,6 +545,11 @@ def picone_gap(u, W1, mu1, mesh, forms):
 
 
 # -- reference assembly -----------------------------------------------------
+
+
+def form(A):
+    """A sparse matrix as an assembled form: one term of one factor."""
+    return asm.KroneckerForm(A.shape[0], [(sparse.csr_matrix(A),)])
 
 
 def full(form):

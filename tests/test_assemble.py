@@ -258,10 +258,10 @@ class TestSlotMemo:
                 assemble.assemble_cylinder(cyl, model06.reflected())
                 analysis.axial_densities(full, cyl.axis_partitions, model06)
                 analysis.axial_densities(full, cyl.axis_partitions)
-        # the two axial factors, the cross slots of A, of the reflected A
-        # and of C = I, and the cross mass; diagnostics share the
-        # assembly's cross sets
-        assert len(slot_builds) == len(set(slot_builds)) == 6
+        # the two axial factors and the cross slots of A, of the reflected
+        # A and of C = I; the cross mass is the C = I set's value slot, and
+        # diagnostics share the assembly's cross sets
+        assert len(slot_builds) == len(set(slot_builds)) == 5
 
     def test_block_values_equal_fresh_ones_bitwise(self, model06):
         meshes = self.meshes()
@@ -389,8 +389,7 @@ class TestFormStorage:
 
     def test_provenance(self, model06):
         mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
-        K, M = assemble.assemble_cross_section(mesh, model06)
-        assert K.kind == "stiffness" and M.kind == "mass"
+        K, _ = assemble.assemble_cross_section(mesh, model06)
         assert "model-delta" in K.provenance["field"]
         assert K.provenance["quadrature"] == "gauss2"
 

@@ -239,6 +239,20 @@ l_gap = 2 4
         assert rows[0]["passed"] == "false"
         assert "ConditionConFails" in rows[0]["note"]
 
+    def test_one_free_cross_node_fails_its_row(self, tmp_path):
+        # resolution 1 on (-1, 1): two cross cells leave one free node,
+        # too few for the pair the cross context asks of its pencil
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("resolution = 8", "resolution = 1")
+                         .replace("bounds, nu-half", "bounds"))
+        assert cli.main(["run", path]) == 2
+        with open(out / "bounds.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 1
+        assert rows[0]["passed"] == "false"
+        assert "BadResolution" in rows[0]["note"]
+
     @pytest.mark.parametrize("field", [
         "kind = model\ndelta = 1.5",
         "kind = table\ntable = {tmp}/missing.txt",

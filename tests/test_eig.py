@@ -5,7 +5,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from cylgap import assemble, coeff, eig, experiments, grid
-from cylgap.errors import FactorizationFailed, NoConvergence
+from cylgap.errors import BadResolution, FactorizationFailed, NoConvergence
 
 import proofs
 from conftest import MU1
@@ -165,7 +165,7 @@ class TestSmallestEigenpairs:
         K, M = pencil_1d
         base = eig.smallest_eigenpairs(K, M, count=2)
         K7, M7 = (assemble.KroneckerForm(
-            f.dim, [(7.5 * term[0],) + term[1:] for term in f.terms], f.kind)
+            f.dim, [(7.5 * term[0],) + term[1:] for term in f.terms])
             for f in (K, M))
         both = eig.smallest_eigenpairs(K7, M7, count=2)
         only_k = eig.smallest_eigenpairs(K7, M, count=2)
@@ -190,8 +190,8 @@ class TestSmallestEigenpairs:
         assert float(best) <= 1e-9
 
     def test_indefinite_pencil_rejected(self):
-        K = sparse.diags([-1.0, 1.0, 2.0]).tocsr()
-        M = sparse.identity(3, format="csr")
+        K = proofs.form(sparse.diags([-1.0, 1.0, 2.0]))
+        M = proofs.form(sparse.identity(3))
         with pytest.raises(FactorizationFailed):
             eig.smallest_eigenpairs(K, M)
 
@@ -249,13 +249,13 @@ class TestSmallestEigenpairs:
     def test_fallback_boundary(self, factors, lanczos_calls, count):
         """Every pencil with more unknowns than requested pairs, down to
         count + 1, is solved by one Lanczos run on one factor at the
-        floor; as many pairs as unknowns are refused."""
+        floor; as many pairs as unknowns are refused as a BadResolution."""
         for n in (count + 1, count + 2, count + 3):
-            K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
-                             format="csr")
-            M = sparse.diags(np.linspace(1.0, 2.0, n), format="csr")
+            K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+            M = sparse.diags(np.linspace(1.0, 2.0, n))
             exact = scipy.linalg.eigh(K.toarray(), M.toarray(),
                                       eigvals_only=True)
+            K, M = proofs.form(K), proofs.form(M)
             factors.clear()
             lanczos_calls.clear()
             pairs = eig.smallest_eigenpairs(K, M, count=count,
@@ -268,15 +268,15 @@ class TestSmallestEigenpairs:
                 eig.smallest_eigenpairs(K, M, count=count,
                                         floor=(exact[0] + exact[1]) / 2)
             if n == count + 1:
-                with pytest.raises(ValueError):
+                with pytest.raises(BadResolution):
                     eig.smallest_eigenpairs(K, M, count=n)
 
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M: M reaches fewer band rows
         n = 500
-        K = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
-                         format="csr")
-        M = sparse.identity(n, format="csr")
+        K = proofs.form(sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                                     shape=(n, n)))
+        M = proofs.form(sparse.identity(n))
         exact = 4 * np.sin(np.arange(1, 3) * np.pi / (2 * (n + 1)))**2
         pairs = eig.smallest_eigenpairs(K, M, count=2, floor=exact[0] / 2)
         for p, e in zip(pairs, exact):
@@ -293,8 +293,8 @@ class TestSmallestEigenpairs:
 
     def test_singular_above_cutoff_is_factorization_failed(self):
         n = 500
-        K = sparse.diags(np.arange(n, dtype=float)).tocsr()  # K[0, 0] = 0
-        M = sparse.identity(n, format="csr")
+        K = proofs.form(sparse.diags(np.arange(n, dtype=float)))  # K00 = 0
+        M = proofs.form(sparse.identity(n))
         with pytest.raises(FactorizationFailed, match="singular"):
             eig.smallest_eigenpairs(K, M)
 

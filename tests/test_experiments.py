@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -375,14 +376,18 @@ class TestCrossContext:
         monkeypatch.setattr(eig, "smallest_eigenpairs", spied)
         for ell in (2, 4):
             ex.solve_cylinder(model, ell, cfg)
-        assert ex.cross_context(model, cfg).held == []
+        assert ex.cross_context(model, cfg).solved == {}
         assert guesses == [None, None]
         guesses.clear()
         with ex.solve_memo():
-            _, short = ex.solve_cylinder(model, 2, cfg)
-            _, long = ex.solve_cylinder(model, 4, cfg)
-            held = ex.cross_context(model, cfg).held
-        assert held == [(2.0, short[0].value), (4.0, long[0].value)]
+            short_mesh, short = ex.solve_cylinder(model, 2, cfg)
+            long_mesh, long = ex.solve_cylinder(model, 4, cfg)
+            solved = ex.cross_context(model, cfg).solved
+        assert list(solved) == [(short_mesh.key, model, 1),
+                                (long_mesh.key, model, 1)]
+        assert [ell for _, ell in solved.values()] == [2.0, 4.0]
+        assert all(pairs is solved_pairs for pairs, (solved_pairs, _)
+                   in zip([short, long], solved.values()))
         ctx = ex.cross_context(model, cfg)
         assert guesses == [None, short[0].value - ctx.margin]
 
@@ -521,6 +526,39 @@ class TestSolveMemo:
                                          grading=1.0)
         assert pairs[0].value == pytest.approx(first[0].value, rel=1e-12)
         assert len(applications) <= 40  # 21 against 75 at the floor
+
+    def test_pencils_live_on_their_cross_context(self, model, cfg,
+                                                 slot_builds, monkeypatch):
+        guesses = []
+        solve = eig.smallest_eigenpairs
+
+        def spied(K, M, **kwargs):
+            guesses.append(kwargs["guess"])
+            return solve(K, M, **kwargs)
+
+        L = 8
+        with ex.solve_memo():
+            ctx = ex.cross_context(model, cfg)
+            _, cyl = ex.solve_cylinder(model, L / 2, cfg, grading=1.0)
+            monkeypatch.setattr(eig, "smallest_eigenpairs", spied)
+            half, pairs = ex.solve_cylinder(model.reflected(), L, cfg,
+                                            kind="half-plus", grading=1.0)
+            monkeypatch.setattr(eig, "smallest_eigenpairs", solve)
+            # a reflection shares its field's context, and a clamped end
+            # stores no ell to guess from
+            [(key, (stored, ell))] = [item for item in ctx.solved.items()
+                                      if item[0][1] is not model]
+            assert (key[0], key[2], ell) == (half.key, 1, None)
+            assert stored is pairs
+            assert guesses == [cyl[0].value - ctx.margin]
+            ex.exp_bounds_sweep(model, [1.0, 2.0], cfg)
+            ex.exp_nu_half(model, [2.0, 4.0], cfg)
+            # the memo holds only slot-matrix sets, each one built here
+            memo = set(assemble._MEMO.get())
+        built = {(mesh_key, n_values, shape, hashlib.blake2b(
+            data, digest_size=16).hexdigest())
+            for mesh_key, n_values, shape, data in slot_builds}
+        assert memo == built
 
     def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
                                                         solves, monkeypatch):
