@@ -1,6 +1,7 @@
 """Eigenfunction diagnostics: decay of the bulk mass, the energy split
 at x1 = 0, the reflection symmetry defect and the distance between end
-profiles, all integrated through the pencil's Kronecker factors.
+profiles, all integrated through the pencil's Kronecker factors, of
+eigenfunctions given as free-node vectors.
 """
 
 from __future__ import annotations
@@ -25,17 +26,21 @@ def axial_densities(full_values, parts, field=None):
     nodes are C-ordered as in them.  The cross integrals go through the
     cross slot matrices X_ab and the cross mass Mc that assembly builds
     its cylinder forms from, with A taken from ``coefficient_samples``
-    (C = I without a field: the plain |grad u|^2; Mc is its value slot).
-    So the energies add up to u.Ku and the masses to u.Mu.  Returns three
-    arrays of shape (axial cells, 2).
+    (C = I without a field: the plain |grad u|^2; Mc is its value slot),
+    on the free cross nodes, since a nodal function of the box vanishes
+    on its lateral boundary.  So the energies add up to u.Ku and the
+    masses to u.Mu.  Returns three arrays of shape (axial cells, 2).
     """
     axis = parts[0]
     cross = asm.factor_mesh(parts[1:])
-    unit = asm._slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1)
+    free = cross.free_nodes
+    unit = asm._slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1,
+                              free)
     X = unit if field is None else asm._slot_matrices(
-        cross, asm.coefficient_samples(cross, field, field.eval_many), 1)
+        cross, asm.coefficient_samples(cross, field, field.eval_many), 1,
+        free)
     Mc = unit[0][0]
-    u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)
+    u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)[:, free]
     h = np.diff(axis)[:, None]
     xi = asm.gauss_points_01()
     # slot 0 holds the axial derivative, constant on an axial cell (it
@@ -92,8 +97,7 @@ def decay_profile(u, mesh):
     The same fit of the bulk |grad u|^2 gives the gradient rate."""
     if mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("decay profile needs a full cylinder")
-    vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
-    mass, energy, x1q = axial_densities(mesh.scatter_free(vec),
+    mass, energy, x1q = axial_densities(mesh.scatter_free(u),
                                         mesh.axis_partitions)
     rs = list(range(1, int(math.floor(mesh.ell))))
     masses = [float(mass[np.abs(x1q) <= r].sum()) for r in rs]
@@ -149,8 +153,7 @@ def symmetry_defect(u, mesh, field=None):
     if field is not None and not field.is_even(
             asm.factor_mesh(mesh.cross_partitions).cell_centers()):
         raise NoReflectionSymmetry("field is not even in X2")
-    vec = u.vector if hasattr(u, "vector") else np.asarray(u, dtype=float)
-    full = mesh.scatter_free(vec)
+    full = mesh.scatter_free(u)
     mass, _, _ = axial_densities(full - full[perm], mesh.axis_partitions)
     return float(np.sqrt(mass.sum()))
 
@@ -175,12 +178,9 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
     if not np.allclose(hx[:k], cx[:k] + cyl_mesh.ell, atol=1e-10):
         raise MeshMismatch("axis partitions not aligned on the collar")
 
-    cyl_full = cyl_mesh.scatter_free(
-        u_cyl.vector if hasattr(u_cyl, "vector") else u_cyl)
-    half_full = half_mesh.scatter_free(
-        u_half.vector if hasattr(u_half, "vector") else u_half)
-    cyl_grid = cyl_full.reshape(cyl_mesh.shape)[:k].ravel()
-    half_grid = half_full.reshape(half_mesh.shape)[:k].ravel()
+    cyl_grid, half_grid = [
+        m.scatter_free(u).reshape(m.shape)[:k].ravel()
+        for m, u in ((cyl_mesh, u_cyl), (half_mesh, u_half))]
     # H1 norm of the sign-aligned difference on the collar box
     sign = 1.0 if float(cyl_grid @ half_grid) >= 0 else -1.0
     mass, energy, _ = axial_densities(cyl_grid - sign * half_grid,

@@ -4,8 +4,9 @@ Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
 cross variable only, so cylinder forms are Kronecker sums of 1D axial and
 cross-section matrices.  Dirichlet elimination happens on the factors,
 each restricted to its free indices; a form holds these factors, term by
-term, and never forms their products.  Inside a ``solve_memo`` block
-each distinct factor is built once and shared.
+term, and never forms their products.  A cross-section pencil of A is
+the cross block of its cylinders' cross set.  Inside a ``solve_memo``
+block each slot set is built once and restricted once per free-index set.
 """
 
 from __future__ import annotations
@@ -122,25 +123,34 @@ def coefficient_samples(cross, field, mats):
     return np.broadcast_to(C, (cross.n_cells, 2**cross.ndim) + C.shape[2:])
 
 
-def _slot_matrices(mesh, C, n_values):
-    """Slot matrices S[a][b] = int C_ab psi_a psi_b over all nodes.
+def _slot_matrices(mesh, C, n_values, free):
+    """Slot matrices S[a][b] = int C_ab psi_a psi_b on the nodes ``free``.
 
     psi_a is the Q1 basis function itself for a < n_values and its
     derivative along axis a - n_values after that; C has shape
     (n_cells, nq, s, s), or broadcasts to it.
 
-    Inside a ``solve_memo`` block the set of each mesh key, ``n_values``
-    and C (shape and bytes) is built once and shared, so callers only
-    read it; outside any block every call builds afresh.
+    Inside a ``solve_memo`` block the all-node set of each mesh key,
+    ``n_values`` and C (shape and bytes) is built once, and restricted
+    once per ``free``; callers only read what they get.  Outside any
+    block every call builds and restricts afresh.
     """
-    memo = _MEMO.get()
-    if memo is None:
-        return _build_slots(mesh, C, n_values)
+    memo = {} if _MEMO.get() is None else _MEMO.get()
     key = (mesh.key, n_values, C.shape,
            hashlib.blake2b(C.tobytes(), digest_size=16).hexdigest())
     if key not in memo:
         memo[key] = _build_slots(mesh, C, n_values)
-    return memo[key]
+    restricted = key + (free.tobytes(),)
+    if restricted not in memo:
+        memo[restricted] = [[_restrict(S, free) for S in row]
+                            for row in memo[key]]
+    return memo[restricted]
+
+
+def _restrict(S, free):
+    if free[-1] - free[0] + 1 == free.size:  # a run slices faster
+        free = slice(free[0], free[-1] + 1)
+    return S[free][:, free]
 
 
 def _build_slots(mesh, C, n_values):
@@ -165,47 +175,39 @@ def _build_slots(mesh, C, n_values):
              for b in range(s)] for a in range(s)]
 
 
-def _assemble_pair(mesh, field, mats, reduced):
+def _assemble_pair(mesh, field, mats, n_values):
     """Stiffness and mass as Kronecker sums of 1D axial slot matrices and
     cross-section slot matrices.
 
     With p axial axes, slot a of the coefficient is an axial derivative
     for a < p and a cross derivative after that, so
     K = sum_ab (F_1(a, b) x ... x F_p(a, b)) x X_ab, where X_ab are the
-    cross slot matrices of A and F_k(a, b) is the 1D stiffness, mixed or
-    mass matrix as a and b are or are not k; M = M_1 x ... x M_p x M_c.
-    Nodes are C-ordered with the axial axes first, as in these products.
-    Mc is the value slot of the cross set of C = I, and a cross-section
-    pencil has no axial factor.  Each factor is sliced to the free indices
+    cross slot matrices of ``mats`` and F_k(a, b) is the 1D stiffness,
+    mixed or mass matrix as a and b are or are not k; M = M_1 x ... x
+    M_p x M_c.  Of the cross set's ``n_values`` value slots the first
+    n_values - p are dropped, so a cross-section pencil of A is the cross
+    block of the set its cylinders read.  Nodes are C-ordered with the
+    axial axes first, as in these products.  Mc is the value slot of the
+    cross set of C = I.  Each factor comes restricted to the free indices
     of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
     nodes for X_ab and Mc), so every term spans the free nodes only.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
-    C = coefficient_samples(cross, field, mats)
-
-    def restrict(S, free):
-        if free[-1] - free[0] + 1 == free.size:  # a run slices faster
-            free = slice(free[0], free[-1] + 1)
-        return S[free][:, free]
-
-    def free_slots(factor, C, n_values, free):
-        return [[restrict(S, free) for S in row]
-                for row in _slot_matrices(factor, C, n_values)]
-
-    X = free_slots(cross, C, p, cross.free_nodes)
-    axes = [free_slots(factor_mesh(mesh.axis_partitions[k:k + 1]),
-                       np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
+    X = _slot_matrices(cross, coefficient_samples(cross, field, mats),
+                       n_values, cross.free_nodes)
+    axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
+                           np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
             for k in range(p)]
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
-         for a, b in itertools.product(range(C.shape[-1]), repeat=2)]
-    Mc = restrict(_slot_matrices(cross, np.eye(1 + cross.ndim)[None, None],
-                                 1)[0][0], cross.free_nodes)
+         for a, b in itertools.product(range(n_values - p, len(X)), repeat=2)]
+    Mc = _slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1,
+                        cross.free_nodes)[0][0]
     M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
-            "reduced": bool(reduced), "_mesh": mesh, "_field": field}
+            "reduced": n_values == 0, "_mesh": mesh, "_field": field}
     return tuple(KroneckerForm(mesh.n_free, terms, dict(prov))
                  for terms in (K, M))
 
@@ -222,21 +224,18 @@ def assemble_cylinder(mesh, field):
         raise DimensionMismatch(
             f"mesh cross dimension {mesh.ndim - mesh.n_axial} != field "
             f"cross dimension {field.cross_dim}")
-    return _assemble_pair(mesh, field, field.eval_many, False)
+    return _assemble_pair(mesh, field, field.eval_many, field.p)
 
 
 def assemble_cross_section(mesh, field, reduced=False):
-    """Cross-section pencil: coefficient A22, or its Schur reduction
-    A22 - A12^t A11^-1 A12 when ``reduced``."""
+    """Cross-section pencil: coefficient A22, the cross block of A's set,
+    or its Schur reduction A22 - A12^t A11^-1 A12 when ``reduced``."""
     if mesh.domain_kind != "cross-section":
         raise MeshMismatch("cross-section assembly needs a cross-section mesh")
     if mesh.ndim != field.cross_dim:
         raise DimensionMismatch(
             f"mesh dim {mesh.ndim} != field cross dimension {field.cross_dim}")
-
-    def mats(pts):
-        if reduced:
-            return coeff_mod.schur_reduce_many(field, pts)
-        return field.eval_many(pts)[:, field.p:, field.p:]
-
-    return _assemble_pair(mesh, field, mats, reduced)
+    if reduced:
+        return _assemble_pair(mesh, field, functools.partial(
+            coeff_mod.schur_reduce_many, field), 0)
+    return _assemble_pair(mesh, field, field.eval_many, field.p)

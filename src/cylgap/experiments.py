@@ -139,17 +139,16 @@ class CrossContext:
         return self.coupling > TOL_CON**2
 
 
-def _energy_drop(K, K_red, w):
-    """w.(K - K_red)w for two stiffness forms on one mesh."""
-    return float(w @ (K @ w - K_red @ w))
-
-
 _CROSS_CACHE = {}
 
 
-def cross_context(field, cfg):
+def cross_context(field, cfg, base=None):
     """Cross-section eigendata at ``cfg.resolution`` plus the two-level
     mesh-error estimate.
+
+    A ``base``, the context of a field with the same A22 (such as the
+    field of a row restriction), lends its mesh, mu1, W1, margin and
+    ``stiffness``; Lambda1, the drop and ``solved`` are always new.
 
     ``coupling`` is the drop c = W1.(K - K_red)W1 between the unreduced
     and the Schur-reduced cross stiffness, both already assembled for mu1
@@ -167,9 +166,8 @@ def cross_context(field, cfg):
     its field alive) until the outermost block closes; outside any block
     every call builds afresh and holds nothing."""
     field = field.unreflected
-    res = cfg.resolution
-    key = (field, tuple(np.ravel(cfg.omega)), res, cfg.tol, cfg.seed,
-           cfg.node_cap)
+    key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.tol,
+           cfg.seed, cfg.node_cap)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
 
@@ -178,14 +176,17 @@ def cross_context(field, cfg):
         return K, eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
                                           seed=cfg.seed)[0]
 
-    mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
-                                      resolution=r, node_cap=cfg.node_cap)
-                  for r in (res, 2 * res)]
-    K, W1 = first_pair(mesh)
-    K_red, w1 = first_pair(mesh, reduced=True)
-    err = abs(W1.value - first_pair(fine)[1].value)
-    ctx = CrossContext(mesh, W1.value, W1, w1.value, err, 3.0 * err, K,
-                       _energy_drop(K, K_red, W1.vector))
+    if base is None:
+        mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
+                                          resolution=r, node_cap=cfg.node_cap)
+                      for r in (cfg.resolution, 2 * cfg.resolution)]
+        K, W1 = first_pair(mesh)
+        err = abs(W1.value - first_pair(fine)[1].value)
+        base = CrossContext(mesh, W1.value, W1, None, err, 3.0 * err, K, None)
+    K_red, w1 = first_pair(base.mesh, reduced=True)
+    W = base.W1.vector
+    ctx = replace(base, Lambda1=w1.value, solved={},
+                  coupling=float(W @ (base.stiffness @ W - K_red @ W)))
     if asm._MEMO.get() is not None:
         _CROSS_CACHE[key] = ctx
     return ctx
@@ -194,9 +195,10 @@ def cross_context(field, cfg):
 @contextlib.contextmanager
 def solve_memo():
     """Within the block, assembly and diagnostics build each distinct
-    slot-matrix set once (``asm._MEMO``), and each field's cross context,
-    which keeps every pencil ``solve_cylinder`` solves under it, is built
-    once (``_CROSS_CACHE``, emptied when the outermost block closes).
+    slot-matrix set once and restrict it once per free-index set
+    (``asm._MEMO``); each field's cross context, which keeps every
+    pencil ``solve_cylinder`` solves under it, is built once
+    (``_CROSS_CACHE``, emptied when the outermost block closes).
     Outside any block every call solves and builds afresh."""
     token = asm._MEMO.set({})
     try:
@@ -301,7 +303,7 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
                 rec.d_plus, rec.d_minus = split.d_plus, split.d_minus
                 with contextlib.suppress(NoReflectionSymmetry):
                     rec.symmetry_defect = an.symmetry_defect(
-                        pairs[0], mesh, field=field)
+                        pairs[0].vector, mesh, field=field)
             judge(rec, mesh, pairs)
     except CylgapError as exc:
         rec.check(False, f"{type(exc).__name__}: {exc}")
@@ -577,20 +579,18 @@ def exp_multi_direction(field3d, L_list, cfg):
     row-restricted 2D pencil upper-bounds the 3D value.
 
     The bound row is the one whose reduced cross stiffness drops W1's
-    energy most, the drop of ``cross_context`` measured on each
-    row-restricted reduced pencil: a row restriction keeps A22, so the
-    unreduced stiffness and W1 are the context's own."""
+    energy most: a row restriction keeps A22, so its context borrows the
+    field's own (``cross_context``'s ``base``) and solves only its
+    reduced pencil, and the bound's cylinders are solved under it."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
     cfg3 = replace(cfg, axial_resolution=cfg.res3d_axial,
                    resolution=cfg.res3d_cross)
     ctx = cross_context(field3d, cfg3)
     if ctx.coupled:
-        rows = [coeff_mod.row_restriction_field(field3d, i)
-                for i in range(field3d.p)]
-        drops = [_energy_drop(ctx.stiffness, asm.assemble_cross_section(
-            ctx.mesh, row, reduced=True)[0], ctx.W1.vector) for row in rows]
-        bfield = rows[int(np.argmax(drops))]
+        bfield = max((coeff_mod.row_restriction_field(field3d, i)
+                      for i in range(field3d.p)),
+                     key=lambda row: cross_context(row, cfg3, ctx).coupling)
 
     def judge(rec, mesh, pairs):
         lam = rec.lambda1
@@ -625,7 +625,7 @@ def exp_decay(field, ell_list, cfg):
     profiles = []
 
     def judge(rec, mesh, pairs):
-        prof = an.decay_profile(pairs[0], mesh)
+        prof = an.decay_profile(pairs[0].vector, mesh)
         profiles.append((rec.ell, prof))
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
@@ -664,8 +664,8 @@ def exp_end_profile(field, ell_list, cfg, half_length=None):
     dists = []
 
     def judge(rec, mesh, pairs):
-        d = an.end_profile_distance(pairs[0], mesh, hpairs[0], hmesh,
-                                    END_COLLAR)
+        d = an.end_profile_distance(pairs[0].vector, mesh, hpairs[0].vector,
+                                    hmesh, END_COLLAR)
         rec.end_distance = d
         rec.lambda_half_plus = hpairs[0].value
         rec.check(not dists or d <= dists[-1],

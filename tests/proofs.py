@@ -8,8 +8,9 @@ phi and z_alpha, and the Picone gap.  No run executes them, so they live
 here rather than in the package.
 
 The cellwise oracle is the reference assembly that the Kronecker
-forms are checked against, and the midpoint coupling audit the
-reference for the Schur energy drop of a cross context.  Node
+forms are checked against, the A22-only slot set the reference for the
+cross block of a cross-section pencil, and the midpoint coupling audit
+the reference for the Schur energy drop of a cross context.  Node
 coordinates, Dirichlet nodes, free-node restriction, point values of a
 field and the form of a bare sparse matrix are helpers only tests need.
 
@@ -564,6 +565,18 @@ def energy(form, u):
     """u.Au of an assembled form, through ``full``."""
     u = np.asarray(u, dtype=float)
     return float(u @ (full(form) @ u))
+
+
+def a22_slots(mesh, field):
+    """Dense cross slot matrices of A22 alone on the free nodes of a
+    cross-section mesh, built from A's samples with the A12 rows and
+    columns cut off: the oracle of the cross block of A's set that
+    ``assemble_cross_section`` reads."""
+    p = field.p
+    C = asm.coefficient_samples(mesh, field, field.eval_many)
+    free = np.ix_(mesh.free_nodes, mesh.free_nodes)
+    return [[S.toarray()[free] for S in row]
+            for row in asm._build_slots(mesh, C[..., p:, p:], 0)]
 
 
 def cellwise_oracle(mesh, mats, midpoint):

@@ -212,7 +212,7 @@ class TestDecayProfile:
                                resolution=(8, 16), grading=2)
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        prof = an.decay_profile(u, mesh)
+        prof = an.decay_profile(u.vector, mesh)
         assert prof.alpha_fit < 1.0
         assert prof.r2 > 0.99
         assert not prof.no_decay
@@ -228,7 +228,7 @@ class TestDecayProfile:
                                resolution=(4, 16))
         K, M = assemble.assemble_cylinder(mesh, field)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        prof = an.decay_profile(u, mesh)
+        prof = an.decay_profile(u.vector, mesh)
         assert prof.no_decay
         assert prof.alpha_fit > 0.8
         # separable eigenfunction: mass(r) = r / ell
@@ -241,7 +241,7 @@ class TestDecayProfile:
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
         u = eig.smallest_eigenpairs(K, M)[0]
         with pytest.raises(TooShort):
-            an.decay_profile(u, mesh)
+            an.decay_profile(u.vector, mesh)
 
     def test_fit_window_of_two_lengths_is_too_short(self, model06_mod):
         # at ell = 4.5 the masses at r = 1, 2, 3 leave 2 in the fit
@@ -251,7 +251,7 @@ class TestDecayProfile:
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
         u = eig.smallest_eigenpairs(K, M)[0]
         with pytest.raises(TooShort, match="fit window"):
-            an.decay_profile(u, mesh)
+            an.decay_profile(u.vector, mesh)
 
 
 class TestConcentrationAndSymmetry:
@@ -267,7 +267,7 @@ class TestConcentrationAndSymmetry:
         assert split.d_plus == pytest.approx(0.5, abs=1e-6)
 
     def test_symmetry_defect_small_for_model(self, cyl8, model06_mod):
-        d = an.symmetry_defect(cyl8["pairs"][0], cyl8["mesh"],
+        d = an.symmetry_defect(cyl8["pairs"][0].vector, cyl8["mesh"],
                                field=model06_mod)
         assert d <= 1e-7
 
@@ -287,10 +287,10 @@ class TestConcentrationAndSymmetry:
                                resolution=(8, 16))
         K, M = assemble.assemble_cylinder(mesh, field)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        d = an.symmetry_defect(u, mesh)  # returns the number regardless
+        d = an.symmetry_defect(u.vector, mesh)  # the number regardless
         assert d > 0.1
         with pytest.raises(NoReflectionSymmetry):
-            an.symmetry_defect(u, mesh, field=field)
+            an.symmetry_defect(u.vector, mesh, field=field)
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +357,7 @@ class TestEndProfiles:
         cyl = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                               resolution=(8, 16))
         ext = proofs.extend_by_zero(half, cyl, u.vector, shift=-8.0)
-        d = an.end_profile_distance(ext, cyl, u, half, 3.0)
+        d = an.end_profile_distance(ext, cyl, u.vector, half, 3.0)
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_distance_decreases_with_ell(self, model06_mod):
@@ -371,7 +371,8 @@ class TestEndProfiles:
                                    resolution=(8, 16))
             K, M = assemble.assemble_cylinder(mesh, model06_mod)
             u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-            dists.append(an.end_profile_distance(u, mesh, uh, half, 3.0))
+            dists.append(an.end_profile_distance(u.vector, mesh, uh.vector,
+                                                 half, 3.0))
         assert dists[1] < dists[0]
 
     def test_mesh_mismatch(self, model06_mod):

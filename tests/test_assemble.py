@@ -263,6 +263,31 @@ class TestSlotMemo:
         # diagnostics share the assembly's cross sets
         assert len(slot_builds) == len(set(slot_builds)) == 5
 
+    def test_each_set_is_restricted_once_per_free_set(self, model06,
+                                                      monkeypatch):
+        restricted = []
+        restrict = assemble._restrict
+
+        def counted(S, free):
+            restricted.append((id(S), free.tobytes()))
+            return restrict(S, free)
+
+        monkeypatch.setattr(assemble, "_restrict", counted)
+        cyl = self.meshes()[0]
+        full = cyl.scatter_free(np.ones(cyl.n_free))
+        with ex.solve_memo():
+            for _ in range(2):
+                for mesh in self.meshes():
+                    assemble.assemble_cylinder(mesh, model06)
+                analysis.axial_densities(full, cyl.axis_partitions, model06)
+                analysis.axial_densities(full, cyl.axis_partitions)
+            memo = assemble._MEMO.get()
+            sizes = [len(memo[key]) ** 2 for key in memo if len(key) == 5]
+        # the mixed, half and clamped axial sets on their free indices,
+        # and the cross sets of A and C = I on the free cross nodes, which
+        # all three meshes and the diagnostics share: 5 of 2 x 2 matrices
+        assert len(restricted) == len(set(restricted)) == sum(sizes) == 20
+
     def test_block_values_equal_fresh_ones_bitwise(self, model06):
         meshes = self.meshes()
         cyl = meshes[0]
@@ -274,8 +299,8 @@ class TestSlotMemo:
             pair = eig.smallest_eigenpairs(*forms[0])[0]
             return forms, pair, [
                 analysis.concentration_split(pair, cyl, model06),
-                analysis.decay_profile(pair, cyl),
-                analysis.symmetry_defect(pair, cyl, field=model06)]
+                analysis.decay_profile(pair.vector, cyl),
+                analysis.symmetry_defect(pair.vector, cyl, field=model06)]
 
         forms, pair, diagnostics = everything()
         with ex.solve_memo():

@@ -392,6 +392,22 @@ class TestCrossContext:
         assert guesses == [None, short[0].value - ctx.margin]
 
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_a_row_borrows_its_fields_context(self, i):
+        # a row restriction keeps A22: its context on the field's equals
+        # one built from scratch, and it stores its own pencils
+        field = coeff.multi_model_field(0.6)
+        cfg3 = ex.ExperimentConfig(resolution=12, axial_resolution=3)
+        ctx = ex.cross_context(field, cfg3)
+        row = coeff.row_restriction_field(field, i)
+        borrowed = ex.cross_context(row, cfg3, ctx)
+        fresh = ex.cross_context(row, cfg3)
+        for name in ("mu1", "Lambda1", "margin", "coupling"):
+            assert getattr(borrowed, name) == getattr(fresh, name), name
+        assert np.array_equal(borrowed.W1.vector, fresh.W1.vector)
+        assert borrowed.solved == {} and borrowed.solved is not ctx.solved
+
+
 class TestRecordPlumbing:
     def test_wall_time_not_in_csv_schema(self):
         assert "wall_time_s" not in ex.CSV_COLUMNS
@@ -553,12 +569,17 @@ class TestSolveMemo:
             assert guesses == [cyl[0].value - ctx.margin]
             ex.exp_bounds_sweep(model, [1.0, 2.0], cfg)
             ex.exp_nu_half(model, [2.0, 4.0], cfg)
-            # the memo holds only slot-matrix sets, each one built here
+            # the memo holds only slot-matrix sets, each one built here,
+            # and their restrictions, keyed by the set's key plus the
+            # free indices
             memo = set(assemble._MEMO.get())
         built = {(mesh_key, n_values, shape, hashlib.blake2b(
             data, digest_size=16).hexdigest())
             for mesh_key, n_values, shape, data in slot_builds}
-        assert memo == built
+        assert built <= memo
+        assert all(key in built or (key[:-1] in built
+                                    and isinstance(key[-1], bytes))
+                   for key in memo)
 
     def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
                                                         solves, monkeypatch):

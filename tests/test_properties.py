@@ -212,6 +212,47 @@ def test_kronecker_assembly_matches_the_oracle_in_and_out_of_a_block(field):
         assert same_bits(first, fresh) and same_bits(second, fresh), kind
 
 
+MULTI = coeff.multi_model_field(0.6)
+# every field builder of the package (random tables below stand for the
+# piecewise-constant ones); those of n = 3 and p = 1 have a 2D
+# cross-section
+FIELD_BUILDERS = [
+    coeff.model_field(0.6), coeff.identity_field(), coeff.identity_field(3),
+    coeff.diagonal_field([2.0, 3.0]), coeff.diagonal_field([1.0, 2.0, 3.0]),
+    coeff.diagonal_field([1.0, 2.0, 3.0], p=2),
+    coeff.asymmetric_model_field(0.5), coeff.variable_a22_field(0.6),
+    coeff.neg_coupling_field(), MULTI,
+    coeff.row_restriction_field(MULTI, 0),
+    coeff.row_restriction_field(MULTI, 1),
+    coeff.field_from_entries(
+        3, 1, {(0, 0): 1.0, (0, 1): 0.3, (0, 2): lambda x: 0.2 * x[:, 1],
+               (1, 1): lambda x: 1.0 + 0.25 * x[:, 0] ** 2, (1, 2): 0.1,
+               (2, 2): 1.0})]
+CROSS_MESHES = {d: grid.build_mesh("cross-section", omega=omega,
+                                   resolution=res)
+                for d, omega, res in ((1, (-1, 1), RESOLUTION[1]),
+                                      (2, BOX_OMEGA, 4))}
+
+
+@pytest.mark.parametrize("field", FIELD_BUILDERS, ids=lambda f: f.signature)
+def test_cross_pencil_is_the_cross_block_of_the_set(field):
+    """The stiffness terms of the cross-section pencil of A, read from
+    the cross block of A's slot set, equal bit for bit the slot matrices
+    of A22 alone."""
+    mesh = CROSS_MESHES[field.cross_dim]
+    K, _ = assemble.assemble_cross_section(mesh, field)
+    oracle = [S for row in proofs.a22_slots(mesh, field) for S in row]
+    assert len(K.terms) == len(oracle)
+    for (X,), S in zip(K.terms, oracle):
+        assert np.array_equal(X.toarray(), S)
+
+
+@PROPERTY_SETTINGS
+@given(field=st.one_of(*(tables(n, p) for n, p in FIELD_SHAPES)))
+def test_table_cross_pencil_is_the_cross_block_of_the_set(field):
+    test_cross_pencil_is_the_cross_block_of_the_set(field)
+
+
 def coupling_of(field):
     """The cross context of ``field`` at the cross resolution of the
     cylinder meshes, and the midpoint audit of its W1."""

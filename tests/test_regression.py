@@ -44,12 +44,15 @@ LARGE = 400
 MAX_APPLICATIONS = {"asymmetric": 360, "model_gap": 600,
                     "multi_direction": 68}
 # most applications on factors of any size, the cross-section and short
-# cylinder pencils included (798, 420 and 210, the counts of a run)
+# cylinder pencils included (798, 420 and 189, the counts of a run)
 MAX_ALL_APPLICATIONS = {"asymmetric": 420, "model_gap": 798,
-                        "multi_direction": 210}
+                        "multi_direction": 189}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
-MAX_SLOT_BUILDS = {"asymmetric": 23, "model_gap": 37, "multi_direction": 9}
+MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
+# most eigen-solves a run may make: one per distinct pencil; a row
+# restriction of multi_direction borrows its field's cross pencils
+MAX_SOLVES = {"asymmetric": 20, "model_gap": 38, "multi_direction": 9}
 
 
 @pytest.mark.parametrize("workload", list(CONFIGS))
@@ -65,6 +68,14 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
         return solve(chol, rhs)
 
     monkeypatch.setattr(eig.BandCholesky, "solve", counted)
+    solves = []
+    smallest = eig.smallest_eigenpairs
+
+    def solved(*args, **kwargs):
+        solves.append(1)
+        return smallest(*args, **kwargs)
+
+    monkeypatch.setattr(eig, "smallest_eigenpairs", solved)
     cli.run(str(ROOT / "configs" / CONFIGS[workload]))
     result = load_gate().check(ROOT / "perfbench" / "reference" / workload,
                                out)
@@ -73,6 +84,7 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
     assert sum(n > LARGE for n in applications) <= MAX_APPLICATIONS[workload]
     assert len(applications) <= MAX_ALL_APPLICATIONS[workload]
     assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
+    assert len(solves) <= MAX_SOLVES[workload]
 
 
 TRACE_CFG = """
