@@ -9,15 +9,29 @@ infinity (end concentration, the spectral gap below the cross-section
 eigenvalue, half-cylinder limits, and the collapsing second eigenvalue).
 """
 
-from .coeff import (CoefficientField, asymmetric_model_field, diagonal_field,
-                    field_from_table, identity_field, model_field,
-                    multi_model_field, neg_coupling_field,
-                    piecewise_constant_field, row_restriction_field,
-                    variable_a22_field)
-from .grid import TensorMesh, build_mesh
-from .assemble import (KroneckerForm, assemble_cross_section,
-                       assemble_cylinder)
-from .eig import EigenPair, smallest_eigenpairs
+import os
+
+# One OpenBLAS thread unless the caller set OPENBLAS_NUM_THREADS: OpenBLAS
+# reads it once, when the imports below first load numpy and scipy, and
+# LAPACK's threaded band factor (dpbtrf) rounds differently at 2 threads
+# on the 3D band.  The variable is removed again once they are loaded, so
+# os.environ is left as it was found.
+_ONE_BLAS_THREAD = "OPENBLAS_NUM_THREADS" not in os.environ
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .coeff import (CoefficientField, asymmetric_model_field,
+                        diagonal_field, field_from_table, identity_field,
+                        model_field, multi_model_field, neg_coupling_field,
+                        piecewise_constant_field, row_restriction_field,
+                        variable_a22_field)
+    from .grid import TensorMesh, build_mesh
+    from .assemble import (KroneckerForm, assemble_cross_section,
+                           assemble_cylinder)
+    from .eig import EigenPair, smallest_eigenpairs
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

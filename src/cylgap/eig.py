@@ -15,9 +15,24 @@ model field), and Lanczos converges at the rate (lambda1 - sigma) /
 below a lambda1 that an earlier solve of the run already holds (see
 ``experiments.solve_cylinder`` for which guesses are proven and which
 only observed).  The solve factors K - guess M first and keeps that
-factor if it exists, else it factors at the floor.  On the ell = 16
-model cylinder a guess at lambda1 - margin takes 21 operator
-applications where the floor takes 51 (75 at count 2).
+factor if it exists, else it factors at the floor.
+
+The Lanczos basis holds ncv = 2 count + 4 vectors (at most n), not
+ARPACK's default 20, and ARPACK tests convergence at every implicit
+restart (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996), so a
+solve stops once its pairs have converged instead of after a first full
+block of 20.  On the ell = 16 model cylinder a guess at lambda1 - margin
+takes 13 operator applications (15 at count 2) where a 20-vector basis
+took 21.  A floor solve costs more than it did, 88 applications against
+51 (81 against 75 at count 2): far below lambda1 the shift-inverted
+spectrum is clustered, and a small basis restarted many times keeps less
+of it than one long Lanczos run.  Most solves of a run shift at a guess,
+so a run makes fewer applications: 464, 227 and 135 on the ``model_gap``,
+``asymmetric_showcase`` and ``multi_direction`` configs, against 798,
+420 and 189 with 20 vectors, 503, 250 and 168 with 2 count + 1, 471, 240
+and 147 with 2 count + 2, and 452, 232 and 133 with 2 count + 6, which
+holds two vectors more for at most 3% fewer applications.  A basis of
+2 count + 4 at a guess and 20 at the floor made 576, 262 and 176.
 
 K - sigma M is banded, and its lower band comes straight from the
 Kronecker terms of the forms (``assemble.KroneckerForm``): a term
@@ -190,7 +205,8 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = eigsh(Kop, k=count, M=Mop, sigma=shift, which="LM",
-                           v0=v0, tol=0.0, maxiter=MAX_RESTARTS, OPinv=OPinv)
+                           v0=v0, ncv=min(n, 2 * count + 4), tol=0.0,
+                           maxiter=MAX_RESTARTS, OPinv=OPinv)
     except ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
         best = float(_residuals(K, M, exc.eigenvalues,

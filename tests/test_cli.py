@@ -53,6 +53,26 @@ l_half = 2 4
 """
 
 
+# a small 3D run: its band factor differs in the last digits between one
+# and two OpenBLAS threads
+SMALL_3D_CFG = """
+[run]
+experiments = multi-direction
+seed = 0
+
+[field]
+kind = multi-model
+delta = 0.6
+
+[mesh]
+res3d_axial = 3
+res3d_cross = 4
+
+[schedules]
+l_multi = 2 4
+"""
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -427,6 +447,47 @@ axial_resolution = 4
         for name in names[0]:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+    def test_import_leaves_the_thread_count_as_found(self):
+        """``import cylgap`` sets OPENBLAS_NUM_THREADS only while it loads
+        numpy and scipy: unset before, unset after; a caller's value is
+        kept."""
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        probe = ("import os, cylgap; "
+                 "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        for value in (None, "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = str(src)
+            if value is not None:
+                env["OPENBLAS_NUM_THREADS"] = value
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == str(value)
+
+    def test_3d_csv_bytes_do_not_depend_on_an_unset_thread_count(
+            self, tmp_path):
+        """The 3D band goes through threaded ``dpbtrf``, whose rounding
+        depends on the thread count; with OPENBLAS_NUM_THREADS unset a run
+        uses one thread and writes the bytes of a run at one thread."""
+        path = write_cfg(tmp_path, SMALL_3D_CFG)
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        outs = []
+        for value in (None, "1"):
+            out = tmp_path / f"threads{value}"
+            env = {k: v for k, v in os.environ.items()
+                   if k != "OPENBLAS_NUM_THREADS"}
+            env.update(PYTHONPATH=str(src), **{cli.ENV_OUTPUT_DIR: str(out)})
+            if value is not None:
+                env["OPENBLAS_NUM_THREADS"] = value
+            proc = subprocess.run(
+                [sys.executable, "-m", "cylgap.cli", "run", path], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "multi-direction.csv").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestPlotAndReport:

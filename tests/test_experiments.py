@@ -541,7 +541,7 @@ class TestSolveMemo:
             _, pairs = ex.solve_cylinder(model, 16, cfg, count=2,
                                          grading=1.0)
         assert pairs[0].value == pytest.approx(first[0].value, rel=1e-12)
-        assert len(applications) <= 40  # 21 against 75 at the floor
+        assert len(applications) <= 40  # 15 against 81 at the floor
 
     def test_pencils_live_on_their_cross_context(self, model, cfg,
                                                  slot_builds, monkeypatch):

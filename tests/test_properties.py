@@ -189,6 +189,38 @@ def test_comparison_pencils_below_the_shift_guess(field):
         assert short <= cylinder_value(field, kind) * (1 + 1e-12), kind
 
 
+# the meshes of the small-basis property: four 2D kinds and the small box
+# with two elongated directions (n = 175)
+BASIS_MESHES = [cylinder_mesh(kind) for kind in
+                ("full", "half-plus", "graded", "full-dirichlet")]
+BOX_MESH = FIELD_SHAPES[3, 2][0]
+
+
+@PROPERTY_SETTINGS
+@given(field=tables(), box_field=tables(3, 2), count=st.integers(1, 3),
+       floor_gap=st.floats(0.05, 1.0), guess_gap=st.floats(1e-4, 1e-2))
+def test_small_basis_misses_no_pair(field, box_field, count, floor_gap,
+                                    guess_gap):
+    """A Lanczos basis of 2 count + 4 vectors finds the ``count``
+    smallest eigenvalues of the dense pencil to the gate's relative 1e-10,
+    shifted at a floor ``floor_gap`` below lambda1 and at a guess
+    ``guess_gap`` below it that the factor certifies (both relative)."""
+    pencils = [assemble.assemble_cylinder(mesh, field)
+               for mesh in BASIS_MESHES]
+    pencils.append(assemble.assemble_cylinder(BOX_MESH, box_field))
+    for K, M in pencils:
+        dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                  proofs.full(M).toarray(), eigvals_only=True,
+                                  subset_by_index=[0, count - 1])
+        floor = dense[0] * (1 - floor_gap)
+        for guess in (None, dense[0] * (1 - guess_gap)):
+            pairs = eig.smallest_eigenpairs(K, M, count=count, floor=floor,
+                                            guess=guess)
+            np.testing.assert_allclose([p.value for p in pairs], dense,
+                                       rtol=1e-10,
+                                       err_msg=K.provenance["mesh"])
+
+
 @PROPERTY_SETTINGS
 @given(field=tables())
 def test_kronecker_assembly_matches_the_oracle_in_and_out_of_a_block(field):

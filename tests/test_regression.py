@@ -36,17 +36,18 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
            "model_gap": "model_gap.cfg",
            "multi_direction": "multi_direction.cfg"}
 # most shift-invert operator applications a run of each config may make
-# on factors of more than LARGE unknowns; ARPACK's start vector is seeded,
-# so the count repeats exactly (567, 336 and 63 with shifts guessed from
-# the memo, 865, 396 and 73 at the floor); multi_direction's bound stays
-# below the 80 a run makes when every solve asks ARPACK for one extra pair
+# on factors of more than LARGE unknowns, with a Lanczos basis of
+# 2 count + 4 vectors; ARPACK's start vector is seeded, so the count
+# repeats exactly (345, 178 and 54, against 567, 336 and 63 with ARPACK's
+# default basis of 20 vectors, which stops no earlier than 21)
 LARGE = 400
-MAX_APPLICATIONS = {"asymmetric": 360, "model_gap": 600,
-                    "multi_direction": 68}
+MAX_APPLICATIONS = {"asymmetric": 178, "model_gap": 345,
+                    "multi_direction": 54}
 # most applications on factors of any size, the cross-section and short
-# cylinder pencils included (798, 420 and 189, the counts of a run)
-MAX_ALL_APPLICATIONS = {"asymmetric": 420, "model_gap": 798,
-                        "multi_direction": 189}
+# cylinder pencils included (464, 227 and 135, the counts of a run,
+# against 798, 420 and 189 with 20 vectors)
+MAX_ALL_APPLICATIONS = {"asymmetric": 227, "model_gap": 464,
+                        "multi_direction": 135}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
