@@ -10,10 +10,10 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f"]
 
 
-def _nice_ticks(lo, hi, n=5):
+def _nice_ticks(lo, hi):
     if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(abs(raw)))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
@@ -34,12 +34,9 @@ def _fmt(v):
 
 def render_line_plot(series, out_path, logy=False, x_label="", y_label="",
                      title=""):
-    """series: list of (label, xs, ys); writes a standalone SVG file."""
+    """series: list of (label, xs, ys), with positive ys if ``logy``;
+    writes a standalone SVG file."""
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    if logy:
-        pts = [(x, y) for x, y in pts if y > 0]
-        if not pts:
-            raise ValueError("log-scale plot needs positive values")
     xs_all = [p[0] for p in pts]
     ys_all = [math.log10(p[1]) if logy else p[1] for p in pts]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -99,10 +96,7 @@ def render_line_plot(series, out_path, logy=False, x_label="", y_label="",
                      f'{MARGIN_T + ih // 2})">{y_label}</text>')
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        coords = [(sx(x), sy(y)) for x, y in zip(xs, ys)
-                  if (not logy) or y > 0]
-        if not coords:
-            continue
+        coords = [(sx(x), sy(y)) for x, y in zip(xs, ys)]
         path = " ".join(f"{px:.2f},{py:.2f}" for px, py in coords)
         lines.append(f'<polyline points="{path}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')

@@ -147,10 +147,11 @@ def concentration_split(u, mesh, field):
     return ConcentrationSplit(n_plus, n_minus, d_plus, d_minus)
 
 
-def symmetry_defect(u, mesh, field=None):
-    """M-norm of u - Pu with P the (x1, X2) -> (-x1, -X2) node permutation."""
+def symmetry_defect(u, mesh, field):
+    """M-norm of u - Pu with P the (x1, X2) -> (-x1, -X2) node permutation,
+    for a ``field`` even in X2 (property (S))."""
     perm = grid_mod.reflection_permutation(mesh)
-    if field is not None and not field.is_even(
+    if not field.is_even(
             asm.factor_mesh(mesh.cross_partitions).cell_centers()):
         raise NoReflectionSymmetry("field is not even in X2")
     full = mesh.scatter_free(u)
@@ -161,7 +162,13 @@ def symmetry_defect(u, mesh, field=None):
 def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
     """Discrete H1 distance on the end collar Omega_r at x1 = -ell between
     the shifted cylinder eigenfunction and the half-plus minimizer,
-    sign-aligned."""
+    sign-aligned.
+
+    Both pairs are M-normalized, the cylinder's over both ends, so the
+    cylinder profile is divided by sqrt(D-), its mass on x1 < 0 (as in
+    ``concentration_split``): its minus half then has unit mass like the
+    minimizer.  Unscaled, a field with property (S) (D- = 1/2) leaves the
+    distance at (1 - 1/sqrt 2) times the profile's norm as ell grows."""
     if cyl_mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("first argument must live on a full cylinder")
     if half_mesh.domain_kind != "half-plus":
@@ -181,6 +188,9 @@ def end_profile_distance(u_cyl, cyl_mesh, u_half, half_mesh, r):
     cyl_grid, half_grid = [
         m.scatter_free(u).reshape(m.shape)[:k].ravel()
         for m, u in ((cyl_mesh, u_cyl), (half_mesh, u_half))]
+    mass, _, x1q = axial_densities(cyl_mesh.scatter_free(u_cyl),
+                                   cyl_mesh.axis_partitions)
+    cyl_grid = cyl_grid / np.sqrt(mass[x1q < 0.0].sum())
     # H1 norm of the sign-aligned difference on the collar box
     sign = 1.0 if float(cyl_grid @ half_grid) >= 0 else -1.0
     mass, energy, _ = axial_densities(cyl_grid - sign * half_grid,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 import time
@@ -84,7 +85,6 @@ SCHEMA = {
              "res3d_cross": _FLOAT},
     "solver": {"tol": _FLOAT},
     "schedules": {key: _FLIST for _, key, _ in EXPERIMENTS.values()},
-    "tolerances": {"conv_tol": _FLOAT, "tol_inf": _FLOAT},
 }
 
 
@@ -101,6 +101,16 @@ class RunConfig:
     schedules: dict = dc_field(default_factory=lambda: {
         key: list(lengths) for _, key, lengths in EXPERIMENTS.values()})
     cfg: ex.ExperimentConfig = dc_field(default_factory=ex.ExperimentConfig)
+
+
+def _read_text(path, error):
+    """The text of the UTF-8 file ``path``, newlines untranslated; a file
+    that cannot be read or decoded raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _convert(raw, typ, path, lineno, key):
@@ -123,37 +133,35 @@ def _convert(raw, typ, path, lineno, key):
 
 def parse_config(path):
     """Parse and validate a config file into a RunConfig."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     rc = RunConfig()
     section = None
     seen = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                section = text[1:-1].strip().lower()
-                if section not in SCHEMA:
-                    raise ConfigError(f"{path}:{lineno}: unknown section "
-                                      f"[{section}]")
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if section is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any section")
-            key, raw = (t.strip() for t in text.split("=", 1))
-            key = key.lower()
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}' in "
+    lines = _read_text(path, ConfigError).splitlines()
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if text.startswith("[") and text.endswith("]"):
+            section = text[1:-1].strip().lower()
+            if section not in SCHEMA:
+                raise ConfigError(f"{path}:{lineno}: unknown section "
                                   f"[{section}]")
-            if (section, key) in seen:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
-                                  f"(first at line {seen[(section, key)]})")
-            seen[(section, key)] = lineno
-            val = _convert(raw, SCHEMA[section][key], path, lineno, key)
-            _apply(rc, section, key, val, path, lineno)
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if section is None:
+            raise ConfigError(f"{path}:{lineno}: key outside any section")
+        key, raw = (t.strip() for t in text.split("=", 1))
+        key = key.lower()
+        if key not in SCHEMA[section]:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}' in "
+                              f"[{section}]")
+        if (section, key) in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
+                              f"(first at line {seen[(section, key)]})")
+        seen[(section, key)] = lineno
+        val = _convert(raw, SCHEMA[section][key], path, lineno, key)
+        _apply(rc, section, key, val, path, lineno)
     _validate(rc, path)
     return rc
 
@@ -192,8 +200,6 @@ def _apply(rc, section, key, val, path, lineno):
 
 def _validate(rc, path):
     cfg = rc.cfg
-    if cfg.tol <= 0 or cfg.conv_tol <= 0 or cfg.tol_inf <= 0:
-        raise ConfigError(f"{path}: tolerances must be positive")
     if cfg.tol < eig.MIN_TOL:
         raise ConfigError(f"{path}: solver.tol must be at least "
                           f"{eig.MIN_TOL:g}")
@@ -269,7 +275,10 @@ def run(config_path):
     and solves each distinct pencil once."""
     rc = parse_config(config_path)
     outdir = os.environ.get(ENV_OUTPUT_DIR, rc.output_dir)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from exc
     field = make_field(rc)
     omega_dim = np.size(rc.cfg.omega) // 2
     if field.cross_dim != omega_dim:
@@ -313,10 +322,8 @@ def run(config_path):
 
 
 def _read_csv(path):
-    if not os.path.exists(path):
-        raise MissingColumn(f"CSV not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
+    rows = list(csv.reader(io.StringIO(_read_text(path, MissingColumn),
+                                       newline="")))
     if not rows:
         raise MissingColumn(f"{path}: empty CSV")
     return rows[0], rows[1:]
@@ -351,14 +358,16 @@ def plot(csv_path, x_column, y_columns, out_svg, logy=False, group=None):
                     raise MissingColumn(
                         f"{csv_path}: columns '{x_column}' and '{ycol}' "
                         f"must be numeric ({exc})") from exc
+            if logy:
+                pts = [p for p in pts if p[1] > 0]
             if not pts:
                 continue
             pts.sort(key=lambda p: p[0])
             label = ycol if gval is None else f"{ycol}[{group}={gval}]"
             series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
     if not series:
-        raise MissingColumn(f"{csv_path}: no plottable data in "
-                            f"{[x_column, *y_columns]}")
+        raise MissingColumn(f"{csv_path}: no {'positive ' if logy else ''}"
+                            f"plottable data in {[x_column, *y_columns]}")
     render_line_plot(series, out_svg, logy=logy, x_label=x_column,
                      y_label=",".join(y_columns),
                      title=os.path.basename(csv_path))

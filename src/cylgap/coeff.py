@@ -119,12 +119,11 @@ def _entries_fn(n, entries):
     return fn
 
 
-def field_from_entries(n, p, entries, kind="user", params=None,
-                       piecewise_constant=False):
+def field_from_entries(n, p, entries, kind="user", params=None):
     """Field from a dict {(i, j): const or callable(points)->(m,)} giving
     the upper triangle; the lower triangle is mirrored."""
     return CoefficientField(n, p, _entries_fn(n, entries), kind=kind,
-                            params=params, piecewise_constant=piecewise_constant)
+                            params=params)
 
 
 def model_field(delta):

@@ -29,10 +29,7 @@ spectrum is clustered, and a small basis restarted many times keeps less
 of it than one long Lanczos run.  Most solves of a run shift at a guess,
 so a run makes fewer applications: 464, 227 and 135 on the ``model_gap``,
 ``asymmetric_showcase`` and ``multi_direction`` configs, against 798,
-420 and 189 with 20 vectors, 503, 250 and 168 with 2 count + 1, 471, 240
-and 147 with 2 count + 2, and 452, 232 and 133 with 2 count + 6, which
-holds two vectors more for at most 3% fewer applications.  A basis of
-2 count + 4 at a guess and 20 at the floor made 576, 262 and 176.
+420 and 189 with 20 vectors.
 
 K - sigma M is banded, and its lower band comes straight from the
 Kronecker terms of the forms (``assemble.KroneckerForm``): a term

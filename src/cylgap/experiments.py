@@ -30,8 +30,10 @@ TOL_LIMIT_GENERAL = 2e-2
 DIRICHLET_SPREAD = 0.30
 SECOND_GAP_SHRINK = 2.0  # the lambda2 - lambda1 gap at least halves per step
 DEGENERACY_RTOL = 1e-8   # a smaller lambda2 - lambda1, relative, skips checks
-END_COLLAR = 3.0         # end-profile collar length r, at the plus end
+END_COLLAR = 3.0         # end-profile collar length r, at x1 = -ell
 TOL_CON = 1e-8           # a smaller sqrt of the Schur energy drop: uncoupled
+CONV_TOL = 5e-3          # last truncation step of a settled nu
+TOL_INF = 5e-3           # final |lambda - min nu| in limit-infinity
 
 
 @dataclass
@@ -44,8 +46,6 @@ class ExperimentConfig:
     tol: float = 1e-9
     seed: int = 0
     node_cap: int = grid_mod.DEFAULT_NODE_CAP
-    conv_tol: float = 5e-3          # last truncation step of a settled nu
-    tol_inf: float = 5e-3           # final |lambda - min nu| in limit-infinity
     omega: tuple = (-1.0, 1.0)
     res3d_axial: float = 3.0
     res3d_cross: float = 12.0
@@ -126,7 +126,6 @@ class CrossContext:
     mu1: float
     W1: eig.EigenPair
     Lambda1: float
-    mesh_err: float
     margin: float
     stiffness: asm.KroneckerForm
     coupling: float
@@ -182,7 +181,7 @@ def cross_context(field, cfg, base=None):
                       for r in (cfg.resolution, 2 * cfg.resolution)]
         K, W1 = first_pair(mesh)
         err = abs(W1.value - first_pair(fine)[1].value)
-        base = CrossContext(mesh, W1.value, W1, None, err, 3.0 * err, K, None)
+        base = CrossContext(mesh, W1.value, W1, None, 3.0 * err, K, None)
     K_red, w1 = first_pair(base.mesh, reduced=True)
     W = base.W1.vector
     ctx = replace(base, Lambda1=w1.value, solved={},
@@ -391,7 +390,7 @@ def _half_truncations(field, side, lengths, cfg):
 
     nu is the last truncation, an upper bound; with no coupling it is
     identified with mu1.  The last record notes the bracket of the last
-    step and whether the sequence settled within ``cfg.conv_tol``.
+    step and whether the sequence settled within ``CONV_TOL``.
     Fewer than two solved lengths raise NotConverged.
     """
     ctx = cross_context(field, cfg)
@@ -410,7 +409,7 @@ def _half_truncations(field, side, lengths, cfg):
         raise NotConverged("half-cylinder estimate needs 2 solved "
                            f"lengths, got {len(seq)}: {seq}")
     last = records[-1]
-    converged = abs(seq[-2] - seq[-1]) < cfg.conv_tol
+    converged = abs(seq[-2] - seq[-1]) < CONV_TOL
     nu = seq[-1]
     if not ctx.coupled:
         # equality case: the limit is mu1 itself; truncations only bound it
@@ -457,7 +456,7 @@ def exp_nu_half(field, lengths, cfg):
 
 
 def exp_limit_infinity(field, L_list, cfg):
-    """lambda converges to min(nu+, nu-), ending within ``cfg.tol_inf``;
+    """lambda converges to min(nu+, nu-), ending within ``TOL_INF``;
     includes the half-vs-half-length sandwich at matched meshes."""
     Ls = sorted(L_list)
     Lmax = Ls[-1]
@@ -486,9 +485,9 @@ def exp_limit_infinity(field, L_list, cfg):
                   "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
         diffs.append(diff)
         if L == Lmax:
-            rec.margin = cfg.tol_inf
-            rec.check(diff < cfg.tol_inf,
-                      f"final |lambda - nu| {diff:.2e} >= {cfg.tol_inf}")
+            rec.margin = TOL_INF
+            rec.check(diff < TOL_INF,
+                      f"final |lambda - nu| {diff:.2e} >= {TOL_INF}")
 
     return [_row("limit-infinity", field, cfg, L, judge, ctx=ctx,
                  grading=1.0, diagnostics=True) for L in Ls]
@@ -647,19 +646,19 @@ def exp_decay(field, ell_list, cfg):
     return records, profiles
 
 
-def exp_end_profile(field, ell_list, cfg, half_length=None):
-    """H1 distance between shifted cylinder eigenfunctions and the long
-    half-plus minimizer on the plus end collar of length ``END_COLLAR``,
-    decreasing in ell.
+def exp_end_profile(field, ell_list, cfg):
+    """H1 distance between shifted cylinder eigenfunctions and the
+    half-plus minimizer of length ``max(ell_list)`` on the end collar of
+    length ``END_COLLAR`` at x1 = -ell, decreasing in ell (see
+    ``analysis.end_profile_distance``).
 
     End collars are graded (default 2x for ell >= 4): that is where the
     profiles live, and identical grading on both meshes keeps the collar
     partitions aligned node-for-node.
     """
-    half_length = max(ell_list) if half_length is None else half_length
     grading = cfg.grading if cfg.grading > 1 else \
         (2.0 if min(ell_list) >= 4 else 1.0)
-    hmesh, hpairs = solve_cylinder(field, half_length, cfg,
+    hmesh, hpairs = solve_cylinder(field, max(ell_list), cfg,
                                       kind="half-plus", grading=grading)
     dists = []
 

@@ -119,7 +119,7 @@ def test_criterion_06_gap_phenomenon():
     ctx = ex.cross_context(coeff.model_field(0.0), cfg64)
     mesh, pairs = ex.solve_cylinder(coeff.model_field(0.0), 16, cfg64)
     flat = abs(ctx.mu1 - pairs[0].value)
-    ok = ok and flat < ctx.mesh_err
+    ok = ok and flat < ctx.margin / 3  # one mesh error
     cfg3 = ex.ExperimentConfig(res3d_axial=3, res3d_cross=12)
     drecs = ex.exp_multi_direction(coeff.diagonal_field([1, 1, 1], p=2),
                                    [2], cfg3)
@@ -212,7 +212,7 @@ def test_criterion_11_picone():
 
 
 def test_criterion_12_end_profiles(cfg, model):
-    recs = ex.exp_end_profile(model, [6, 10, 14], cfg, half_length=16)
+    recs = ex.exp_end_profile(model, [6, 10, 14], cfg)
     dists = [r.end_distance for r in recs]
     ok = dists[0] > dists[1] > dists[2] and all(r.passed for r in recs)
     check(12, "end-profile convergence", ok,

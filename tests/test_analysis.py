@@ -271,14 +271,14 @@ class TestConcentrationAndSymmetry:
                                field=model06_mod)
         assert d <= 1e-7
 
-    def test_defect_invariant_under_reflection(self, cyl8):
+    def test_defect_invariant_under_reflection(self, cyl8, model06_mod):
         mesh = cyl8["mesh"]
         u = cyl8["pairs"][0]
         perm = grid.reflection_permutation(mesh)
         full = mesh.scatter_free(u.vector)
         reflected = proofs.restrict_free(mesh, full[perm])
-        d1 = an.symmetry_defect(u.vector, mesh)
-        d2 = an.symmetry_defect(reflected, mesh)
+        d1 = an.symmetry_defect(u.vector, mesh, model06_mod)
+        d2 = an.symmetry_defect(reflected, mesh, model06_mod)
         assert d1 == pytest.approx(d2, abs=1e-14)
 
     def test_asymmetric_field_large_defect(self):
@@ -287,8 +287,6 @@ class TestConcentrationAndSymmetry:
                                resolution=(8, 16))
         K, M = assemble.assemble_cylinder(mesh, field)
         u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
-        d = an.symmetry_defect(u.vector, mesh)  # the number regardless
-        assert d > 0.1
         with pytest.raises(NoReflectionSymmetry):
             an.symmetry_defect(u.vector, mesh, field=field)
 

@@ -10,6 +10,7 @@ from cylgap import analysis, assemble, coeff, eig, grid
 from cylgap import experiments as ex
 from cylgap.errors import DimensionMismatch, MeshMismatch, NotElliptic
 
+import cylgap
 import proofs
 from conftest import MU1, same_bits
 
@@ -447,8 +448,10 @@ def test_package_defines_only_what_a_run_reaches():
     # class, is dead when no Name or Attribute outside dead bodies (and
     # outside __init__.py, which only re-exports) refers to it; repeat
     # until nothing changes.  The console script cli.main is the one entry
-    # point; dunders are called by Python itself.  Code only tests need
-    # belongs in tests/proofs.py
+    # point; dunders are called by Python itself.  So is a defaulted
+    # parameter that no call passes, and a dataclass field that no code
+    # reads (the two scans below).  Code only tests need belongs in
+    # tests/proofs.py
     src = pathlib.Path(assemble.__file__).parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))
@@ -498,6 +501,77 @@ def test_package_defines_only_what_a_run_reaches():
             break
         dead |= new
     assert sorted(dead) == []
+    assert _defaults_no_call_passes(trees) == []
+    assert _fields_no_code_reads(trees) == []
+
+
+def _defaults_no_call_passes(trees):
+    """``module.def(parameter)`` for each defaulted parameter of a def
+    (nested defs and methods included; a class call passes to its
+    ``__init__``) that no call in the package passes, by keyword, by
+    position, or through ``*`` or ``**``; callees match by name.  The
+    defaults of the public API (``cylgap.__all__``) and of the console
+    script ``cli.main`` are for callers outside the package."""
+    exempt = set(cylgap.__all__) | {"main"}
+    calls = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(call)
+    unpassed = []
+    for mod, tree in trees.items():
+        for owner in ast.walk(tree):
+            if not isinstance(getattr(owner, "body", None), list):
+                continue  # a lambda's body is one expression
+            for node in owner.body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                method = isinstance(owner, ast.ClassDef)
+                name = (owner.name if method and node.name == "__init__"
+                        else node.name)
+                if name in exempt:
+                    continue
+                args = node.args
+                positional = (args.posonlyargs + args.args)[method:]
+                defaulted = [
+                    (i, a.arg) for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)] + [
+                    (None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                  args.kw_defaults) if d]
+                for i, arg in defaulted:
+                    if not any(
+                            any(k.arg in (arg, None) for k in call.keywords)
+                            or any(isinstance(a, ast.Starred)
+                                   for a in call.args)
+                            or (i is not None and len(call.args) > i)
+                            for call in calls.get(name, [])):
+                        unpassed.append(f"{mod}.{name}({arg})")
+    return unpassed
+
+
+def _fields_no_code_reads(trees):
+    """``module.Class.field`` for each field of a dataclass that no
+    attribute load in the package names.  ``SweepRecord``'s fields are
+    the CSV columns, written through ``vars``; the benchmark's tracer
+    (perfbench/tracer.py) reads ``KroneckerForm.provenance`` until
+    ROADMAP item 1b replaces that tracer."""
+    exempt = {"experiments.SweepRecord", "assemble.KroneckerForm.provenance"}
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for mod, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{mod}.{cls.name}.{st.target.id}"
+                           for st in cls.body if isinstance(st, ast.AnnAssign)
+                           and st.target.id not in reads]
+    return [name for name in unread
+            if name not in exempt and name.rpartition(".")[0] not in exempt]
 
 
 def test_kronecker_products_span_free_nodes_only(model06):

@@ -79,6 +79,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def one_error_line(capsys):
+    """The captured stderr, checked to be one ``error:`` line and no
+    traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestConfigParsing:
     def test_happy_path(self, tmp_path):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
@@ -104,7 +112,6 @@ class TestConfigParsing:
         expected = ex.ExperimentConfig(resolution=16.0, axial_resolution=8.0,
                                        grading=1.0, tol=1e-9, seed=0,
                                        omega=(-1.0, 1.0),
-                                       conv_tol=5e-3, tol_inf=5e-3,
                                        res3d_axial=3.0, res3d_cross=12.0)
         rc = cli.parse_config(write_cfg(tmp_path, text))
         assert rc.experiments == experiments
@@ -134,14 +141,11 @@ res3d_axial = 4
 res3d_cross = 6
 [solver]
 tol = 1e-8
-[tolerances]
-conv_tol = 1e-3
-tol_inf = 2e-3
 """
         path = write_cfg(tmp_path, text)
         assert cli.parse_config(path).cfg == ex.ExperimentConfig(
             resolution=10.0, axial_resolution=5.0, grading=2.0, tol=1e-8,
-            seed=3, node_cap=1000, conv_tol=1e-3, tol_inf=2e-3,
+            seed=3, node_cap=1000,
             omega=((-1.0, 1.0), (-2.0, 2.0)), res3d_axial=4.0,
             res3d_cross=6.0)
         # runs are serial: parallelism parses only as 1
@@ -160,6 +164,12 @@ tol_inf = 2e-3
     def test_unknown_section(self, tmp_path):
         path = write_cfg(tmp_path, "[nope]\n")
         with pytest.raises(ConfigError):
+            cli.parse_config(path)
+        # verdict tolerances are constants of the experiments, no setting
+        path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\n[tolerances]\n"
+                         "tol_inf = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:3: unknown section [tolerances]")):
             cli.parse_config(path)
 
     def test_negative_tolerance_rejected(self, tmp_path):
@@ -211,6 +221,17 @@ tol_inf = 2e-3
         path = write_cfg(tmp_path, "[run]\nexperiments = warp\n")
         with pytest.raises(ConfigError):
             cli.parse_config(path)
+
+    def test_directory_as_config_exits_one(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path}: " in one_error_line(capsys)
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[run]\nseed = 0\n# caf\xe9\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9" \
+            in one_error_line(capsys)
 
     def test_all_is_not_an_experiment(self, tmp_path):
         # no field runs every experiment (multi-direction needs p = 2,
@@ -401,6 +422,16 @@ axial_resolution = 4
         assert cli.main(["run", path]) == 0
         assert (out / "bounds.csv").exists()
 
+    def test_env_output_dir_naming_a_file_exits_one(self, tmp_path,
+                                                    monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
+        monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(taken))
+        assert cli.main(["run", path]) == 1
+        err = one_error_line(capsys)
+        assert "cannot make output directory" in err and str(taken) in err
+
     def test_a_second_run_builds_its_slot_sets_again(self, tmp_path,
                                                       slot_builds):
         # the slot-matrix entries end with the run's solve_memo block
@@ -546,6 +577,16 @@ class TestPlotAndReport:
                        "--out", str(tmp_path / "x.svg")])
         assert rc == 1
 
+    def test_plot_logy_without_positive_values_exits_one(self, tmp_path,
+                                                         capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n1,0\n2,-1\n")
+        rc = cli.main(["plot", str(data), "--x", "x", "--y", "y", "--logy",
+                       "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert "no positive plottable data" in one_error_line(capsys)
+        assert not (tmp_path / "x.svg").exists()
+
     def test_report(self, results_dir, capsys):
         assert cli.main(["report", str(results_dir)]) == 0
         out = capsys.readouterr().out
@@ -562,6 +603,12 @@ class TestPlotAndReport:
             row[cli.CSV_COLUMNS.index("note")] = "synthetic failure"
             w.writerow(row)
         assert cli.main(["report", str(out)]) == 2
+
+    def test_report_on_a_non_utf8_csv_exits_one(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_bytes(b"passed,note\nfalse,caf\xe9\n")
+        assert cli.main(["report", str(tmp_path)]) == 1
+        assert f"cannot read {tmp_path / 'bad.csv'}: 'utf-8' codec" in \
+            one_error_line(capsys)
 
 
 class TestFieldFactory:

@@ -195,6 +195,26 @@ class TestSmallestEigenpairs:
         with pytest.raises(FactorizationFailed):
             eig.smallest_eigenpairs(K, M)
 
+    @pytest.mark.parametrize("count, n", [(1, 63), (2, 63), (3, 8)])
+    def test_lanczos_basis_is_two_count_plus_four(self, monkeypatch, count,
+                                                  n):
+        """ARPACK gets ncv = min(n, 2 count + 4) vectors: 6 and 8 on a
+        pencil of 63 unknowns, and all 8 unknowns of a pencil smaller than
+        2 count + 4 = 10."""
+        ncvs = []
+        eigsh = eig.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            ncvs.append(kwargs["ncv"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eig, "eigsh", recording_eigsh)
+        K = proofs.form(sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                                     shape=(n, n)))
+        M = proofs.form(sparse.diags(np.linspace(1.0, 2.0, n)))
+        assert len(eig.smallest_eigenpairs(K, M, count=count)) == count
+        assert ncvs == [min(n, 2 * count + 4)]
+
     def test_parameter_validation(self, pencil_1d):
         K, M = pencil_1d
         with pytest.raises(ValueError):
