@@ -95,7 +95,7 @@ class KroneckerForm:
 def _audit_spd(C, what):
     w = np.linalg.eigvalsh(C.reshape(-1, C.shape[-1], C.shape[-1]))
     lam = float(w[:, 0].min())
-    if lam <= 0.0:
+    if not lam > 0.0:  # NaN compares False
         raise NotElliptic(f"{what} has smallest sampled eigenvalue {lam:.3e}")
 
 

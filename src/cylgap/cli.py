@@ -2,7 +2,8 @@
 columns to SVG, and summarize result directories.
 
 Config format: ``[section]`` headers with ``key = value`` lines and ``#``
-comments.  Unknown sections or keys are rejected with line numbers.
+comments.  Unknown sections or keys, and values their key's parser in
+``SCHEMA`` rejects, are reported with line numbers.
 Exit codes: 0 all assertions passed, 2 assertion failures, 1 errors.
 """
 
@@ -10,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -71,28 +74,120 @@ def _executor(experiment, key):
 EXECUTORS = {name: _executor(experiment, key)
              for name, (experiment, key, _) in EXPERIMENTS.items()}
 
-_FLOAT, _INT, _STR, _FLIST, _SLIST = "float", "int", "str", "floatlist", "strlist"
+# [field] kind -> its coefficient builder; the builder's keyword
+# parameters are the kind's keys, and it owns their defaults
+FIELD_KINDS = {
+    "model": coeff_mod.model_field,
+    "identity": coeff_mod.identity_field,
+    "diagonal": coeff_mod.diagonal_field,
+    "asymmetric": coeff_mod.asymmetric_model_field,
+    "variable-a22": coeff_mod.variable_a22_field,
+    "neg-coupling": coeff_mod.neg_coupling_field,
+    "multi-model": coeff_mod.multi_model_field,
+    "table": coeff_mod.field_from_table,
+}
 
+
+def _number(raw):
+    """A finite float: ``float`` also parses ``nan`` and ``inf``, which
+    no length, resolution or tolerance is."""
+    try:
+        val = float(raw)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise ValueError(f"must be a finite number, not {raw!r}")
+    return val
+
+
+def _integer(raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, not {raw!r}") from None
+
+
+def _numbers(raw):
+    vals = [_number(v) for v in raw.replace(",", " ").split()]
+    if not vals:
+        raise ValueError("must list at least one number")
+    return vals
+
+
+def _checked(parse, ok, need):
+    """``parse``, whose value must pass ``ok``: it must be ``need``."""
+    def parser(raw):
+        val = parse(raw)
+        if not ok(val):
+            raise ValueError(f"must be {need}")
+        return val
+    return parser
+
+
+def _experiments(raw):
+    names = raw.replace(",", " ").split()
+    if not names:
+        raise ValueError("must name at least one experiment")
+    for name in names:
+        if name not in EXPERIMENTS:
+            raise ValueError(f"names unknown experiment '{name}'")
+    return names
+
+
+def _omega(raw):
+    v = _numbers(raw)
+    if len(v) not in (2, 4) or v[0] >= v[1] or \
+            (len(v) == 4 and v[2] >= v[3]):
+        raise ValueError("must be 'lo hi' (or a box 'lo hi lo hi')")
+    return tuple(v) if len(v) == 2 else ((v[0], v[1]), (v[2], v[3]))
+
+
+def _lengths(raw):
+    v = _numbers(raw)
+    if min(v) <= 0:
+        raise ValueError("must be positive")
+    steps = np.diff(v)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError("must be sorted")
+    return v
+
+
+_POSITIVE = _checked(_number, lambda v: v > 0, "positive")
+
+# section -> key -> parser: raw text to value, ValueError for a bad one
 SCHEMA = {
-    "run": {"experiments": _SLIST, "output_dir": _STR, "seed": _INT,
-            "parallelism": _INT},
-    "field": {"kind": _STR, "delta": _FLOAT, "delta0": _FLOAT, "c": _FLOAT,
-              "a11": _FLOAT, "n": _INT, "p": _INT, "table": _STR,
-              "diag": _FLIST},
-    "domain": {"omega": _FLIST},
-    "mesh": {"resolution": _FLOAT, "axial_resolution": _FLOAT,
-             "grading": _FLOAT, "node_cap": _INT, "res3d_axial": _FLOAT,
-             "res3d_cross": _FLOAT},
-    "solver": {"tol": _FLOAT},
-    "schedules": {key: _FLIST for _, key, _ in EXPERIMENTS.values()},
+    "run": {"experiments": _experiments, "output_dir": str,
+            "seed": _checked(_integer, lambda v: v >= 0, "non-negative"),
+            # goes once the benchmark's configs stop writing it (ROADMAP
+            # item 1)
+            "parallelism": _checked(_integer, lambda v: v == 1,
+                                    "1 (runs are serial)")},
+    "field": {"kind": _checked(str, FIELD_KINDS.__contains__,
+                               "one of " + ", ".join(FIELD_KINDS)),
+              "delta": _number, "delta0": _number, "c": _number,
+              "a11": _number, "n": _integer, "p": _integer, "table": str,
+              "diag": _numbers},
+    "domain": {"omega": _omega},
+    "mesh": {"resolution": _POSITIVE, "axial_resolution": _POSITIVE,
+             "grading": _POSITIVE,
+             "node_cap": _checked(_integer, lambda v: v > 0, "positive"),
+             "res3d_axial": _POSITIVE, "res3d_cross": _POSITIVE},
+    "solver": {"tol": _checked(_number, lambda v: v >= eig.MIN_TOL,
+                               f"at least {eig.MIN_TOL:g}")},
+    "schedules": {key: _lengths for _, key, _ in EXPERIMENTS.values()},
 }
 
 
 @dataclass
 class RunConfig:
-    """A parsed config file.  Every key outside ``[run] experiments,
-    output_dir, parallelism``, ``[field]`` and ``[schedules]`` sets the
-    ``cfg`` field of the same name (``[domain] omega`` after reshaping)."""
+    """A parsed config file.  ``[run] experiments`` and ``output_dir`` set
+    the fields of the same name; ``[field] kind`` sets ``field_kind`` and
+    the other ``[field]`` keys ``field_params``, the keyword arguments of
+    the kind's builder in ``FIELD_KINDS``; ``[schedules]`` keys replace
+    their experiment's lengths.  ``[run] seed`` and every ``[domain]``,
+    ``[mesh]`` and ``[solver]`` key set the ``cfg`` field of the same
+    name.  ``[run] parallelism`` parses only as 1 and sets nothing: runs
+    are serial."""
 
     experiments: list = dc_field(default_factory=lambda: ["bounds"])
     output_dir: str = "out"
@@ -113,27 +208,11 @@ def _read_text(path, error):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def _convert(raw, typ, path, lineno, key):
-    try:
-        if typ == _FLOAT:
-            return float(raw)
-        if typ == _INT:
-            return int(raw)
-        if typ == _FLIST:
-            vals = [float(v) for v in raw.replace(",", " ").split()]
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        if typ == _SLIST:
-            return [v.strip() for v in raw.replace(",", " ").split() if v.strip()]
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}")
-
-
 def parse_config(path):
-    """Parse and validate a config file into a RunConfig."""
-    rc = RunConfig()
+    """Parse a config file into a RunConfig.  Each value goes through its
+    ``SCHEMA`` parser, and a value it rejects raises ``ConfigError`` at
+    its line."""
+    got = {section: {} for section in SCHEMA}
     section = None
     seen = {}
     lines = _read_text(path, ConfigError).splitlines()
@@ -160,94 +239,37 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
                               f"(first at line {seen[(section, key)]})")
         seen[(section, key)] = lineno
-        val = _convert(raw, SCHEMA[section][key], path, lineno, key)
-        _apply(rc, section, key, val, path, lineno)
-    _validate(rc, path)
+        try:
+            got[section][key] = SCHEMA[section][key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} {exc}") from None
+    rc = RunConfig()
+    run, field = got["run"], got["field"]
+    rc.experiments = run.get("experiments", rc.experiments)
+    rc.output_dir = run.get("output_dir", rc.output_dir)
+    rc.field_kind = field.pop("kind", rc.field_kind)
+    rc.field_params = field
+    rc.schedules.update(got["schedules"])
+    rc.cfg = replace(rc.cfg, seed=run.get("seed", rc.cfg.seed),
+                     **got["domain"], **got["mesh"], **got["solver"])
     return rc
 
 
-def _apply(rc, section, key, val, path, lineno):
-    if section == "run" and key == "experiments":
-        for n in val:
-            if n not in EXPERIMENTS:
-                raise ConfigError(f"{path}:{lineno}: unknown experiment "
-                                  f"'{n}'")
-        rc.experiments = val
-    elif section == "run" and key == "output_dir":
-        rc.output_dir = val
-    elif section == "run" and key == "parallelism":
-        # goes once the benchmark's configs stop writing it (ROADMAP item 1)
-        if val != 1:
-            raise ConfigError(f"{path}:{lineno}: parallelism must be 1 "
-                              "(runs are serial)")
-    elif section == "field":
-        if key == "kind":
-            rc.field_kind = val
-        else:
-            rc.field_params[key] = val
-    elif section == "domain":
-        if len(val) not in (2, 4) or val[0] >= val[1] or \
-                (len(val) == 4 and val[2] >= val[3]):
-            raise ConfigError(f"{path}:{lineno}: omega must be 'lo hi' "
-                              "(or a box 'lo hi lo hi')")
-        rc.cfg.omega = tuple(val) if len(val) == 2 else \
-            ((val[0], val[1]), (val[2], val[3]))
-    elif section == "schedules":
-        rc.schedules[key] = val
-    else:
-        setattr(rc.cfg, key, val)
-
-
-def _validate(rc, path):
-    cfg = rc.cfg
-    if cfg.tol < eig.MIN_TOL:
-        raise ConfigError(f"{path}: solver.tol must be at least "
-                          f"{eig.MIN_TOL:g}")
-    if cfg.seed < 0:
-        raise ConfigError(f"{path}: run.seed must be non-negative")
-    for name, sched in rc.schedules.items():
-        if not sched:
-            raise ConfigError(f"{path}: schedule {name} is empty")
-        increasing = all(b > a for a, b in zip(sched, sched[1:]))
-        decreasing = all(b < a for a, b in zip(sched, sched[1:]))
-        if len(sched) > 1 and not (increasing or decreasing):
-            raise ConfigError(f"{path}: schedule {name} must be sorted")
-        if any(v <= 0 for v in sched):
-            raise ConfigError(f"{path}: schedule {name} must be positive")
-    for key in SCHEMA["mesh"]:
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{path}: mesh.{key} must be positive")
-
-
 def make_field(rc):
-    """The coefficient field of ``[field]``; a builder that rejects its
-    parameters or cannot read its table raises ``ConfigError``."""
+    """The coefficient field of ``[field]``: the kind's builder called
+    with ``rc.field_params``.  A key the builder does not take, a
+    parameter it lacks, a value it rejects or a table it cannot read
+    raises ``ConfigError``."""
     kind = rc.field_kind
-    par = rc.field_params
+    builder = FIELD_KINDS[kind]
     try:
-        if kind == "model":
-            return coeff_mod.model_field(par.get("delta", 0.6))
-        if kind == "identity":
-            return coeff_mod.identity_field(par.get("n", 2), par.get("p", 1))
-        if kind == "diagonal":
-            diag = par.get("diag", [1.0] * par.get("n", 2))
-            return coeff_mod.diagonal_field(diag, p=par.get("p", 1))
-        if kind == "asymmetric":
-            return coeff_mod.asymmetric_model_field(par.get("delta0", 0.5))
-        if kind == "variable-a22":
-            return coeff_mod.variable_a22_field(par.get("delta", 0.6))
-        if kind == "neg-coupling":
-            return coeff_mod.neg_coupling_field(par.get("c", 0.5),
-                                                par.get("a11", 2.0))
-        if kind == "multi-model":
-            return coeff_mod.multi_model_field(par.get("delta", 0.6))
-        if kind == "table":
-            if "table" not in par:
-                raise ConfigError("field kind 'table' needs table = <path>")
-            return coeff_mod.field_from_table(par["table"])
+        inspect.signature(builder).bind(**rc.field_params)
+    except TypeError as exc:
+        raise ConfigError(f"field kind '{kind}': {exc}") from None
+    try:
+        return builder(**rc.field_params)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"field kind '{kind}': {exc}") from exc
-    raise ConfigError(f"unknown field kind '{kind}'")
 
 
 def _fmt_cell(v):
@@ -322,11 +344,21 @@ def run(config_path):
 
 
 def _read_csv(path):
-    rows = list(csv.reader(io.StringIO(_read_text(path, MissingColumn),
-                                       newline="")))
-    if not rows:
+    """The header of a CSV file and its rows as {column: cell}; a row
+    whose cell count differs from the header's raises ``MissingColumn``
+    at its line."""
+    reader = csv.reader(io.StringIO(_read_text(path, MissingColumn),
+                                    newline=""))
+    header = next(reader, None)
+    if header is None:
         raise MissingColumn(f"{path}: empty CSV")
-    return rows[0], rows[1:]
+    rows = []
+    for cells in reader:
+        if len(cells) != len(header):
+            raise MissingColumn(f"{path}:{reader.line_num}: {len(cells)} "
+                                f"cells under a header of {len(header)}")
+        rows.append(dict(zip(header, cells)))
+    return header, rows
 
 
 def plot(csv_path, x_column, y_columns, out_svg, logy=False, group=None):
@@ -337,27 +369,23 @@ def plot(csv_path, x_column, y_columns, out_svg, logy=False, group=None):
             raise MissingColumn(f"{csv_path}: no column '{col}'")
     if not rows:
         raise MissingColumn(f"{csv_path}: no data rows")
-    ix = header.index(x_column)
     series = []
     groups = [None]
     if group:
-        ig = header.index(group)
-        groups = sorted({row[ig] for row in rows if row[ig] != ""})
+        groups = sorted({row[group] for row in rows if row[group] != ""})
     for gval in groups:
         for ycol in y_columns:
-            iy = header.index(ycol)
             pts = []
             for row in rows:
-                if group and row[header.index(group)] != gval:
+                if group and row[group] != gval:
                     continue
-                if row[ix] == "" or row[iy] == "":
+                if row[x_column] == "" or row[ycol] == "":
                     continue
                 try:
-                    pts.append((float(row[ix]), float(row[iy])))
+                    pts.append((_number(row[x_column]), _number(row[ycol])))
                 except ValueError as exc:
-                    raise MissingColumn(
-                        f"{csv_path}: columns '{x_column}' and '{ycol}' "
-                        f"must be numeric ({exc})") from exc
+                    raise MissingColumn(f"{csv_path}: column '{x_column}' "
+                                        f"or '{ycol}' {exc}") from exc
             if logy:
                 pts = [p for p in pts if p[1] > 0]
             if not pts:
@@ -385,17 +413,14 @@ def report(directory):
         header, rows = _read_csv(os.path.join(directory, name))
         if "passed" not in header:
             continue
-        ip = header.index("passed")
-        inote = header.index("note") if "note" in header else None
-        n_pass = sum(1 for r in rows if r[ip] == "true")
-        ok = n_pass == len(rows)
-        any_fail = any_fail or not ok
+        failed = [r for r in rows if r["passed"] != "true"]
+        any_fail = any_fail or bool(failed)
         printed = True
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<24} {n_pass}/{len(rows)}")
-        if not ok and inote is not None:
-            for r in rows:
-                if r[ip] != "true":
-                    print(f"      {r[inote]}")
+        print(f"{'FAIL' if failed else 'PASS'}  {name:<24} "
+              f"{len(rows) - len(failed)}/{len(rows)}")
+        if "note" in header:
+            for r in failed:
+                print(f"      {r['note']}")
     if not printed:
         print(f"no experiment CSVs found in {directory}")
     return 2 if any_fail else 0

@@ -126,7 +126,7 @@ def field_from_entries(n, p, entries, kind="user", params=None):
                             params=params)
 
 
-def model_field(delta):
+def model_field(delta=0.6):
     """Constant 2x2 field [[1, delta], [delta, 1]] on omega = (-1, 1)."""
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
@@ -140,7 +140,7 @@ def identity_field(n=2, p=1):
                               kind="identity")
 
 
-def diagonal_field(diag, p=1):
+def diagonal_field(diag=(1.0, 1.0), p=1):
     """Constant diagonal field diag(a11, a22, ...)."""
     diag = [float(d) for d in diag]
     return field_from_entries(len(diag), p,
@@ -162,7 +162,7 @@ def asymmetric_model_field(delta0=0.5):
         kind="asymmetric-model", params={"delta0": float(delta0)})
 
 
-def variable_a22_field(delta):
+def variable_a22_field(delta=0.6):
     """Model coupling with the variable cross block a22 = 1 + x2^2/4."""
     return field_from_entries(
         2, 1, {(0, 0): 1.0, (0, 1): float(delta),
@@ -185,7 +185,7 @@ def neg_coupling_field(c=0.5, a11=2.0):
         kind="neg-coupling", params={"c": float(c), "a11": float(a11)})
 
 
-def multi_model_field(delta):
+def multi_model_field(delta=0.6):
     """3x3 field with two elongated axes; only the first axial row
     couples to the cross direction (A12 rows (delta,) and (0,))."""
     return field_from_entries(
@@ -243,21 +243,22 @@ def piecewise_constant_field(bounds, matrices, p=1):
                             piecewise_constant=True)
 
 
-def field_from_table(path):
-    """Load a piecewise-constant field from a plain-text table.
+def field_from_table(table):
+    """Load a piecewise-constant field from the plain-text table file
+    ``table``.
 
     First non-comment line: ``n p``.  Each following line describes one
     cross-section cell: ``lo hi`` followed by the n(n+1)/2 upper-triangular
     entries of A in row-major order.  Cells must tile an interval.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(table, "r", encoding="utf-8") as f:
         rows = [ln.split("#", 1)[0].strip() for ln in f]
     rows = [r for r in rows if r]
     if not rows:
-        raise ValueError(f"{path}: empty table")
+        raise ValueError(f"{table}: empty table")
     header = rows[0].split()
     if len(header) != 2:
-        raise ValueError(f"{path}: first line must be 'n p'")
+        raise ValueError(f"{table}: first line must be 'n p'")
     n, p = int(header[0]), int(header[1])
     if n - p != 1:
         raise ValueError("tables support 1D cross-sections (n - p = 1)")
@@ -266,14 +267,16 @@ def field_from_table(path):
     for r in rows[1:]:
         vals = [float(v) for v in r.split()]
         if len(vals) != 2 + n_upper:
-            raise ValueError(f"{path}: cell line needs 2 + {n_upper} numbers")
+            raise ValueError(f"{table}: cell line needs 2 + {n_upper} numbers")
         cells.append(vals)
+    if not cells:
+        raise ValueError(f"{table}: no cell lines after 'n p'")
     cells.sort(key=lambda v: v[0])
     bounds = [cells[0][0]]
     mats = []
     for v in cells:
         if abs(v[0] - bounds[-1]) > 1e-12:
-            raise ValueError(f"{path}: cells do not tile an interval")
+            raise ValueError(f"{table}: cells do not tile an interval")
         bounds.append(v[1])
         A = np.zeros((n, n))
         k = 2

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import os
 import pathlib
 import re
@@ -186,12 +187,14 @@ tol = 1e-8
     def test_out_of_range_seed_and_tol_rejected(self, tmp_path, capsys,
                                                 old, new, message):
         # unchecked, each would crash the run with a raw ValueError
-        path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out")
-                         .replace(old, new))
+        text = SMALL_CFG.format(out=tmp_path / "out").replace(old, new)
+        path = write_cfg(tmp_path, text)
+        bad = next(line for line in new.splitlines() if "=" in line)
+        lineno = text.splitlines().index(bad) + 1
         with pytest.raises(ConfigError, match=message):
             cli.parse_config(path)
         assert cli.main(["run", path]) == 1
-        assert f"error: {path}: " in capsys.readouterr().err
+        assert f"error: {path}:{lineno}: " in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\ntol = 1e-8\n")
@@ -238,8 +241,38 @@ tol = 1e-8
         # the others p = 1), so there is no alias for all of them
         path = write_cfg(tmp_path, "# every one\n[run]\nexperiments = all\n")
         with pytest.raises(ConfigError,
-                           match=r":3: unknown experiment 'all'"):
+                           match=r":3: experiments names unknown experiment 'all'"):
             cli.parse_config(path)
+
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[mesh]", "[solver]\ntol = nan\n[mesh]",
+         "tol must be a finite number, not 'nan'"),
+        ("resolution = 8", "resolution = nan",
+         "resolution must be a finite number, not 'nan'"),
+        ("ell_bounds = 0.5 1", "ell_bounds = 1 inf",
+         "ell_bounds must be a finite number, not 'inf'"),
+        ("resolution = 8", "resolution = 8\ngrading = nan",
+         "grading must be a finite number, not 'nan'"),
+        ("[mesh]", "[domain]\nomega = -1 nan\n[mesh]",
+         "omega must be a finite number, not 'nan'"),
+        ("experiments = bounds, nu-half", "experiments =",
+         "experiments must name at least one experiment"),
+    ], ids=["tol-nan", "resolution-nan", "schedule-inf", "grading-nan",
+            "omega-nan", "no-experiments"])
+    def test_bad_value_ends_as_one_error_line(self, tmp_path, capsys, old,
+                                              new, message):
+        # unchecked, nan tol passes every residual test, an infinite or
+        # nan mesh value ends in a traceback, and no experiments runs none
+        out = tmp_path / "out"
+        text = SMALL_CFG.format(out=out).replace(old, new)
+        path = write_cfg(tmp_path, text)
+        bad = [line for line in new.splitlines() if "=" in line][-1]
+        lineno = text.splitlines().index(bad) + 1
+        assert cli.main(["run", path]) == 1
+        assert one_error_line(capsys) == \
+            f"error: {path}:{lineno}: {message}\n"
+        assert not out.exists()
 
 
 class TestRun:
@@ -298,9 +331,11 @@ l_gap = 2 4
         "kind = model\ndelta = 1.5",
         "kind = table\ntable = {tmp}/missing.txt",
         "kind = table\ntable = {tmp}/bad.txt",
-    ], ids=["bad-param", "missing-table", "malformed-table"])
+        "kind = table\ntable = {tmp}/cellless.txt",
+    ], ids=["bad-param", "missing-table", "malformed-table", "no-cells"])
     def test_field_builder_error_exits_one(self, tmp_path, capsys, field):
         (tmp_path / "bad.txt").write_text("2 1\n-1 0 2 0\n")
+        (tmp_path / "cellless.txt").write_text("2 1\n")
         cfg = SMALL_CFG.replace("kind = model\ndelta = 0.6",
                                 field.format(tmp=tmp_path))
         path = write_cfg(tmp_path, cfg.format(out=tmp_path / "out"))
@@ -308,6 +343,36 @@ l_gap = 2 4
         err = capsys.readouterr().err
         assert err.startswith("error: field kind ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, message", [
+        ("kind = asymmetric\ndelta = 0.3",
+         "field kind 'asymmetric': got an unexpected keyword argument "
+         "'delta'"),
+        ("kind = model\nc = 0.5",
+         "field kind 'model': got an unexpected keyword argument 'c'"),
+    ], ids=["delta-on-asymmetric", "c-on-model"])
+    def test_key_the_kind_does_not_take_exits_one(self, tmp_path, capsys,
+                                                  field, message):
+        # unchecked, asymmetric ran its default delta0 = 0.5 in silence
+        cfg = SMALL_CFG.replace("kind = model\ndelta = 0.6", field)
+        path = write_cfg(tmp_path, cfg.format(out=tmp_path / "out"))
+        assert cli.main(["run", path]) == 1
+        assert one_error_line(capsys) == f"error: {message}\n"
+
+    def test_non_finite_table_entry_fails_its_row_as_not_elliptic(
+            self, tmp_path):
+        table = tmp_path / "nan.txt"
+        table.write_text("2 1\n-1 0 1 nan 1\n0 1 1 0 1\n")
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("kind = model\ndelta = 0.6",
+                                  f"kind = table\ntable = {table}")
+                         .replace("bounds, nu-half", "bounds"))
+        assert cli.main(["run", path]) == 2
+        with open(out / "bounds.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(r["note"].startswith("NotElliptic: ")
+                            for r in rows)
 
     @pytest.mark.parametrize("field, domain", [
         ("kind = diagonal\ndiag = 1 1 1", ""),
@@ -611,6 +676,30 @@ class TestPlotAndReport:
             one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("command", [
+        ["report", "{dir}"],
+        ["plot", "{dir}/short.csv", "--x", "note", "--y", "passed",
+         "--out", "{dir}/x.svg"],
+    ], ids=["report", "plot"])
+    def test_short_row_exits_one(self, tmp_path, capsys, command):
+        (tmp_path / "short.csv").write_text("note,passed\nx\n")
+        args = [a.format(dir=tmp_path) for a in command]
+        assert cli.main(args) == 1
+        assert one_error_line(capsys) == (
+            f"error: {tmp_path / 'short.csv'}:2: 1 cells under a header "
+            "of 2\n")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_plot_non_finite_cell_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n1,inf\n2,3\n")
+        rc = cli.main(["plot", str(data), "--x", "x", "--y", "y",
+                       "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert "must be a finite number, not 'inf'" in one_error_line(capsys)
+        assert not (tmp_path / "x.svg").exists()
+
+
 class TestFieldFactory:
     def test_all_kinds_constructible(self, tmp_path):
         rc = cli.RunConfig()
@@ -640,3 +729,44 @@ class TestFieldFactory:
         rc.field_kind = "table"
         with pytest.raises(ConfigError):
             cli.make_field(rc)
+
+
+def _accepts(parse, raw):
+    try:
+        parse(raw)
+    except ValueError:
+        return False
+    return True
+
+
+class TestSchema:
+    def test_field_keys_are_the_builders_parameters(self):
+        params = {name for builder in cli.FIELD_KINDS.values()
+                  for name in inspect.signature(builder).parameters}
+        assert set(cli.SCHEMA["field"]) - {"kind"} == params
+
+    def test_every_numeric_key_rejects_non_finite_values(self, tmp_path):
+        # a key that rejects a word is numeric when it takes a number or
+        # an interval, else it names an entry of a table
+        numeric, names, text = {}, set(), set()
+        for section, keys in cli.SCHEMA.items():
+            for key, parse in keys.items():
+                sample = next((s for s in ("1", "-1 1")
+                               if _accepts(parse, s)), None)
+                if _accepts(parse, "x"):
+                    text.add(key)
+                elif sample is None:
+                    names.add(key)
+                else:
+                    numeric[section, key] = sample
+        assert text == {"output_dir", "table"}
+        assert names == {"experiments", "kind"}
+        assert len(numeric) == 27
+        for (section, key), sample in numeric.items():
+            for bad in ("nan", "inf", "-inf"):
+                value = " ".join(sample.split()[:-1] + [bad])
+                path = write_cfg(tmp_path,
+                                 f"# probe\n[{section}]\n{key} = {value}\n")
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"{path}:3: {key} must be ")):
+                    cli.parse_config(path)
