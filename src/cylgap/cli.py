@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import coeff as coeff_mod
-from . import eig
 from . import experiments as ex
 from ._svg import render_line_plot
 from .errors import ConfigError, CylgapError, MissingColumn
@@ -90,7 +89,7 @@ FIELD_KINDS = {
 
 def _number(raw):
     """A finite float: ``float`` also parses ``nan`` and ``inf``, which
-    no length, resolution or tolerance is."""
+    no length, resolution or coefficient is."""
     try:
         val = float(raw)
     except ValueError:
@@ -169,11 +168,7 @@ SCHEMA = {
               "diag": _numbers},
     "domain": {"omega": _omega},
     "mesh": {"resolution": _POSITIVE, "axial_resolution": _POSITIVE,
-             "grading": _POSITIVE,
-             "node_cap": _checked(_integer, lambda v: v > 0, "positive"),
-             "res3d_axial": _POSITIVE, "res3d_cross": _POSITIVE},
-    "solver": {"tol": _checked(_number, lambda v: v >= eig.MIN_TOL,
-                               f"at least {eig.MIN_TOL:g}")},
+             "node_cap": _checked(_integer, lambda v: v > 0, "positive")},
     "schedules": {key: _lengths for _, key, _ in EXPERIMENTS.values()},
 }
 
@@ -184,10 +179,12 @@ class RunConfig:
     the fields of the same name; ``[field] kind`` sets ``field_kind`` and
     the other ``[field]`` keys ``field_params``, the keyword arguments of
     the kind's builder in ``FIELD_KINDS``; ``[schedules]`` keys replace
-    their experiment's lengths.  ``[run] seed`` and every ``[domain]``,
-    ``[mesh]`` and ``[solver]`` key set the ``cfg`` field of the same
-    name.  ``[run] parallelism`` parses only as 1 and sets nothing: runs
-    are serial."""
+    their experiment's lengths.  ``[run] seed`` and every ``[domain]`` and
+    ``[mesh]`` key set the ``cfg`` field of the same name, and no key
+    sets anything else there: solves take ``eig.DEFAULT_TOL``, the
+    verdicts their constants in ``experiments``, and ``multi-direction``
+    its own mesh.  ``[run] parallelism`` parses only as 1 and sets
+    nothing: runs are serial."""
 
     experiments: list = dc_field(default_factory=lambda: ["bounds"])
     output_dir: str = "out"
@@ -251,7 +248,7 @@ def parse_config(path):
     rc.field_params = field
     rc.schedules.update(got["schedules"])
     rc.cfg = replace(rc.cfg, seed=run.get("seed", rc.cfg.seed),
-                     **got["domain"], **got["mesh"], **got["solver"])
+                     **got["domain"], **got["mesh"])
     return rc
 
 
@@ -294,19 +291,20 @@ def run(config_path):
     """Execute the configured experiments; write CSVs and a summary.
 
     The experiments share one ``solve_memo`` block, so the run assembles
-    and solves each distinct pencil once."""
+    and solves each distinct pencil once.  A config, field or omega that
+    is rejected ends the run before it makes the output directory."""
     rc = parse_config(config_path)
-    outdir = os.environ.get(ENV_OUTPUT_DIR, rc.output_dir)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory: {exc}") from exc
     field = make_field(rc)
     omega_dim = np.size(rc.cfg.omega) // 2
     if field.cross_dim != omega_dim:
         raise ConfigError(
             f"field kind '{rc.field_kind}' has cross dimension "
             f"{field.cross_dim}, but omega has dimension {omega_dim}")
+    outdir = os.environ.get(ENV_OUTPUT_DIR, rc.output_dir)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from exc
     summary_lines = []
     any_fail = False
     t0 = time.perf_counter()

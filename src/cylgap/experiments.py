@@ -24,6 +24,8 @@ from .errors import (ConditionConFails, CylgapError, DimensionMismatch,
                      NoReflectionSymmetry, NotConverged)
 
 STRICT_MARGIN = 1e-3
+SOLVE_SLACK = 10 * eig.DEFAULT_TOL  # one solved eigenvalue below another
+PIN_TOL = 1e-7           # |lambda - mu1| of an uncoupled multi-direction row
 REFLECTION_TOL = 1e-8    # |lambda-(A) - lambda+(A~)|, one pencil reflected
 TOL_LIMIT_MODEL = 1e-2
 TOL_LIMIT_GENERAL = 2e-2
@@ -42,13 +44,9 @@ class ExperimentConfig:
 
     resolution: float = 16.0        # cross-section cells per unit
     axial_resolution: float = 8.0   # cells per unit along the long axes
-    grading: float = 1.0
-    tol: float = 1e-9
     seed: int = 0
     node_cap: int = grid_mod.DEFAULT_NODE_CAP
     omega: tuple = (-1.0, 1.0)
-    res3d_axial: float = 3.0
-    res3d_cross: float = 12.0
 
 
 @dataclass
@@ -165,15 +163,14 @@ def cross_context(field, cfg, base=None):
     its field alive) until the outermost block closes; outside any block
     every call builds afresh and holds nothing."""
     field = field.unreflected
-    key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.tol,
-           cfg.seed, cfg.node_cap)
+    key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.seed,
+           cfg.node_cap)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
 
     def first_pair(mesh, reduced=False):
         K, M = asm.assemble_cross_section(mesh, field, reduced=reduced)
-        return K, eig.smallest_eigenpairs(K, M, count=1, tol=cfg.tol,
-                                          seed=cfg.seed)[0]
+        return K, eig.smallest_eigenpairs(K, M, count=1, seed=cfg.seed)[0]
 
     if base is None:
         mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
@@ -209,7 +206,7 @@ def solve_memo():
 
 
 def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
-                   grading=None, dirichlet=False):
+                   grading=1.0, dirichlet=False):
     """Mesh and smallest pairs of a cylinder pencil; returns
     ``(mesh, pairs)``.
 
@@ -242,7 +239,7 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
         resolution=[axial] * field.p + [cfg.resolution] * field.cross_dim,
-        grading=cfg.grading if grading is None else grading,
+        grading=grading,
         node_cap=cfg.node_cap)
     if dirichlet:
         mesh = grid_mod.with_full_dirichlet(mesh)
@@ -254,8 +251,8 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
                  if at is not None and at <= mesh.ell]
         # no cylinder eigenvalue lies below the Schur floor Lambda1
         pairs = eig.smallest_eigenpairs(
-            *asm.assemble_cylinder(mesh, field), count=count, tol=cfg.tol,
-            seed=cfg.seed, floor=ctx.Lambda1 - ctx.margin,
+            *asm.assemble_cylinder(mesh, field), count=count, seed=cfg.seed,
+            floor=ctx.Lambda1 - ctx.margin,
             guess=max(below) - ctx.margin if below else None)
         clamped = any(any(ends) for ends in mesh.clamped[:mesh.n_axial])
         ctx.solved[key] = (pairs, None if clamped else mesh.ell)
@@ -284,7 +281,8 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
     """
     rec = SweepRecord(experiment=experiment, field_kind=field.kind,
                       delta=_delta_of(field), n=field.n, p=field.p, ell=ell,
-                      grading=cfg.grading,
+                      # graded decay and end-profile rows read 1 as well
+                      grading=1.0,
                       mu1_disc=None if ctx is None else ctx.mu1,
                       margin=margin)
     try:
@@ -398,13 +396,13 @@ def _half_truncations(field, side, lengths, cfg):
 
     def judge(rec, mesh, pairs):
         val = pairs[0].value
-        rec.check(not seq or val <= seq[-1] + 10 * cfg.tol,
+        rec.check(not seq or val <= seq[-1] + SOLVE_SLACK,
                   "truncation sequence not nonincreasing")
         seq.append(val)
 
     records = [_row(f"nu-half{side}", field, cfg, L, judge, ctx=ctx,
-                    kind="half-plus" if side == "+" else "half-minus",
-                    grading=1.0) for L in sorted(lengths)]
+                    kind="half-plus" if side == "+" else "half-minus")
+               for L in sorted(lengths)]
     if len(seq) < 2:
         raise NotConverged("half-cylinder estimate needs 2 solved "
                            f"lengths, got {len(seq)}: {seq}")
@@ -428,9 +426,8 @@ def _half_truncations(field, side, lengths, cfg):
 def reflection_check(field, L, cfg):
     """lambda-tilde minus of A equals lambda-tilde plus of the reflected
     field, exactly up to solver tolerance."""
-    _, pm = solve_cylinder(field, L, cfg, kind="half-minus", grading=1.0)
-    _, pp = solve_cylinder(field.reflected(), L, cfg, kind="half-plus",
-                           grading=1.0)
+    _, pm = solve_cylinder(field, L, cfg, kind="half-minus")
+    _, pp = solve_cylinder(field.reflected(), L, cfg, kind="half-plus")
     return pm[0].value, pp[0].value
 
 
@@ -474,14 +471,13 @@ def exp_limit_infinity(field, L_list, cfg):
         rec.nu_minus = nu_m
         diff = abs(lam - nu_min)
         rec.gap = diff
-        rec.check(not diffs or diff <= diffs[-1] + 10 * cfg.tol,
+        rec.check(not diffs or diff <= diffs[-1] + SOLVE_SLACK,
                   "|lambda - nu| not decreasing")
         # sandwich lambda_{L/2} <= tilde-lambda_L^+ on nested meshes
-        _, half_pairs = solve_cylinder(field, L, cfg, kind="half-plus",
-                                          grading=1.0)
-        _, cyl_half = solve_cylinder(field, L / 2.0, cfg, grading=1.0)
+        _, half_pairs = solve_cylinder(field, L, cfg, kind="half-plus")
+        _, cyl_half = solve_cylinder(field, L / 2.0, cfg)
         rec.lambda_half_plus = half_pairs[0].value
-        rec.check(cyl_half[0].value <= half_pairs[0].value + 10 * cfg.tol,
+        rec.check(cyl_half[0].value <= half_pairs[0].value + SOLVE_SLACK,
                   "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
         diffs.append(diff)
         if L == Lmax:
@@ -490,7 +486,7 @@ def exp_limit_infinity(field, L_list, cfg):
                       f"final |lambda - nu| {diff:.2e} >= {TOL_INF}")
 
     return [_row("limit-infinity", field, cfg, L, judge, ctx=ctx,
-                 grading=1.0, diagnostics=True) for L in Ls]
+                 diagnostics=True) for L in Ls]
 
 
 def exp_gap(field, L_list, cfg):
@@ -524,8 +520,7 @@ def exp_second_eigenvalue(field, L_list, cfg):
     def judge(rec, mesh, pairs):
         lam1, lam2 = pairs[0].value, pairs[1].value
         rec.lambda2 = lam2
-        _, half_pairs = solve_cylinder(field, rec.ell, cfg,
-                                          kind="half-plus", grading=1.0)
+        _, half_pairs = solve_cylinder(field, rec.ell, cfg, kind="half-plus")
         rec.lambda_half_plus = half_pairs[0].value
         gap = lam2 - lam1
         rec.gap = gap
@@ -533,14 +528,14 @@ def exp_second_eigenvalue(field, L_list, cfg):
             rec.add_note("near-degenerate pair")
         else:
             rec.check(lam1 < lam2, "lambda1 < lambda2 failed")
-            rec.check(lam2 <= half_pairs[0].value + 10 * cfg.tol,
+            rec.check(lam2 <= half_pairs[0].value + SOLVE_SLACK,
                       "lambda2 <= tilde lambda^+ failed")
             rec.check(not gaps or gap <= gaps[-1] / SECOND_GAP_SHRINK,
                       f"gap did not shrink by {SECOND_GAP_SHRINK}x")
         gaps.append(gap)
 
     return [_row("second", field, cfg, L, judge, ctx=ctx, count=2,
-                 grading=1.0, diagnostics=True) for L in sorted(L_list)]
+                 diagnostics=True) for L in sorted(L_list)]
 
 
 def exp_dirichlet_comparison(field, L_list, cfg):
@@ -552,15 +547,14 @@ def exp_dirichlet_comparison(field, L_list, cfg):
 
     def judge(rec, mesh, pairs):
         L = rec.ell
-        _, dpairs = solve_cylinder(field, L, cfg, grading=1.0,
-                                      dirichlet=True)
+        _, dpairs = solve_cylinder(field, L, cfg, dirichlet=True)
         sig = dpairs[0]
         rec.sigma1 = sig.value
         rec.residual = max(rec.residual, sig.residual)
         rec.fitted_c = (sig.value - ctx.mu1) * L * L
         rec.check(sig.value >= ctx.mu1 - ctx.margin,
                   "sigma1 below mu1 - margin")
-        rec.check(rec.lambda1 <= sig.value + 10 * cfg.tol,
+        rec.check(rec.lambda1 <= sig.value + SOLVE_SLACK,
                   "mixed above Dirichlet at a matched mesh")
         cs.append(rec.fitted_c)
         if L == Ls[-1]:
@@ -569,13 +563,15 @@ def exp_dirichlet_comparison(field, L_list, cfg):
                       f"fitted C spread {spread:.0%} > 30%")
 
     return [_row("dirichlet", field, cfg, L, judge, ctx=ctx,
-                 margin=ctx.margin, grading=1.0) for L in Ls]
+                 margin=ctx.margin) for L in Ls]
 
 
 def exp_multi_direction(field3d, L_list, cfg):
-    """Two elongated directions at coarse resolution: the gap appears
-    exactly when some row of A12 couples to the cross gradient, and the
-    row-restricted 2D pencil upper-bounds the 3D value.
+    """Two elongated directions on the experiment's own coarse mesh, 3
+    cells per unit along the long axes and 12 across, whatever the
+    resolutions of ``cfg``: the gap appears exactly when some row of A12
+    couples to the cross gradient, and the row-restricted 2D pencil
+    upper-bounds the 3D value.
 
     The bound row is the one whose reduced cross stiffness drops W1's
     energy most: a row restriction keeps A22, so its context borrows the
@@ -583,8 +579,8 @@ def exp_multi_direction(field3d, L_list, cfg):
     reduced pencil, and the bound's cylinders are solved under it."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
-    cfg3 = replace(cfg, axial_resolution=cfg.res3d_axial,
-                   resolution=cfg.res3d_cross)
+    # at the 2D resolutions the band of the L = 4 pencil would take 2.1 GB
+    cfg3 = replace(cfg, axial_resolution=3.0, resolution=12.0)
     ctx = cross_context(field3d, cfg3)
     if ctx.coupled:
         bfield = max((coeff_mod.row_restriction_field(field3d, i)
@@ -598,18 +594,16 @@ def exp_multi_direction(field3d, L_list, cfg):
             rec.check(rec.gap > ctx.margin,
                       "expected gap above the mesh-error margin")
             # row-restriction upper bound at a matched (x_i, X2) mesh
-            _, bpairs = solve_cylinder(bfield, rec.ell, cfg3,
-                                          grading=1.0)
+            _, bpairs = solve_cylinder(bfield, rec.ell, cfg3)
             rec.target = bpairs[0].value
-            rec.check(lam <= rec.target + 10 * cfg.tol,
+            rec.check(lam <= rec.target + SOLVE_SLACK,
                       "3D value above the row-restricted 2D bound")
         else:
-            rec.check(abs(lam - ctx.mu1) <= max(1e-8, 100 * cfg.tol),
+            rec.check(abs(lam - ctx.mu1) <= PIN_TOL,
                       "uncoupled field should pin lambda to mu1")
 
-    # records keep the caller's grading column; cfg3 only sets resolutions
     return [_row("multi-direction", field3d, cfg3, L, judge, ctx=ctx,
-                 margin=ctx.margin, kind="multi-direction", grading=1.0)
+                 margin=ctx.margin, kind="multi-direction")
             for L in sorted(L_list)]
 
 
@@ -640,8 +634,7 @@ def exp_decay(field, ell_list, cfg):
             rec.add_note("no-decay")
 
     records = [_row("decay", field, cfg, ell, judge, ctx=ctx,
-                    grading=cfg.grading if cfg.grading > 1
-                    else (2.0 if ell >= 4 else 1.0), diagnostics=True)
+                    grading=2.0 if ell >= 4 else 1.0, diagnostics=True)
                for ell in ell_list]
     return records, profiles
 
@@ -652,12 +645,11 @@ def exp_end_profile(field, ell_list, cfg):
     length ``END_COLLAR`` at x1 = -ell, decreasing in ell (see
     ``analysis.end_profile_distance``).
 
-    End collars are graded (default 2x for ell >= 4): that is where the
+    End collars are graded (2x when every ell >= 4): that is where the
     profiles live, and identical grading on both meshes keeps the collar
     partitions aligned node-for-node.
     """
-    grading = cfg.grading if cfg.grading > 1 else \
-        (2.0 if min(ell_list) >= 4 else 1.0)
+    grading = 2.0 if min(ell_list) >= 4 else 1.0
     hmesh, hpairs = solve_cylinder(field, max(ell_list), cfg,
                                       kind="half-plus", grading=grading)
     dists = []

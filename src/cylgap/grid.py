@@ -11,6 +11,7 @@ natural (Neumann) condition.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -216,19 +217,22 @@ def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0,
     if res.size not in (1, ndim):
         raise DimensionMismatch(f"{res.size} resolutions for {ndim} axes")
     res = np.broadcast_to(res, (ndim,))
-    parts = []
-    for a in range(n_axial):
-        if kind == "half-plus":
-            lo, hi, rlo, rhi = 0.0, ell, True, False
-        elif kind == "half-minus":
-            lo, hi, rlo, rhi = -ell, 0.0, False, True
-        else:
-            lo, hi, rlo, rhi = -ell, ell, True, True
-        parts.append(_graded_axis(lo, hi, res[a], grading, rlo, rhi))
-    for j, (lo, hi) in enumerate(omega):
-        n = _axis_cells(hi - lo, res[n_axial + j])
-        parts.append(np.linspace(lo, hi, n + 1))
-    n_nodes = int(np.prod([len(p) for p in parts]))
+    # axial (lo, hi) in units of ell, and whether each end is refined
+    lo, hi, rlo, rhi = {"half-plus": (0.0, 1.0, True, False),
+                        "half-minus": (-1.0, 0.0, False, True)}.get(
+                            kind, (-1.0, 1.0, True, True))
+    spans = [(lo * ell, hi * ell) for _ in range(n_axial)] + omega.tolist()
+    for (a, b), r in zip(spans, res):
+        # in Python floats, so a huge length or resolution fails here and
+        # not in int() or linspace; no axis has more nodes than the mesh
+        if not (b - a) * float(r) <= node_cap:
+            raise MemoryBudget(f"an axis of length {b - a} at {r} cells/unit "
+                               f"exceeds the cap of {node_cap} nodes")
+    parts = [_graded_axis(a, b, r, grading, rlo, rhi)
+             for (a, b), r in zip(spans[:n_axial], res)]
+    parts += [np.linspace(a, b, _axis_cells(b - a, r) + 1)
+              for (a, b), r in zip(spans[n_axial:], res[n_axial:])]
+    n_nodes = math.prod(len(p) for p in parts)
     if n_nodes > node_cap:
         raise MemoryBudget(f"{n_nodes} nodes exceed cap {node_cap}")
     return TensorMesh(kind, parts, n_axial, None if kind == "cross-section" else ell)

@@ -120,9 +120,8 @@ def test_criterion_06_gap_phenomenon():
     mesh, pairs = ex.solve_cylinder(coeff.model_field(0.0), 16, cfg64)
     flat = abs(ctx.mu1 - pairs[0].value)
     ok = ok and flat < ctx.margin / 3  # one mesh error
-    cfg3 = ex.ExperimentConfig(res3d_axial=3, res3d_cross=12)
     drecs = ex.exp_multi_direction(coeff.diagonal_field([1, 1, 1], p=2),
-                                   [2], cfg3)
+                                   [2], ex.ExperimentConfig())
     ok = ok and drecs[0].passed
     check(6, "gap above 3x mesh error", ok,
           "; ".join(details) + f"; delta=0 |gap|={flat:.1e}")

@@ -54,8 +54,8 @@ l_half = 2 4
 """
 
 
-# a small 3D run: its band factor differs in the last digits between one
-# and two OpenBLAS threads
+# a 3D run on multi-direction's own mesh: its band factor differs in the
+# last digits between one and two OpenBLAS threads
 SMALL_3D_CFG = """
 [run]
 experiments = multi-direction
@@ -64,10 +64,6 @@ seed = 0
 [field]
 kind = multi-model
 delta = 0.6
-
-[mesh]
-res3d_axial = 3
-res3d_cross = 4
 
 [schedules]
 l_multi = 2 4
@@ -111,9 +107,7 @@ class TestConfigParsing:
         text = (CONFIG_DIR / f"{name}.cfg").read_text()
         # every committed config resolves to the default experiment settings
         expected = ex.ExperimentConfig(resolution=16.0, axial_resolution=8.0,
-                                       grading=1.0, tol=1e-9, seed=0,
-                                       omega=(-1.0, 1.0),
-                                       res3d_axial=3.0, res3d_cross=12.0)
+                                       seed=0, omega=(-1.0, 1.0))
         rc = cli.parse_config(write_cfg(tmp_path, text))
         assert rc.experiments == experiments
         assert (rc.field_kind, rc.field_params) == (field_kind, field_params)
@@ -136,19 +130,12 @@ omega = -1 1 -2 2
 [mesh]
 resolution = 10
 axial_resolution = 5
-grading = 2
 node_cap = 1000
-res3d_axial = 4
-res3d_cross = 6
-[solver]
-tol = 1e-8
 """
         path = write_cfg(tmp_path, text)
         assert cli.parse_config(path).cfg == ex.ExperimentConfig(
-            resolution=10.0, axial_resolution=5.0, grading=2.0, tol=1e-8,
-            seed=3, node_cap=1000,
-            omega=((-1.0, 1.0), (-2.0, 2.0)), res3d_axial=4.0,
-            res3d_cross=6.0)
+            resolution=10.0, axial_resolution=5.0, seed=3, node_cap=1000,
+            omega=((-1.0, 1.0), (-2.0, 2.0)))
         # runs are serial: parallelism parses only as 1
         path = write_cfg(tmp_path, text.replace("seed = 3\n",
                                                 "seed = 3\nparallelism = 2\n"))
@@ -167,22 +154,32 @@ tol = 1e-8
         with pytest.raises(ConfigError):
             cli.parse_config(path)
         # verdict tolerances are constants of the experiments, no setting
-        path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\n[tolerances]\n"
+        path = write_cfg(tmp_path, "[mesh]\nresolution = 8\n[tolerances]\n"
                          "tol_inf = 1\n")
         with pytest.raises(ConfigError, match=re.escape(
                 f"{path}:3: unknown section [tolerances]")):
             cli.parse_config(path)
 
-    def test_negative_tolerance_rejected(self, tmp_path):
-        path = write_cfg(tmp_path, "[solver]\ntol = -1\n")
-        with pytest.raises(ConfigError):
+    def test_solver_section_is_unknown(self, tmp_path):
+        # solves take eig.DEFAULT_TOL, which no setting moves
+        path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:1: unknown section [solver]")):
             cli.parse_config(path)
         assert cli.main(["run", path]) == 1
 
+    @pytest.mark.parametrize("key", ["grading", "res3d_axial",
+                                     "res3d_cross"])
+    def test_removed_mesh_key_is_unknown(self, tmp_path, key):
+        # only the end-collar rows are graded, and multi-direction runs on
+        # its own mesh
+        path = write_cfg(tmp_path, f"[mesh]\nresolution = 8\n{key} = 2\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:3: unknown key '{key}' in [mesh]")):
+            cli.parse_config(path)
+
     @pytest.mark.parametrize("old, new, message", [
         ("seed = 0", "seed = -1", "seed must be non-negative"),
-        ("[mesh]", "[solver]\ntol = 1e-13\n[mesh]",
-         "tol must be at least 1e-12"),
     ])
     def test_out_of_range_seed_and_tol_rejected(self, tmp_path, capsys,
                                                 old, new, message):
@@ -197,8 +194,9 @@ tol = 1e-8
         assert f"error: {path}:{lineno}: " in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self, tmp_path):
-        path = write_cfg(tmp_path, "[solver]\ntol = 1e-9\ntol = 1e-8\n")
-        with pytest.raises(ConfigError):
+        path = write_cfg(tmp_path, "[mesh]\nresolution = 8\nresolution = 4\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:3: duplicate key 'resolution' (first at line 2)")):
             cli.parse_config(path)
 
     def test_unsorted_schedule_rejected(self, tmp_path):
@@ -246,24 +244,22 @@ tol = 1e-8
 
 
     @pytest.mark.parametrize("old, new, message", [
-        ("[mesh]", "[solver]\ntol = nan\n[mesh]",
-         "tol must be a finite number, not 'nan'"),
+        ("axial_resolution = 4", "axial_resolution = nan",
+         "axial_resolution must be a finite number, not 'nan'"),
         ("resolution = 8", "resolution = nan",
          "resolution must be a finite number, not 'nan'"),
         ("ell_bounds = 0.5 1", "ell_bounds = 1 inf",
          "ell_bounds must be a finite number, not 'inf'"),
-        ("resolution = 8", "resolution = 8\ngrading = nan",
-         "grading must be a finite number, not 'nan'"),
         ("[mesh]", "[domain]\nomega = -1 nan\n[mesh]",
          "omega must be a finite number, not 'nan'"),
         ("experiments = bounds, nu-half", "experiments =",
          "experiments must name at least one experiment"),
-    ], ids=["tol-nan", "resolution-nan", "schedule-inf", "grading-nan",
+    ], ids=["axial-resolution-nan", "resolution-nan", "schedule-inf",
             "omega-nan", "no-experiments"])
     def test_bad_value_ends_as_one_error_line(self, tmp_path, capsys, old,
                                               new, message):
-        # unchecked, nan tol passes every residual test, an infinite or
-        # nan mesh value ends in a traceback, and no experiments runs none
+        # unchecked, an infinite or nan mesh value ends in a traceback,
+        # and no experiments runs none
         out = tmp_path / "out"
         text = SMALL_CFG.format(out=out).replace(old, new)
         path = write_cfg(tmp_path, text)
@@ -358,6 +354,7 @@ l_gap = 2 4
         path = write_cfg(tmp_path, cfg.format(out=tmp_path / "out"))
         assert cli.main(["run", path]) == 1
         assert one_error_line(capsys) == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_table_entry_fails_its_row_as_not_elliptic(
             self, tmp_path):
@@ -387,7 +384,27 @@ l_gap = 2 4
         err = capsys.readouterr().err
         assert err.startswith("error: field kind ")
         assert "but omega has dimension" in err
-        assert not (tmp_path / "out" / "bounds.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("resolution = 8", "resolution = 1e300"),
+        ("ell_bounds = 0.5 1", "ell_bounds = 1e308"),
+    ], ids=["resolution", "length"])
+    def test_huge_mesh_value_fails_its_row_as_memory_budget(
+            self, tmp_path, capsys, old, new):
+        # finite but huge, the cell count once overflowed int() or
+        # linspace and ended the run in a traceback
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("bounds, nu-half", "bounds")
+                         .replace(old, new))
+        assert cli.main(["run", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "bounds.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(r["passed"] == "false" and
+                            r["note"].startswith("MemoryBudget: ")
+                            for r in rows)
 
     def test_short_schedules_fail_a_row(self, tmp_path):
         template = """
@@ -740,6 +757,12 @@ def _accepts(parse, raw):
 
 
 class TestSchema:
+    def test_config_keys_are_the_experiment_config_fields(self):
+        # a field no key sets, or a key that sets no field, fails here
+        keys = set(cli.SCHEMA["mesh"]) | set(cli.SCHEMA["domain"]) | {"seed"}
+        assert {f.name for f in dataclasses.fields(ex.ExperimentConfig)} \
+            == keys
+
     def test_field_keys_are_the_builders_parameters(self):
         params = {name for builder in cli.FIELD_KINDS.values()
                   for name in inspect.signature(builder).parameters}
@@ -761,7 +784,7 @@ class TestSchema:
                     numeric[section, key] = sample
         assert text == {"output_dir", "table"}
         assert names == {"experiments", "kind"}
-        assert len(numeric) == 27
+        assert len(numeric) == 23
         for (section, key), sample in numeric.items():
             for bad in ("nan", "inf", "-inf"):
                 value = " ".join(sample.split()[:-1] + [bad])

@@ -26,10 +26,10 @@ def model(cfg):
 
 def cylinder_key(cfg, ell):
     """Key of the full-cylinder mesh that ``solve_cylinder`` builds at
-    length ``ell`` with the default grading and count."""
+    length ``ell``, ungraded and with the default count."""
     return grid.build_mesh("full-cylinder", ell=ell, omega=cfg.omega,
-                           resolution=(cfg.axial_resolution, cfg.resolution),
-                           grading=cfg.grading).key
+                           resolution=(cfg.axial_resolution, cfg.resolution)
+                           ).key
 
 
 @pytest.fixture()
@@ -296,8 +296,7 @@ class TestDirichletComparison:
 class TestMultiDirection:
     def test_coupled_field_gap_and_row_bound(self):
         field = coeff.multi_model_field(0.6)
-        cfg3 = ex.ExperimentConfig(res3d_axial=3, res3d_cross=12)
-        recs = ex.exp_multi_direction(field, [2, 4], cfg3)
+        recs = ex.exp_multi_direction(field, [2, 4], ex.ExperimentConfig())
         assert all(r.passed for r in recs)
         for r in recs:
             assert r.gap > r.margin
@@ -305,8 +304,7 @@ class TestMultiDirection:
 
     def test_uncoupled_field_equality(self):
         field = coeff.diagonal_field([1.0, 1.0, 1.0], p=2)
-        cfg3 = ex.ExperimentConfig(res3d_axial=3, res3d_cross=12)
-        recs = ex.exp_multi_direction(field, [2], cfg3)
+        recs = ex.exp_multi_direction(field, [2], ex.ExperimentConfig())
         r = recs[0]
         assert r.passed
         assert abs(r.lambda1 - r.mu1_disc) <= 1e-8
@@ -421,7 +419,7 @@ class TestRecordPlumbing:
     def test_every_solve_reports_residual(self, model, cfg):
         recs = ex.exp_bounds_sweep(model, [1.0], cfg)
         assert recs[0].residual is not None
-        assert recs[0].residual <= cfg.tol
+        assert recs[0].residual <= eig.DEFAULT_TOL
 
     def test_symmetry_defect_recorded_for_even_fields(self, model, cfg):
         recs = ex.exp_bounds_sweep(model, [1.0], cfg)
