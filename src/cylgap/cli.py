@@ -167,8 +167,7 @@ SCHEMA = {
               "a11": _number, "n": _integer, "p": _integer, "table": str,
               "diag": _numbers},
     "domain": {"omega": _omega},
-    "mesh": {"resolution": _POSITIVE, "axial_resolution": _POSITIVE,
-             "node_cap": _checked(_integer, lambda v: v > 0, "positive")},
+    "mesh": {"resolution": _POSITIVE, "axial_resolution": _POSITIVE},
     "schedules": {key: _lengths for _, key, _ in EXPERIMENTS.values()},
 }
 
@@ -181,10 +180,11 @@ class RunConfig:
     the kind's builder in ``FIELD_KINDS``; ``[schedules]`` keys replace
     their experiment's lengths.  ``[run] seed`` and every ``[domain]`` and
     ``[mesh]`` key set the ``cfg`` field of the same name, and no key
-    sets anything else there: solves take ``eig.DEFAULT_TOL``, the
-    verdicts their constants in ``experiments``, and ``multi-direction``
-    its own mesh.  ``[run] parallelism`` parses only as 1 and sets
-    nothing: runs are serial."""
+    sets anything else there: solves take ``eig.DEFAULT_TOL``, meshes and
+    factors the memory budget ``errors.MEMORY_BUDGET``, the verdicts
+    their constants in ``experiments``, and ``multi-direction`` its own
+    mesh.  ``[run] parallelism`` parses only as 1 and sets nothing: runs
+    are serial."""
 
     experiments: list = dc_field(default_factory=lambda: ["bounds"])
     output_dir: str = "out"

@@ -40,13 +40,16 @@ b is known before the band is allocated: one x1 layer plus one node in
 2D (32 on the pencils of the configs), one layer, one row and one node
 in 3D (599 on ``multi_direction`` at L = 4).  LAPACK ``dpbtrf`` factors
 the band in place in n (b + 1) values, and ``dpbtrs`` applies the
-shift-invert operator.  The factor is also a certificate: it succeeds
-exactly when lambda_1 lies above sigma (to rounding), so a guessed shift
-costs one factor try.  A fill-reducing sparse factor wins only on
-cross-sections much finer than any config uses: at 128 cross cells per
-unit (n = 32 895, b = 256, on a 2-vCPU VM) a banded solve takes 8.0 ms
-against 5.6 ms for a minimum-degree SuperLU factor, which stores
-28.9 MiB against the band's 64.5 MiB.
+shift-invert operator.  A band of more than ``errors.MEMORY_BUDGET``
+(1 GiB) raises MemoryBudget before it is allocated, and one band is
+alive at a time, so that is the most a solve's factor takes.  The
+factor is also a certificate: it succeeds exactly when lambda_1 lies
+above sigma (to rounding), so a guessed shift costs one factor try.  A
+fill-reducing sparse factor wins only on cross-sections much finer than
+any config uses: at 128 cross cells per unit (n = 32 895, b = 256, on a
+2-vCPU VM) a banded solve takes 8.0 ms against 5.6 ms for a
+minimum-degree SuperLU factor, which stores 28.9 MiB against the band's
+64.5 MiB.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                   LinearOperator, eigsh)
 
-from .errors import BadResolution, FactorizationFailed, NoConvergence
+from .errors import (MEMORY_BUDGET, BadResolution, FactorizationFailed,
+                     MemoryBudget, NoConvergence)
 
 DEFAULT_TOL = 1e-9
-MIN_TOL = 1e-12  # the smallest residual tolerance a solve accepts
 MAX_RESTARTS = 500
 
 
@@ -122,7 +125,8 @@ def _band(K, M, shift):
     """Lower band of K - shift M in LAPACK storage, ``band[i - j, j] =
     A[i, j]``, shape (b + 1, n), filled from the Kronecker terms.  It is
     Fortran-ordered so that ``dpbtrf`` factors it in place: a C-ordered
-    band would be copied, doubling its storage."""
+    band would be copied, doubling its storage.  A band of more than
+    ``MEMORY_BUDGET`` bytes raises MemoryBudget before it is allocated."""
     rows = {}
     for form, scale in ((K, 1.0), (M, -shift)):
         for term in form.terms:
@@ -134,7 +138,11 @@ def _band(K, M, shift):
                     v = functools.reduce(np.multiply.outer,
                                          [diag for _, diag in combo])
                     rows[D] = rows.get(D, 0.0) + scale * v.ravel()
-    band = np.zeros((max(rows) + 1, K.dim), order="F")
+    n, b = K.dim, max(rows)
+    if 8 * n * (b + 1) > MEMORY_BUDGET:
+        raise MemoryBudget(f"the band of n = {n}, b = {b} takes "
+                           f"{8 * n * (b + 1)} bytes > {MEMORY_BUDGET}")
+    band = np.zeros((b + 1, n), order="F")
     for D, v in rows.items():
         band[D] = v
     return band
@@ -167,8 +175,7 @@ def _factor_above(K, M, floor, guess):
             "is not above the floor") from None
 
 
-def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
-                        guess=None):
+def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
     K and M are assembled forms (``assemble.KroneckerForm``).  ``floor``
@@ -182,12 +189,10 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
     more than ``count`` unknowns; fewer raise BadResolution.  Vectors are
     M-normalized, pairwise M-orthogonal, and the first vector is
     sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is checked
-    against ``tol``.
+    against ``DEFAULT_TOL``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol must be at least {MIN_TOL:g}")
     n = K.dim
     if M.dim != n:
         raise ValueError("K and M dimensions differ")
@@ -222,13 +227,13 @@ def smallest_eigenpairs(K, M, count=1, tol=DEFAULT_TOL, seed=0, floor=0.0,
             "assembly, boundary tagging or floor bug")
     vecs = _normalize_columns(M, vecs)
     gram = vecs.T @ (M @ vecs)
-    if np.abs(gram - np.eye(count)).max() > 10 * tol:
+    if np.abs(gram - np.eye(count)).max() > 10 * DEFAULT_TOL:
         # re-orthonormalize in the M inner product (gram is near identity)
         vecs = vecs @ np.linalg.inv(np.linalg.cholesky(gram).T)
         vals = np.einsum("ij,ij->j", vecs, K @ vecs)
     res = _residuals(K, M, vals, vecs)
-    if np.any(res > tol):
-        raise NoConvergence(f"residuals {res} exceed tol {tol}")
+    if np.any(res > DEFAULT_TOL):
+        raise NoConvergence(f"residuals {res} exceed tol {DEFAULT_TOL}")
     return [EigenPair(float(vals[i]),
                       _sign_fix(vecs[:, i]) if i == 0 else vecs[:, i],
                       float(res[i])) for i in range(count)]

@@ -22,8 +22,12 @@ class BadResolution(CylgapError):
     pencil with no more unknowns than the eigenpairs asked of it."""
 
 
+MEMORY_BUDGET = 2**30  # bytes: the most a band factor, or a mesh, may take
+
+
 class MemoryBudget(CylgapError):
-    """Node count exceeds the configured cap."""
+    """A mesh or a band factor would take more than ``MEMORY_BUDGET``
+    bytes."""
 
 
 class DimensionMismatch(CylgapError):

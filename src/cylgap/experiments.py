@@ -45,7 +45,6 @@ class ExperimentConfig:
     resolution: float = 16.0        # cross-section cells per unit
     axial_resolution: float = 8.0   # cells per unit along the long axes
     seed: int = 0
-    node_cap: int = grid_mod.DEFAULT_NODE_CAP
     omega: tuple = (-1.0, 1.0)
 
 
@@ -163,8 +162,7 @@ def cross_context(field, cfg, base=None):
     its field alive) until the outermost block closes; outside any block
     every call builds afresh and holds nothing."""
     field = field.unreflected
-    key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.seed,
-           cfg.node_cap)
+    key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.seed)
     if key in _CROSS_CACHE:
         return _CROSS_CACHE[key]
 
@@ -174,7 +172,7 @@ def cross_context(field, cfg, base=None):
 
     if base is None:
         mesh, fine = [grid_mod.build_mesh("cross-section", omega=cfg.omega,
-                                          resolution=r, node_cap=cfg.node_cap)
+                                          resolution=r)
                       for r in (cfg.resolution, 2 * cfg.resolution)]
         K, W1 = first_pair(mesh)
         err = abs(W1.value - first_pair(fine)[1].value)
@@ -239,8 +237,7 @@ def solve_cylinder(field, ell, cfg, kind="full-cylinder", count=1,
     mesh = grid_mod.build_mesh(
         kind, ell=ell, omega=cfg.omega,
         resolution=[axial] * field.p + [cfg.resolution] * field.cross_dim,
-        grading=grading,
-        node_cap=cfg.node_cap)
+        grading=grading)
     if dirichlet:
         mesh = grid_mod.with_full_dirichlet(mesh)
     ctx = cross_context(field, cfg)
@@ -560,7 +557,7 @@ def exp_dirichlet_comparison(field, L_list, cfg):
         if L == Ls[-1]:
             spread = (max(cs) - min(cs)) / max(cs) if max(cs) > 0 else math.inf
             rec.check(spread <= DIRICHLET_SPREAD,
-                      f"fitted C spread {spread:.0%} > 30%")
+                      f"fitted C spread {spread:.0%} > {DIRICHLET_SPREAD:.0%}")
 
     return [_row("dirichlet", field, cfg, L, judge, ctx=ctx,
                  margin=ctx.margin) for L in Ls]
@@ -579,7 +576,8 @@ def exp_multi_direction(field3d, L_list, cfg):
     reduced pencil, and the bound's cylinders are solved under it."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
-    # at the 2D resolutions the band of the L = 4 pencil would take 2.1 GB
+    # at the 2D resolutions the band of the L = 4 pencil would take
+    # 2.0 GiB, over eig's MEMORY_BUDGET
     cfg3 = replace(cfg, axial_resolution=3.0, resolution=12.0)
     ctx = cross_context(field3d, cfg3)
     if ctx.coupled:

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import (BadResolution, DimensionMismatch, MemoryBudget,
-                     MeshMismatch, NoReflectionSymmetry)
+from .errors import (MEMORY_BUDGET, BadResolution, DimensionMismatch,
+                     MemoryBudget, MeshMismatch, NoReflectionSymmetry)
 
 DOMAIN_KINDS = (
     "full-cylinder",
@@ -25,8 +25,6 @@ DOMAIN_KINDS = (
     "cross-section",
     "multi-direction",
 )
-
-DEFAULT_NODE_CAP = 2_000_000
 
 _EPS = 1e-12
 
@@ -197,14 +195,16 @@ def _normalize_omega(omega):
     return omega
 
 
-def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0,
-               node_cap=DEFAULT_NODE_CAP):
+def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0):
     """Build a tagged tensor mesh.
 
     ``resolution`` is cells per unit length, scalar or one value per axis
     (axial axes first).  ``grading`` refines the axial cells within
     distance 1 of each free end; it is ignored for cross-sections and for
-    axes shorter than 3 units.
+    axes shorter than 3 units.  A mesh of more than
+    ``MEMORY_BUDGET // 1024`` nodes raises MemoryBudget: besides its band,
+    which ``eig`` checks, a run stores up to about 750 bytes per node
+    (assembly and Lanczos vectors), so neither store exceeds the budget.
     """
     if kind not in DOMAIN_KINDS:
         raise ValueError(f"unknown domain kind {kind!r}")
@@ -222,19 +222,20 @@ def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0,
                         "half-minus": (-1.0, 0.0, False, True)}.get(
                             kind, (-1.0, 1.0, True, True))
     spans = [(lo * ell, hi * ell) for _ in range(n_axial)] + omega.tolist()
+    cap = MEMORY_BUDGET // 1024
     for (a, b), r in zip(spans, res):
         # in Python floats, so a huge length or resolution fails here and
         # not in int() or linspace; no axis has more nodes than the mesh
-        if not (b - a) * float(r) <= node_cap:
+        if not (b - a) * float(r) <= cap:
             raise MemoryBudget(f"an axis of length {b - a} at {r} cells/unit "
-                               f"exceeds the cap of {node_cap} nodes")
+                               f"exceeds the budget of {cap} nodes")
     parts = [_graded_axis(a, b, r, grading, rlo, rhi)
              for (a, b), r in zip(spans[:n_axial], res)]
     parts += [np.linspace(a, b, _axis_cells(b - a, r) + 1)
               for (a, b), r in zip(spans[n_axial:], res[n_axial:])]
     n_nodes = math.prod(len(p) for p in parts)
-    if n_nodes > node_cap:
-        raise MemoryBudget(f"{n_nodes} nodes exceed cap {node_cap}")
+    if n_nodes > cap:
+        raise MemoryBudget(f"{n_nodes} nodes exceed the budget of {cap}")
     return TensorMesh(kind, parts, n_axial, None if kind == "cross-section" else ell)
 
 

@@ -15,7 +15,7 @@ def cyl8(model06_mod):
     mesh = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                            resolution=(8, 32))
     K, M = assemble.assemble_cylinder(mesh, model06_mod)
-    pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9)
+    pairs = eig.smallest_eigenpairs(K, M, count=2)
     return {"mesh": mesh, "K": K, "M": M, "pairs": pairs}
 
 
@@ -180,7 +180,7 @@ class TestTestFunctions:
                                omega=((-1, 1), (-1, 1)),
                                resolution=(10, 8, 8))
         forms = assemble.assemble_cylinder(mesh, field)
-        lam1 = eig.smallest_eigenpairs(*forms, tol=1e-9)[0].value
+        lam1 = eig.smallest_eigenpairs(*forms)[0].value
         tf = proofs.tilde_vl(field, cm, W1)
         vals = tf.nodal(mesh)
         assert np.all(vals[proofs.dirichlet_nodes(mesh)] == 0.0)
@@ -211,7 +211,7 @@ class TestDecayProfile:
         mesh = grid.build_mesh("full-cylinder", ell=12, omega=(-1, 1),
                                resolution=(8, 16), grading=2)
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         prof = an.decay_profile(u.vector, mesh)
         assert prof.alpha_fit < 1.0
         assert prof.r2 > 0.99
@@ -227,7 +227,7 @@ class TestDecayProfile:
         mesh = grid.build_mesh("full-cylinder", ell=12, omega=(-1, 1),
                                resolution=(4, 16))
         K, M = assemble.assemble_cylinder(mesh, field)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         prof = an.decay_profile(u.vector, mesh)
         assert prof.no_decay
         assert prof.alpha_fit > 0.8
@@ -286,7 +286,7 @@ class TestConcentrationAndSymmetry:
         mesh = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
                                resolution=(8, 16))
         K, M = assemble.assemble_cylinder(mesh, field)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         with pytest.raises(NoReflectionSymmetry):
             an.symmetry_defect(u.vector, mesh, field=field)
 
@@ -331,7 +331,7 @@ class TestPicone:
         half = grid.build_mesh("half-plus", ell=12, omega=(-1, 1),
                                resolution=(8, 32))
         forms = assemble.assemble_cylinder(half, model06_mod)
-        u = eig.smallest_eigenpairs(*forms, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(*forms)[0]
         gap = proofs.picone_gap(u.vector, cross_mod["W1"], cross_mod["mu1"],
                             half, forms)
         assert gap < -1e-3
@@ -349,7 +349,7 @@ class TestEndProfiles:
         half = grid.build_mesh("half-plus", ell=8, omega=(-1, 1),
                                resolution=(8, 16))
         K, M = assemble.assemble_cylinder(half, model06_mod)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         # plant the half minimizer on the left end of a cylinder; the
         # translated profile then coincides with the minimizer itself
         cyl = grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
@@ -362,13 +362,13 @@ class TestEndProfiles:
         half = grid.build_mesh("half-plus", ell=16, omega=(-1, 1),
                                resolution=(8, 16))
         Kh, Mh = assemble.assemble_cylinder(half, model06_mod)
-        uh = eig.smallest_eigenpairs(Kh, Mh, tol=1e-9)[0]
+        uh = eig.smallest_eigenpairs(Kh, Mh)[0]
         dists = []
         for ell in (6, 14):
             mesh = grid.build_mesh("full-cylinder", ell=ell, omega=(-1, 1),
                                    resolution=(8, 16))
             K, M = assemble.assemble_cylinder(mesh, model06_mod)
-            u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+            u = eig.smallest_eigenpairs(K, M)[0]
             dists.append(an.end_profile_distance(u.vector, mesh, uh.vector,
                                                  half, 3.0))
         assert dists[1] < dists[0]
@@ -379,7 +379,7 @@ class TestEndProfiles:
         other = grid.build_mesh("half-minus", ell=8, omega=(-1, 1),
                                 resolution=(8, 16))
         K, M = assemble.assemble_cylinder(half, model06_mod)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         with pytest.raises(MeshMismatch):
             an.end_profile_distance(u, half, u, other, 2.0)
 
@@ -389,7 +389,7 @@ class TestEndProfiles:
         mesh = grid.build_mesh("full-cylinder", ell=12, omega=(-1, 1),
                                resolution=(8, 16))
         K, M = assemble.assemble_cylinder(mesh, model06_mod)
-        u = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        u = eig.smallest_eigenpairs(K, M)[0]
         full = mesh.scatter_free(u.vector).reshape(mesh.shape)
         line = full[:, mesh.shape[1] // 2]  # X2 = 0
         mid = np.flatnonzero(np.abs(mesh.axis_partitions[0]) <= mesh.ell / 3)

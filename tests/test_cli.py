@@ -130,11 +130,10 @@ omega = -1 1 -2 2
 [mesh]
 resolution = 10
 axial_resolution = 5
-node_cap = 1000
 """
         path = write_cfg(tmp_path, text)
         assert cli.parse_config(path).cfg == ex.ExperimentConfig(
-            resolution=10.0, axial_resolution=5.0, seed=3, node_cap=1000,
+            resolution=10.0, axial_resolution=5.0, seed=3,
             omega=((-1.0, 1.0), (-2.0, 2.0)))
         # runs are serial: parallelism parses only as 1
         path = write_cfg(tmp_path, text.replace("seed = 3\n",
@@ -169,10 +168,10 @@ node_cap = 1000
         assert cli.main(["run", path]) == 1
 
     @pytest.mark.parametrize("key", ["grading", "res3d_axial",
-                                     "res3d_cross"])
+                                     "res3d_cross", "node_cap"])
     def test_removed_mesh_key_is_unknown(self, tmp_path, key):
-        # only the end-collar rows are graded, and multi-direction runs on
-        # its own mesh
+        # only the end-collar rows are graded, multi-direction runs on its
+        # own mesh, and meshes and factors share errors.MEMORY_BUDGET
         path = write_cfg(tmp_path, f"[mesh]\nresolution = 8\n{key} = 2\n")
         with pytest.raises(ConfigError, match=re.escape(
                 f"{path}:3: unknown key '{key}' in [mesh]")):
@@ -784,7 +783,7 @@ class TestSchema:
                     numeric[section, key] = sample
         assert text == {"output_dir", "table"}
         assert names == {"experiments", "kind"}
-        assert len(numeric) == 23
+        assert len(numeric) == 22
         for (section, key), sample in numeric.items():
             for bad in ("nan", "inf", "-inf"):
                 value = " ".join(sample.split()[:-1] + [bad])

@@ -5,7 +5,8 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from cylgap import assemble, coeff, eig, experiments, grid
-from cylgap.errors import BadResolution, FactorizationFailed, NoConvergence
+from cylgap.errors import (BadResolution, FactorizationFailed, MemoryBudget,
+                           NoConvergence)
 
 import proofs
 from conftest import MU1
@@ -136,7 +137,7 @@ class TestSmallestEigenpairs:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        pairs = eig.smallest_eigenpairs(K, M, count=3, tol=1e-9)
+        pairs = eig.smallest_eigenpairs(K, M, count=3)
         Mf = proofs.full(M)
         for p in pairs:
             assert p.vector @ (Mf @ p.vector) == pytest.approx(1.0, abs=1e-10)
@@ -157,7 +158,7 @@ class TestSmallestEigenpairs:
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=16)
         K, M = assemble.assemble_cylinder(mesh, model06)
-        p = eig.smallest_eigenpairs(K, M, tol=1e-9)[0]
+        p = eig.smallest_eigenpairs(K, M)[0]
         assert proofs.energy(K, p.vector) / proofs.energy(M, p.vector) == \
             pytest.approx(p.value, rel=1e-8)
 
@@ -219,8 +220,6 @@ class TestSmallestEigenpairs:
         K, M = pencil_1d
         with pytest.raises(ValueError):
             eig.smallest_eigenpairs(K, M, count=7)
-        with pytest.raises(ValueError):
-            eig.smallest_eigenpairs(K, M, tol=1e-13)
 
     def test_arpack_path_matches_dense(self, model06, lanczos_calls):
         mesh = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
@@ -232,8 +231,7 @@ class TestSmallestEigenpairs:
         floors = (0.0, schur_floor(model06, 16))
         lanczos_calls.clear()  # the cross-section solves of the floor
         for floor in floors:
-            pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9,
-                                            floor=floor)
+            pairs = eig.smallest_eigenpairs(K, M, count=2, floor=floor)
             assert pairs[0].value == pytest.approx(dense[0], rel=1e-10)
             assert pairs[1].value == pytest.approx(dense[1], rel=1e-10)
         assert len(lanczos_calls) == len(floors)
@@ -243,8 +241,7 @@ class TestSmallestEigenpairs:
                                           count):
         K, M, dense, schur = pencil_3d
         for floor in (0.0, schur):
-            pairs = eig.smallest_eigenpairs(K, M, count=count, tol=1e-9,
-                                            floor=floor)
+            pairs = eig.smallest_eigenpairs(K, M, count=count, floor=floor)
             assert len(pairs) == count
             for p, d in zip(pairs, dense):
                 assert p.value == pytest.approx(d, rel=1e-10)
@@ -353,10 +350,41 @@ class TestSmallestEigenpairs:
         mesh = grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
                                resolution=32)
         K, M = assemble.assemble_cylinder(mesh, field)
-        pairs = eig.smallest_eigenpairs(K, M, count=2, tol=1e-9)
+        pairs = eig.smallest_eigenpairs(K, M, count=2)
         exact = separable_mixed_spectrum(1.0)
         assert pairs[0].value == pytest.approx(exact[0], rel=3e-3)
         assert pairs[1].value == pytest.approx(exact[1], rel=3e-3)
+
+
+def budget_pencil(kind):
+    """A small pencil of each domain kind, with the cross-section's and
+    the all-Dirichlet cylinder's, on the model fields."""
+    if kind == "cross-section":
+        mesh = grid.build_mesh(kind, omega=(-1, 1), resolution=8)
+        return assemble.assemble_cross_section(mesh, coeff.model_field(0.6))
+    if kind == "multi-direction":
+        mesh = grid.build_mesh(kind, ell=1, omega=(-1, 1),
+                               resolution=(3, 3, 12))
+        return assemble.assemble_cylinder(mesh, coeff.multi_model_field(0.6))
+    mesh = grid.build_mesh(kind.removesuffix("-dirichlet"), ell=2,
+                           omega=(-1, 1), resolution=(4, 8))
+    if kind.endswith("-dirichlet"):
+        mesh = grid.with_full_dirichlet(mesh)
+    return assemble.assemble_cylinder(mesh, coeff.model_field(0.6))
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("kind", [
+        "full-cylinder", "half-plus", "half-minus", "full-cylinder-dirichlet",
+        "multi-direction", "cross-section"])
+    def test_the_budget_is_exact_at_the_band(self, kind, monkeypatch):
+        K, M = budget_pencil(kind)
+        nbytes = eig._band(K, M, 0.0).nbytes
+        monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes)
+        assert eig.smallest_eigenpairs(K, M)[0].value > 0
+        monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes - 1)
+        with pytest.raises(MemoryBudget, match=f" takes {nbytes} bytes"):
+            eig.smallest_eigenpairs(K, M)
 
 
 class TestGuessedShift:
@@ -460,8 +488,8 @@ class TestTrialSpaceMonotonicity:
                               resolution=(8, 16))
         Kh, Mh = assemble.assemble_cylinder(half, model06)
         Kc, Mc = assemble.assemble_cylinder(cyl, model06)
-        ph = eig.smallest_eigenpairs(Kh, Mh, tol=1e-9)[0]
-        pc = eig.smallest_eigenpairs(Kc, Mc, tol=1e-9)[0]
+        ph = eig.smallest_eigenpairs(Kh, Mh)[0]
+        pc = eig.smallest_eigenpairs(Kc, Mc)[0]
         assert pc.value <= ph.value + 1e-8
         # matrix-level check: the extension preserves both energies
         ext = proofs.extend_by_zero(half, cyl, ph.vector, shift=-L / 2)
@@ -476,5 +504,5 @@ class TestTrialSpaceMonotonicity:
             mesh = grid.build_mesh("half-plus", ell=L, omega=(-1, 1),
                                    resolution=(8, 16))
             K, M = assemble.assemble_cylinder(mesh, model06)
-            vals.append(eig.smallest_eigenpairs(K, M, tol=1e-9)[0].value)
+            vals.append(eig.smallest_eigenpairs(K, M)[0].value)
         assert vals[1] <= vals[0] + 1e-9

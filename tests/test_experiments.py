@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from cylgap import assemble, cli, coeff, eig, grid
 from cylgap import experiments as ex
-from cylgap.errors import (ConditionConFails, DimensionMismatch,
-                           MemoryBudget, NoConvergence, NoReflectionSymmetry,
-                           NotConverged)
+from cylgap.errors import (MEMORY_BUDGET, ConditionConFails,
+                           DimensionMismatch, NoConvergence,
+                           NoReflectionSymmetry, NotConverged)
 
 from conftest import MU1
 
@@ -76,13 +77,12 @@ class TestBoundsSweep:
         assert abs(r.lambda1 - r.mu1_disc) <= 1e-8
         assert r.mu1_disc == pytest.approx(2 * MU1, rel=5e-3)
 
-    def test_solver_error_aborts_record_not_sweep(self, model):
-        bad = ex.ExperimentConfig(resolution=16, axial_resolution=8,
-                                  node_cap=100)
-        recs = ex.exp_bounds_sweep(model, [1.0], bad)
-        assert len(recs) == 1
-        assert not recs[0].passed
-        assert "MemoryBudget" in recs[0].note
+    def test_solver_error_aborts_record_not_sweep(self, model, cfg):
+        # the grid refuses the second length's mesh before making a node
+        ok, bad = ex.exp_bounds_sweep(model, [1.0, 1e12], cfg)
+        assert ok.passed and ok.note == ""
+        assert not bad.passed
+        assert bad.note.startswith("MemoryBudget: an axis of length ")
 
 
 class TestLimitZero:
@@ -280,6 +280,14 @@ class TestDirichletComparison:
             assert r.sigma1 >= r.mu1_disc - r.margin
             assert r.lambda1 <= r.sigma1 + 1e-8
 
+    def test_spread_note_states_the_spread_it_checks(self, model,
+                                                     monkeypatch):
+        monkeypatch.setattr(ex, "DIRICHLET_SPREAD", 0.01)
+        cfg = ex.ExperimentConfig(resolution=8, axial_resolution=4)
+        last = ex.exp_dirichlet_comparison(model, [2, 4], cfg)[-1]
+        assert not last.passed
+        assert re.fullmatch(r"fitted C spread \d+% > 1%", last.note)
+
     def test_dirichlet_solve_returns_the_clamped_mesh(self, model):
         cfg = ex.ExperimentConfig(resolution=8, axial_resolution=4)
         with ex.solve_memo():
@@ -312,6 +320,23 @@ class TestMultiDirection:
     def test_wrong_field_rejected(self, model):
         with pytest.raises(DimensionMismatch):
             ex.exp_multi_direction(model, [2], ex.ExperimentConfig())
+
+    def test_pencil_at_the_2d_resolutions_fails_its_row_unallocated(self):
+        # at 16/8 the L = 4 pencil's band would take 2.0 GiB; the row
+        # fails before it is allocated
+        tracemalloc.start()
+        try:
+            rec = ex._row("multi-direction", coeff.multi_model_field(0.6),
+                          ex.ExperimentConfig(), 4.0, lambda *_: None,
+                          kind="multi-direction")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rec.passed
+        assert rec.note == ("MemoryBudget: the band of n = 130975, b = 2047 "
+                            f"takes {8 * 130975 * 2048} bytes > "
+                            f"{MEMORY_BUDGET}")
+        assert peak < MEMORY_BUDGET
 
 
 class TestDecayAndProfiles:
@@ -356,13 +381,15 @@ class TestUniversalSandwich:
 
 
 class TestCrossContext:
-    def test_cache_key_holds_node_cap(self, model, cfg):
+    def test_cache_key_holds_resolution(self, model, cfg):
         with ex.solve_memo():
-            ex.cross_context(model, cfg)
-            # the fine cross-section mesh (twice the resolution) has 65
-            # nodes
-            with pytest.raises(MemoryBudget):
-                ex.cross_context(model, replace(cfg, node_cap=40))
+            ctx = ex.cross_context(model, cfg)
+            assert ex.cross_context(model, replace(cfg)) is ctx
+            coarse = ex.cross_context(model, replace(cfg, resolution=8))
+            assert coarse is not ctx
+            assert coarse.mesh.key != ctx.mesh.key
+            assert ex.cross_context(model, replace(cfg, resolution=8)) \
+                is coarse
 
     def test_only_a_block_holds_lambda1_for_guesses(self, model, cfg,
                                                     monkeypatch):

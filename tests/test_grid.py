@@ -121,9 +121,13 @@ class TestBuildMesh:
                             resolution=4)
 
     def test_memory_budget(self):
-        with pytest.raises(MemoryBudget):
-            grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
-                            resolution=64, node_cap=1000)
+        # one axis over the budget fails before any node is made; axes
+        # each within it fail on their product of nodes, even where the
+        # band would be small (38 MB at b = 4 on the last mesh)
+        for resolution in (1e9, (1250, 10_000), (20_000, 2)):
+            with pytest.raises(MemoryBudget):
+                grid.build_mesh("full-cylinder", ell=8, omega=(-1, 1),
+                                resolution=resolution)
 
     def test_measure(self):
         m = grid.build_mesh("full-cylinder", ell=3, omega=(-1, 1),
