@@ -2,9 +2,8 @@
 
 Every pencil with more unknowns than requested pairs goes through one
 ARPACK run for exactly those pairs, with a deterministic start vector on
-one banded Cholesky factor of K - sigma M, shift-inverted at a floor
-sigma below the whole spectrum (Ericsson & Ruhe, Math. Comp. 35, 1980).
-A cylinder stiffness is the Kronecker sum
+one banded Cholesky factor K - sigma M = L L^T at a floor sigma below the
+whole spectrum.  A cylinder stiffness is the Kronecker sum
 sum_ab F_ab x X_ab with exact axial factors and A sampled where the
 reduced cross assembly samples it, so u.Ku >= u.(M1 x Kc_red)u >=
 Lambda1 u.Mu and no eigenvalue lies below Lambda1.  The floor of a
@@ -17,17 +16,37 @@ below a lambda1 that an earlier solve of the run already holds (see
 only observed).  The solve factors K - guess M first and keeps that
 factor if it exists, else it factors at the floor.
 
+ARPACK runs in its standard mode on the symmetric operator
+C = L^-1 M L^-T, the spectral transformation of Ericsson & Ruhe (Math.
+Comp. 35, 1980): C y = theta y exactly when K u = lambda M u with
+lambda = sigma + 1/theta and u = L^-T y, so the largest theta are the
+smallest lambda above sigma.  An application is two triangular band
+sweeps (BLAS ``dtbsv``) and one product with M, and ARPACK asks for
+nothing else; its generalized shift-invert mode, with the M inner
+product, made 3.0-3.3 products with M per application (42 for 13 and
+293 for 88 on the ell = 16 model cylinder).
+ARPACK stops once each Ritz pair's residual is below ``LANCZOS_TOL`` =
+DEFAULT_TOL / 1000 times its theta.  That is the rounding floor: over
+the tests the worst residual ||Ku - lambda Mu|| / ||Mu|| is 3.3e-11,
+against 3.1e-11 when ARPACK iterates to machine precision, while at
+1e-11 it grows to 2.0e-10 and at 1e-10 a residual of 1.3e-9 fails
+DEFAULT_TOL.  The back-transform u = L^-T y also lowers the residual's
+own rounding floor: on the 1D model cross-section at 1 000 / 1 500 /
+2 000 / 3 000 cells per unit it is 2.3e-10 / 5.4e-10 / 8.7e-10 /
+2.1e-9, where the generalized mode reached 4.8e-10 / 1.1e-9 / 1.9e-9 /
+4.6e-9.
+
 The Lanczos basis holds ncv = 2 count + 4 vectors (at most n), not
 ARPACK's default 20, and ARPACK tests convergence at every implicit
 restart (Lehoucq & Sorensen, SIAM J. Matrix Anal. Appl. 17, 1996), so a
 solve stops once its pairs have converged instead of after a first full
 block of 20.  On the ell = 16 model cylinder a guess at lambda1 - margin
-takes 13 operator applications (15 at count 2) where a 20-vector basis
-took 21.  A floor solve costs more than it did, 88 applications against
-51 (81 against 75 at count 2): far below lambda1 the shift-inverted
-spectrum is clustered, and a small basis restarted many times keeps less
-of it than one long Lanczos run.  Most solves of a run shift at a guess,
-so a run makes fewer applications: 464, 227 and 135 on the ``model_gap``,
+takes 10 operator applications (15 at count 2) where a 20-vector basis
+takes 21.  A floor solve costs more, 70 applications against 41 (69
+against 57 at count 2): far below lambda1 the shift-inverted spectrum
+is clustered, and a small basis restarted many times keeps less of it
+than one long Lanczos run.  Most solves of a run shift at a guess, so a
+run makes fewer applications: 365, 191 and 105 on the ``model_gap``,
 ``asymmetric_showcase`` and ``multi_direction`` configs, against 798,
 420 and 189 with 20 vectors.
 
@@ -39,10 +58,10 @@ stride of axis k.  Rows D >= 0 are the lower band, so the half-bandwidth
 b is known before the band is allocated: one x1 layer plus one node in
 2D (32 on the pencils of the configs), one layer, one row and one node
 in 3D (599 on ``multi_direction`` at L = 4).  LAPACK ``dpbtrf`` factors
-the band in place in n (b + 1) values, and ``dpbtrs`` applies the
-shift-invert operator.  A band of more than ``errors.MEMORY_BUDGET``
-(1 GiB) raises MemoryBudget before it is allocated, and one band is
-alive at a time, so that is the most a solve's factor takes.  The
+the band in place in n (b + 1) values.  A band of more than
+``errors.MEMORY_BUDGET`` (1 GiB) raises MemoryBudget before it is
+allocated, and one band is alive at a time, so that is the most a
+solve's factor takes.  The
 factor is also a certificate: it succeeds exactly when lambda_1 lies
 above sigma (to rounding), so a guessed shift costs one factor try.  A
 fill-reducing sparse factor wins only on cross-sections much finer than
@@ -60,7 +79,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                   LinearOperator, eigsh)
 
@@ -68,6 +88,8 @@ from .errors import (MEMORY_BUDGET, BadResolution, FactorizationFailed,
                      MemoryBudget, NoConvergence)
 
 DEFAULT_TOL = 1e-9
+# ARPACK's stopping rule, relative to each Ritz value theta (see above)
+LANCZOS_TOL = DEFAULT_TOL / 1000
 MAX_RESTARTS = 500
 
 
@@ -117,8 +139,19 @@ class BandCholesky:
 
     band: np.ndarray
 
-    def solve(self, rhs):
-        return dpbtrs(self.band, rhs, lower=1)[0]
+    def shift_invert(self, M, y):
+        """C y for C = L^-1 M L^-T, the symmetric operator similar to
+        the shift-invert operator (K - sigma M)^-1 M: two triangular band
+        sweeps and one product with M."""
+        b = self.band.shape[0] - 1
+        return dtbsv(b, self.band, M @ dtbsv(b, self.band, y, lower=1,
+                                             trans=1), lower=1)
+
+    def back_transform(self, Y):
+        """u = L^-T y for each column y of Y."""
+        b = self.band.shape[0] - 1
+        return np.column_stack([dtbsv(b, self.band, y, lower=1, trans=1)
+                                for y in Y.T])
 
 
 def _band(K, M, shift):
@@ -201,26 +234,29 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
             f"requested {count} pairs from a dimension-{n} pencil")
 
     chol, shift = _factor_above(K, M, floor, guess)
-    # in shift-invert mode with OPinv, ARPACK applies only OPinv and M
-    Kop, Mop, OPinv = (LinearOperator((n, n), matvec=f, dtype=float)
-                       for f in (K.__matmul__, M.__matmul__, chol.solve))
+    # ARPACK applies C and nothing else; a Ritz pair (theta, y) of C is
+    # the pair (shift + 1/theta, L^-T y) of the pencil
+    C = LinearOperator((n, n), matvec=functools.partial(chol.shift_invert,
+                                                        M), dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        vals, vecs = eigsh(Kop, k=count, M=Mop, sigma=shift, which="LM",
-                           v0=v0, ncv=min(n, 2 * count + 4), tol=0.0,
-                           maxiter=MAX_RESTARTS, OPinv=OPinv)
+        thetas, ys = eigsh(C, k=count, which="LA", v0=v0,
+                           ncv=min(n, 2 * count + 4), tol=LANCZOS_TOL,
+                           maxiter=MAX_RESTARTS)
     except ArpackNoConvergence as exc:
         got = len(exc.eigenvalues)
-        best = float(_residuals(K, M, exc.eigenvalues,
-                                exc.eigenvectors).min()) if got else math.nan
+        best = float(_residuals(
+            K, M, shift + 1.0 / exc.eigenvalues,
+            chol.back_transform(exc.eigenvectors)).min()) if got else math.nan
         raise NoConvergence(f"ARPACK converged {got}/{count} pairs, "
                             f"best residual {best:.3e}")
     except (ArpackError, RuntimeError) as exc:
         raise FactorizationFailed(f"shift-invert Lanczos failed: {exc}")
 
+    vals = shift + 1.0 / np.asarray(thetas, dtype=float)
     order = np.argsort(vals)
-    vals = np.asarray(vals, dtype=float)[order]
-    vecs = np.asarray(vecs, dtype=float)[:, order]
+    vals = vals[order]
+    vecs = chol.back_transform(np.asarray(ys, dtype=float)[:, order])
     if vals[0] <= shift:
         raise FactorizationFailed(
             f"lambda_1 = {vals[0]:.3e} is not above the shift {shift:.3e}; "

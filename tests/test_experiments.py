@@ -558,20 +558,20 @@ class TestSolveMemo:
     def test_count_two_shifts_below_the_held_lambda1(self, model, cfg,
                                                      monkeypatch):
         applications = []
-        solve = eig.BandCholesky.solve
+        shift_invert = eig.BandCholesky.shift_invert
 
-        def counted(chol, rhs):
+        def counted(chol, M, y):
             applications.append(1)
-            return solve(chol, rhs)
+            return shift_invert(chol, M, y)
 
-        monkeypatch.setattr(eig.BandCholesky, "solve", counted)
+        monkeypatch.setattr(eig.BandCholesky, "shift_invert", counted)
         with ex.solve_memo():
             _, first = ex.solve_cylinder(model, 16, cfg, grading=1.0)
             applications.clear()
             _, pairs = ex.solve_cylinder(model, 16, cfg, count=2,
                                          grading=1.0)
         assert pairs[0].value == pytest.approx(first[0].value, rel=1e-12)
-        assert len(applications) <= 40  # 15 against 81 at the floor
+        assert 0 < len(applications) <= 40  # 15 against 69 at the floor
 
     def test_pencils_live_on_their_cross_context(self, model, cfg,
                                                  slot_builds, monkeypatch):

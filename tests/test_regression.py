@@ -37,17 +37,15 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
            "multi_direction": "multi_direction.cfg"}
 # most shift-invert operator applications a run of each config may make
 # on factors of more than LARGE unknowns, with a Lanczos basis of
-# 2 count + 4 vectors; ARPACK's start vector is seeded, so the count
-# repeats exactly (345, 178 and 54, against 567, 336 and 63 with ARPACK's
-# default basis of 20 vectors, which stops no earlier than 21)
+# 2 count + 4 vectors stopped at eig.LANCZOS_TOL; ARPACK's start vector
+# is seeded, so the count repeats exactly (267, 151 and 42 when measured)
 LARGE = 400
-MAX_APPLICATIONS = {"asymmetric": 178, "model_gap": 345,
-                    "multi_direction": 54}
+MAX_APPLICATIONS = {"asymmetric": 151, "model_gap": 267,
+                    "multi_direction": 42}
 # most applications on factors of any size, the cross-section and short
-# cylinder pencils included (464, 227 and 135, the counts of a run,
-# against 798, 420 and 189 with 20 vectors)
-MAX_ALL_APPLICATIONS = {"asymmetric": 227, "model_gap": 464,
-                        "multi_direction": 135}
+# cylinder pencils included (365, 191 and 105, the counts of a run)
+MAX_ALL_APPLICATIONS = {"asymmetric": 191, "model_gap": 365,
+                        "multi_direction": 105}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
@@ -62,13 +60,13 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
     out = tmp_path / workload
     monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
     applications = []
-    solve = eig.BandCholesky.solve
+    shift_invert = eig.BandCholesky.shift_invert
 
-    def counted(chol, rhs):
+    def counted(chol, M, y):
         applications.append(chol.band.shape[1])
-        return solve(chol, rhs)
+        return shift_invert(chol, M, y)
 
-    monkeypatch.setattr(eig.BandCholesky, "solve", counted)
+    monkeypatch.setattr(eig.BandCholesky, "shift_invert", counted)
     solves = []
     smallest = eig.smallest_eigenpairs
 
@@ -82,10 +80,19 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
                                out)
     assert result.rows > 0
     assert result.ok, result.problems
-    assert sum(n > LARGE for n in applications) <= MAX_APPLICATIONS[workload]
+    assert 0 < sum(n > LARGE for n in applications) \
+        <= MAX_APPLICATIONS[workload]
     assert len(applications) <= MAX_ALL_APPLICATIONS[workload]
     assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
     assert len(solves) <= MAX_SOLVES[workload]
+    # every solve's residual keeps a decade below eig.DEFAULT_TOL (at most
+    # 2.6e-11 when measured), so an eig.LANCZOS_TOL loose enough to bring
+    # a residual near DEFAULT_TOL fails here before any row fails its
+    # residual check (9.5e-10 on asymmetric at LANCZOS_TOL = DEFAULT_TOL)
+    residuals = [float(row["residual"]) for path in sorted(out.glob("*.csv"))
+                 for row in csv.DictReader(path.open())
+                 if row.get("residual")]
+    assert residuals and max(residuals) <= eig.DEFAULT_TOL / 10
 
 
 TRACE_CFG = """
