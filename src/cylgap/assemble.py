@@ -21,8 +21,9 @@ import numpy as np
 from scipy import sparse
 
 from . import coeff as coeff_mod
-from .errors import DimensionMismatch, MeshMismatch, NotElliptic
-from .grid import TensorMesh
+from .errors import (DimensionMismatch, MeshMismatch, NotElliptic,
+                     NoReflectionSymmetry)
+from .grid import TensorMesh, reflection_permutation
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -67,11 +68,16 @@ class KroneckerForm:
     each term is a tuple of CSR factors F_1, ..., F_k, restricted to the
     free indices of their axes, for F_1 x ... x F_k.  ``form @ u``
     applies it to a vector or a block factor by factor; ``lower``, the
-    CSR lower triangle of the sum, is built on first access."""
+    CSR lower triangle of the sum, is built on first access.
+    ``point_symmetric`` records that the form commutes with the reversal
+    of its unknowns' order, the point reflection x -> -x of a mesh
+    symmetric about 0 under a field even in X2 (property (S)); the
+    eigensolver then folds the pencil into its even and odd sectors."""
 
     dim: int
     terms: list
     provenance: dict = dc_field(default_factory=dict)
+    point_symmetric: bool = False
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -191,11 +197,20 @@ def _assemble_pair(mesh, field, mats, n_values):
     cross set of C = I.  Each factor comes restricted to the free indices
     of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
     nodes for X_ab and Mc), so every term spans the free nodes only.
+
+    Both forms are ``point_symmetric`` when the mesh has the reflection
+    permutation and the coefficient samples are even in X2, to the
+    tolerance of ``field.is_even``: each term of K then carries two
+    derivatives, each odd under x -> -x, times an even coefficient.  The
+    axes of such a mesh mirror exactly, so the points reflected from the
+    quadrature points of a cross cell are those of the mirrored cell, read
+    backwards, and the samples already taken decide it, with no further
+    evaluation of A.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
-    X = _slot_matrices(cross, coefficient_samples(cross, field, mats),
-                       n_values, cross.free_nodes)
+    C = coefficient_samples(cross, field, mats)
+    X = _slot_matrices(cross, C, n_values, cross.free_nodes)
     axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
                            np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
             for k in range(p)]
@@ -208,7 +223,12 @@ def _assemble_pair(mesh, field, mats, n_values):
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": n_values == 0, "_mesh": mesh, "_field": field}
-    return tuple(KroneckerForm(mesh.n_free, terms, dict(prov))
+    try:
+        reflection_permutation(mesh)
+        symmetric = np.allclose(C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
+    except NoReflectionSymmetry:
+        symmetric = False
+    return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric)
                  for terms in (K, M))
 
 

@@ -233,6 +233,12 @@ def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0):
              for (a, b), r in zip(spans[:n_axial], res)]
     parts += [np.linspace(a, b, _axis_cells(b - a, r) + 1)
               for (a, b), r in zip(spans[n_axial:], res[n_axial:])]
+    # an axis symmetric about 0 is mirrored exactly, so that the point
+    # reflection maps every node onto a node and every width onto an
+    # equal one bit for bit (linspace drifts by 2.2e-13 relative in the
+    # widths at 2 000 cells), as the folded solves in ``eig`` assume
+    parts = [(x - x[::-1]) / 2 if a == -b else x
+             for x, (a, b) in zip(parts, spans)]
     n_nodes = math.prod(len(p) for p in parts)
     if n_nodes > cap:
         raise MemoryBudget(f"{n_nodes} nodes exceed the budget of {cap}")

@@ -72,6 +72,7 @@ class CountingFactor:
 
     def __init__(self, chol):
         self.chol = chol
+        self.sector = chol.sector
         self.applications = 0
 
     def shift_invert(self, M, y):
@@ -85,16 +86,22 @@ class CountingFactor:
 @pytest.fixture()
 def factors(monkeypatch):
     """Every banded factor made from here on, as a CountingFactor; a
-    factor that fails is not listed."""
+    factor that fails is not listed.  A folded solve lists its odd-sector
+    certificate too, with no applications."""
     made = []
     factor = eig._factor
 
-    def counting_factor(K, M, shift):
-        made.append(CountingFactor(factor(K, M, shift)))
+    def counting_factor(rows, shift, sector):
+        made.append(CountingFactor(factor(rows, shift, sector)))
         return made[-1]
 
     monkeypatch.setattr(eig, "_factor", counting_factor)
     return made
+
+
+def lanczos_factors(factors):
+    """The factors Lanczos ran on: all but the odd-sector certificates."""
+    return [f for f in factors if f.sector is None or f.sector.sign > 0]
 
 
 @pytest.fixture()
@@ -184,7 +191,7 @@ class TestSmallestEigenpairs:
         first = eig.smallest_eigenpairs(K, M)[0]
         # the Ritz pair of C = L^-1 M L^-T at the floor 0, where L L^T = K:
         # theta = 1 / lambda and y = L^T u
-        band = eig._factor(K, M, 0.0).band
+        band = eig._factor(eig.BandRows(K, M), 0.0, None).band
         y = dtbmv(band.shape[0] - 1, band, first.vector, lower=1, trans=1)
 
         def stalls(*args, **kwargs):
@@ -296,6 +303,25 @@ class TestSmallestEigenpairs:
                 with pytest.raises(BadResolution):
                     eig.smallest_eigenpairs(K, M, count=n)
 
+    def test_odd_ground_state_falls_back_to_the_whole_pencil(self, factors):
+        """tridiag(1, 2, 1) commutes with the reversal of its unknowns, and
+        at even n its lowest mode, sin(n j pi / (n + 1)), is odd.  The odd
+        sector's factor at the even sector's lambda_1 fails, so the solve
+        starts again on the whole pencil and returns its lambda_1."""
+        n = 50
+        K, M = (assemble.KroneckerForm(n, [(sparse.csr_matrix(A),)],
+                                       point_symmetric=True)
+                for A in (sparse.diags([1.0, 2.0, 1.0], [-1, 0, 1],
+                                       shape=(n, n)), sparse.identity(n)))
+        pair = eig.smallest_eigenpairs(K, M)[0]
+        assert pair.value == pytest.approx(2 - 2 * np.cos(np.pi / (n + 1)),
+                                           rel=1e-10)
+        np.testing.assert_allclose(pair.vector, -pair.vector[::-1],
+                                   atol=1e-10)
+        # the even factor Lanczos ran on, then the whole one; the failed
+        # odd certificate is not listed
+        assert [f.chol.band.shape[1] for f in factors] == [n // 2, n]
+
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M: M reaches fewer band rows
         n = 500
@@ -313,8 +339,11 @@ class TestSmallestEigenpairs:
         values = [eig.smallest_eigenpairs(K, M, seed=0, floor=floor)[0].value
                   for floor in (0.0, schur)]
         assert values[1] == pytest.approx(values[0], rel=1e-10)
-        at_zero, at_floor = (f.applications for f in factors)
-        assert 0 < at_floor < at_zero  # 70 against 157 when measured
+        at_zero, at_floor = (f.applications
+                             for f in lanczos_factors(factors))
+        # 34 against 58 in the even sector when measured (70 against 157
+        # on the whole pencil)
+        assert 0 < at_floor < at_zero
 
     def test_singular_above_cutoff_is_factorization_failed(self):
         n = 500
@@ -327,7 +356,7 @@ class TestSmallestEigenpairs:
         # the band stores n (b + 1) values: 537 420 against an L + U fill
         # of 673 164 for SuperLU's default ordering when measured
         K, M = pencil_3d[:2]
-        band = eig._factor(K, M, 0.0).band
+        band = eig._factor(eig.BandRows(K, M), 0.0, None).band
         default = splu(proofs.full(K).tocsc())
         assert band.size < default.L.nnz + default.U.nnz
 
@@ -350,7 +379,7 @@ class TestSmallestEigenpairs:
             mesh = grid.with_full_dirichlet(mesh)
         K, M = assemble.assemble_cylinder(mesh, field)
         coo = proofs.full(K).tocoo()
-        b = eig._band(K, M, 0.0).shape[0] - 1
+        b = eig.BandRows(K, M).band(0.0, None).shape[0] - 1
         assert b == np.abs(coo.row - coo.col).max()
 
     def test_separable_second_eigenvalue(self):
@@ -369,6 +398,7 @@ class CountingForm:
 
     def __init__(self, form):
         self.form, self.dim, self.terms = form, form.dim, form.terms
+        self.point_symmetric = form.point_symmetric
         self.products = 0
 
     def __matmul__(self, u):
@@ -383,7 +413,7 @@ class TestSymmetricOperator:
     @pytest.mark.parametrize("pencil", ["cylinder_16", "pencil_3d"])
     def test_operator_is_symmetric_to_rounding(self, request, pencil):
         K, M = request.getfixturevalue(pencil)[:2]
-        chol = eig._factor(K, M, 0.0)
+        chol = eig._factor(eig.BandRows(K, M), 0.0, None)
         y, z = np.random.default_rng(1).standard_normal((2, K.dim))
         Cy, Cz = chol.shift_invert(M, y), chol.shift_invert(M, z)
         # 4.5e-18 relative on both pencils when measured
@@ -393,17 +423,20 @@ class TestSymmetricOperator:
 
     def test_one_mass_product_per_application(self, cylinder_16, factors):
         """A guessed solve of the ell = 16 model pencil applies M once per
-        Lanczos step and three times after it: to M-normalize, for the
-        Gram check and in the residual.  ARPACK's generalized mode, with
-        the M inner product, made 42 products for 13 steps here."""
+        Lanczos step and once after it, a product that M-normalizes, checks
+        the Gram matrix and enters the residual; the odd-sector certificate
+        reads M's band rows and applies nothing.  ARPACK's generalized
+        mode, with the M inner product, made 42 products for 13 steps
+        here."""
         K, M, floor, margin = cylinder_16
         lam = eig.smallest_eigenpairs(K, M, floor=floor)[0].value
         factors.clear()
         M = CountingForm(M)
         eig.smallest_eigenpairs(K, M, floor=floor, guess=lam - margin)
-        [chol] = factors
-        assert chol.applications > 0
-        assert M.products == chol.applications + 3
+        chol, certificate = factors
+        assert chol.applications > 0 and chol.sector.sign == 1
+        assert certificate.applications == 0 and certificate.sector.sign == -1
+        assert M.products == chol.applications + 1
 
     def test_fine_cross_section_converges(self):
         """The back-transform u = L^-T y keeps the residual's rounding
@@ -441,8 +474,24 @@ class TestMemoryBudget:
         "full-cylinder", "half-plus", "half-minus", "full-cylinder-dirichlet",
         "multi-direction", "cross-section"])
     def test_the_budget_is_exact_at_the_band(self, kind, monkeypatch):
+        """The budget bounds the largest band a solve allocates: the even
+        sector's, n - n // 2 columns, on the point-symmetric pencils, and
+        the whole band on the half-cylinders."""
         K, M = budget_pencil(kind)
-        nbytes = eig._band(K, M, 0.0).nbytes
+        bands = []
+        band = eig.BandRows.band
+
+        def recorded(rows, shift, sector):
+            bands.append(band(rows, shift, sector))
+            return bands[-1]
+
+        monkeypatch.setattr(eig.BandRows, "band", recorded)
+        eig.smallest_eigenpairs(K, M)
+        largest = max(bands, key=lambda a: a.nbytes)
+        n = K.dim
+        assert largest.shape[1] == (n if kind.startswith("half")
+                                    else n - n // 2)
+        nbytes = largest.nbytes
         monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes)
         assert eig.smallest_eigenpairs(K, M)[0].value > 0
         monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes - 1)
@@ -478,10 +527,11 @@ class TestGuessedShift:
             guess=at_floor[0].value - margin)
         for g, f in zip(guessed, at_floor):
             assert g.value == pytest.approx(f.value, rel=1e-12)
-        floor_apps, guess_apps = (f.applications for f in factors)
+        floor_apps, guess_apps = (f.applications
+                                  for f in lanczos_factors(factors))
         assert 0 < guess_apps <= 25 and guess_apps < floor_apps
-        # 10 against 70 at count 1 and 15 against 69 at count 2 when
-        # measured
+        # 7 against 34 at count 1 (in the even sector; 10 against 70
+        # whole) and 15 against 69 at count 2 when measured
 
     def test_small_basis_keeps_the_near_degenerate_pair(self, cylinder_16,
                                                         monkeypatch):

@@ -322,19 +322,21 @@ class TestMultiDirection:
             ex.exp_multi_direction(model, [2], ex.ExperimentConfig())
 
     def test_pencil_at_the_2d_resolutions_fails_its_row_unallocated(self):
-        # at 16/8 the L = 4 pencil's band would take 2.0 GiB; the row
-        # fails before it is allocated
+        # at 16/8 the L = 5 pencil (n = 203 391) folds into an even sector
+        # whose band would take 1.9 GiB; the row fails before it is
+        # allocated.  (At L = 4 the even band, 1 072 955 392 bytes, fits
+        # the budget by 786 432 bytes.)
         tracemalloc.start()
         try:
             rec = ex._row("multi-direction", coeff.multi_model_field(0.6),
-                          ex.ExperimentConfig(), 4.0, lambda *_: None,
+                          ex.ExperimentConfig(), 5.0, lambda *_: None,
                           kind="multi-direction")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not rec.passed
-        assert rec.note == ("MemoryBudget: the band of n = 130975, b = 2047 "
-                            f"takes {8 * 130975 * 2048} bytes > "
+        assert rec.note == ("MemoryBudget: the band of n = 101696, b = 2543 "
+                            f"takes {8 * 101696 * 2544} bytes > "
                             f"{MEMORY_BUDGET}")
         assert peak < MEMORY_BUDGET
 

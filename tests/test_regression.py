@@ -38,14 +38,24 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
 # most shift-invert operator applications a run of each config may make
 # on factors of more than LARGE unknowns, with a Lanczos basis of
 # 2 count + 4 vectors stopped at eig.LANCZOS_TOL; ARPACK's start vector
-# is seeded, so the count repeats exactly (267, 151 and 42 when measured)
+# is seeded, so the count repeats exactly (267, 151 and 42 with every
+# pencil whole; 214, 151 and 26 since one-pair solves of point-symmetric
+# pencils run in their even sector)
 LARGE = 400
 MAX_APPLICATIONS = {"asymmetric": 151, "model_gap": 267,
                     "multi_direction": 42}
 # most applications on factors of any size, the cross-section and short
-# cylinder pencils included (365, 191 and 105, the counts of a run)
+# cylinder pencils included (365, 191 and 105 with every pencil whole;
+# 323, 191 and 96 in sectors)
 MAX_ALL_APPLICATIONS = {"asymmetric": 191, "model_gap": 365,
                         "multi_direction": 105}
+# most unknowns a run may sweep: the sum, over all applications, of the
+# unknowns of the factor applied; a one-pair solve of a point-symmetric
+# pencil sweeps its even sector, about half the pencil (1 111 863 and
+# 271 755 on model_gap and multi_direction with every pencil whole;
+# asymmetric has no point-symmetric pencil)
+MAX_SWEPT = {"asymmetric": 473070, "model_gap": 642634,
+             "multi_direction": 123816}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
@@ -83,6 +93,7 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
     assert 0 < sum(n > LARGE for n in applications) \
         <= MAX_APPLICATIONS[workload]
     assert len(applications) <= MAX_ALL_APPLICATIONS[workload]
+    assert sum(applications) <= MAX_SWEPT[workload]
     assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
     assert len(solves) <= MAX_SOLVES[workload]
     # every solve's residual keeps a decade below eig.DEFAULT_TOL (at most
