@@ -27,20 +27,18 @@ def axial_densities(full_values, parts, field=None):
     cross slot matrices X_ab and the cross mass Mc that assembly builds
     its cylinder forms from, with A taken from ``coefficient_samples``
     (C = I without a field: the plain |grad u|^2; Mc is its value slot),
-    on the free cross nodes, since a nodal function of the box vanishes
-    on its lateral boundary.  So the energies add up to u.Ku and the
+    over all cross nodes: a nodal function of the box vanishes on its
+    lateral boundary, so the clamped nodes add nothing and the all-node
+    sets serve unrestricted.  So the energies add up to u.Ku and the
     masses to u.Mu.  Returns three arrays of shape (axial cells, 2).
     """
     axis = parts[0]
     cross = asm.factor_mesh(parts[1:])
-    free = cross.free_nodes
-    unit = asm._slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1,
-                              free)
-    X = unit if field is None else asm._slot_matrices(
-        cross, asm.coefficient_samples(cross, field, field.eval_many), 1,
-        free)
+    unit = asm._slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
+    X = unit if field is None else asm._slot_set(
+        cross, asm.coefficient_samples(cross, field, field.eval_many), 1)
     Mc = unit[0][0]
-    u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)[:, free]
+    u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)
     h = np.diff(axis)[:, None]
     xi = asm.gauss_points_01()
     # slot 0 holds the axial derivative, constant on an axial cell (it
@@ -50,7 +48,9 @@ def axial_densities(full_values, parts, field=None):
     slots = [((u[1:] - u[:-1]) / h)[:, None]] + [vals] * cross.ndim
 
     def pair(mat, a, b):
-        return (a @ mat.toarray() * b).sum(axis=-1)
+        # a . (mat b) along the last axis, mat applied to b's rows at once
+        mb = (mat @ b.reshape(-1, b.shape[-1]).T).T.reshape(b.shape)
+        return np.einsum("...i,...i->...", a, mb)
 
     energy = 0.5 * h * sum(pair(X[a][b], sa, sb)
                            for a, sa in enumerate(slots)

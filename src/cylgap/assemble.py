@@ -2,11 +2,16 @@
 
 Multilinear elements, 2-point tensor Gauss quadrature.  A depends on the
 cross variable only, so cylinder forms are Kronecker sums of 1D axial and
-cross-section matrices.  Dirichlet elimination happens on the factors,
-each restricted to its free indices; a form holds these factors, term by
-term, and never forms their products.  A cross-section pencil of A is
-the cross block of its cylinders' cross set.  Inside a ``solve_memo``
-block each slot set is built once and restricted once per free-index set.
+cross-section matrices.  Each factor is a Q1 stencil with 3**d known
+diagonals, stored as a ``scipy.sparse.dia_array`` that assembly fills
+straight from the element matrices, one slice-add per pair of local
+corners.  Dirichlet elimination happens on the factors, each restricted
+to its free indices: on one axis a view of the all-node factor's
+diagonals, on a box cross-section a gather onto its free grid.  A form
+holds these factors, term by term, and never forms their products.  A
+cross-section pencil of A is the cross block of its cylinders' cross
+set.  Inside a ``solve_memo`` block each all-node slot set is built
+once; no CSR or COO matrix is formed outside ``KroneckerForm.lower``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import contextvars
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -65,10 +71,14 @@ def quadrature_coords(mesh):
 @dataclass
 class KroneckerForm:
     """Symmetric form over the free nodes as a sum of Kronecker products:
-    each term is a tuple of CSR factors F_1, ..., F_k, restricted to the
-    free indices of their axes, for F_1 x ... x F_k.  ``form @ u``
-    applies it to a vector or a block factor by factor; ``lower``, the
-    CSR lower triangle of the sum, is built on first access.
+    each term is a tuple of square DIA factors F_1, ..., F_k (their
+    ``data`` one column per matrix column), restricted to the free
+    indices of their axes, for F_1 x ... x F_k.  A 1D factor is a view of
+    its all-node slot matrix: its ``data`` keeps the entries that couple
+    the run to clamped nodes, at rows outside the factor, which DIA
+    ignores and ``eig`` reads as zeros.  ``form @ u`` applies it to a
+    vector or a block factor by factor; ``lower``, the CSR lower
+    triangle of the sum, is built on first access.
     ``point_symmetric`` records that the form commutes with the reversal
     of its unknowns' order, the point reflection x -> -x of a mesh
     symmetric about 0 under a field even in X2 (property (S)); the
@@ -129,34 +139,80 @@ def coefficient_samples(cross, field, mats):
     return np.broadcast_to(C, (cross.n_cells, 2**cross.ndim) + C.shape[2:])
 
 
-def _slot_matrices(mesh, C, n_values, free):
-    """Slot matrices S[a][b] = int C_ab psi_a psi_b on the nodes ``free``.
+def _slot_set(mesh, C, n_values):
+    """Slot matrices S[a][b] = int C_ab psi_a psi_b over all nodes, as DIA
+    arrays.
 
     psi_a is the Q1 basis function itself for a < n_values and its
     derivative along axis a - n_values after that; C has shape
     (n_cells, nq, s, s), or broadcasts to it.
 
-    Inside a ``solve_memo`` block the all-node set of each mesh key,
-    ``n_values`` and C (shape and bytes) is built once, and restricted
-    once per ``free``; callers only read what they get.  Outside any
-    block every call builds and restricts afresh.
+    Inside a ``solve_memo`` block the set of each mesh key, ``n_values``
+    and C (shape and bytes) is built once; callers only read what they
+    get, and restrictions of it (``_restrict``) are views or copies, not
+    memo entries.  Outside any block every call builds afresh.
     """
     memo = {} if _MEMO.get() is None else _MEMO.get()
     key = (mesh.key, n_values, C.shape,
            hashlib.blake2b(C.tobytes(), digest_size=16).hexdigest())
     if key not in memo:
         memo[key] = _build_slots(mesh, C, n_values)
-    restricted = key + (free.tobytes(),)
-    if restricted not in memo:
-        memo[restricted] = [[_restrict(S, free) for S in row]
-                            for row in memo[key]]
-    return memo[restricted]
+    return memo[key]
 
 
-def _restrict(S, free):
-    if free[-1] - free[0] + 1 == free.size:  # a run slices faster
-        free = slice(free[0], free[-1] + 1)
-    return S[free][:, free]
+def _slot_matrices(mesh, C, n_values, free):
+    """The slot set of ``mesh``, C and ``n_values`` on the free nodes, the
+    product of the per-axis index runs ``free`` (``axis_free``)."""
+    return [[_restrict(S, mesh.shape, free) for S in row]
+            for row in _slot_set(mesh, C, n_values)]
+
+
+def _stencil(d):
+    """The 3**d neighbour steps of a Q1 stencil, lexicographic, so that
+    their offsets in a C-ordered grid of at least 3 nodes per axis
+    ascend."""
+    return np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+
+
+def _strides(shape):
+    return np.array([math.prod(shape[k + 1:]) for k in range(len(shape))])
+
+
+def _restrict(S, shape, free):
+    """The all-node DIA matrix S of a node grid of ``shape`` on the
+    product of the index runs ``free``.
+
+    A grid whose nodes are all free keeps S.  On one axis this slices
+    the columns of S's data, a view: an entry whose row leaves the run
+    falls outside the restricted matrix, where DIA ignores it.  On more
+    axes the sliced data is gathered into a copy.  There a row that
+    leaves axis k > 0 would wrap into the neighbouring grid line, so
+    those entries are set to zero; a step that no free pair takes is
+    dropped, and steps that meet at one offset (on an axis of two free
+    nodes) share its diagonal.
+    """
+    cut = (slice(None),) + tuple(slice(r[0], r[-1] + 1) for r in free)
+    grid = S.data.reshape((-1,) + shape)[cut]
+    sizes = grid.shape[1:]
+    if sizes == shape:
+        return S
+    n = math.prod(sizes)
+    if len(sizes) == 1:
+        return sparse.dia_array((grid, S.offsets), shape=(n, n))
+    steps = _stencil(len(sizes))
+    grid = grid.copy()
+    for k in range(1, len(sizes)):
+        # row index = column index - step, out of the run at one edge
+        for step, edge in ((1, 0), (-1, sizes[k] - 1)):
+            index = [steps[:, k] == step] + [slice(None)] * len(sizes)
+            index[1 + k] = edge
+            grid[tuple(index)] = 0.0
+    kept = (np.abs(steps) < sizes).all(axis=1)
+    offsets, where = np.unique(steps[kept] @ _strides(sizes),
+                               return_inverse=True)
+    data = np.zeros((len(offsets), n))
+    np.add.at(data, where, grid[kept].reshape(-1, n))
+    return sparse.dia_array((data, offsets), shape=(n, n))
 
 
 def _build_slots(mesh, C, n_values):
@@ -172,12 +228,26 @@ def _build_slots(mesh, C, n_values):
     w = mesh.cell_volumes() / nq
     Cs = C * (w[:, None, None, None] * scale[:, None, :, None]
               * scale[:, None, None, :])
-    local = np.einsum("cqab,qai,qbj->abcij", Cs, base, base)
-    cells = mesh.cell_node_indices()
-    rows = np.repeat(cells, nloc, axis=1).ravel()   # local (i, j), j fastest
-    cols = np.tile(cells, nloc).ravel()
-    return [[sparse.csr_matrix((local[a, b].ravel(), (rows, cols)),
-                               shape=(mesh.n_nodes, mesh.n_nodes))
+    local = np.einsum("cqab,qai,qbj->abcij", Cs, base, base).reshape(
+        (s, s) + mesh.cells_shape + (nloc, nloc))
+    # DIA storage, data[k, col] = S[col - offset_k, col]: the local pair
+    # (i, j) of every cell couples corner i to corner j, one stencil step
+    # apart, and the columns of corner j over all cells are one block of
+    # the node grid, so each pair is one slice-add
+    steps = _stencil(mesh.ndim)
+    offsets = steps @ _strides(mesh.shape)
+    data = np.zeros((s, s, len(steps)) + mesh.shape)
+    corners = list(itertools.product((0, 1), repeat=mesh.ndim))
+    for i, ci in enumerate(corners):
+        for j, cj in enumerate(corners):
+            k = np.ravel_multi_index(np.subtract(cj, ci) + 1,
+                                     (3,) * mesh.ndim)
+            block = tuple(slice(c, c + m)
+                          for c, m in zip(cj, mesh.cells_shape))
+            data[(slice(None), slice(None), k) + block] += local[..., i, j]
+    data = data.reshape(s, s, len(steps), mesh.n_nodes)
+    return [[sparse.dia_array((data[a, b], offsets),
+                              shape=(mesh.n_nodes, mesh.n_nodes))
              for b in range(s)] for a in range(s)]
 
 
@@ -210,15 +280,15 @@ def _assemble_pair(mesh, field, mats, n_values):
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
     C = coefficient_samples(cross, field, mats)
-    X = _slot_matrices(cross, C, n_values, cross.free_nodes)
+    X = _slot_matrices(cross, C, n_values, cross.axis_free)
     axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
-                           np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k])
+                           np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k:k + 1])
             for k in range(p)]
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
          for a, b in itertools.product(range(n_values - p, len(X)), repeat=2)]
-    Mc = _slot_matrices(cross, np.eye(1 + cross.ndim)[None, None], 1,
-                        cross.free_nodes)[0][0]
+    unit = _slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
+    Mc = _restrict(unit[0][0], cross.shape, cross.axis_free)
     M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",

@@ -55,16 +55,21 @@ K - sigma M is banded, and its lower band comes straight from the
 Kronecker terms of the forms (``assemble.KroneckerForm``): a term
 F_1 x ... x F_k adds the outer product of diagonal d_k of each factor,
 v_k[j] = F_k[j + d_k, j], at band row D = sum_k d_k s_k, with s_k the
-stride of axis k.  Rows D >= 0 are the lower band, so the half-bandwidth
-b is known before the band is allocated: one x1 layer plus one node in
-2D (32 on the pencils of the configs), one layer, one row and one node
-in 3D (599 on ``multi_direction`` at L = 4).  A solve builds the rows of
-K and of M once (``BandRows``) and combines them at each shift it
-factors: guess, floor and certificate.  LAPACK ``dpbtrf`` factors the
-band in place in n (b + 1) values.  A band of more than
-``errors.MEMORY_BUDGET`` (1 GiB) raises MemoryBudget before it is
-allocated, and one band is alive at a time, so that is the most a
-solve's factor takes.  The
+stride of axis k.  The factors are DIA arrays, so diagonal d_k is the
+``data`` row of offset -d_k, read with the entries whose row leaves the
+factor set to zero.  Rows D >= 0 are the lower band, so the
+half-bandwidth b is known from the factors' offsets alone: one x1 layer
+plus one node in 2D (32 on the pencils of the configs), one layer, one
+row and one node in 3D (599 on ``multi_direction`` at L = 4).  A solve
+checks the memory budget of its first band from n (or the sector's
+size) and b, then builds the rows of K and of M once (``BandRows``) and
+combines them at each shift it factors: guess, floor and certificate.
+LAPACK ``dpbtrf`` factors the band in place in n (b + 1) values.  A band
+of more than ``errors.MEMORY_BUDGET`` (1 GiB) raises MemoryBudget before
+it is allocated, and one band is alive at a time, so that is the most a
+solve's factor takes; a first band over the budget raises before any
+row is built (on the 16/8 ``multi_direction`` pencil at L = 5, whose
+even band would take 1.9 GiB, the rows of K and M took 67 MiB).  The
 factor is also a certificate: it succeeds exactly when lambda_1 lies
 above sigma (to rounding), so a guessed shift costs one factor try.  A
 fill-reducing sparse factor wins only on cross-sections much finer than
@@ -142,15 +147,16 @@ def _sign_fix(vec):
     return vec if vec[i] >= 0 else -vec
 
 
-def _diagonals(F):
-    """``(d, v)`` for each stored diagonal of the square CSR matrix F, with
-    v[j] = F[j + d, j] and zero where j + d falls outside F."""
-    n = F.shape[0]
-    offsets = np.repeat(np.arange(n), np.diff(F.indptr)) - F.indices
-    for d in np.unique(offsets).tolist():
-        v = np.zeros(n)
-        v[max(-d, 0):n - max(d, 0)] = F.diagonal(-d)
-        yield d, v
+def _reach(term):
+    """The farthest lower band row D = sum_k d_k s_k of a Kronecker term,
+    read from its factors' DIA offsets: each factor at its lowest
+    diagonal, d_k = -min o.  The strides s_k are products of the later
+    sizes, so D = D' m_k + d_k factor by factor."""
+    D = 0
+    for F in term:
+        m = F.shape[0]
+        D = D * m - min(o for o in F.offsets.tolist() if abs(o) < m)
+    return D
 
 
 def _rows(form):
@@ -158,9 +164,20 @@ def _rows(form):
     from its Kronecker terms (see above)."""
     rows = {}
     for term in form.terms:
+        # (d, v) per diagonal of each factor, d ascending: DIA row k holds
+        # F[c - o, c] at column c for offset o, so it is diagonal d = -o,
+        # v[j] = F[j + d, j], zero where the row j + d leaves F
+        factors = []
+        for F in term:
+            m, o = F.shape[0], F.offsets
+            j = np.arange(m)
+            V = np.where((j >= o[:, None]) & (j < m + o[:, None]),
+                         F.data[:, :m], 0.0)
+            factors.append([(-int(o[k]), V[k]) for k in np.argsort(-o)
+                            if abs(o[k]) < m])
         sizes = [F.shape[0] for F in term]
         strides = [math.prod(sizes[k + 1:]) for k in range(len(term))]
-        for combo in itertools.product(*map(_diagonals, term)):
+        for combo in itertools.product(*factors):
             D = sum(d * s for (d, _), s in zip(combo, strides))
             if D >= 0:
                 v = functools.reduce(np.multiply.outer,
@@ -210,11 +227,28 @@ class Sector:
 
 class BandRows:
     """The lower band rows of K and of M (``_rows``), built once per solve
-    and combined into the band of K - shift M at each shift it factors."""
+    and combined into the band of K - shift M at each shift it factors.
+    The half-bandwidth b comes from the factors' offsets (``_reach``), so
+    a ``sector`` band (the whole pencil's when None), the first that the
+    solve factors, of more than ``MEMORY_BUDGET`` bytes raises
+    MemoryBudget before any row is built."""
 
-    def __init__(self, K, M):
+    def __init__(self, K, M, sector=None):
         self.n = K.dim
+        self.b = max(_reach(term) for form in (K, M) for term in form.terms)
+        self.shape(sector)
         self.K, self.M = _rows(K), _rows(M)
+
+    def shape(self, sector):
+        """The shape (b + 1, size) of the band of ``sector``, the whole
+        pencil when None; raises MemoryBudget when it takes more than
+        ``MEMORY_BUDGET`` bytes."""
+        size = self.n if sector is None else sector.size
+        b = min(self.b, size - 1)
+        if 8 * size * (b + 1) > MEMORY_BUDGET:
+            raise MemoryBudget(f"the band of n = {size}, b = {b} takes "
+                               f"{8 * size * (b + 1)} bytes > {MEMORY_BUDGET}")
+        return b + 1, size
 
     def band(self, shift, sector):
         """Lower band of K - shift M, or of its ``sector`` block W^T A W
@@ -222,7 +256,7 @@ class BandRows:
         shape (b + 1, size).  It is Fortran-ordered so that ``dpbtrf``
         factors it in place: a C-ordered band would be copied, doubling its
         storage.  A band of more than ``MEMORY_BUDGET`` bytes raises
-        MemoryBudget before it is allocated.
+        MemoryBudget before it is allocated (``shape``).
 
         A sector's entry is 2 (A[i, j] + sign A[i, n-1-j]) for
         i, j < h = n // 2 (A commutes with P); the second term is nonzero
@@ -230,16 +264,12 @@ class BandRows:
         half-bandwidth b.  The even sector of an odd n adds the middle
         row, 2 A[h, j], and A[h, h]: every column but the middle one is
         doubled."""
+        band = np.zeros(self.shape(sector), order="F")
         rows = dict(self.K)
         for D, v in self.M.items():
             rows[D] = rows.get(D, 0.0) + -shift * v
-        n = self.n
-        size = n if sector is None else sector.size
-        b = min(max(rows), size - 1)
-        if 8 * size * (b + 1) > MEMORY_BUDGET:
-            raise MemoryBudget(f"the band of n = {size}, b = {b} takes "
-                               f"{8 * size * (b + 1)} bytes > {MEMORY_BUDGET}")
-        band = np.zeros((b + 1, size), order="F")
+        n, size = self.n, band.shape[1]
+        b = band.shape[0] - 1
         for D, v in rows.items():
             if D <= b:
                 band[D, :size - D] = v[:size - D]
@@ -390,10 +420,10 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
         raise BadResolution(
             f"requested {count} pairs from a dimension-{n} pencil")
 
-    rows = BandRows(K, M)
     folds = count == 1 and n > 2 and K.point_symmetric and M.point_symmetric
-    vals, vecs = _lanczos(K, M, rows, count, seed, floor, guess,
-                          Sector(n, 1) if folds else None)
+    first = Sector(n, 1) if folds else None
+    rows = BandRows(K, M, first)
+    vals, vecs = _lanczos(K, M, rows, count, seed, floor, guess, first)
     if folds and not _odd_above(rows, vals[0]):
         vals, vecs = _lanczos(K, M, rows, count, seed, floor, guess, None)
 

@@ -189,9 +189,9 @@ def cross_context(field, cfg, base=None):
 @contextlib.contextmanager
 def solve_memo():
     """Within the block, assembly and diagnostics build each distinct
-    slot-matrix set once and restrict it once per free-index set
-    (``asm._MEMO``); each field's cross context, which keeps every
-    pencil ``solve_cylinder`` solves under it, is built once
+    all-node slot-matrix set once (``asm._MEMO``), and assembly restricts
+    it to each pencil's free nodes; each field's cross context, which
+    keeps every pencil ``solve_cylinder`` solves under it, is built once
     (``_CROSS_CACHE``, emptied when the outermost block closes).
     Outside any block every call solves and builds afresh."""
     token = asm._MEMO.set({})

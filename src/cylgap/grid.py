@@ -89,14 +89,6 @@ class TensorMesh:
     def cross_partitions(self):
         return self.axis_partitions[self.n_axial :]
 
-    def cell_node_indices(self):
-        """(n_cells, 2**ndim) corner node indices; corners ordered with the
-        last axis fastest, matching the reference element."""
-        nodes = np.arange(self.n_nodes).reshape(self.shape)
-        lows = nodes[(slice(-1),) * self.ndim].ravel()
-        # corner offsets: the node indices of the first cell
-        return lows[:, None] + nodes[(slice(2),) * self.ndim].ravel()
-
     def cell_sizes(self):
         """(n_cells, ndim) per-axis cell extents."""
         return _product_points([np.diff(p) for p in self.axis_partitions])

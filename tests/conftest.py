@@ -25,15 +25,14 @@ def cross32(model06):
 
 def same_bits(a, b):
     """Forms, or nested lists of them, with equal dimensions and bitwise
-    equal Kronecker factors, term by term (CSR data, indices and
-    indptr)."""
+    equal Kronecker factors, term by term (DIA data and offsets)."""
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(same_bits, a, b))
     if isinstance(a, assemble.KroneckerForm):
         return a.dim == b.dim and same_bits(a.terms, b.terms)
     return a.shape == b.shape and all(
         np.array_equal(getattr(a, k), getattr(b, k))
-        for k in ("data", "indices", "indptr"))
+        for k in ("data", "offsets"))
 
 
 def random_spd(rng, n, scale=1.0):

@@ -52,6 +52,15 @@ def node_coords(mesh):
                                                     indexing="ij")], axis=1)
 
 
+def cell_node_indices(mesh):
+    """(n_cells, 2**ndim) corner node indices; corners ordered with the
+    last axis fastest, matching the reference element."""
+    nodes = np.arange(mesh.n_nodes).reshape(mesh.shape)
+    lows = nodes[(slice(-1),) * mesh.ndim].ravel()
+    # corner offsets: the node indices of the first cell
+    return lows[:, None] + nodes[(slice(2),) * mesh.ndim].ravel()
+
+
 def dirichlet_nodes(mesh):
     return np.flatnonzero(mesh.dirichlet_mask)
 
@@ -115,7 +124,7 @@ def schur_minimizer(field, X2, Z2):
 
 def cell_center_gradients(mesh, node_values):
     """Per-cell gradient of a multilinear nodal function at cell centers."""
-    vals = node_values[mesh.cell_node_indices()]
+    vals = node_values[cell_node_indices(mesh)]
     d = mesh.ndim
     t = vals.reshape((mesh.n_cells,) + (2,) * d)
     h = mesh.cell_sizes()
@@ -153,7 +162,7 @@ def coupling_audit(field, W1, mesh):
     weighted = np.einsum("mp,mp->m", g, np.linalg.solve(A[:, :p, :p],
                                                         g[:, :, None])[..., 0])
     vol = mesh.cell_volumes()
-    w_center = full[mesh.cell_node_indices()].mean(axis=1)
+    w_center = full[cell_node_indices(mesh)].mean(axis=1)
     signed = (vol[:, None] * g * w_center[:, None]).sum(axis=0)
     return CouplingAudit(
         norm=float(np.sqrt((vol * weighted).sum())),
@@ -259,7 +268,7 @@ def node_projected_gradient(cross_mesh, full_values):
     """Elementwise gradients averaged to nodes with volume weights."""
     grads = cell_center_gradients(cross_mesh, full_values)
     vol = cross_mesh.cell_volumes()
-    cells = cross_mesh.cell_node_indices()
+    cells = cell_node_indices(cross_mesh)
     num = np.zeros((cross_mesh.n_nodes, cross_mesh.ndim))
     den = np.zeros(cross_mesh.n_nodes)
     for k in range(cells.shape[1]):
@@ -549,8 +558,8 @@ def picone_gap(u, W1, mu1, mesh, forms):
 
 
 def form(A):
-    """A sparse matrix as an assembled form: one term of one factor."""
-    return asm.KroneckerForm(A.shape[0], [(sparse.csr_matrix(A),)])
+    """A sparse matrix as an assembled form: one term of one DIA factor."""
+    return asm.KroneckerForm(A.shape[0], [(sparse.dia_array(A),)])
 
 
 def full(form):
@@ -596,7 +605,7 @@ def cellwise_oracle(mesh, mats, midpoint):
     Cs = C / h[:, None, :, None] / h[:, None, None, :]
     Kloc = np.einsum("cqab,qai,qbj->cij", Cs, G, G) * (vol / nq)[:, None, None]
     Mloc = vol[:, None, None] * (N.T @ N / nq)
-    cells = mesh.cell_node_indices()
+    cells = cell_node_indices(mesh)
     idx = (cells[:, :, None], cells[:, None, :])
     free = np.ix_(mesh.free_nodes, mesh.free_nodes)
     out = []

@@ -309,7 +309,7 @@ class TestSmallestEigenpairs:
         sector's factor at the even sector's lambda_1 fails, so the solve
         starts again on the whole pencil and returns its lambda_1."""
         n = 50
-        K, M = (assemble.KroneckerForm(n, [(sparse.csr_matrix(A),)],
+        K, M = (assemble.KroneckerForm(n, [(sparse.dia_array(A),)],
                                        point_symmetric=True)
                 for A in (sparse.diags([1.0, 2.0, 1.0], [-1, 0, 1],
                                        shape=(n, n)), sparse.identity(n)))

@@ -322,10 +322,14 @@ class TestMultiDirection:
             ex.exp_multi_direction(model, [2], ex.ExperimentConfig())
 
     def test_pencil_at_the_2d_resolutions_fails_its_row_unallocated(self):
-        # at 16/8 the L = 5 pencil (n = 203 391) folds into an even sector
-        # whose band would take 1.9 GiB; the row fails before it is
-        # allocated.  (At L = 4 the even band, 1 072 955 392 bytes, fits
-        # the budget by 786 432 bytes.)
+        # at 16/8 the L = 5 pencil folds into an even sector whose band
+        # would take 1.9 GiB; the row fails before it is allocated.  (At
+        # L = 4 the even band, 1 072 955 392 bytes, fits the budget by
+        # 786 432 bytes.)  Its factors have 81, 81 and 31 free nodes, so
+        # n = 203 391, and the budget is checked from their offsets before
+        # any band row (n values each) is built: the peak, 3.5 MiB when
+        # measured, is the mesh's free-node index (8 n bytes) and the
+        # factors, where the rows of K and M took 67 MiB
         tracemalloc.start()
         try:
             rec = ex._row("multi-direction", coeff.multi_model_field(0.6),
@@ -338,7 +342,8 @@ class TestMultiDirection:
         assert rec.note == ("MemoryBudget: the band of n = 101696, b = 2543 "
                             f"takes {8 * 101696 * 2544} bytes > "
                             f"{MEMORY_BUDGET}")
-        assert peak < MEMORY_BUDGET
+        n = 81 * 81 * 31
+        assert peak < 3 * 8 * n
 
 
 class TestDecayAndProfiles:
@@ -601,17 +606,13 @@ class TestSolveMemo:
             assert guesses == [cyl[0].value - ctx.margin]
             ex.exp_bounds_sweep(model, [1.0, 2.0], cfg)
             ex.exp_nu_half(model, [2.0, 4.0], cfg)
-            # the memo holds only slot-matrix sets, each one built here,
-            # and their restrictions, keyed by the set's key plus the
-            # free indices
+            # the memo holds only the all-node slot-matrix sets, each one
+            # built here (restrictions are views of them, not entries)
             memo = set(assemble._MEMO.get())
         built = {(mesh_key, n_values, shape, hashlib.blake2b(
             data, digest_size=16).hexdigest())
             for mesh_key, n_values, shape, data in slot_builds}
-        assert built <= memo
-        assert all(key in built or (key[:-1] in built
-                                    and isinstance(key[-1], bytes))
-                   for key in memo)
+        assert built == memo
 
     def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
                                                         solves, monkeypatch):

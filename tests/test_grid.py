@@ -148,7 +148,7 @@ class TestBuildMesh:
                             grading=2)
         offsets = np.array(list(itertools.product((0, 1), repeat=m.ndim)))
         np.testing.assert_allclose(
-            proofs.node_coords(m)[m.cell_node_indices()],
+            proofs.node_coords(m)[proofs.cell_node_indices(m)],
             m.cell_origins()[:, None] + m.cell_sizes()[:, None] * offsets,
             rtol=0, atol=1e-12)
 

@@ -105,8 +105,10 @@ def test_band_cholesky_certifies_the_floor(field):
 
 
 # fields of each shape, with the meshes of their pencils: a 1D
-# cross-section (p = 1, n = 2), a 2D one (p = 1, n = 3) and the
-# multi-direction cylinder (p = 2, n = 3)
+# cross-section (p = 1, n = 2), a 2D one (p = 1, n = 3: boxes with 7, 5,
+# 2 or 1 free nodes on a cross axis, where the 2D cross factors are
+# gathered onto their free grid) and the multi-direction cylinder (p = 2,
+# n = 3)
 BOX_OMEGA = ((-1, 1), (-1, 1))
 FIELD_SHAPES = {
     (2, 1): [cylinder_mesh(kind) for kind in MESH_KINDS]
@@ -114,29 +116,42 @@ FIELD_SHAPES = {
                        resolution=RESOLUTION[1])],
     (3, 1): [grid.build_mesh("full-cylinder", ell=1, omega=BOX_OMEGA,
                              resolution=(2, 3, 3)),
+             grid.build_mesh("half-plus", ell=1, omega=BOX_OMEGA,
+                             resolution=(2, 1.5, 1.5)),
              grid.build_mesh("cross-section", omega=BOX_OMEGA,
-                             resolution=4)],
+                             resolution=4),
+             grid.build_mesh("cross-section", omega=BOX_OMEGA,
+                             resolution=(1.5, 1))],
     (3, 2): [grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
                              resolution=(2, 2, 4)),
              grid.with_full_dirichlet(grid.build_mesh(
                  "multi-direction", ell=1, omega=(-1, 1),
                  resolution=(2, 2, 4)))],
 }
+# a coupled box field whose A varies over the cross-section
+BOX_FIELD = coeff.field_from_entries(
+    3, 1, {(0, 0): 1.0, (0, 1): 0.3, (0, 2): lambda x: 0.2 * x[:, 1],
+           (1, 1): lambda x: 1.0 + 0.25 * x[:, 0] ** 2, (1, 2): 0.1,
+           (2, 2): 1.0})
 FIXED_FIELDS = [coeff.model_field(0.6), coeff.asymmetric_model_field(0.5),
-                coeff.multi_model_field(0.6)]
+                BOX_FIELD, coeff.multi_model_field(0.6)]
 any_field = st.one_of(st.sampled_from(FIXED_FIELDS),
                       *(tables(n, p) for n, p in FIELD_SHAPES))
 
 
 def field_pencils(field):
-    """(K, M) of ``field`` on every mesh of its shape, the cross-section
-    ones both plain and Schur-reduced."""
+    """(mesh, A, (K, M)) of ``field`` on every mesh of its shape, with A
+    the coefficient of the pencil at points of the mesh, the cross-section
+    ones both plain (A22) and Schur-reduced."""
     for mesh in FIELD_SHAPES[field.n, field.p]:
         if mesh.domain_kind != "cross-section":
-            yield assemble.assemble_cylinder(mesh, field)
+            yield (mesh, lambda x, p=mesh.n_axial: field.eval_many(x[:, p:]),
+                   assemble.assemble_cylinder(mesh, field))
             continue
-        for reduced in (False, True):
-            yield assemble.assemble_cross_section(mesh, field, reduced)
+        yield (mesh, lambda x: field.eval_many(x)[:, field.p:, field.p:],
+               assemble.assemble_cross_section(mesh, field))
+        yield (mesh, lambda x: coeff.schur_reduce_many(field, x),
+               assemble.assemble_cross_section(mesh, field, True))
 
 
 def oracle_band(K, M, shift):
@@ -150,17 +165,19 @@ def oracle_band(K, M, shift):
     return band
 
 
-@PROPERTY_SETTINGS
-@given(field=any_field, shift=st.floats(0.0, 4.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_kronecker_terms_match_the_lower_oracle(field, shift, seed):
-    """The band of K - shift M filled from the Kronecker terms equals,
-    bit for bit, the band sliced from the assembled lower triangles, and
+def check_terms_against_the_oracles(field, shift, seed):
+    """The forms' matrices (their ``lower`` triangles) match the cellwise
+    oracle; the band of K - shift M filled from the Kronecker terms
+    equals, bit for bit, the band sliced from those lower triangles; and
     the terms apply K and M to a vector and to a block as the assembled
     matrices do."""
     rng = np.random.default_rng(seed)
-    for K, M in field_pencils(field):
+    for mesh, coefficient, (K, M) in field_pencils(field):
         kind = K.provenance["mesh"]
+        oracle = cellwise_oracle(mesh, coefficient, field.piecewise_constant)
+        for form, ref in zip((K, M), oracle):
+            dev = np.abs(proofs.full(form).toarray() - ref).max()
+            assert dev <= 1e-13 * np.abs(ref).max(), kind
         assert np.array_equal(eig.BandRows(K, M).band(shift, None),
                               oracle_band(K, M, shift)), kind
         for form in (K, M):
@@ -170,6 +187,20 @@ def test_kronecker_terms_match_the_lower_oracle(field, shift, seed):
                 assert got.shape == u.shape, kind
                 assert np.linalg.norm(got - ref) <= \
                     1e-14 * np.linalg.norm(ref), kind
+
+
+@PROPERTY_SETTINGS
+@given(field=any_field, shift=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kronecker_terms_match_the_lower_oracle(field, shift, seed):
+    check_terms_against_the_oracles(field, shift, seed)
+
+
+@pytest.mark.parametrize("field", FIXED_FIELDS, ids=lambda f: f.signature)
+def test_every_shape_matches_the_lower_oracle(field):
+    """Each field shape, box cross-sections, box cylinders and p = 2
+    meshes included, whatever the draws above picked."""
+    check_terms_against_the_oracles(field, 1.5, 0)
 
 
 @PROPERTY_SETTINGS
@@ -256,10 +287,7 @@ FIELD_BUILDERS = [
     coeff.neg_coupling_field(), MULTI,
     coeff.row_restriction_field(MULTI, 0),
     coeff.row_restriction_field(MULTI, 1),
-    coeff.field_from_entries(
-        3, 1, {(0, 0): 1.0, (0, 1): 0.3, (0, 2): lambda x: 0.2 * x[:, 1],
-               (1, 1): lambda x: 1.0 + 0.25 * x[:, 0] ** 2, (1, 2): 0.1,
-               (2, 2): 1.0})]
+    BOX_FIELD]
 CROSS_MESHES = {d: grid.build_mesh("cross-section", omega=omega,
                                    resolution=res)
                 for d, omega, res in ((1, (-1, 1), RESOLUTION[1]),

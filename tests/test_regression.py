@@ -157,13 +157,15 @@ def test_benchmark_trace_reads_the_package(tmp_path):
 
 def test_run_builds_no_csr_pencil(tmp_path, monkeypatch):
     """A run fills every band and applies K and M from the Kronecker
-    factors: it forms no Kronecker product and no CSR lower triangle, and
-    every row passes."""
+    factors, which assembly stores as DIA arrays: it forms no Kronecker
+    product, no CSR lower triangle and no CSR or COO matrix, and every
+    row passes."""
     def refuse(*args, **kwargs):
         raise AssertionError("a CSR pencil was built on the run path")
 
-    monkeypatch.setattr(sparse, "kron", refuse)
-    monkeypatch.setattr(sparse, "tril", refuse)
+    for name in ("kron", "tril", "csr_matrix", "csr_array", "coo_matrix",
+                 "coo_array"):
+        monkeypatch.setattr(sparse, name, refuse)
     monkeypatch.delenv(cli.ENV_OUTPUT_DIR, raising=False)
     out = tmp_path / "out"
     cfg = tmp_path / "guard.cfg"
