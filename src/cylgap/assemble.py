@@ -82,12 +82,17 @@ class KroneckerForm:
     ``point_symmetric`` records that the form commutes with the reversal
     of its unknowns' order, the point reflection x -> -x of a mesh
     symmetric about 0 under a field even in X2 (property (S)); the
-    eigensolver then folds the pencil into its even and odd sectors."""
+    eigensolver then folds the pencil into its even and odd sectors.
+    ``mirror_axis`` is an axial axis k whose reflection x_k -> -x_k
+    commutes with the form, acting on each term's factor k alone
+    (``_mirror_axis``), or None; the eigensolver may fold that factor
+    too."""
 
     dim: int
     terms: list
     provenance: dict = dc_field(default_factory=dict)
     point_symmetric: bool = False
+    mirror_axis: int | None = None
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -251,6 +256,25 @@ def _build_slots(mesh, C, n_values):
              for b in range(s)] for a in range(s)]
 
 
+def _mirror_axis(mesh, C):
+    """The first axial axis k that the samples C of a cylinder leave
+    uncoupled, C[..., k, j] = C[..., j, k] = 0 exactly for every j != k,
+    on a partition that mirrors exactly, with both ends clamped alike;
+    None when there is none.  Then x_k -> -x_k maps the free nodes onto
+    themselves, and every term of K with a nonzero cross factor carries
+    on axis k the stiffness or the mass, both of which commute with the
+    reversal of the axis: the terms with one derivative along x_k, the
+    only ones odd under the reflection, have a zero cross factor."""
+    for k in range(mesh.n_axial):
+        part, (lo, hi) = mesh.axis_partitions[k], mesh.clamped[k]
+        others = np.arange(C.shape[-1]) != k
+        if (lo == hi and np.array_equal(part, -part[::-1])
+                and not C[..., k, others].any()
+                and not C[..., others, k].any()):
+            return k
+    return None
+
+
 def _assemble_pair(mesh, field, mats, n_values):
     """Stiffness and mass as Kronecker sums of 1D axial slot matrices and
     cross-section slot matrices.
@@ -268,8 +292,9 @@ def _assemble_pair(mesh, field, mats, n_values):
     of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
     nodes for X_ab and Mc), so every term spans the free nodes only.
 
-    Both forms are ``point_symmetric`` when the mesh has the reflection
-    permutation and the coefficient samples are even in X2, to the
+    Both forms record the ``mirror_axis`` of the samples
+    (``_mirror_axis``), and both are ``point_symmetric`` when the mesh
+    has the reflection permutation and the samples are even in X2, to the
     tolerance of ``field.is_even``: each term of K then carries two
     derivatives, each odd under x -> -x, times an even coefficient.  The
     axes of such a mesh mirror exactly, so the points reflected from the
@@ -298,8 +323,9 @@ def _assemble_pair(mesh, field, mats, n_values):
         symmetric = np.allclose(C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
     except NoReflectionSymmetry:
         symmetric = False
-    return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric)
-                 for terms in (K, M))
+    mirror = _mirror_axis(mesh, C)
+    return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric,
+                               mirror) for terms in (K, M))
 
 
 def assemble_cylinder(mesh, field):

@@ -61,15 +61,17 @@ factor set to zero.  Rows D >= 0 are the lower band, so the
 half-bandwidth b is known from the factors' offsets alone: one x1 layer
 plus one node in 2D (32 on the pencils of the configs), one layer, one
 row and one node in 3D (599 on ``multi_direction`` at L = 4).  A solve
-checks the memory budget of its first band from n (or the sector's
-size) and b, then builds the rows of K and of M once (``BandRows``) and
-combines them at each shift it factors: guess, floor and certificate.
-LAPACK ``dpbtrf`` factors the band in place in n (b + 1) values.  A band
-of more than ``errors.MEMORY_BUDGET`` (1 GiB) raises MemoryBudget before
-it is allocated, and one band is alive at a time, so that is the most a
-solve's factor takes; a first band over the budget raises before any
-row is built (on the 16/8 ``multi_direction`` pencil at L = 5, whose
-even band would take 1.9 GiB, the rows of K and M took 67 MiB).  The
+checks the memory budget of every band of its first try (below) from
+its size and b, then builds the rows of K and of M once (``BandRows``)
+and combines them at each shift it factors: guess, floor and
+certificates.  LAPACK ``dpbtrf`` factors the band in place in n (b + 1)
+values.  A band of more than ``errors.MEMORY_BUDGET`` (1 GiB) raises
+MemoryBudget before it is allocated, and one band is alive at a time, so
+that is the most a solve's factor takes; a band of the first try over
+the budget raises before any row is built (on the 16/8
+``multi_direction`` pencil at L = 5 the even band of the point
+reflection, 1.9 GiB, raised so, where the rows of K and M took 67 MiB;
+its quarter sectors, below, now fit up to L = 6).  The
 factor is also a certificate: it succeeds exactly when lambda_1 lies
 above sigma (to rounding), so a guessed shift costs one factor try.  A
 fill-reducing sparse factor wins only on cross-sections much finer than
@@ -93,15 +95,37 @@ pencil's lambda_1.  If that factor fails, the lowest mode is odd (or
 ties the even one to rounding), and the solve starts again on the whole
 pencil.  Two-pair solves stay whole: solving both sectors for two pairs
 each cost more than one whole solve (8.6/12.0/19.1 ms against
-7.1/9.6/16.0 ms on the guessed pencils of ``second`` at ell = 8/12/16).  On the L = 4 ``multi_direction`` pencil
-(n = 14 375, b = 599) the sector factors take 78 + 80 ms against 158 ms
-for the whole one, and an application 6.0 ms against 12.2 ms.  A run
-sweeps 642 634 unknowns over its applications on ``model_gap`` and
-123 816 on ``multi_direction``, against 1 111 863 and 271 755 whole;
-``asymmetric_showcase`` has no such pencil and stays at 473 070.  Over
-10 alternating benchmark pairs (seed 11, 2-vCPU VM) ``multi_direction``
-ran in a median 0.326 s against 0.420 s, and ``model_gap`` in 0.238 s
-against 0.257 s.
+7.1/9.6/16.0 ms on the guessed pencils of ``second`` at ell = 8/12/16).
+
+A field that leaves an axial axis x_k uncoupled (A_kj = 0 for j != k:
+``KroneckerForm.mirror_axis``) on an axis that mirrors gives a pencil
+that also commutes with x_k -> -x_k, which acts on each term's factor k
+alone.  Its sectors are Kronecker forms again (``Mirror``): factor k
+becomes W^T F W in the even or odd basis of the axis and moves
+innermost, and the terms with a zero factor (the x_k derivatives of the
+uncoupled row) are dropped.  On such a form the point reflection
+reverses the order of blocks of h_k unknowns, one mirror-sector axis
+each, so ``Sector`` folds it by blocks: the quarter sector, even under
+both, holds about n / 4 unknowns at about half the bandwidth (3 744 at
+b = 313 on the L = 4 ``multi_direction`` pencil of n = 14 375,
+b = 599).  A one-pair solve runs there wherever the fold lowers b (on a
+p = 1 cylinder only where the axis has fewer than about twice as many
+free nodes as the cross-section, as on no config's pencil); the factors
+at its lambda_1 of the point-odd sector of the x_k-even form and of
+both block sectors of the x_k-odd form prove the answer
+(``_tries``).  Where one fails, the solve falls back to the point
+reflection's even sector, then to the whole pencil; vectors come back
+exactly symmetric under x_k -> -x_k.  On the L = 4 pencil the four
+sector factors take about 16-23 ms each (3 744, 3 731, 3 456 and 3 444
+unknowns at b = 313, 313, 289 and 289) against 105-118 ms for each of
+the two point sectors, and an application about 1.1 ms against 6.5-7.2
+ms.  A run sweeps 642 634 unknowns over its applications on
+``model_gap`` and 56 190 on ``multi_direction`` (123 816 in point
+sectors alone), against 1 111 863 and 271 755 whole;
+``asymmetric_showcase`` has no symmetric pencil and stays at 473 070.
+Over 10 alternating benchmark pairs (seed 3, 2-vCPU VM)
+``multi_direction`` ran in a median 0.113 s against 0.246 s with the
+point fold alone, at a peak RSS of 75.9 MB against 103.2 MB.
 """
 
 from __future__ import annotations
@@ -112,11 +136,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                   LinearOperator, eigsh)
 
+from .assemble import KroneckerForm
 from .errors import (MEMORY_BUDGET, BadResolution, FactorizationFailed,
                      MemoryBudget, NoConvergence)
 
@@ -159,22 +185,23 @@ def _reach(term):
     return D
 
 
+def _diagonals(F):
+    """``(d, v)`` per diagonal of a DIA factor, d ascending: DIA row k
+    holds F[c - o, c] at column c for offset o, so it is diagonal d = -o,
+    v[j] = F[j + d, j], zero where the row j + d leaves F."""
+    m, o = F.shape[0], F.offsets
+    j = np.arange(m)
+    V = np.where((j >= o[:, None]) & (j < m + o[:, None]),
+                 F.data[:, :m], 0.0)
+    return [(-int(o[k]), V[k]) for k in np.argsort(-o) if abs(o[k]) < m]
+
+
 def _rows(form):
     """The lower band rows of a form, ``{D: v}`` with v[j] = A[j + D, j],
     from its Kronecker terms (see above)."""
     rows = {}
     for term in form.terms:
-        # (d, v) per diagonal of each factor, d ascending: DIA row k holds
-        # F[c - o, c] at column c for offset o, so it is diagonal d = -o,
-        # v[j] = F[j + d, j], zero where the row j + d leaves F
-        factors = []
-        for F in term:
-            m, o = F.shape[0], F.offsets
-            j = np.arange(m)
-            V = np.where((j >= o[:, None]) & (j < m + o[:, None]),
-                         F.data[:, :m], 0.0)
-            factors.append([(-int(o[k]), V[k]) for k in np.argsort(-o)
-                            if abs(o[k]) < m])
+        factors = [_diagonals(F) for F in term]
         sizes = [F.shape[0] for F in term]
         strides = [math.prod(sizes[k + 1:]) for k in range(len(term))]
         for combo in itertools.product(*factors):
@@ -186,64 +213,147 @@ def _rows(form):
     return rows
 
 
+def _bandwidth(*forms):
+    """The half-bandwidth of the forms, read from their factors' offsets
+    (``_reach``)."""
+    return max(_reach(term) for form in forms for term in form.terms)
+
+
 @dataclass(frozen=True)
 class Sector:
     """The even (``sign`` = 1) or odd (-1) sector of a pencil of ``n``
-    unknowns that commutes with the reversal P of their order.  Its basis
-    W has the columns e_i + sign e_{n-1-i} for i < n // 2 and, in the
-    even sector of an odd n, the middle unit vector e_{n // 2} last.  The
-    pencil (W^T K W, W^T M W) holds exactly the sector's eigenvalues, and
-    W and W^T only copy, negate and add entries: W^T W = diag(2, ..., 2, 1)
-    is exact in floating point, where the orthonormal basis's sqrt 2
-    would round every entry it touches."""
+    unknowns that commutes with the reversal P of the order of their
+    blocks of ``block`` consecutive unknowns (of the unknowns themselves
+    at block 1): with N = n / block blocks, P maps unknown t of block i to
+    unknown t of block N - 1 - i.  The basis W has the columns
+    e_j + sign e_{P(j)} for the j in the first N // 2 blocks (``half``
+    unknowns) and, in the even sector of an odd N, the unit vectors of the
+    middle block, which P fixes, last.  The pencil (W^T K W, W^T M W)
+    holds exactly the sector's eigenvalues, and W and W^T only copy,
+    negate and add entries: W^T W = diag(2, ..., 2, 1, ..., 1) is exact
+    in floating point, where the orthonormal basis's sqrt 2 would round
+    every entry it touches."""
 
     n: int
     sign: int
+    block: int = 1
+
+    @property
+    def half(self):
+        return self.n // self.block // 2 * self.block
 
     @property
     def size(self):
-        return self.n - self.n // 2 if self.sign > 0 else self.n // 2
+        return self.n - self.half if self.sign > 0 else self.half
+
+    def _reversed(self, a):
+        """The blocks of the leading axis of ``a`` in reverse order."""
+        return a.reshape((-1, self.block) + a.shape[1:])[::-1].reshape(
+            a.shape)
 
     def unfold(self, z):
         """W z for a vector or the columns of a block: exactly symmetric
         (even) or antisymmetric (odd) under P."""
-        h = self.n // 2
+        h = self.half
         u = np.empty((self.n,) + z.shape[1:])
         u[:h] = z[:h]
-        u[self.n - h:] = self.sign * z[:h][::-1]
-        if self.n % 2:
-            u[h] = z[h] if self.sign > 0 else 0.0
+        u[self.n - h:] = self.sign * self._reversed(z[:h])
+        u[h:self.n - h] = z[h:] if self.sign > 0 else 0.0
         return u
 
     def fold(self, u):
         """W^T u."""
-        h = self.n // 2
+        h = self.half
         y = np.empty((self.size,) + u.shape[1:])
-        y[:h] = u[:h] + self.sign * u[::-1][:h]
+        y[:h] = u[:h] + self.sign * self._reversed(u[self.n - h:])
         if self.size > h:
-            y[h] = u[h]
+            y[h:] = u[h:self.n - h]
         return y
 
 
-class BandRows:
-    """The lower band rows of K and of M (``_rows``), built once per solve
-    and combined into the band of K - shift M at each shift it factors.
-    The half-bandwidth b comes from the factors' offsets (``_reach``), so
-    a ``sector`` band (the whole pencil's when None), the first that the
-    solve factors, of more than ``MEMORY_BUDGET`` bytes raises
-    MemoryBudget before any row is built."""
+def _congruence(F, sector):
+    """W^T F W for the basis W of ``sector``, as a DIA array of F's
+    half-bandwidth w, which a sector keeps (``BandRows.band``)."""
+    m, s = F.shape[0], sector.size
+    j = np.arange(m)
+    dense = np.zeros((m, m))
+    for d, v in _diagonals(F):
+        run = j[max(-d, 0):m - max(d, 0)]
+        dense[run + d, run] = v[run]
+    G = sector.fold(sector.fold(dense).T).T
+    w = min(max(abs(int(o)) for o in F.offsets), s - 1)
+    offsets = np.arange(-w, w + 1)
+    data = np.zeros((len(offsets), s))
+    for k, o in enumerate(offsets):
+        c = np.arange(max(o, 0), s + min(o, 0))
+        data[k, c] = G[c - o, c]
+    return sparse.dia_array((data, offsets), shape=(s, s))
 
-    def __init__(self, K, M, sector=None):
+
+def _is_zero(F):
+    return not any(v.any() for _, v in _diagonals(F))
+
+
+@dataclass(frozen=True)
+class Mirror:
+    """The reflection x_k -> -x_k of axis k = ``axis`` of forms over the
+    C-ordered free node grid of ``shape``, one size per factor of a term,
+    that commute with it (``KroneckerForm.mirror_axis``).  A sector of
+    the reflection is a form again: factor k of each term becomes
+    W^T F W in the ``Sector`` basis W of the axis and moves last, so that
+    the axis is innermost, and a term with a zero factor is dropped."""
+
+    shape: tuple
+    axis: int
+
+    def sector(self, sign):
+        return Sector(self.shape[self.axis], sign)
+
+    def fold(self, form, sign):
+        """The form (W^T F W term by term) on the ``sign`` sector."""
+        W, k = self.sector(sign), self.axis
+        terms = [term[:k] + term[k + 1:] + (_congruence(term[k], W),)
+                 for term in form.terms]
+        return KroneckerForm(
+            form.dim // self.shape[k] * W.size,
+            [term for term in terms if not any(map(_is_zero, term))])
+
+    def unfold(self, Z):
+        """W Z of the even sector for the columns of a block Z of its
+        unknowns, in the order of the whole form: exactly symmetric under
+        the reflection."""
+        W = self.sector(1)
+        Z = Z.reshape(math.prod(self.shape[:self.axis]), -1, W.size,
+                      Z.shape[-1])
+        U = W.unfold(Z.transpose(2, 0, 1, 3)).transpose(1, 0, 2, 3)
+        return U.reshape(-1, Z.shape[-1])
+
+
+class BandRows:
+    """The lower band rows of the forms K and M (``_rows``), built once on
+    first use and combined into the band of K - shift M at each shift
+    that a solve factors.  The half-bandwidth b comes from the factors'
+    offsets (``_bandwidth``), so ``shape`` checks the memory budget of a
+    band before any row is built."""
+
+    def __init__(self, K, M):
+        self.forms = K, M
         self.n = K.dim
-        self.b = max(_reach(term) for form in (K, M) for term in form.terms)
-        self.shape(sector)
-        self.K, self.M = _rows(K), _rows(M)
+        self.b = _bandwidth(K, M)
+
+    @functools.cached_property
+    def rows(self):
+        return tuple(map(_rows, self.forms))
+
+    def size(self, sector):
+        """The unknowns of ``sector``, of the whole pencil when None."""
+        return self.n if sector is None else sector.size
 
     def shape(self, sector):
         """The shape (b + 1, size) of the band of ``sector``, the whole
         pencil when None; raises MemoryBudget when it takes more than
         ``MEMORY_BUDGET`` bytes."""
-        size = self.n if sector is None else sector.size
+        size = self.size(sector)
         b = min(self.b, size - 1)
         if 8 * size * (b + 1) > MEMORY_BUDGET:
             raise MemoryBudget(f"the band of n = {size}, b = {b} takes "
@@ -258,15 +368,18 @@ class BandRows:
         storage.  A band of more than ``MEMORY_BUDGET`` bytes raises
         MemoryBudget before it is allocated (``shape``).
 
-        A sector's entry is 2 (A[i, j] + sign A[i, n-1-j]) for
-        i, j < h = n // 2 (A commutes with P); the second term is nonzero
-        only in a b x b corner next to the middle, so the sector keeps the
-        half-bandwidth b.  The even sector of an odd n adds the middle
-        row, 2 A[h, j], and A[h, h]: every column but the middle one is
-        doubled."""
-        band = np.zeros(self.shape(sector), order="F")
-        rows = dict(self.K)
-        for D, v in self.M.items():
+        A sector's entry is 2 (A[i, j] + sign A[i, P(j)]) for i, j below
+        its ``half`` h (A commutes with P); the second term is nonzero only
+        in a corner next to the middle, where the lower half of the band
+        of A meets its reflection, so the sector keeps the half-bandwidth
+        b.  The even sector of an odd number of blocks adds the middle
+        block's rows, 2 A[i, j] for j < h, and its own entries A[i, j]:
+        every column below h is doubled."""
+        shape = self.shape(sector)
+        Krows, Mrows = self.rows
+        band = np.zeros(shape, order="F")
+        rows = dict(Krows)
+        for D, v in Mrows.items():
             rows[D] = rows.get(D, 0.0) + -shift * v
         n, size = self.n, band.shape[1]
         b = band.shape[0] - 1
@@ -275,14 +388,18 @@ class BandRows:
                 band[D, :size - D] = v[:size - D]
         if sector is None:
             return band
-        h = n // 2
+        h, block = sector.half, sector.block
         for off, v in rows.items():
-            # v[r] = A[r + off, r] is the corner term of the sector entry
-            # (i, j) = (r, n - 1 - r - off) when that lies in the lower
-            # triangle of the first h rows
-            r = np.arange(max((n - off) // 2, n - h - off, 0),
-                          min(h, n - off))
-            j = n - 1 - off - r
+            # v[r] = A[r + off, r] = A[r, P(j)] is the corner term of the
+            # sector entry (r, j), j = P(r + off), when that lies in the
+            # lower triangle of the first h rows; P(q) >= n - block - q.
+            # Beyond the band v[r] is zero: such an entry would step the
+            # innermost axis out of its block, which no term couples
+            r = np.arange(max((n - block - off) // 2, 0), min(h, n - off))
+            q = r + off
+            j = n - block - q + 2 * (q % block)
+            keep = (j <= r) & (r - j <= b)
+            r, j = r[keep], j[keep]
             band[r - j, j] += sector.sign * v[r]
         band[:, :h] *= 2.0
         return band
@@ -346,22 +463,23 @@ def _factor_above(rows, floor, guess, sector):
             "is not above the floor") from None
 
 
-def _odd_above(rows, lam):
-    """Whether the odd sector's block of K - lam M factors, which proves
-    that every odd eigenvalue lies above ``lam``."""
+def _above(rows, sector, lam):
+    """Whether the ``sector`` block of K - lam M factors, which proves
+    that every eigenvalue of the sector lies above ``lam``."""
     try:
-        _factor(rows, lam, Sector(rows.n, -1))
+        _factor(rows, lam, sector)
     except FactorizationFailed:
         return False
     return True
 
 
-def _lanczos(K, M, rows, count, seed, floor, guess, sector):
+def _lanczos(rows, count, seed, floor, guess, sector):
     """``(values, vectors)``: the ``count`` smallest eigenpairs of the
-    pencil, or of its ``sector``, ascending, with vectors of the whole
-    pencil, unnormalized.  The factor is dropped on return."""
+    forms of ``rows``, or of their ``sector``, ascending, with vectors of
+    the forms, unnormalized.  The factor is dropped on return."""
+    K, M = rows.forms
     chol, shift = _factor_above(rows, floor, guess, sector)
-    size = rows.n if sector is None else sector.size
+    size = rows.size(sector)
     # ARPACK applies C and nothing else; a Ritz pair (theta, y) of C is
     # the pair (shift + 1/theta, L^-T y) of the pencil
     C = LinearOperator((size, size), dtype=float,
@@ -392,6 +510,57 @@ def _lanczos(K, M, rows, count, seed, floor, guess, sector):
     return vals, chol.back_transform(np.asarray(ys, dtype=float)[:, order])
 
 
+def _quarter(K, M, point):
+    """The try of a one-pair solve on a sector of K's ``mirror_axis`` (see
+    ``_tries``), or None when the forms have none or its fold would not
+    lower the half-bandwidth.  With ``point`` symmetry each sector of the
+    mirror is split again by the point reflection, which reverses the
+    order of its blocks of one mirror-sector axis each."""
+    k = K.mirror_axis
+    if k is None or k != M.mirror_axis:
+        return None
+    mirror = Mirror(tuple(F.shape[0] for F in K.terms[0]), k)
+    even = BandRows(*(mirror.fold(F, 1) for F in (K, M)))
+    if even.b >= _bandwidth(K, M):
+        return None
+    odd = BandRows(*(mirror.fold(F, -1) for F in (K, M)))
+    if point:
+        pieces = [(rows, Sector(rows.n, sign, mirror.sector(parity).size))
+                  for parity, rows in ((1, even), (-1, odd))
+                  for sign in (1, -1)]
+    else:
+        pieces = [(even, None), (odd, None)]
+    (rows, first), *certificates = [(rows, sector) for rows, sector in pieces
+                                    if rows.size(sector) > 0]
+    if rows.size(first) < 2:
+        return None
+    return rows, first, certificates, mirror.unfold
+
+
+def _tries(K, M, count):
+    """The solves of a pencil in the order they are tried, each
+    ``(rows, sector, certificates, unfold)``: Lanczos on ``sector`` of
+    the forms of ``rows`` (all of it when None), kept when each
+    certificate ``(rows, sector)`` factors at its lambda_1; ``unfold``
+    maps the vectors to K's unknowns (None: they are K's).  A one-pair
+    solve tries the quarter sector (``_quarter``), then the even sector
+    of point-symmetric forms, and every solve ends on the whole pencil.
+    Every band of the first try is checked against the budget here,
+    before any row is built; rows are built on a try's first factor."""
+    point = K.point_symmetric and M.point_symmetric
+    quarter = _quarter(K, M, point) if count == 1 else None
+    tries = [] if quarter is None else [quarter]
+    whole = BandRows(K, M)
+    if count == 1 and point and K.dim > 2:
+        tries.append((whole, Sector(K.dim, 1),
+                      [(whole, Sector(K.dim, -1))], None))
+    tries.append((whole, None, [], None))
+    rows, first, certificates, _ = tries[0]
+    for rows, sector in [(rows, first)] + certificates:
+        rows.shape(sector)
+    return tries
+
+
 def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
     """The ``count`` smallest eigenpairs of K u = lambda M u, ascending.
 
@@ -404,12 +573,12 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
     otherwise it shift-inverts at the floor exactly as without a guess.
     One Lanczos run computes exactly ``count`` pairs, so the pencil needs
     more than ``count`` unknowns; fewer raise BadResolution.  A one-pair
-    solve of ``point_symmetric`` forms runs in the even sector and keeps
-    its pair once the odd sector's factor proves the odd spectrum above
-    it; otherwise it solves the whole pencil (see above).  Vectors are
-    M-normalized, pairwise M-orthogonal, and the first vector is
-    sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is checked
-    against ``DEFAULT_TOL``.
+    solve runs in a sector of the forms' symmetries and keeps its pair
+    once the factors of the other sectors prove their spectra above it;
+    otherwise it tries a larger sector, and last the whole pencil (see
+    above).  Vectors are M-normalized, pairwise M-orthogonal, and the
+    first vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| /
+    ||Mu|| is checked against ``DEFAULT_TOL``.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -420,12 +589,12 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
         raise BadResolution(
             f"requested {count} pairs from a dimension-{n} pencil")
 
-    folds = count == 1 and n > 2 and K.point_symmetric and M.point_symmetric
-    first = Sector(n, 1) if folds else None
-    rows = BandRows(K, M, first)
-    vals, vecs = _lanczos(K, M, rows, count, seed, floor, guess, first)
-    if folds and not _odd_above(rows, vals[0]):
-        vals, vecs = _lanczos(K, M, rows, count, seed, floor, guess, None)
+    for rows, sector, certificates, unfold in _tries(K, M, count):
+        vals, vecs = _lanczos(rows, count, seed, floor, guess, sector)
+        if all(_above(*cert, vals[0]) for cert in certificates):
+            break
+    if unfold is not None:
+        vecs = unfold(vecs)
 
     # one product with each form serves normalization, the Gram check and
     # the residuals

@@ -576,9 +576,11 @@ def exp_multi_direction(field3d, L_list, cfg):
     reduced pencil, and the bound's cylinders are solved under it."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
-    # at the 2D resolutions the L = 4 pencil (n = 130 975, b = 2 047)
-    # folds into an even-sector band of 1.0 GiB, just under eig's
-    # MEMORY_BUDGET, and the L = 5 one exceeds it
+    # the field leaves x2 uncoupled, so eig solves a quarter sector: at
+    # these resolutions the L = 4 pencil (n = 14 375, b = 599) folds into
+    # a band of 3 744 unknowns at b = 313 (9.4 MB); at the 2D ones the
+    # L = 6 band (73 696 at b = 1 569, 0.93 GB) is the last under eig's
+    # MEMORY_BUDGET
     cfg3 = replace(cfg, axial_resolution=3.0, resolution=12.0)
     ctx = cross_context(field3d, cfg3)
     if ctx.coupled:

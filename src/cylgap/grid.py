@@ -10,6 +10,7 @@ natural (Neumann) condition.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -116,11 +117,12 @@ class TensorMesh:
         full[self.free_nodes] = free_values
         return full
 
-    @property
+    @functools.cached_property
     def key(self):
         """Faithful identity: the domain kind plus a digest of the shape,
         the partition bytes and the Dirichlet mask, so meshes with equal
-        keys have the same nodes and the same tags."""
+        keys have the same nodes and the same tags.  The mesh is
+        immutable, so the digest is taken once."""
         h = hashlib.blake2b(np.asarray(self.shape).tobytes(), digest_size=16)
         for part in self.axis_partitions:
             h.update(part.tobytes())

@@ -443,6 +443,61 @@ class TestFormStorage:
         assert hits == []
 
 
+class TestMirrorAxis:
+    """A form records the first axial axis that its samples leave
+    uncoupled, on a partition that mirrors, with both ends clamped
+    alike."""
+
+    @staticmethod
+    def mirror_axis(field, kind, ell=2, dirichlet=False):
+        p = field.p
+        mesh = grid.build_mesh(kind, ell=ell, omega=(-1, 1),
+                               resolution=(3,) * p + (4,))
+        if dirichlet:
+            mesh = grid.with_full_dirichlet(mesh)
+        K, M = assemble.assemble_cylinder(mesh, field)
+        assert M.mirror_axis == K.mirror_axis
+        return K.mirror_axis
+
+    def test_the_uncoupled_axial_row_is_recorded(self):
+        field = coeff.multi_model_field(0.6)
+        assert self.mirror_axis(field, "multi-direction") == 1
+        assert self.mirror_axis(field, "multi-direction",
+                                dirichlet=True) == 1
+        assert self.mirror_axis(coeff.diagonal_field([1.0, 1.0, 1.0], p=2),
+                                "multi-direction") == 0
+
+    def test_a_coupled_row_records_no_axis(self, model06):
+        both = coeff.field_from_entries(
+            3, 2, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 0.3,
+                   (1, 2): 0.3}, kind="both-rows")
+        # x1 and x2 couple to each other, not to the cross direction
+        axial = coeff.field_from_entries(
+            3, 2, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 1): 0.3},
+            kind="axial-pair")
+        assert self.mirror_axis(both, "multi-direction") is None
+        assert self.mirror_axis(axial, "multi-direction") is None
+        assert self.mirror_axis(model06, "full-cylinder") is None
+
+    def test_an_end_clamped_alone_records_no_axis(self):
+        uncoupled = coeff.model_field(0.0)
+        assert self.mirror_axis(uncoupled, "full-cylinder") == 0
+        assert self.mirror_axis(uncoupled, "half-plus") is None
+        assert self.mirror_axis(uncoupled, "half-minus") is None
+        # a half-plus mesh on a partition symmetric about 0
+        x = np.linspace(-1.0, 1.0, 5)
+        mesh = grid.TensorMesh("half-plus", [x, x], 1, 1.0)
+        K, _ = assemble.assemble_cylinder(mesh, uncoupled)
+        assert K.mirror_axis is None
+
+    def test_a_partition_that_does_not_mirror_records_no_axis(self):
+        x = np.array([-1.0, -0.4, 0.0, 0.5, 1.0])
+        mesh = grid.TensorMesh("full-cylinder", [x, np.linspace(-1, 1, 5)],
+                               1, 1.0)
+        K, _ = assemble.assemble_cylinder(mesh, coeff.model_field(0.0))
+        assert K.mirror_axis is None
+
+
 def test_package_defines_only_what_a_run_reaches():
     # a module-level def or class, or a public method or property of a
     # class, is dead when no Name or Attribute outside dead bodies (and

@@ -86,8 +86,8 @@ class CountingFactor:
 @pytest.fixture()
 def factors(monkeypatch):
     """Every banded factor made from here on, as a CountingFactor; a
-    factor that fails is not listed.  A folded solve lists its odd-sector
-    certificate too, with no applications."""
+    factor that fails is not listed.  A folded solve lists its sector
+    certificates too, with no applications."""
     made = []
     factor = eig._factor
 
@@ -100,8 +100,9 @@ def factors(monkeypatch):
 
 
 def lanczos_factors(factors):
-    """The factors Lanczos ran on: all but the odd-sector certificates."""
-    return [f for f in factors if f.sector is None or f.sector.sign > 0]
+    """The factors Lanczos ran on: all but the sector certificates, which
+    apply nothing."""
+    return [f for f in factors if f.applications]
 
 
 @pytest.fixture()
@@ -322,6 +323,38 @@ class TestSmallestEigenpairs:
         # odd certificate is not listed
         assert [f.chol.band.shape[1] for f in factors] == [n // 2, n]
 
+    def test_mirror_odd_ground_state_falls_back(self, factors):
+        """K = L x I x I + I x T x I + I x I x L on 6 x 8 x 5 unknowns, with
+        L = tridiag(-1, 2, -1) and T = tridiag(1, 2, 1), commutes with the
+        reversal of each axis.  Its lowest mode is odd under x2 -> -x2 (T's
+        at even size) and so odd under the point reflection.  The quarter
+        solve (x2-even and point-even) is kept by the factor of its
+        point-odd sector, but the x2-odd form's factor at its lambda_1
+        fails; so does the point-odd certificate of the even sector of
+        the point reflection, and the solve ends on the whole pencil."""
+        sizes = (6, 8, 5)
+        L, T = ([sparse.dia_array(sparse.diags([s, 2.0, s], [-1, 0, 1],
+                                               shape=(m, m)))
+                 for m in sizes] for s in (-1.0, 1.0))
+        eye = [sparse.dia_array(sparse.identity(m)) for m in sizes]
+        K, M = (assemble.KroneckerForm(240, terms, point_symmetric=True,
+                                       mirror_axis=1)
+                for terms in ([(L[0], eye[1], eye[2]),
+                               (eye[0], T[1], eye[2]),
+                               (eye[0], eye[1], L[2])], [tuple(eye)]))
+        pair = eig.smallest_eigenpairs(K, M)[0]
+        exact = sum(2 - 2 * np.cos(np.pi / (m + 1)) for m in sizes)
+        assert pair.value == pytest.approx(exact, rel=1e-10)
+        u = pair.vector.reshape(sizes)
+        np.testing.assert_allclose(u, -u[:, ::-1], atol=1e-10)
+        # the quarter sector Lanczos ran on (its 6 x 5 blocks of the 4
+        # x2-even nodes, 15 of them point-even) and its point-odd
+        # certificate, then the even and the whole pencil; the failed
+        # certificates are not listed
+        assert [f.chol.band.shape[1] for f in factors] == [60, 60, 120, 240]
+        assert [f.applications > 0 for f in factors] == [True, False,
+                                                          True, True]
+
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M: M reaches fewer band rows
         n = 500
@@ -475,8 +508,12 @@ class TestMemoryBudget:
         "multi-direction", "cross-section"])
     def test_the_budget_is_exact_at_the_band(self, kind, monkeypatch):
         """The budget bounds the largest band a solve allocates: the even
-        sector's, n - n // 2 columns, on the point-symmetric pencils, and
-        the whole band on the half-cylinders."""
+        sector's, n - n // 2 columns, on the point-symmetric pencils, the
+        whole band on the half-cylinders, and the first quarter sector's
+        on the multi-direction pencil, whose field leaves x2 uncoupled:
+        its 7 x 7 x 23 free nodes fold into 7 x 23 blocks of the 4
+        x2-even nodes, and the point-even sector keeps 81 of the 161
+        blocks."""
         K, M = budget_pencil(kind)
         bands = []
         band = eig.BandRows.band
@@ -490,6 +527,7 @@ class TestMemoryBudget:
         largest = max(bands, key=lambda a: a.nbytes)
         n = K.dim
         assert largest.shape[1] == (n if kind.startswith("half")
+                                    else 81 * 4 if kind == "multi-direction"
                                     else n - n // 2)
         nbytes = largest.nbytes
         monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes)

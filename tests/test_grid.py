@@ -332,3 +332,10 @@ class TestMeshKey:
         assert grid.with_full_dirichlet(m).key != m.key
         assert grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                                resolution=4).key == m.key
+
+    def test_the_digest_is_taken_once(self, monkeypatch):
+        m = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
+                            resolution=4)
+        first = m.key
+        monkeypatch.setattr(grid.hashlib, "blake2b", None)
+        assert m.key is first

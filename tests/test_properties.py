@@ -31,11 +31,23 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=20,
                              deadline=None, database=None)
 
 
+def uncouple(A, k):
+    """The cell matrices A with row and column k zero off the diagonal (a
+    principal block of each, so still positive definite); A itself when
+    k is None."""
+    if k is not None:
+        diag = A[:, k, k].copy()
+        A[:, k, :] = A[:, :, k] = 0.0
+        A[:, k, k] = diag
+    return A
+
+
 @st.composite
-def tables(draw, n=2, p=1, coupled=True):
+def tables(draw, n=2, p=1, coupled=True, uncoupled=None):
     """Piecewise-constant n x n field with 1-4 cells along the first cross
     coordinate on (-1, 1), each cell matrix R R^T + 0.2 I with R drawn
-    entrywise from [-1, 1]; without ``coupled`` the A12 blocks are 0."""
+    entrywise from [-1, 1]; without ``coupled`` the A12 blocks are 0, and
+    an ``uncoupled`` axis k has A[k, j] = A[j, k] = 0 for every j != k."""
     cuts = draw(st.lists(st.integers(-7, 7), max_size=3, unique=True))
     bounds = [-1.0] + sorted(c / 8.0 for c in cuts) + [1.0]
     entry = st.floats(-1.0, 1.0, allow_nan=False)
@@ -45,7 +57,8 @@ def tables(draw, n=2, p=1, coupled=True):
     A = R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n)
     if not coupled:
         A[:, :p, p:] = A[:, p:, :p] = 0.0
-    return coeff.piecewise_constant_field(bounds, A, p=p)
+    return coeff.piecewise_constant_field(bounds, uncouple(A, uncoupled),
+                                          p=p)
 
 
 def first_value(K, M):
@@ -432,19 +445,20 @@ def test_nu_half_rows_pass(field):
 
 
 @st.composite
-def even_tables(draw, n=2, p=1):
+def even_tables(draw, n=2, p=1, uncoupled=None):
     """A table drawn as in ``tables`` on (0, 1) and mirrored onto (-1, 0),
     so the field is even in X2 (property (S)).  Its cuts, at multiples of
     1/4, miss the cell centres of ``SECTOR_MESHES``, where the midpoint
     rule samples it: a sample on a cut reads the cell above it on both
-    sides, and no longer mirrors."""
+    sides, and no longer mirrors.  An ``uncoupled`` axis has row and
+    column zero off the diagonal, as in ``tables``."""
     cuts = draw(st.lists(st.integers(1, 3), max_size=2, unique=True))
     half = [0.0] + sorted(c / 4.0 for c in cuts) + [1.0]
     entry = st.floats(-1.0, 1.0, allow_nan=False)
     size = n * n * (len(half) - 1)
     R = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
     R = R.reshape(-1, n, n)
-    A = R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n)
+    A = uncouple(R @ R.transpose(0, 2, 1) + 0.2 * np.eye(n), uncoupled)
     return coeff.piecewise_constant_field(
         [-x for x in half[:0:-1]] + half, np.concatenate([A[::-1], A]), p=p)
 
@@ -503,3 +517,47 @@ def test_one_pair_solve_runs_in_the_even_sector(field, box_field):
         assert pair.value == pytest.approx(dense, rel=1e-10), name
         assert np.array_equal(pair.vector, pair.vector[::-1]), name
         assert pair.residual <= eig.DEFAULT_TOL, name
+
+
+# multi-direction meshes whose axial axes mirror, with mixed and clamped
+# ends, an odd and an even number of nodes on the axial axes and an odd
+# and an even number of blocks (x1 and cross nodes) for the point
+# reflection of the folded forms
+MIRROR_MESHES = {
+    f"{name}-{ends}": grid.with_full_dirichlet(mesh) if ends == "dirichlet"
+    else mesh
+    for name, mesh in (
+        ("odd", grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
+                                resolution=(2, 2, 4))),
+        ("even", grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
+                                 resolution=(2.5, 2.5, 3.5))))
+    for ends in ("mixed", "dirichlet")}
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), axis=st.integers(0, 1))
+def test_one_pair_solve_runs_in_a_mirror_sector(data, axis):
+    """A p = 2 table with axial row ``axis`` zeroed leaves that axis (or
+    an earlier one, where the draw zeroes it too) uncoupled on every
+    multi-direction mesh, and a one-pair solve folds it: it matches the
+    dense lambda1 of the whole pencil to the gate's relative 1e-10, its
+    vector is exactly symmetric under x_k -> -x_k (a whole-pencil solve
+    rounds), and its residual on the whole forms keeps DEFAULT_TOL.  An
+    even table adds the point reflection (the quarter sectors), a general
+    one solves the mirror's even sector whole."""
+    fields = [data.draw(tables(3, 2, uncoupled=axis)),
+              data.draw(even_tables(3, 2, uncoupled=axis))]
+    for field in fields:
+        for name, mesh in MIRROR_MESHES.items():
+            K, M = assemble.assemble_cylinder(mesh, field)
+            k = K.mirror_axis
+            assert k is not None and k <= axis and M.mirror_axis == k, name
+            dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                      proofs.full(M).toarray(),
+                                      eigvals_only=True,
+                                      subset_by_index=[0, 0])[0]
+            pair = eig.smallest_eigenpairs(K, M)[0]
+            assert pair.value == pytest.approx(dense, rel=1e-10), name
+            u = pair.vector.reshape([len(f) for f in mesh.axis_free])
+            assert np.array_equal(u, np.flip(u, k)), name
+            assert pair.residual <= eig.DEFAULT_TOL, name
