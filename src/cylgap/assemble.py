@@ -83,16 +83,14 @@ class KroneckerForm:
     of its unknowns' order, the point reflection x -> -x of a mesh
     symmetric about 0 under a field even in X2 (property (S)); the
     eigensolver then folds the pencil into its even and odd sectors.
-    ``mirror_axis`` is an axial axis k whose reflection x_k -> -x_k
-    commutes with the form, acting on each term's factor k alone
-    (``_mirror_axis``), or None; the eigensolver may fold that factor
-    too."""
+    ``uncoupled_axis`` is the first axial axis along which the pencil
+    separates (``UncoupledAxis``), or None."""
 
     dim: int
     terms: list
     provenance: dict = dc_field(default_factory=dict)
     point_symmetric: bool = False
-    mirror_axis: int | None = None
+    uncoupled_axis: UncoupledAxis | None = None
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -111,6 +109,24 @@ class KroneckerForm:
         return sparse.tril(sum(functools.reduce(
             lambda a, b: sparse.kron(a, b, format="csr"), term)
             for term in self.terms), format="csr")
+
+
+@dataclass(frozen=True, eq=False)
+class UncoupledAxis:
+    """Axial axis ``index`` of a cylinder pencil whose row and column of
+    the coefficient samples are zero off the diagonal
+    (``_uncoupled_axis``), with its 1D stiffness ``K`` and mass ``M`` as
+    forms over the axis's free nodes.  Each term of the pencil's K then
+    carries on the axis K or M, and each of M carries M, so the pencil
+    separates along it (``eig``).  ``free`` records that neither end of
+    the axis is clamped, so that K annihilates the constants; the 1D
+    forms are ``point_symmetric`` where the partition mirrors about 0 and
+    both ends are clamped alike."""
+
+    index: int
+    K: KroneckerForm
+    M: KroneckerForm
+    free: bool
 
 
 def _audit_spd(C, what):
@@ -256,22 +272,24 @@ def _build_slots(mesh, C, n_values):
              for b in range(s)] for a in range(s)]
 
 
-def _mirror_axis(mesh, C):
+def _uncoupled_axis(mesh, C, axes):
     """The first axial axis k that the samples C of a cylinder leave
     uncoupled, C[..., k, j] = C[..., j, k] = 0 exactly for every j != k,
-    on a partition that mirrors exactly, with both ends clamped alike;
-    None when there is none.  Then x_k -> -x_k maps the free nodes onto
-    themselves, and every term of K with a nonzero cross factor carries
-    on axis k the stiffness or the mass, both of which commute with the
-    reversal of the axis: the terms with one derivative along x_k, the
-    only ones odd under the reflection, have a zero cross factor."""
+    with the 1D slot matrices ``axes[k]`` of its stiffness and mass; None
+    when there is none.  Then every term of K with a nonzero cross factor
+    carries on axis k the stiffness (the x_k derivatives of both slots)
+    or the mass (of neither): a term with one x_k derivative has the cross
+    factor of C[..., k, j] or C[..., j, k], which is zero."""
     for k in range(mesh.n_axial):
-        part, (lo, hi) = mesh.axis_partitions[k], mesh.clamped[k]
         others = np.arange(C.shape[-1]) != k
-        if (lo == hi and np.array_equal(part, -part[::-1])
-                and not C[..., k, others].any()
-                and not C[..., others, k].any()):
-            return k
+        if C[..., k, others].any() or C[..., others, k].any():
+            continue
+        part, (lo, hi) = mesh.axis_partitions[k], mesh.clamped[k]
+        mirrored = lo == hi and np.array_equal(part, -part[::-1])
+        n = len(mesh.axis_free[k])
+        K, M = (KroneckerForm(n, [(axes[k][a][a],)], point_symmetric=mirrored)
+                for a in (1, 0))
+        return UncoupledAxis(k, K, M, not (lo or hi))
     return None
 
 
@@ -292,15 +310,16 @@ def _assemble_pair(mesh, field, mats, n_values):
     of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
     nodes for X_ab and Mc), so every term spans the free nodes only.
 
-    Both forms record the ``mirror_axis`` of the samples
-    (``_mirror_axis``), and both are ``point_symmetric`` when the mesh
-    has the reflection permutation and the samples are even in X2, to the
-    tolerance of ``field.is_even``: each term of K then carries two
-    derivatives, each odd under x -> -x, times an even coefficient.  The
-    axes of such a mesh mirror exactly, so the points reflected from the
-    quadrature points of a cross cell are those of the mirrored cell, read
-    backwards, and the samples already taken decide it, with no further
-    evaluation of A.
+    A term whose cross factor is zero, that of an entry that every sample
+    leaves zero, is dropped.  Both forms record the ``uncoupled_axis`` of
+    the samples (``_uncoupled_axis``), and both are ``point_symmetric``
+    when the mesh has the reflection permutation and the samples are even
+    in X2, to the tolerance of ``field.is_even``: each term of K then
+    carries two derivatives, each odd under x -> -x, times an even
+    coefficient.  The axes of such a mesh mirror exactly, so the points
+    reflected from the quadrature points of a cross cell are those of the
+    mirrored cell, read backwards, and the samples already taken decide
+    it, with no further evaluation of A.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
@@ -311,7 +330,8 @@ def _assemble_pair(mesh, field, mats, n_values):
             for k in range(p)]
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
-         for a, b in itertools.product(range(n_values - p, len(X)), repeat=2)]
+         for a, b in itertools.product(range(n_values - p, len(X)), repeat=2)
+         if X[a][b].data.any()]
     unit = _slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
     Mc = _restrict(unit[0][0], cross.shape, cross.axis_free)
     M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
@@ -323,9 +343,9 @@ def _assemble_pair(mesh, field, mats, n_values):
         symmetric = np.allclose(C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
     except NoReflectionSymmetry:
         symmetric = False
-    mirror = _mirror_axis(mesh, C)
+    axis = _uncoupled_axis(mesh, C, axes)
     return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric,
-                               mirror) for terms in (K, M))
+                               axis) for terms in (K, M))
 
 
 def assemble_cylinder(mesh, field):

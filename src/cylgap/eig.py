@@ -60,18 +60,18 @@ stride of axis k.  The factors are DIA arrays, so diagonal d_k is the
 factor set to zero.  Rows D >= 0 are the lower band, so the
 half-bandwidth b is known from the factors' offsets alone: one x1 layer
 plus one node in 2D (32 on the pencils of the configs), one layer, one
-row and one node in 3D (599 on ``multi_direction`` at L = 4).  A solve
-checks the memory budget of every band of its first try (below) from
-its size and b, then builds the rows of K and of M once (``BandRows``)
-and combines them at each shift it factors: guess, floor and
-certificates.  LAPACK ``dpbtrf`` factors the band in place in n (b + 1)
-values.  A band of more than ``errors.MEMORY_BUDGET`` (1 GiB) raises
-MemoryBudget before it is allocated, and one band is alive at a time, so
-that is the most a solve's factor takes; a band of the first try over
-the budget raises before any row is built (on the 16/8
-``multi_direction`` pencil at L = 5 the even band of the point
-reflection, 1.9 GiB, raised so, where the rows of K and M took 67 MiB;
-its quarter sectors, below, now fit up to L = 6).  The
+row and one node in 3D (599 on the L = 4 ``multi_direction`` pencil,
+which separates, below, into 2D pencils of b = 24).  A solve checks the
+memory budget of the first band it factors from its size and b, then
+builds the rows of K and of M once (``BandRows``) and combines them at
+each shift it factors: guess, floor and certificate.  LAPACK ``dpbtrf``
+factors the band in place in n (b + 1) values.  A band of more than
+``errors.MEMORY_BUDGET`` (1 GiB) raises MemoryBudget before it is
+allocated, and one band is alive at a time, so that is the most a
+solve's factor takes; a first band over the budget raises before any
+row is built (on a 16/8 multi-direction pencil at L = 5 of a field that
+couples both axial rows, the even band of the point reflection,
+1.9 GiB, raised so, where the rows of K and M took 67 MiB).  The
 factor is also a certificate: it succeeds exactly when lambda_1 lies
 above sigma (to rounding), so a guessed shift costs one factor try.  A
 fill-reducing sparse factor wins only on cross-sections much finer than
@@ -97,35 +97,38 @@ pencil.  Two-pair solves stay whole: solving both sectors for two pairs
 each cost more than one whole solve (8.6/12.0/19.1 ms against
 7.1/9.6/16.0 ms on the guessed pencils of ``second`` at ell = 8/12/16).
 
-A field that leaves an axial axis x_k uncoupled (A_kj = 0 for j != k:
-``KroneckerForm.mirror_axis``) on an axis that mirrors gives a pencil
-that also commutes with x_k -> -x_k, which acts on each term's factor k
-alone.  Its sectors are Kronecker forms again (``Mirror``): factor k
-becomes W^T F W in the even or odd basis of the axis and moves
-innermost, and the terms with a zero factor (the x_k derivatives of the
-uncoupled row) are dropped.  On such a form the point reflection
-reverses the order of blocks of h_k unknowns, one mirror-sector axis
-each, so ``Sector`` folds it by blocks: the quarter sector, even under
-both, holds about n / 4 unknowns at about half the bandwidth (3 744 at
-b = 313 on the L = 4 ``multi_direction`` pencil of n = 14 375,
-b = 599).  A one-pair solve runs there wherever the fold lowers b (on a
-p = 1 cylinder only where the axis has fewer than about twice as many
-free nodes as the cross-section, as on no config's pencil); the factors
-at its lambda_1 of the point-odd sector of the x_k-even form and of
-both block sectors of the x_k-odd form prove the answer
-(``_tries``).  Where one fails, the solve falls back to the point
-reflection's even sector, then to the whole pencil; vectors come back
-exactly symmetric under x_k -> -x_k.  On the L = 4 pencil the four
-sector factors take about 16-23 ms each (3 744, 3 731, 3 456 and 3 444
-unknowns at b = 313, 313, 289 and 289) against 105-118 ms for each of
-the two point sectors, and an application about 1.1 ms against 6.5-7.2
-ms.  A run sweeps 642 634 unknowns over its applications on
-``model_gap`` and 56 190 on ``multi_direction`` (123 816 in point
-sectors alone), against 1 111 863 and 271 755 whole;
-``asymmetric_showcase`` has no symmetric pencil and stays at 473 070.
-Over 10 alternating benchmark pairs (seed 3, 2-vCPU VM)
-``multi_direction`` ran in a median 0.113 s against 0.246 s with the
-point fold alone, at a peak RSS of 75.9 MB against 103.2 MB.
+A field that leaves an axial axis x_k uncoupled, C[..., k, j] =
+C[..., j, k] = 0 for j != k in every sample
+(``KroneckerForm.uncoupled_axis``), gives a pencil that separates along
+x_k.  Every term of K then carries on axis k the axis's own 1D mass M_k
+or stiffness K_k: a term with one x_k derivative has a zero cross factor,
+and assembly drops it.  Write A for the sum of the M_k terms and B for
+the K_k term, each without its factor k, and M_r for M without M_k;
+with axis k moved last, K = A x M_k + B x K_k and M = M_r x M_k.  In the
+M_k-orthonormal eigenbasis of (K_k, M_k), K_k q_j = mu_j M_k q_j, the
+pencil is block diagonal with blocks (A + mu_j B, M_r), j = 1 ... n_k.
+B = M_1 x ... x X_kk, with X_kk the cross mass weighted by A_kk > 0 (the
+ellipticity audit), is positive semidefinite, so lambda_1(A + mu B, M_r)
+is nondecreasing in mu: the pencil's lambda_1 is that of the block of
+mu_1, with eigenvector v x q_1, and no certificate is needed for the
+other blocks.  With both ends free, q_1 is the constant over
+sqrt(1^T M_k 1), since K_k >= 0 and K_k 1 = 0; otherwise K_k is SPD and
+q_1 is the lowest pair of (K_k, M_k) at the floor 0, solved like any
+pencil, in its even sector where the axis mirrors with like ends, so
+that q_1 is exactly even.  A one-pair solve weights each term by
+q^T F_k q, folded into its cross factor, solves the reduced forms (which
+keep ``point_symmetric``, so the reduced solve keeps its own sector
+certificate), and puts q_1 back on axis k; normalization, the Gram check
+and the residual check run on the whole forms.  On the L = 4
+``multi_direction`` pencil (n = 14 375, b = 599) the reduced pencil has
+575 unknowns at b = 24, whose even sector holds 288, and the one-pair
+solve takes 3.4 ms, against 88 ms when the pencil was folded into the
+quarter sectors of x2 -> -x2 and the point reflection (2-vCPU Intel
+Xeon VM, best of 5).  A ``multi_direction`` run sweeps 9 480 unknowns
+over its 90 applications, against 56 190 over 93 in quarter sectors and
+271 755 with every pencil whole; ``model_gap`` and
+``asymmetric_showcase`` have no separable pencil and stay at 642 634 and
+473 070.
 """
 
 from __future__ import annotations
@@ -136,7 +139,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
@@ -213,137 +215,60 @@ def _rows(form):
     return rows
 
 
-def _bandwidth(*forms):
-    """The half-bandwidth of the forms, read from their factors' offsets
-    (``_reach``)."""
-    return max(_reach(term) for form in forms for term in form.terms)
-
-
 @dataclass(frozen=True)
 class Sector:
     """The even (``sign`` = 1) or odd (-1) sector of a pencil of ``n``
-    unknowns that commutes with the reversal P of the order of their
-    blocks of ``block`` consecutive unknowns (of the unknowns themselves
-    at block 1): with N = n / block blocks, P maps unknown t of block i to
-    unknown t of block N - 1 - i.  The basis W has the columns
-    e_j + sign e_{P(j)} for the j in the first N // 2 blocks (``half``
-    unknowns) and, in the even sector of an odd N, the unit vectors of the
-    middle block, which P fixes, last.  The pencil (W^T K W, W^T M W)
-    holds exactly the sector's eigenvalues, and W and W^T only copy,
-    negate and add entries: W^T W = diag(2, ..., 2, 1, ..., 1) is exact
-    in floating point, where the orthonormal basis's sqrt 2 would round
-    every entry it touches."""
+    unknowns that commutes with the reversal P of their order.  Its basis
+    W has the columns e_i + sign e_{n-1-i} for i < n // 2 and, in the
+    even sector of an odd n, the middle unit vector e_{n // 2} last.  The
+    pencil (W^T K W, W^T M W) holds exactly the sector's eigenvalues, and
+    W and W^T only copy, negate and add entries: W^T W = diag(2, ..., 2, 1)
+    is exact in floating point, where the orthonormal basis's sqrt 2
+    would round every entry it touches."""
 
     n: int
     sign: int
-    block: int = 1
-
-    @property
-    def half(self):
-        return self.n // self.block // 2 * self.block
 
     @property
     def size(self):
-        return self.n - self.half if self.sign > 0 else self.half
-
-    def _reversed(self, a):
-        """The blocks of the leading axis of ``a`` in reverse order."""
-        return a.reshape((-1, self.block) + a.shape[1:])[::-1].reshape(
-            a.shape)
+        return self.n - self.n // 2 if self.sign > 0 else self.n // 2
 
     def unfold(self, z):
         """W z for a vector or the columns of a block: exactly symmetric
         (even) or antisymmetric (odd) under P."""
-        h = self.half
+        h = self.n // 2
         u = np.empty((self.n,) + z.shape[1:])
         u[:h] = z[:h]
-        u[self.n - h:] = self.sign * self._reversed(z[:h])
-        u[h:self.n - h] = z[h:] if self.sign > 0 else 0.0
+        u[self.n - h:] = self.sign * z[:h][::-1]
+        if self.n % 2:
+            u[h] = z[h] if self.sign > 0 else 0.0
         return u
 
     def fold(self, u):
         """W^T u."""
-        h = self.half
+        h = self.n // 2
         y = np.empty((self.size,) + u.shape[1:])
-        y[:h] = u[:h] + self.sign * self._reversed(u[self.n - h:])
+        y[:h] = u[:h] + self.sign * u[::-1][:h]
         if self.size > h:
-            y[h:] = u[h:self.n - h]
+            y[h] = u[h]
         return y
 
 
-def _congruence(F, sector):
-    """W^T F W for the basis W of ``sector``, as a DIA array of F's
-    half-bandwidth w, which a sector keeps (``BandRows.band``)."""
-    m, s = F.shape[0], sector.size
-    j = np.arange(m)
-    dense = np.zeros((m, m))
-    for d, v in _diagonals(F):
-        run = j[max(-d, 0):m - max(d, 0)]
-        dense[run + d, run] = v[run]
-    G = sector.fold(sector.fold(dense).T).T
-    w = min(max(abs(int(o)) for o in F.offsets), s - 1)
-    offsets = np.arange(-w, w + 1)
-    data = np.zeros((len(offsets), s))
-    for k, o in enumerate(offsets):
-        c = np.arange(max(o, 0), s + min(o, 0))
-        data[k, c] = G[c - o, c]
-    return sparse.dia_array((data, offsets), shape=(s, s))
-
-
-def _is_zero(F):
-    return not any(v.any() for _, v in _diagonals(F))
-
-
-@dataclass(frozen=True)
-class Mirror:
-    """The reflection x_k -> -x_k of axis k = ``axis`` of forms over the
-    C-ordered free node grid of ``shape``, one size per factor of a term,
-    that commute with it (``KroneckerForm.mirror_axis``).  A sector of
-    the reflection is a form again: factor k of each term becomes
-    W^T F W in the ``Sector`` basis W of the axis and moves last, so that
-    the axis is innermost, and a term with a zero factor is dropped."""
-
-    shape: tuple
-    axis: int
-
-    def sector(self, sign):
-        return Sector(self.shape[self.axis], sign)
-
-    def fold(self, form, sign):
-        """The form (W^T F W term by term) on the ``sign`` sector."""
-        W, k = self.sector(sign), self.axis
-        terms = [term[:k] + term[k + 1:] + (_congruence(term[k], W),)
-                 for term in form.terms]
-        return KroneckerForm(
-            form.dim // self.shape[k] * W.size,
-            [term for term in terms if not any(map(_is_zero, term))])
-
-    def unfold(self, Z):
-        """W Z of the even sector for the columns of a block Z of its
-        unknowns, in the order of the whole form: exactly symmetric under
-        the reflection."""
-        W = self.sector(1)
-        Z = Z.reshape(math.prod(self.shape[:self.axis]), -1, W.size,
-                      Z.shape[-1])
-        U = W.unfold(Z.transpose(2, 0, 1, 3)).transpose(1, 0, 2, 3)
-        return U.reshape(-1, Z.shape[-1])
-
-
 class BandRows:
-    """The lower band rows of the forms K and M (``_rows``), built once on
-    first use and combined into the band of K - shift M at each shift
-    that a solve factors.  The half-bandwidth b comes from the factors'
-    offsets (``_bandwidth``), so ``shape`` checks the memory budget of a
-    band before any row is built."""
+    """The lower band rows of the forms K and M (``_rows``), built once per
+    solve and combined into the band of K - shift M at each shift that it
+    factors.  The half-bandwidth b comes from the factors' offsets
+    (``_reach``), so the band of ``sector`` (the whole pencil's when
+    None), the first that the solve factors, raises MemoryBudget when it
+    takes more than ``MEMORY_BUDGET`` bytes before any row is built."""
 
-    def __init__(self, K, M):
+    def __init__(self, K, M, sector=None):
         self.forms = K, M
         self.n = K.dim
-        self.b = _bandwidth(K, M)
-
-    @functools.cached_property
-    def rows(self):
-        return tuple(map(_rows, self.forms))
+        self.b = max(_reach(term) for form in self.forms
+                     for term in form.terms)
+        self.shape(sector)
+        self.rows = tuple(map(_rows, self.forms))
 
     def size(self, sector):
         """The unknowns of ``sector``, of the whole pencil when None."""
@@ -368,16 +293,14 @@ class BandRows:
         storage.  A band of more than ``MEMORY_BUDGET`` bytes raises
         MemoryBudget before it is allocated (``shape``).
 
-        A sector's entry is 2 (A[i, j] + sign A[i, P(j)]) for i, j below
-        its ``half`` h (A commutes with P); the second term is nonzero only
-        in a corner next to the middle, where the lower half of the band
-        of A meets its reflection, so the sector keeps the half-bandwidth
-        b.  The even sector of an odd number of blocks adds the middle
-        block's rows, 2 A[i, j] for j < h, and its own entries A[i, j]:
-        every column below h is doubled."""
-        shape = self.shape(sector)
+        A sector's entry is 2 (A[i, j] + sign A[i, n-1-j]) for
+        i, j < h = n // 2 (A commutes with P); the second term is nonzero
+        only in a b x b corner next to the middle, so the sector keeps the
+        half-bandwidth b.  The even sector of an odd n adds the middle
+        row, 2 A[h, j], and A[h, h]: every column but the middle one is
+        doubled."""
+        band = np.zeros(self.shape(sector), order="F")
         Krows, Mrows = self.rows
-        band = np.zeros(shape, order="F")
         rows = dict(Krows)
         for D, v in Mrows.items():
             rows[D] = rows.get(D, 0.0) + -shift * v
@@ -388,18 +311,14 @@ class BandRows:
                 band[D, :size - D] = v[:size - D]
         if sector is None:
             return band
-        h, block = sector.half, sector.block
+        h = n // 2
         for off, v in rows.items():
-            # v[r] = A[r + off, r] = A[r, P(j)] is the corner term of the
-            # sector entry (r, j), j = P(r + off), when that lies in the
-            # lower triangle of the first h rows; P(q) >= n - block - q.
-            # Beyond the band v[r] is zero: such an entry would step the
-            # innermost axis out of its block, which no term couples
-            r = np.arange(max((n - block - off) // 2, 0), min(h, n - off))
-            q = r + off
-            j = n - block - q + 2 * (q % block)
-            keep = (j <= r) & (r - j <= b)
-            r, j = r[keep], j[keep]
+            # v[r] = A[r + off, r] is the corner term of the sector entry
+            # (i, j) = (r, n - 1 - r - off) when that lies in the lower
+            # triangle of the first h rows
+            r = np.arange(max((n - off) // 2, n - h - off, 0),
+                          min(h, n - off))
+            j = n - 1 - off - r
             band[r - j, j] += sector.sign * v[r]
         band[:, :h] *= 2.0
         return band
@@ -510,55 +429,51 @@ def _lanczos(rows, count, seed, floor, guess, sector):
     return vals, chol.back_transform(np.asarray(ys, dtype=float)[:, order])
 
 
-def _quarter(K, M, point):
-    """The try of a one-pair solve on a sector of K's ``mirror_axis`` (see
-    ``_tries``), or None when the forms have none or its fold would not
-    lower the half-bandwidth.  With ``point`` symmetry each sector of the
-    mirror is split again by the point reflection, which reverses the
-    order of its blocks of one mirror-sector axis each."""
-    k = K.mirror_axis
-    if k is None or k != M.mirror_axis:
-        return None
-    mirror = Mirror(tuple(F.shape[0] for F in K.terms[0]), k)
-    even = BandRows(*(mirror.fold(F, 1) for F in (K, M)))
-    if even.b >= _bandwidth(K, M):
-        return None
-    odd = BandRows(*(mirror.fold(F, -1) for F in (K, M)))
-    if point:
-        pieces = [(rows, Sector(rows.n, sign, mirror.sector(parity).size))
-                  for parity, rows in ((1, even), (-1, odd))
-                  for sign in (1, -1)]
+def _axial_mode(axis, seed):
+    """The lowest mode q of the 1D pencil (K_k, M_k) of an
+    ``UncoupledAxis``, M_k-normalized: the constant on an axis with free
+    ends (or one free node), else the solved pair at the floor 0."""
+    K, M = axis.K, axis.M
+    if axis.free or K.dim == 1:
+        q = np.ones(K.dim)
     else:
-        pieces = [(even, None), (odd, None)]
-    (rows, first), *certificates = [(rows, sector) for rows, sector in pieces
-                                    if rows.size(sector) > 0]
-    if rows.size(first) < 2:
-        return None
-    return rows, first, certificates, mirror.unfold
+        q = _solve(K, M, 1, seed, 0.0, None)[1][:, 0]
+    return q / math.sqrt(q @ (M @ q))
 
 
-def _tries(K, M, count):
-    """The solves of a pencil in the order they are tried, each
-    ``(rows, sector, certificates, unfold)``: Lanczos on ``sector`` of
-    the forms of ``rows`` (all of it when None), kept when each
-    certificate ``(rows, sector)`` factors at its lambda_1; ``unfold``
-    maps the vectors to K's unknowns (None: they are K's).  A one-pair
-    solve tries the quarter sector (``_quarter``), then the even sector
-    of point-symmetric forms, and every solve ends on the whole pencil.
-    Every band of the first try is checked against the budget here,
-    before any row is built; rows are built on a try's first factor."""
-    point = K.point_symmetric and M.point_symmetric
-    quarter = _quarter(K, M, point) if count == 1 else None
-    tries = [] if quarter is None else [quarter]
-    whole = BandRows(K, M)
-    if count == 1 and point and K.dim > 2:
-        tries.append((whole, Sector(K.dim, 1),
-                      [(whole, Sector(K.dim, -1))], None))
-    tries.append((whole, None, [], None))
-    rows, first, certificates, _ = tries[0]
-    for rows, sector in [(rows, first)] + certificates:
-        rows.shape(sector)
-    return tries
+def _reduced(form, k, q):
+    """The form on the v of u = v x q, with q on axis k: each term loses
+    its factor F_k, and q^T F_k q weights its last factor."""
+    return KroneckerForm(
+        form.dim // len(q),
+        [term[:k] + term[k + 1:-1] + (float(q @ (term[k] @ q)) * term[-1],)
+         for term in form.terms],
+        point_symmetric=form.point_symmetric)
+
+
+def _solve(K, M, count, seed, floor, guess):
+    """``(values, vectors)``: the ``count`` smallest eigenpairs of the
+    forms, ascending, unnormalized.  A one-pair solve separates an
+    ``uncoupled_axis`` that both forms record, and runs in the even sector
+    of point-symmetric forms, kept once the odd sector's factor proves its
+    spectrum above the pair; otherwise it solves the whole pencil (see
+    above)."""
+    axis = K.uncoupled_axis
+    if (count == 1 and axis is not None and axis is M.uncoupled_axis
+            and K.dim > axis.K.dim):
+        k, q = axis.index, _axial_mode(axis, seed)
+        vals, V = _solve(_reduced(K, k, q), _reduced(M, k, q), 1, seed,
+                         floor, guess)
+        before = math.prod(F.shape[0] for F in K.terms[0][:k])
+        return vals, (V.reshape(before, 1, -1) * q[:, None]).reshape(-1, 1)
+    folds = count == 1 and K.dim > 2 and K.point_symmetric \
+        and M.point_symmetric
+    first = Sector(K.dim, 1) if folds else None
+    rows = BandRows(K, M, first)
+    vals, vecs = _lanczos(rows, count, seed, floor, guess, first)
+    if folds and not _above(rows, Sector(K.dim, -1), vals[0]):
+        vals, vecs = _lanczos(rows, count, seed, floor, guess, None)
+    return vals, vecs
 
 
 def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
@@ -573,12 +488,14 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
     otherwise it shift-inverts at the floor exactly as without a guess.
     One Lanczos run computes exactly ``count`` pairs, so the pencil needs
     more than ``count`` unknowns; fewer raise BadResolution.  A one-pair
-    solve runs in a sector of the forms' symmetries and keeps its pair
-    once the factors of the other sectors prove their spectra above it;
-    otherwise it tries a larger sector, and last the whole pencil (see
-    above).  Vectors are M-normalized, pairwise M-orthogonal, and the
-    first vector is sign-fixed positive.  Residual ||Ku - lambda Mu|| /
-    ||Mu|| is checked against ``DEFAULT_TOL``.
+    solve of forms that separate along an ``uncoupled_axis`` solves their
+    reduced pencil, and one of ``point_symmetric`` forms runs in the even
+    sector and keeps its pair once the odd sector's factor proves the odd
+    spectrum above it; otherwise it solves the whole pencil (see above).
+    Vectors are M-normalized, pairwise M-orthogonal, and the first vector
+    is sign-fixed positive.  Residual ||Ku - lambda Mu|| / ||Mu|| is
+    checked against ``DEFAULT_TOL``; normalization and the residual check
+    run on the whole forms.
     """
     if count < 1 or count > 6:
         raise ValueError("count must be between 1 and 6")
@@ -589,12 +506,7 @@ def smallest_eigenpairs(K, M, count=1, seed=0, floor=0.0, guess=None):
         raise BadResolution(
             f"requested {count} pairs from a dimension-{n} pencil")
 
-    for rows, sector, certificates, unfold in _tries(K, M, count):
-        vals, vecs = _lanczos(rows, count, seed, floor, guess, sector)
-        if all(_above(*cert, vals[0]) for cert in certificates):
-            break
-    if unfold is not None:
-        vecs = unfold(vecs)
+    vals, vecs = _solve(K, M, count, seed, floor, guess)
 
     # one product with each form serves normalization, the Gram check and
     # the residuals

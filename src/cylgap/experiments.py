@@ -573,14 +573,18 @@ def exp_multi_direction(field3d, L_list, cfg):
     The bound row is the one whose reduced cross stiffness drops W1's
     energy most: a row restriction keeps A22, so its context borrows the
     field's own (``cross_context``'s ``base``) and solves only its
-    reduced pencil, and the bound's cylinders are solved under it."""
+    reduced pencil, and the bound's cylinders are solved under it.  A
+    field that leaves the other axial row uncoupled, as
+    ``multi_model_field`` leaves x2, gives a pencil that separates along
+    that axis (``eig``); its ends are free, so the reduced pencil is the
+    bound row's own, and the 3D lambda1 equals the row-restricted bound to
+    rounding."""
     if field3d.p != 2 or field3d.n != 3:
         raise DimensionMismatch("multi-direction experiment needs n=3, p=2")
-    # the field leaves x2 uncoupled, so eig solves a quarter sector: at
-    # these resolutions the L = 4 pencil (n = 14 375, b = 599) folds into
-    # a band of 3 744 unknowns at b = 313 (9.4 MB); at the 2D ones the
-    # L = 6 band (73 696 at b = 1 569, 0.93 GB) is the last under eig's
-    # MEMORY_BUDGET
+    # a field that couples both axial rows does not separate, and at the
+    # 2D resolutions its L = 4 pencil (n = 130 975, b = 2 047) folds into
+    # an even-sector band of 1.0 GiB, just under eig's MEMORY_BUDGET; the
+    # L = 5 one exceeds it
     cfg3 = replace(cfg, axial_resolution=3.0, resolution=12.0)
     ctx = cross_context(field3d, cfg3)
     if ctx.coupled:

@@ -4,6 +4,11 @@ import pytest
 from cylgap import assemble, coeff, eig, grid
 
 MU1 = (np.pi / 2.0) ** 2
+# a p = 2 table whose axial rows both couple to the cross direction, so
+# no axial axis is uncoupled and its pencils do not separate; it is even
+# in X2, so its full-cylinder pencils are point-symmetric
+BOTH_ROWS = coeff.piecewise_constant_field(
+    [-1.0, 1.0], [[[1.0, 0.0, 0.3], [0.0, 1.0, 0.3], [0.3, 0.3, 1.0]]], p=2)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from cylgap.errors import DimensionMismatch, MeshMismatch, NotElliptic
 
 import cylgap
 import proofs
-from conftest import MU1, same_bits
+from conftest import BOTH_ROWS, MU1, same_bits
 
 
 def interp_sq_integral_1d(part, values):
@@ -445,57 +445,63 @@ class TestFormStorage:
 
 class TestMirrorAxis:
     """A form records the first axial axis that its samples leave
-    uncoupled, on a partition that mirrors, with both ends clamped
-    alike."""
+    uncoupled, whatever its partition and its ends, with the axis's 1D
+    forms, point-symmetric where the axis mirrors with like ends, and
+    whether both ends are free."""
 
     @staticmethod
-    def mirror_axis(field, kind, ell=2, dirichlet=False):
-        p = field.p
-        mesh = grid.build_mesh(kind, ell=ell, omega=(-1, 1),
-                               resolution=(3,) * p + (4,))
+    def axis(field, kind, ell=2, dirichlet=False, mesh=None):
+        if mesh is None:
+            mesh = grid.build_mesh(kind, ell=ell, omega=(-1, 1),
+                                   resolution=(3,) * field.p + (4,))
         if dirichlet:
             mesh = grid.with_full_dirichlet(mesh)
         K, M = assemble.assemble_cylinder(mesh, field)
-        assert M.mirror_axis == K.mirror_axis
-        return K.mirror_axis
+        axis = K.uncoupled_axis
+        assert M.uncoupled_axis is axis
+        if axis is not None:
+            free = mesh.axis_free[axis.index]
+            assert axis.K.dim == axis.M.dim == len(free)
+            assert axis.free == (not any(mesh.clamped[axis.index]))
+        return axis
 
     def test_the_uncoupled_axial_row_is_recorded(self):
         field = coeff.multi_model_field(0.6)
-        assert self.mirror_axis(field, "multi-direction") == 1
-        assert self.mirror_axis(field, "multi-direction",
-                                dirichlet=True) == 1
-        assert self.mirror_axis(coeff.diagonal_field([1.0, 1.0, 1.0], p=2),
-                                "multi-direction") == 0
+        mixed = self.axis(field, "multi-direction")
+        clamped = self.axis(field, "multi-direction", dirichlet=True)
+        assert mixed.index == clamped.index == 1
+        assert mixed.free and not clamped.free
+        assert clamped.K.point_symmetric and clamped.M.point_symmetric
+        assert self.axis(coeff.diagonal_field([1.0, 1.0, 1.0], p=2),
+                         "multi-direction").index == 0
 
     def test_a_coupled_row_records_no_axis(self, model06):
-        both = coeff.field_from_entries(
-            3, 2, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 0.3,
-                   (1, 2): 0.3}, kind="both-rows")
         # x1 and x2 couple to each other, not to the cross direction
         axial = coeff.field_from_entries(
             3, 2, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 1): 0.3},
             kind="axial-pair")
-        assert self.mirror_axis(both, "multi-direction") is None
-        assert self.mirror_axis(axial, "multi-direction") is None
-        assert self.mirror_axis(model06, "full-cylinder") is None
+        assert self.axis(BOTH_ROWS, "multi-direction") is None
+        assert self.axis(axial, "multi-direction") is None
+        assert self.axis(model06, "full-cylinder") is None
 
-    def test_an_end_clamped_alone_records_no_axis(self):
+    def test_half_cylinders_and_unmirrored_partitions_record_the_axis(self):
         uncoupled = coeff.model_field(0.0)
-        assert self.mirror_axis(uncoupled, "full-cylinder") == 0
-        assert self.mirror_axis(uncoupled, "half-plus") is None
-        assert self.mirror_axis(uncoupled, "half-minus") is None
-        # a half-plus mesh on a partition symmetric about 0
+        assert self.axis(uncoupled, "full-cylinder").free
+        for kind in ("half-plus", "half-minus"):
+            axis = self.axis(uncoupled, kind)
+            assert axis.index == 0 and not axis.free
+            assert not axis.K.point_symmetric
+        # a half-plus mesh on a partition symmetric about 0: one end
+        # clamped, so its 1D forms do not commute with the reversal
         x = np.linspace(-1.0, 1.0, 5)
-        mesh = grid.TensorMesh("half-plus", [x, x], 1, 1.0)
-        K, _ = assemble.assemble_cylinder(mesh, uncoupled)
-        assert K.mirror_axis is None
-
-    def test_a_partition_that_does_not_mirror_records_no_axis(self):
+        half = grid.TensorMesh("half-plus", [x, x], 1, 1.0)
+        assert not self.axis(uncoupled, None, mesh=half).K.point_symmetric
+        # a partition that does not mirror, with both ends clamped
         x = np.array([-1.0, -0.4, 0.0, 0.5, 1.0])
         mesh = grid.TensorMesh("full-cylinder", [x, np.linspace(-1, 1, 5)],
                                1, 1.0)
-        K, _ = assemble.assemble_cylinder(mesh, coeff.model_field(0.0))
-        assert K.mirror_axis is None
+        axis = self.axis(uncoupled, None, dirichlet=True, mesh=mesh)
+        assert axis.index == 0 and not axis.K.point_symmetric
 
 
 def test_package_defines_only_what_a_run_reaches():
@@ -644,8 +650,12 @@ def test_kronecker_products_span_free_nodes_only(model06):
         sizes = [len(free) for free in mesh.axis_free[:mesh.n_axial]]
         sizes.append(assemble.factor_mesh(mesh.cross_partitions).n_free)
         assert K.dim == M.dim == np.prod(sizes) == mesh.n_free
-        # p + n_cross slots squared for K, one term for M
-        assert len(K.terms) == mesh.ndim**2 and len(M.terms) == 1
+        # one term of K per nonzero entry of the constant A (of
+        # p + n_cross slots squared: 4 of model06's 4, 5 of the
+        # multi-model field's 9), one term for M
+        nonzero = np.count_nonzero(field.eval_many(np.zeros((1, 1))))
+        assert len(K.terms) == nonzero and len(M.terms) == 1
+        assert nonzero == (4 if mesh is cyl else 5)
         for term in K.terms + M.terms:
             assert [F.shape for F in term] == [(m, m) for m in sizes]
     assert cyl.n_free == 7967

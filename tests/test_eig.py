@@ -10,7 +10,7 @@ from cylgap.errors import (BadResolution, FactorizationFailed, MemoryBudget,
                            NoConvergence)
 
 import proofs
-from conftest import MU1
+from conftest import BOTH_ROWS, MU1
 
 
 def separable_mixed_spectrum(ell, kmax=6, mmax=6):
@@ -323,37 +323,29 @@ class TestSmallestEigenpairs:
         # odd certificate is not listed
         assert [f.chol.band.shape[1] for f in factors] == [n // 2, n]
 
-    def test_mirror_odd_ground_state_falls_back(self, factors):
-        """K = L x I x I + I x T x I + I x I x L on 6 x 8 x 5 unknowns, with
-        L = tridiag(-1, 2, -1) and T = tridiag(1, 2, 1), commutes with the
-        reversal of each axis.  Its lowest mode is odd under x2 -> -x2 (T's
-        at even size) and so odd under the point reflection.  The quarter
-        solve (x2-even and point-even) is kept by the factor of its
-        point-odd sector, but the x2-odd form's factor at its lambda_1
-        fails; so does the point-odd certificate of the even sector of
-        the point reflection, and the solve ends on the whole pencil."""
-        sizes = (6, 8, 5)
-        L, T = ([sparse.dia_array(sparse.diags([s, 2.0, s], [-1, 0, 1],
-                                               shape=(m, m)))
-                 for m in sizes] for s in (-1.0, 1.0))
-        eye = [sparse.dia_array(sparse.identity(m)) for m in sizes]
-        K, M = (assemble.KroneckerForm(240, terms, point_symmetric=True,
-                                       mirror_axis=1)
-                for terms in ([(L[0], eye[1], eye[2]),
-                               (eye[0], T[1], eye[2]),
-                               (eye[0], eye[1], L[2])], [tuple(eye)]))
+    def test_a_coupled_p2_field_runs_in_its_point_even_sector(self,
+                                                              factors):
+        """BOTH_ROWS couples both axial rows to the cross direction, so its
+        multi-direction pencil records no uncoupled axis and does not
+        separate.  It is even in X2, so a one-pair solve runs whole in the
+        even sector of the point reflection, kept by the odd sector's
+        factor, and matches the dense lambda_1."""
+        mesh = grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
+                               resolution=(3, 3, 6))
+        K, M = assemble.assemble_cylinder(mesh, BOTH_ROWS)
+        assert K.uncoupled_axis is None and K.point_symmetric
+        dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                  proofs.full(M).toarray(),
+                                  eigvals_only=True,
+                                  subset_by_index=[0, 0])[0]
         pair = eig.smallest_eigenpairs(K, M)[0]
-        exact = sum(2 - 2 * np.cos(np.pi / (m + 1)) for m in sizes)
-        assert pair.value == pytest.approx(exact, rel=1e-10)
-        u = pair.vector.reshape(sizes)
-        np.testing.assert_allclose(u, -u[:, ::-1], atol=1e-10)
-        # the quarter sector Lanczos ran on (its 6 x 5 blocks of the 4
-        # x2-even nodes, 15 of them point-even) and its point-odd
-        # certificate, then the even and the whole pencil; the failed
-        # certificates are not listed
-        assert [f.chol.band.shape[1] for f in factors] == [60, 60, 120, 240]
-        assert [f.applications > 0 for f in factors] == [True, False,
-                                                          True, True]
+        assert pair.value == pytest.approx(dense, rel=1e-10)
+        assert np.array_equal(pair.vector, pair.vector[::-1])
+        # the even factor Lanczos ran on and the odd certificate
+        n = K.dim
+        assert [f.chol.band.shape[1] for f in factors] == [n - n // 2,
+                                                            n // 2]
+        assert [f.applications > 0 for f in factors] == [True, False]
 
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M: M reaches fewer band rows
@@ -432,6 +424,7 @@ class CountingForm:
     def __init__(self, form):
         self.form, self.dim, self.terms = form, form.dim, form.terms
         self.point_symmetric = form.point_symmetric
+        self.uncoupled_axis = form.uncoupled_axis
         self.products = 0
 
     def __matmul__(self, u):
@@ -487,14 +480,15 @@ class TestSymmetricOperator:
 
 def budget_pencil(kind):
     """A small pencil of each domain kind, with the cross-section's and
-    the all-Dirichlet cylinder's, on the model fields."""
+    the all-Dirichlet cylinder's, on the model fields, and on BOTH_ROWS
+    for the multi-direction one, whose pencil does not separate."""
     if kind == "cross-section":
         mesh = grid.build_mesh(kind, omega=(-1, 1), resolution=8)
         return assemble.assemble_cross_section(mesh, coeff.model_field(0.6))
     if kind == "multi-direction":
         mesh = grid.build_mesh(kind, ell=1, omega=(-1, 1),
                                resolution=(3, 3, 12))
-        return assemble.assemble_cylinder(mesh, coeff.multi_model_field(0.6))
+        return assemble.assemble_cylinder(mesh, BOTH_ROWS)
     mesh = grid.build_mesh(kind.removesuffix("-dirichlet"), ell=2,
                            omega=(-1, 1), resolution=(4, 8))
     if kind.endswith("-dirichlet"):
@@ -508,12 +502,8 @@ class TestMemoryBudget:
         "multi-direction", "cross-section"])
     def test_the_budget_is_exact_at_the_band(self, kind, monkeypatch):
         """The budget bounds the largest band a solve allocates: the even
-        sector's, n - n // 2 columns, on the point-symmetric pencils, the
-        whole band on the half-cylinders, and the first quarter sector's
-        on the multi-direction pencil, whose field leaves x2 uncoupled:
-        its 7 x 7 x 23 free nodes fold into 7 x 23 blocks of the 4
-        x2-even nodes, and the point-even sector keeps 81 of the 161
-        blocks."""
+        sector's, n - n // 2 columns, on the point-symmetric pencils, and
+        the whole band on the half-cylinders."""
         K, M = budget_pencil(kind)
         bands = []
         band = eig.BandRows.band
@@ -527,7 +517,6 @@ class TestMemoryBudget:
         largest = max(bands, key=lambda a: a.nbytes)
         n = K.dim
         assert largest.shape[1] == (n if kind.startswith("half")
-                                    else 81 * 4 if kind == "multi-direction"
                                     else n - n // 2)
         nbytes = largest.nbytes
         monkeypatch.setattr(eig, "MEMORY_BUDGET", nbytes)

@@ -12,7 +12,7 @@ from cylgap.errors import (MEMORY_BUDGET, ConditionConFails,
                            DimensionMismatch, NoConvergence,
                            NoReflectionSymmetry, NotConverged)
 
-from conftest import MU1
+from conftest import BOTH_ROWS, MU1
 
 
 @pytest.fixture(scope="module")
@@ -322,30 +322,43 @@ class TestMultiDirection:
             ex.exp_multi_direction(model, [2], ex.ExperimentConfig())
 
     def test_pencil_at_the_2d_resolutions_fails_its_row_unallocated(self):
-        # at 16/8 the field leaves x2 uncoupled, and the pencil folds into
-        # quarter sectors, x2-even and even under the point reflection:
-        # at L = 7 the first of them would take 1.4 GiB, and the row fails
-        # before it is allocated.  (At L = 6 the largest quarter band,
-        # 925 621 760 bytes, fits the budget; the even sector of the point
-        # reflection alone took 1.9 GiB at L = 5.)  The factors have 113,
-        # 113 and 31 free nodes, so n = 395 839, and every band of the
-        # solve is checked from the offsets of the folded factors before
-        # any band row (up to n / 2 values each) is built: the peak is the
-        # mesh's free-node index (8 n bytes) and the factors
+        # BOTH_ROWS leaves no axial row uncoupled, so its pencil does not
+        # separate: at 16/8 the L = 5 pencil folds into an even sector
+        # whose band would take 1.9 GiB; the row fails before it is
+        # allocated.  (At L = 4 the even band, 1 072 955 392 bytes, fits
+        # the budget by 786 432 bytes.)  Its factors have 81, 81 and 31
+        # free nodes, so n = 203 391, and the budget is checked from their
+        # offsets before any band row (n values each) is built: the peak,
+        # 3.5 MiB when measured, is the mesh's free-node index (8 n bytes)
+        # and the factors, where the rows of K and M took 67 MiB
         tracemalloc.start()
         try:
-            rec = ex._row("multi-direction", coeff.multi_model_field(0.6),
-                          ex.ExperimentConfig(), 7.0, lambda *_: None,
+            rec = ex._row("multi-direction", BOTH_ROWS,
+                          ex.ExperimentConfig(), 5.0, lambda *_: None,
                           kind="multi-direction")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not rec.passed
-        assert rec.note == ("MemoryBudget: the band of n = 99864, b = 1825 "
-                            f"takes {8 * 99864 * 1826} bytes > "
+        assert rec.note == ("MemoryBudget: the band of n = 101696, b = 2543 "
+                            f"takes {8 * 101696 * 2544} bytes > "
                             f"{MEMORY_BUDGET}")
-        n = 113 * 113 * 31
+        n = 81 * 81 * 31
         assert peak < 3 * 8 * n
+
+    def test_separated_pencil_at_the_2d_resolutions_passes(self):
+        """The multi-model field leaves x2 uncoupled, and its ends are
+        free, so the L = 7 pencil at 16/8 (113 x 113 x 31 free nodes,
+        whose even band would take 1.4 GiB) solves as its reduced 2D
+        pencil, that of the row restriction to x1, and its lambda1 equals
+        that row's to rounding."""
+        field, cfg = coeff.multi_model_field(0.6), ex.ExperimentConfig()
+        rec = ex._row("multi-direction", field, cfg, 7.0, lambda *_: None,
+                      kind="multi-direction")
+        assert rec.passed, rec.note
+        _, pairs = ex.solve_cylinder(coeff.row_restriction_field(field, 0),
+                                     7.0, cfg)
+        assert rec.lambda1 == pytest.approx(pairs[0].value, rel=1e-12)
 
 
 class TestDecayAndProfiles:

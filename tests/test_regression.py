@@ -40,32 +40,34 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
 # 2 count + 4 vectors stopped at eig.LANCZOS_TOL; ARPACK's start vector
 # is seeded, so the count repeats exactly (267, 151 and 42 with every
 # pencil whole; 214, 151 and 26 since one-pair solves of point-symmetric
-# pencils run in their even sector, and 23 on multi_direction since its
-# one-pair solves run in the quarter sector of x2 -> -x2 and the point
-# reflection)
+# pencils run in their even sector; 23 on multi_direction in quarter
+# sectors of x2 -> -x2 and the point reflection, and none since its
+# one-pair solves separate the uncoupled x2 into 2D pencils of at most
+# 288 unknowns)
 LARGE = 400
 MAX_APPLICATIONS = {"asymmetric": 151, "model_gap": 267,
-                    "multi_direction": 23}
+                    "multi_direction": 0}
 # most applications on factors of any size, the cross-section and short
 # cylinder pencils included (365, 191 and 105 with every pencil whole;
-# 323, 191 and 96 in even sectors, 93 on multi_direction in quarters)
+# 323, 191 and 96 in even sectors, 93 on multi_direction in quarters and
+# 90 separated)
 MAX_ALL_APPLICATIONS = {"asymmetric": 191, "model_gap": 365,
-                        "multi_direction": 93}
+                        "multi_direction": 90}
 # most unknowns a run may sweep: the sum, over all applications, of the
 # unknowns of the factor applied; a one-pair solve of a point-symmetric
 # pencil sweeps its even sector, about half the pencil, and of a
-# multi_direction pencil its quarter sector (1 111 863 and 271 755 on
+# multi_direction pencil its reduced pencil (1 111 863 and 271 755 on
 # model_gap and multi_direction with every pencil whole, 123 816 on
-# multi_direction in even sectors; asymmetric has no point-symmetric
-# pencil)
+# multi_direction in even sectors and 56 190 in quarter sectors;
+# asymmetric has no point-symmetric pencil)
 MAX_SWEPT = {"asymmetric": 473070, "model_gap": 642634,
-             "multi_direction": 56190}
+             "multi_direction": 9480}
 # most band values a run may sweep: the sum, over all applications, of
 # n (b + 1) for the factor applied, the values that the two triangular
-# sweeps read (64 365 468 on multi_direction in even sectors, where the
-# quarter sectors also halve b)
+# sweeps read (64 365 468 on multi_direction in even sectors and
+# 14 187 600 in quarter sectors)
 MAX_BAND_SWEPT = {"asymmetric": 15572560, "model_gap": 21430138,
-                  "multi_direction": 14187600}
+                  "multi_direction": 220440}
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
@@ -100,9 +102,9 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
                                out)
     assert result.rows > 0
     assert result.ok, result.problems
-    assert 0 < sum(n > LARGE for _, n in applications) \
+    assert sum(n > LARGE for _, n in applications) \
         <= MAX_APPLICATIONS[workload]
-    assert len(applications) <= MAX_ALL_APPLICATIONS[workload]
+    assert 0 < len(applications) <= MAX_ALL_APPLICATIONS[workload]
     assert sum(n for _, n in applications) <= MAX_SWEPT[workload]
     assert sum(b1 * n for b1, n in applications) <= MAX_BAND_SWEPT[workload]
     assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
