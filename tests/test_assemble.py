@@ -484,19 +484,25 @@ class TestMirrorAxis:
         assert self.axis(axial, "multi-direction") is None
         assert self.axis(model06, "full-cylinder") is None
 
-    def test_half_cylinders_and_unmirrored_partitions_record_the_axis(self):
+    # "no axis" in the two names below is no mirror axis: the uncoupled
+    # axis is still recorded and separates, but its 1D forms do not
+    # commute with the reversal x_k -> -x_k
+
+    def test_an_end_clamped_alone_records_no_axis(self):
         uncoupled = coeff.model_field(0.0)
         assert self.axis(uncoupled, "full-cylinder").free
         for kind in ("half-plus", "half-minus"):
             axis = self.axis(uncoupled, kind)
             assert axis.index == 0 and not axis.free
             assert not axis.K.point_symmetric
-        # a half-plus mesh on a partition symmetric about 0: one end
-        # clamped, so its 1D forms do not commute with the reversal
+        # a half-plus mesh on a partition symmetric about 0
         x = np.linspace(-1.0, 1.0, 5)
         half = grid.TensorMesh("half-plus", [x, x], 1, 1.0)
         assert not self.axis(uncoupled, None, mesh=half).K.point_symmetric
-        # a partition that does not mirror, with both ends clamped
+
+    def test_a_partition_that_does_not_mirror_records_no_axis(self):
+        # both ends clamped, on a partition that is not symmetric about 0
+        uncoupled = coeff.model_field(0.0)
         x = np.array([-1.0, -0.4, 0.0, 0.5, 1.0])
         mesh = grid.TensorMesh("full-cylinder", [x, np.linspace(-1, 1, 5)],
                                1, 1.0)
