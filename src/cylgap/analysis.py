@@ -67,7 +67,6 @@ class DecayProfile:
     masses: list
     alpha_fit: float
     r2: float
-    no_decay: bool
     grad_masses: list
     grad_alpha: float
 
@@ -93,8 +92,9 @@ def _fit_log_decay(ell, rs, masses):
 
 def decay_profile(u, mesh):
     """Bulk masses int_{|x1|<=r} u^2 for integer r and the fitted decay
-    base alpha (mass ~ alpha^(ell - r)); flags alpha near 1 as no-decay.
-    The same fit of the bulk |grad u|^2 gives the gradient rate."""
+    base alpha (mass ~ alpha^(ell - r)); a base above ``NO_DECAY_ALPHA``
+    reads as no decay.  The same fit of the bulk |grad u|^2 gives the
+    gradient rate."""
     if mesh.domain_kind != "full-cylinder":
         raise MeshMismatch("decay profile needs a full cylinder")
     mass, energy, x1q = axial_densities(mesh.scatter_free(u),
@@ -104,12 +104,10 @@ def decay_profile(u, mesh):
     gmasses = [float(energy[np.abs(x1q) <= r].sum()) for r in rs]
     slope, r2 = _fit_log_decay(mesh.ell, rs, masses)
     gslope, _ = _fit_log_decay(mesh.ell, rs, gmasses)
-    alpha = math.exp(slope)
     return DecayProfile(
         masses=list(zip(rs, masses)),
-        alpha_fit=alpha,
+        alpha_fit=math.exp(slope),
         r2=r2,
-        no_decay=alpha > NO_DECAY_ALPHA,
         grad_masses=list(zip(rs, gmasses)),
         grad_alpha=math.exp(gslope),
     )

@@ -181,11 +181,13 @@ def _slot_set(mesh, C, n_values):
     return memo[key]
 
 
-def _slot_matrices(mesh, C, n_values, free):
-    """The slot set of ``mesh``, C and ``n_values`` on the free nodes, the
-    product of the per-axis index runs ``free`` (``axis_free``)."""
-    return [[_restrict(S, mesh.shape, free) for S in row]
-            for row in _slot_set(mesh, C, n_values)]
+def _slot_matrices(mesh, C, n_values, free, first):
+    """The slot set of ``mesh``, C and ``n_values`` from slot ``first`` on,
+    in rows and columns, on the free nodes, the product of the per-axis
+    index runs ``free`` (``axis_free``).  Only those slots are
+    restricted."""
+    return [[_restrict(S, mesh.shape, free) for S in row[first:]]
+            for row in _slot_set(mesh, C, n_values)[first:]]
 
 
 def _stencil(d):
@@ -303,12 +305,13 @@ def _assemble_pair(mesh, field, mats, n_values):
     cross slot matrices of ``mats`` and F_k(a, b) is the 1D stiffness,
     mixed or mass matrix as a and b are or are not k; M = M_1 x ... x
     M_p x M_c.  Of the cross set's ``n_values`` value slots the first
-    n_values - p are dropped, so a cross-section pencil of A is the cross
-    block of the set its cylinders read.  Nodes are C-ordered with the
-    axial axes first, as in these products.  Mc is the value slot of the
-    cross set of C = I.  Each factor comes restricted to the free indices
-    of its axes (``mesh.axis_free[k]`` for F_k, the cross mesh's free
-    nodes for X_ab and Mc), so every term spans the free nodes only.
+    n_values - p are dropped before any slot is restricted, so a
+    cross-section pencil of A is the cross block of the set its cylinders
+    read.  Nodes are C-ordered with the axial axes first, as in these
+    products.  Mc is the value slot of the cross set of C = I.  Each
+    factor comes restricted to the free indices of its axes
+    (``mesh.axis_free[k]`` for F_k, the cross mesh's free nodes for X_ab
+    and Mc), so every term spans the free nodes only.
 
     A term whose cross factor is zero, that of an entry that every sample
     leaves zero, is dropped.  Both forms record the ``uncoupled_axis`` of
@@ -324,13 +327,14 @@ def _assemble_pair(mesh, field, mats, n_values):
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
     C = coefficient_samples(cross, field, mats)
-    X = _slot_matrices(cross, C, n_values, cross.axis_free)
-    axes = [_slot_matrices(factor_mesh(mesh.axis_partitions[k:k + 1]),
-                           np.ones((1, 1, 2, 2)), 1, mesh.axis_free[k:k + 1])
-            for k in range(p)]
+    # X counts from slot n_values - p, which is slot 0 wherever p > 0
+    X = _slot_matrices(cross, C, n_values, cross.axis_free, n_values - p)
+    axes = [_slot_matrices(factor_mesh([part]), np.ones((1, 1, 2, 2)), 1,
+                           [free], 0)
+            for part, free in zip(mesh.axis_partitions[:p], mesh.axis_free)]
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
-         for a, b in itertools.product(range(n_values - p, len(X)), repeat=2)
+         for a, b in itertools.product(range(len(X)), repeat=2)
          if X[a][b].data.any()]
     unit = _slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
     Mc = _restrict(unit[0][0], cross.shape, cross.axis_free)

@@ -40,7 +40,9 @@ TOL_INF = 5e-3           # final |lambda - min nu| in limit-infinity
 
 @dataclass
 class ExperimentConfig:
-    """Shared knobs; margins are derived per run, never hard-coded."""
+    """Shared knobs: resolutions, seed and omega.  None moves a verdict:
+    the mesh-error margin is derived per run (``cross_context``), and the
+    other thresholds are the constants at the top of this module."""
 
     resolution: float = 16.0        # cross-section cells per unit
     axial_resolution: float = 8.0   # cells per unit along the long axes
@@ -85,20 +87,40 @@ class SweepRecord:
     residual: float | None = None
     passed: bool = True
     note: str = ""
+    # every require of the row as (label, q, op, t, margin); not a column
+    checks: list = dc_field(default_factory=list)
 
     def add_note(self, text):
         """Append ``text`` to the note, ``"; "``-separated."""
         self.note = f"{self.note}; {text}" if self.note else text
 
-    def check(self, ok, reason):
-        """One assertion of the row: a failed check clears ``passed`` and
-        appends ``reason`` to the note."""
-        if not ok:
-            self.passed = False
-            self.add_note(reason)
+    def fail(self, note):
+        """Clear ``passed`` and append ``note``."""
+        self.passed = False
+        self.add_note(note)
+
+    def require(self, label, q, op, t, margin=0.0):
+        """One claim of the row, ``q op t`` for ``op`` in ``<``, ``<=``,
+        ``>`` and ``>=``, with ``margin`` moved against the claim: it
+        holds when q op t + margin for ``>`` and ``>=``, and when
+        q op t - margin for ``<`` and ``<=``.  A positive margin is
+        clearance the claim must clear, a negative one slack it is
+        granted.  The claim goes to ``checks`` as ``(label, q, op, t,
+        margin)``; a failed one fails the row with the note
+        ``label: q op t + s failed`` (or ``- s``), the inequality it
+        tested, where s = |margin| and every float is in repr, so that
+        the note reads back exactly."""
+        q, t, margin = float(q), float(t), float(margin)
+        self.checks.append((label, q, op, t, margin))
+        shift = margin if op[0] == ">" else -margin
+        bound = t + shift
+        if not {"<": q < bound, "<=": q <= bound, ">": q > bound,
+                ">=": q >= bound}[op]:
+            self.fail(f"{label}: {q!r} {op} {t!r} "
+                      f"{'+' if shift >= 0 else '-'} {abs(shift)!r} failed")
 
 
-CSV_COLUMNS = [f.name for f in dc_fields(SweepRecord)]
+CSV_COLUMNS = [f.name for f in dc_fields(SweepRecord) if f.name != "checks"]
 
 
 def _delta_of(field):
@@ -271,7 +293,7 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
     full cylinder, the concentration split of the first pair and its
     symmetry defect (for reflection-symmetric fields; both self-check
     their identities); ``judge(rec, mesh, pairs)`` then fills in the rest
-    and judges it through ``rec.check``.  A row without a length only
+    and judges it through ``rec.require``.  A row without a length only
     calls ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.
     The row starts passed with an empty note; a CylgapError fails this
     row alone, with the exception in its note.
@@ -300,7 +322,7 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
                         pairs[0].vector, mesh, field=field)
             judge(rec, mesh, pairs)
     except CylgapError as exc:
-        rec.check(False, f"{type(exc).__name__}: {exc}")
+        rec.fail(f"{type(exc).__name__}: {exc}")
     return rec
 
 
@@ -317,15 +339,15 @@ def exp_bounds_sweep(field, ell_list, cfg):
     def judge(rec, mesh, pairs):
         lam = rec.lambda1
         rec.Lambda1_disc = ctx.Lambda1
-        rec.check(ctx.Lambda1 - ctx.margin <= lam <= ctx.mu1 + ctx.margin,
-                  "outside [Lambda1 - margin, mu1 + margin]")
+        rec.require("lambda1 >= Lambda1", lam, ">=", ctx.Lambda1, -ctx.margin)
+        rec.require("lambda1 <= mu1", lam, "<=", ctx.mu1, -ctx.margin)
         if is_model and delta and delta > 0.0:
-            rec.check((1 - delta**2) * ctx.mu1 + STRICT_MARGIN < lam
-                      < ctx.mu1 - STRICT_MARGIN,
-                      "strict interior placement failed")
+            rec.require("strict lambda1 > (1 - delta^2) mu1", lam, ">",
+                        (1 - delta**2) * ctx.mu1, STRICT_MARGIN)
+            rec.require("strict lambda1 < mu1", lam, "<", ctx.mu1,
+                        STRICT_MARGIN)
         if is_model and delta == 0.0:
-            rec.check(abs(lam - ctx.mu1) <= 1e-9,
-                      "delta=0 should pin lambda to mu1")
+            rec.require("|lambda1 - mu1|", abs(lam - ctx.mu1), "<=", 1e-9)
         rec.gap = ctx.mu1 - lam
 
     return [_row("bounds", field, cfg, ell, judge, ctx=ctx,
@@ -370,8 +392,8 @@ def exp_limit_zero(field, ell_list, cfg):
         rec.add_note(f"extrapolation (observed order {order:.2f})"
                      if math.isfinite(order)
                      else "extrapolation (order indeterminate)")
-        rec.check(abs(extrap - ctx.Lambda1) < tol_limit,
-                  f"extrapolated value off target by >= {tol_limit}")
+        rec.require("|extrapolated - Lambda1|", abs(extrap - ctx.Lambda1),
+                    "<", tol_limit)
 
     records.append(_row("limit-zero", field, zcfg, None, summarize, ctx=ctx,
                         margin=tol_limit))
@@ -393,8 +415,8 @@ def _half_truncations(field, side, lengths, cfg):
 
     def judge(rec, mesh, pairs):
         val = pairs[0].value
-        rec.check(not seq or val <= seq[-1] + SOLVE_SLACK,
-                  "truncation sequence not nonincreasing")
+        if seq:
+            rec.require("nonincreasing", val, "<=", seq[-1], -SOLVE_SLACK)
         seq.append(val)
 
     records = [_row(f"nu-half{side}", field, cfg, L, judge, ctx=ctx,
@@ -443,9 +465,9 @@ def exp_nu_half(field, lengths, cfg):
         lm, lp = reflection_check(field, lengths[0], cfg)
         rec.lambda_half_minus, rec.lambda_half_plus = lm, lp
         rec.gap = abs(lm - lp)
-        rec.check(rec.gap <= REFLECTION_TOL, "reflection identity violated")
+        rec.require("reflection gap", rec.gap, "<=", REFLECTION_TOL)
     except CylgapError as exc:
-        rec.check(False, f"{type(exc).__name__}: {exc}")
+        rec.fail(f"{type(exc).__name__}: {exc}")
     return records + [rec]
 
 
@@ -468,19 +490,18 @@ def exp_limit_infinity(field, L_list, cfg):
         rec.nu_minus = nu_m
         diff = abs(lam - nu_min)
         rec.gap = diff
-        rec.check(not diffs or diff <= diffs[-1] + SOLVE_SLACK,
-                  "|lambda - nu| not decreasing")
+        if diffs:
+            rec.require("decreasing", diff, "<=", diffs[-1], -SOLVE_SLACK)
         # sandwich lambda_{L/2} <= tilde-lambda_L^+ on nested meshes
         _, half_pairs = solve_cylinder(field, L, cfg, kind="half-plus")
         _, cyl_half = solve_cylinder(field, L / 2.0, cfg)
         rec.lambda_half_plus = half_pairs[0].value
-        rec.check(cyl_half[0].value <= half_pairs[0].value + SOLVE_SLACK,
-                  "sandwich lambda_{L/2} <= tilde lambda_L^+ violated")
+        rec.require("lambda1(L/2) <= half-plus", cyl_half[0].value, "<=",
+                    half_pairs[0].value, -SOLVE_SLACK)
         diffs.append(diff)
         if L == Lmax:
             rec.margin = TOL_INF
-            rec.check(diff < TOL_INF,
-                      f"final |lambda - nu| {diff:.2e} >= {TOL_INF}")
+            rec.require("|lambda1 - min nu|", diff, "<", TOL_INF)
 
     return [_row("limit-infinity", field, cfg, L, judge, ctx=ctx,
                  diagnostics=True) for L in Ls]
@@ -496,8 +517,7 @@ def exp_gap(field, L_list, cfg):
 
     def judge(rec, mesh, pairs):
         rec.gap = ctx.mu1 - rec.lambda1
-        rec.check(rec.gap > ctx.margin,
-                  f"gap {rec.gap:.3e} below margin {ctx.margin:.3e}")
+        rec.require("mu1 - lambda1", rec.gap, ">", 0.0, ctx.margin)
 
     return [_row("gap", field, cfg, L, judge, ctx=ctx, margin=ctx.margin,
                  diagnostics=True) for L in sorted(L_list)]
@@ -524,11 +544,11 @@ def exp_second_eigenvalue(field, L_list, cfg):
         if gap < DEGENERACY_RTOL * lam1:
             rec.add_note("near-degenerate pair")
         else:
-            rec.check(lam1 < lam2, "lambda1 < lambda2 failed")
-            rec.check(lam2 <= half_pairs[0].value + SOLVE_SLACK,
-                      "lambda2 <= tilde lambda^+ failed")
-            rec.check(not gaps or gap <= gaps[-1] / SECOND_GAP_SHRINK,
-                      f"gap did not shrink by {SECOND_GAP_SHRINK}x")
+            rec.require("lambda1 < lambda2", lam1, "<", lam2)
+            rec.require("lambda2 <= half-plus", lam2, "<=",
+                        half_pairs[0].value, -SOLVE_SLACK)
+            if gaps:
+                rec.require("shrink", gap, "<=", gaps[-1] / SECOND_GAP_SHRINK)
         gaps.append(gap)
 
     return [_row("second", field, cfg, L, judge, ctx=ctx, count=2,
@@ -549,15 +569,13 @@ def exp_dirichlet_comparison(field, L_list, cfg):
         rec.sigma1 = sig.value
         rec.residual = max(rec.residual, sig.residual)
         rec.fitted_c = (sig.value - ctx.mu1) * L * L
-        rec.check(sig.value >= ctx.mu1 - ctx.margin,
-                  "sigma1 below mu1 - margin")
-        rec.check(rec.lambda1 <= sig.value + SOLVE_SLACK,
-                  "mixed above Dirichlet at a matched mesh")
+        rec.require("sigma1 >= mu1", sig.value, ">=", ctx.mu1, -ctx.margin)
+        rec.require("lambda1 <= sigma1", rec.lambda1, "<=", sig.value,
+                    -SOLVE_SLACK)
         cs.append(rec.fitted_c)
         if L == Ls[-1]:
             spread = (max(cs) - min(cs)) / max(cs) if max(cs) > 0 else math.inf
-            rec.check(spread <= DIRICHLET_SPREAD,
-                      f"fitted C spread {spread:.0%} > {DIRICHLET_SPREAD:.0%}")
+            rec.require("fitted C spread", spread, "<=", DIRICHLET_SPREAD)
 
     return [_row("dirichlet", field, cfg, L, judge, ctx=ctx,
                  margin=ctx.margin) for L in Ls]
@@ -596,16 +614,14 @@ def exp_multi_direction(field3d, L_list, cfg):
         lam = rec.lambda1
         rec.gap = ctx.mu1 - lam
         if ctx.coupled:
-            rec.check(rec.gap > ctx.margin,
-                      "expected gap above the mesh-error margin")
+            rec.require("mu1 - lambda1", rec.gap, ">", 0.0, ctx.margin)
             # row-restriction upper bound at a matched (x_i, X2) mesh
             _, bpairs = solve_cylinder(bfield, rec.ell, cfg3)
             rec.target = bpairs[0].value
-            rec.check(lam <= rec.target + SOLVE_SLACK,
-                      "3D value above the row-restricted 2D bound")
+            rec.require("lambda1 <= row bound", lam, "<=", rec.target,
+                        -SOLVE_SLACK)
         else:
-            rec.check(abs(lam - ctx.mu1) <= PIN_TOL,
-                      "uncoupled field should pin lambda to mu1")
+            rec.require("|lambda1 - mu1|", abs(lam - ctx.mu1), "<=", PIN_TOL)
 
     return [_row("multi-direction", field3d, cfg3, L, judge, ctx=ctx,
                  margin=ctx.margin, kind="multi-direction")
@@ -628,14 +644,13 @@ def exp_decay(field, ell_list, cfg):
         rec.alpha_fit = prof.alpha_fit
         rec.r2 = prof.r2
         if ctx.coupled:
-            rec.check(not prof.no_decay and prof.r2 > 0.99,
-                      "expected exponential decay")
-            rec.check(abs(prof.grad_alpha - prof.alpha_fit)
-                      <= 0.2 * prof.alpha_fit,
-                      "gradient rate off by more than 20%")
+            rec.require("alpha_fit", prof.alpha_fit, "<=", an.NO_DECAY_ALPHA)
+            rec.require("r2", prof.r2, ">", 0.99)
+            rec.require("|grad_alpha - alpha_fit|",
+                        abs(prof.grad_alpha - prof.alpha_fit), "<=",
+                        0.2 * prof.alpha_fit)
         else:
-            rec.check(prof.no_decay,
-                      "expected flat profile for uncoupled field")
+            rec.require("alpha_fit", prof.alpha_fit, ">", an.NO_DECAY_ALPHA)
             rec.add_note("no-decay")
 
     records = [_row("decay", field, cfg, ell, judge, ctx=ctx,
@@ -664,8 +679,8 @@ def exp_end_profile(field, ell_list, cfg):
                                     hmesh, END_COLLAR)
         rec.end_distance = d
         rec.lambda_half_plus = hpairs[0].value
-        rec.check(not dists or d <= dists[-1],
-                  "end-profile distance not decreasing")
+        if dists:
+            rec.require("decreasing", d, "<=", dists[-1])
         dists.append(d)
 
     return [_row("end-profile", field, cfg, ell, judge, grading=grading)

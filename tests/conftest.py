@@ -40,6 +40,15 @@ def same_bits(a, b):
         for k in ("data", "offsets"))
 
 
+def holds(q, op, t, margin):
+    """Whether the claim ``q op t`` of a ``SweepRecord.require`` holds with
+    its margin: against the claim, q op t + margin for ``>`` and ``>=``,
+    q op t - margin for ``<`` and ``<=``."""
+    bound = t + margin if op[0] == ">" else t - margin
+    return {"<": q < bound, "<=": q <= bound, ">": q > bound,
+            ">=": q >= bound}[op]
+
+
 def random_spd(rng, n, scale=1.0):
     R = rng.standard_normal((n, n))
     A = R @ R.T

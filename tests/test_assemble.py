@@ -337,6 +337,21 @@ class TestCrossSection:
         assert lam == pytest.approx(0.64 * MU1, abs=2e-4)
         assert 0.64 * MU1 == pytest.approx(1.5791367, abs=1e-7)
 
+    def test_restricts_only_the_slots_it_reads(self, model06, monkeypatch):
+        # a plain cross-section pencil reads the cross block of A's set,
+        # one of its four slot matrices in 1D, and the cross mass
+        restricted = []
+        restrict = assemble._restrict
+
+        def counted(S, shape, free):
+            restricted.append(S)
+            return restrict(S, shape, free)
+
+        monkeypatch.setattr(assemble, "_restrict", counted)
+        mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
+        K, _ = assemble.assemble_cross_section(mesh, model06)
+        assert len(restricted) == 2 and len(K.terms) == 1
+
     def test_diagonal_reduced_equals_unreduced(self):
         field = coeff.diagonal_field([2.0, 3.0])
         mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=16)

@@ -12,7 +12,7 @@ from cylgap.errors import (MEMORY_BUDGET, ConditionConFails,
                            DimensionMismatch, NoConvergence,
                            NoReflectionSymmetry, NotConverged)
 
-from conftest import BOTH_ROWS, MU1
+from conftest import BOTH_ROWS, MU1, holds
 
 
 @pytest.fixture(scope="module")
@@ -284,9 +284,14 @@ class TestDirichletComparison:
                                                      monkeypatch):
         monkeypatch.setattr(ex, "DIRICHLET_SPREAD", 0.01)
         cfg = ex.ExperimentConfig(resolution=8, axial_resolution=4)
-        last = ex.exp_dirichlet_comparison(model, [2, 4], cfg)[-1]
-        assert not last.passed
-        assert re.fullmatch(r"fitted C spread \d+% > 1%", last.note)
+        recs = ex.exp_dirichlet_comparison(model, [2, 4], cfg)
+        assert not recs[-1].passed
+        spread, bound = map(float, re.fullmatch(
+            r"fitted C spread: (\S+) <= (\S+) \+ 0\.0 failed",
+            recs[-1].note).groups())
+        cs = [r.fitted_c for r in recs]
+        assert spread == (max(cs) - min(cs)) / max(cs)
+        assert bound == 0.01
 
     def test_dirichlet_solve_returns_the_clamped_mesh(self, model):
         cfg = ex.ExperimentConfig(resolution=8, axial_resolution=4)
@@ -378,6 +383,133 @@ class TestDecayAndProfiles:
         # tends to the half-plus minimizer: 0.0488, 0.0083, 0.0015 when
         # measured, where the unscaled profile levels off near 0.53
         assert dists[2] < dists[0] / 10
+
+
+# a failed require's note, ``label: q op t + s failed`` (or ``- s``)
+CLAIM = re.compile(r"(.+): (\S+) ([<>]=?) (\S+) ([+-]) (\S+) failed")
+
+
+def noted_claims(rec):
+    """(label, q, op, t, margin) of each failed require of ``rec``, read
+    back from its note: s is the margin against the claim, so + s is
+    margin s for ``>`` and ``>=`` and margin -s for ``<`` and ``<=``."""
+    claims = []
+    for part in rec.note.split("; "):
+        if match := CLAIM.fullmatch(part):
+            label, q, op, t, sign, s = match.groups()
+            shift = float(s) if sign == "+" else -float(s)
+            claims.append((label, float(q), op, float(t),
+                           shift if op[0] == ">" else -shift))
+    return claims
+
+
+SMALL = ex.ExperimentConfig(resolution=8, axial_resolution=4)
+MODEL = coeff.model_field(0.6)
+
+
+def bounds_strict_margin(mp):
+    mp.setattr(ex, "STRICT_MARGIN", 1.0)
+    return ex.exp_bounds_sweep(MODEL, [1.0], SMALL)
+
+
+def limit_zero_tolerance(mp):
+    mp.setattr(ex, "TOL_LIMIT_MODEL", 0.0)
+    return ex.exp_limit_zero(MODEL, [0.4, 0.2, 0.1], SMALL)
+
+
+def nu_half_slack(mp):
+    mp.setattr(ex, "SOLVE_SLACK", -1.0)
+    return ex.exp_nu_half(MODEL, [2, 4], SMALL)
+
+
+def limit_infinity_tolerance(mp):
+    mp.setattr(ex, "TOL_INF", 0.0)
+    return ex.exp_limit_infinity(MODEL, [4, 8], SMALL)
+
+
+def gap_margin(mp):
+    # the mesh-error margin is derived per run: plant one above the gap
+    build = ex.cross_context
+    mp.setattr(ex, "cross_context",
+               lambda *args: replace(build(*args), margin=1.0))
+    return ex.exp_gap(MODEL, [4, 8], SMALL)
+
+
+def second_shrink(mp):
+    mp.setattr(ex, "SECOND_GAP_SHRINK", 1e6)
+    return ex.exp_second_eigenvalue(MODEL, [4, 6], SMALL)
+
+
+def dirichlet_slack(mp):
+    mp.setattr(ex, "SOLVE_SLACK", -1.0)
+    return ex.exp_dirichlet_comparison(MODEL, [2, 4], SMALL)
+
+
+def multi_direction_slack(mp):
+    mp.setattr(ex, "SOLVE_SLACK", -1.0)
+    return ex.exp_multi_direction(coeff.multi_model_field(0.6), [2],
+                                  ex.ExperimentConfig())
+
+
+def decay_base(mp):
+    mp.setattr(ex.an, "NO_DECAY_ALPHA", 0.0)
+    return ex.exp_decay(MODEL, [8], SMALL)[0]
+
+
+def end_profile_distance(mp):
+    # no constant: the threshold is the last distance, so grow each one
+    measure, calls = ex.an.end_profile_distance, []
+
+    def growing(*args):
+        calls.append(1)
+        return measure(*args) * 100.0 ** len(calls)
+
+    mp.setattr(ex.an, "end_profile_distance", growing)
+    return ex.exp_end_profile(MODEL, [6, 10], SMALL)
+
+
+PLANTS = [(bounds_strict_margin, "strict lambda1 < mu1"),
+          (limit_zero_tolerance, "|extrapolated - Lambda1|"),
+          (nu_half_slack, "nonincreasing"),
+          (limit_infinity_tolerance, "|lambda1 - min nu|"),
+          (gap_margin, "mu1 - lambda1"),
+          (second_shrink, "shrink"),
+          (dirichlet_slack, "lambda1 <= sigma1"),
+          (multi_direction_slack, "lambda1 <= row bound"),
+          (decay_base, "alpha_fit"),
+          (end_profile_distance, "decreasing")]
+
+
+@pytest.mark.parametrize("plant, label", PLANTS,
+                         ids=[plant.__name__ for plant, _ in PLANTS])
+def test_planted_failure_reads_back_from_the_note(plant, label,
+                                                  monkeypatch):
+    """One verdict constant or threshold moved past the committed values
+    fails rows of its experiment, and each failed row's note gives back
+    exactly the requires of ``rec.checks`` that fail."""
+    failed = [rec for rec in plant(monkeypatch) if not rec.passed]
+    assert failed
+    for rec in failed:
+        claims = noted_claims(rec)
+        assert claims == [c for c in rec.checks if not holds(*c[1:])]
+        assert label in [c[0] for c in claims]
+
+
+def test_require_margin_moves_against_the_claim():
+    """A positive margin must be cleared and a negative one is granted,
+    on either side, and a held claim leaves the note alone."""
+    rec = ex.SweepRecord()
+    rec.require("a", 1.0, ">", 0.5, 0.25)
+    rec.require("b", 1.0, "<=", 1.5, -0.5)
+    assert rec.passed and rec.note == ""
+    rec.require("c", 1.0, ">=", 0.5, 0.75)
+    rec.require("d", 1.0, "<", 1.5, 0.5)
+    rec.require("e", 2.0, "<=", 1.5, -0.25)
+    assert not rec.passed
+    assert rec.note == ("c: 1.0 >= 0.5 + 0.75 failed; d: 1.0 < 1.5 - 0.5 "
+                        "failed; e: 2.0 <= 1.5 + 0.25 failed")
+    assert noted_claims(rec) == rec.checks[2:]
+    assert "checks" not in ex.CSV_COLUMNS
 
 
 class TestUniversalSandwich:

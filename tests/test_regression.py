@@ -3,12 +3,13 @@ the committed reference CSVs, compared by the benchmark's correctness
 gate (identity and ``passed`` columns exact, eigenvalue columns to a
 relative tolerance) rather than byte for byte.  A traced run of the
 benchmark's child on a small config checks that the names its tracer
-rebinds and reads still exist, and a plain run of the same config that
-it forms no CSR pencil."""
+rebinds and reads still exist, a plain run of the same config that it
+forms no CSR pencil, and its experiments how many requires they make."""
 
 import csv
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 from scipy import sparse
 
 from cylgap import cli, eig
+from cylgap import experiments as ex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -166,6 +168,36 @@ def test_benchmark_trace_reads_the_package(tmp_path):
     assert layers["eig.nnz_sum"] == 23569
     assert layers["eig.unknowns_max"] == 735
     assert layers["assemble.dofs_sum"] == 2881
+
+
+# requires per experiment of TRACE_CFG: on each bounds row the sandwich
+# and the strict placement of the coupled model (2 + 2); on the second
+# length of each nu-half side its truncation step, and the reflection
+# row; on each second row lambda1 < lambda2 and lambda2 below the
+# half-plus value, and the shrink of the gap from the row before
+TRACE_REQUIRES = {"bounds": 8, "nu-half": 3, "second": 5}
+
+
+def test_trace_config_requires_every_check(tmp_path):
+    """Each row of the small config records every require it makes, so a
+    check that is dropped changes a count: the numbers are finite and
+    the labels of a row distinct."""
+    path = tmp_path / "trace.cfg"
+    path.write_text(TRACE_CFG.format(out=tmp_path / "out"))
+    rc = cli.parse_config(str(path))
+    field = cli.make_field(rc)
+    counts = {}
+    with ex.solve_memo():
+        for name in rc.experiments:
+            records, _ = cli.EXECUTORS[name](field, rc)
+            assert all(rec.passed for rec in records), name
+            counts[name] = sum(len(rec.checks) for rec in records)
+            for rec in records:
+                labels = [label for label, *_ in rec.checks]
+                assert len(set(labels)) == len(labels), labels
+                assert all(math.isfinite(v) for _, q, _, t, margin
+                           in rec.checks for v in (q, t, margin))
+    assert counts == TRACE_REQUIRES
 
 
 def test_run_builds_no_csr_pencil(tmp_path, monkeypatch):
