@@ -25,19 +25,17 @@ def axial_densities(full_values, parts, field=None):
     ``parts`` are the box's axis partitions, the axial one first, and the
     nodes are C-ordered as in them.  The cross integrals go through the
     cross slot matrices X_ab and the cross mass Mc that assembly builds
-    its cylinder forms from, with A taken from ``coefficient_samples``
-    (C = I without a field: the plain |grad u|^2; Mc is its value slot),
-    over all cross nodes: a nodal function of the box vanishes on its
-    lateral boundary, so the clamped nodes add nothing and the all-node
-    sets serve unrestricted.  So the energies add up to u.Ku and the
-    masses to u.Mu.  Returns three arrays of shape (axial cells, 2).
+    its cylinder forms from (``assemble.cross_slots``; C = I without a
+    field: the plain |grad u|^2; Mc is its value slot), over all cross
+    nodes: a nodal function of the box vanishes on its lateral boundary,
+    so the clamped nodes add nothing and the all-node sets serve
+    unrestricted.  So the energies add up to u.Ku and the masses to u.Mu.
+    Returns three arrays of shape (axial cells, 2).
     """
     axis = parts[0]
     cross = asm.factor_mesh(parts[1:])
-    unit = asm._slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
-    X = unit if field is None else asm._slot_set(
-        cross, asm.coefficient_samples(cross, field, field.eval_many), 1)
-    Mc = unit[0][0]
+    X = asm.cross_slots(cross, field)
+    Mc = asm.cross_slots(cross)[0][0]
     u = np.asarray(full_values, dtype=float).reshape(len(axis), -1)
     h = np.diff(axis)[:, None]
     xi = asm.gauss_points_01()

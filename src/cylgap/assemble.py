@@ -10,8 +10,12 @@ to its free indices: on one axis a view of the all-node factor's
 diagonals, on a box cross-section a gather onto its free grid.  A form
 holds these factors, term by term, and never forms their products.  A
 cross-section pencil of A is the cross block of its cylinders' cross
-set.  Inside a ``solve_memo`` block each all-node slot set is built
-once; no CSR or COO matrix is formed outside ``KroneckerForm.lower``.
+set.  Inside a ``solve_memo`` block the block's store keeps what a run
+derives from a field and a mesh, each item under what it is built from:
+the samples of each (cross mesh, field, reduction), the factor mesh of
+each partition, and the all-node slot set of each mesh, value-slot count
+and samples.  No CSR or COO matrix is formed outside
+``KroneckerForm.lower``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .grid import TensorMesh, reflection_permutation
 
 _SQRT3 = np.sqrt(3.0)
 
-# the slot-matrix sets of the enclosing ``experiments.solve_memo``
-# block; None outside any block
+# the store of the enclosing ``experiments.solve_memo`` block, a dict
+# filled by ``_stored``; None outside any block
 _MEMO = contextvars.ContextVar("cylgap_solve_memo", default=None)
 
 
@@ -43,7 +47,6 @@ def gauss_points_01():
     return np.array([0.5 - 0.5 / _SQRT3, 0.5 + 0.5 / _SQRT3])
 
 
-@functools.cache
 def reference_basis(d):
     """Q1 shape values and unit-cell gradients at the tensor Gauss points.
 
@@ -129,33 +132,49 @@ class UncoupledAxis:
     free: bool
 
 
-def _audit_spd(C, what):
-    w = np.linalg.eigvalsh(C.reshape(-1, C.shape[-1], C.shape[-1]))
-    lam = float(w[:, 0].min())
-    if not lam > 0.0:  # NaN compares False
-        raise NotElliptic(f"{what} has smallest sampled eigenvalue {lam:.3e}")
+def _stored(key, build):
+    """``build()``, made once per ``key`` inside a ``solve_memo`` block and
+    kept in its store until the block closes; callers only read what they
+    get.  Outside any block every call builds afresh."""
+    store = {} if _MEMO.get() is None else _MEMO.get()
+    if key not in store:
+        store[key] = build()
+    return store[key]
 
 
 def factor_mesh(parts):
     """Tensor mesh over some axes of another mesh, such as its
     cross-section or one axial axis, with every axis end clamped (as the
-    cross axes of a cylinder are)."""
-    return TensorMesh("cross-section", parts, 0, None)
+    cross axes of a cylinder are); one per partition in a block."""
+    return _stored(("mesh",) + tuple(part.tobytes() for part in parts),
+                   lambda: TensorMesh("cross-section", parts, 0, None))
 
 
-def coefficient_samples(cross, field, mats):
-    """Coefficient ``mats`` (cross points to m x m matrices, such as
-    ``field.eval_many``) at the quadrature points of a cross-section mesh,
-    shape (n_cells, 2**ndim, m, m).
+def coefficient_samples(cross, field, reduced):
+    """A, or its Schur reduction A22 - A12^t A11^-1 A12 when ``reduced``,
+    at the quadrature points of a cross-section mesh, shape
+    (n_cells, 2**ndim, m, m), audited for ellipticity.
 
     Piecewise-constant fields take the midpoint rule: the cell-centre
-    value at every point of the cell.
+    value at every point of the cell.  Inside a ``solve_memo`` block each
+    cross mesh key, field (by identity) and ``reduced`` is sampled once,
+    so assembly, diagnostics and the coupling drop read the same array.
     """
+    return _stored(("samples", cross.key, field, reduced),
+                   lambda: _sample(cross, field, reduced))
+
+
+def _sample(cross, field, reduced):
     midpoint = field.piecewise_constant
-    pts = cross.cell_centers() if midpoint else quadrature_coords(cross)
-    C = mats(pts.reshape(-1, cross.ndim))
-    _audit_spd(C, "coefficient at " + ("cell centers" if midpoint
-                                       else "quadrature points"))
+    pts = (cross.cell_centers() if midpoint
+           else quadrature_coords(cross)).reshape(-1, cross.ndim)
+    C = (coeff_mod.schur_reduce_many(field, pts) if reduced
+         else field.eval_many(pts))
+    lam = float(np.linalg.eigvalsh(C)[:, 0].min())
+    if not lam > 0.0:  # NaN compares False
+        where = "cell centers" if midpoint else "quadrature points"
+        raise NotElliptic(f"coefficient at {where} has smallest sampled "
+                          f"eigenvalue {lam:.3e}")
     C = C.reshape((cross.n_cells, -1) + C.shape[1:])
     return np.broadcast_to(C, (cross.n_cells, 2**cross.ndim) + C.shape[2:])
 
@@ -169,25 +188,22 @@ def _slot_set(mesh, C, n_values):
     (n_cells, nq, s, s), or broadcasts to it.
 
     Inside a ``solve_memo`` block the set of each mesh key, ``n_values``
-    and C (shape and bytes) is built once; callers only read what they
-    get, and restrictions of it (``_restrict``) are views or copies, not
-    memo entries.  Outside any block every call builds afresh.
+    and digest of C's bytes is built once, so sets whose samples coincide,
+    such as those of two fields equal on the mesh, are one set; its
+    restrictions (``_restrict``) are views or copies, not store items.
     """
-    memo = {} if _MEMO.get() is None else _MEMO.get()
-    key = (mesh.key, n_values, C.shape,
-           hashlib.blake2b(C.tobytes(), digest_size=16).hexdigest())
-    if key not in memo:
-        memo[key] = _build_slots(mesh, C, n_values)
-    return memo[key]
+    digest = hashlib.blake2b(C.tobytes(), digest_size=16).hexdigest()
+    return _stored(("slots", mesh.key, n_values, digest),
+                   lambda: _build_slots(mesh, C, n_values))
 
 
-def _slot_matrices(mesh, C, n_values, free, first):
-    """The slot set of ``mesh``, C and ``n_values`` from slot ``first`` on,
-    in rows and columns, on the free nodes, the product of the per-axis
-    index runs ``free`` (``axis_free``).  Only those slots are
-    restricted."""
-    return [[_restrict(S, mesh.shape, free) for S in row[first:]]
-            for row in _slot_set(mesh, C, n_values)[first:]]
+def cross_slots(cross, field=None):
+    """The all-node slot set of ``field``'s samples on a cross mesh, with
+    ``field.p`` value slots; with no field that of C = I with one value
+    slot, whose value slot is the cross mass Mc."""
+    if field is None:
+        return _slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
+    return _slot_set(cross, coefficient_samples(cross, field, False), field.p)
 
 
 def _stencil(d):
@@ -295,21 +311,22 @@ def _uncoupled_axis(mesh, C, axes):
     return None
 
 
-def _assemble_pair(mesh, field, mats, n_values):
+def _assemble_pair(mesh, field, reduced):
     """Stiffness and mass as Kronecker sums of 1D axial slot matrices and
     cross-section slot matrices.
 
     With p axial axes, slot a of the coefficient is an axial derivative
     for a < p and a cross derivative after that, so
     K = sum_ab (F_1(a, b) x ... x F_p(a, b)) x X_ab, where X_ab are the
-    cross slot matrices of ``mats`` and F_k(a, b) is the 1D stiffness,
-    mixed or mass matrix as a and b are or are not k; M = M_1 x ... x
-    M_p x M_c.  Of the cross set's ``n_values`` value slots the first
-    n_values - p are dropped before any slot is restricted, so a
-    cross-section pencil of A is the cross block of the set its cylinders
-    read.  Nodes are C-ordered with the axial axes first, as in these
-    products.  Mc is the value slot of the cross set of C = I.  Each
-    factor comes restricted to the free indices of its axes
+    cross slot matrices of A's samples (``coefficient_samples``) and
+    F_k(a, b) is the 1D stiffness, mixed or mass matrix as a and b are or
+    are not k; M = M_1 x ... x M_p x M_c.  Of the field.p value slots of
+    A's cross set the first field.p - p are dropped before any slot is
+    restricted, so a cross-section pencil of A is the cross block of the
+    set its cylinders read; the Schur reduction, ``reduced``, has a set
+    with no value slot.  Nodes are C-ordered with the axial axes first,
+    as in these products.  Mc is the value slot of the cross set of
+    C = I.  Each factor comes restricted to the free indices of its axes
     (``mesh.axis_free[k]`` for F_k, the cross mesh's free nodes for X_ab
     and Mc), so every term spans the free nodes only.
 
@@ -326,22 +343,25 @@ def _assemble_pair(mesh, field, mats, n_values):
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
-    C = coefficient_samples(cross, field, mats)
-    # X counts from slot n_values - p, which is slot 0 wherever p > 0
-    X = _slot_matrices(cross, C, n_values, cross.axis_free, n_values - p)
-    axes = [_slot_matrices(factor_mesh([part]), np.ones((1, 1, 2, 2)), 1,
-                           [free], 0)
+    C = coefficient_samples(cross, field, reduced)
+    n_values = 0 if reduced else field.p
+    # X counts from slot n_values - p, which is slot 0 wherever p > 0, and
+    # only the slots read are restricted
+    X = [[_restrict(S, cross.shape, cross.axis_free)
+          for S in row[n_values - p:]]
+         for row in _slot_set(cross, C, n_values)[n_values - p:]]
+    axes = [[[_restrict(S, (len(part),), [free]) for S in row] for row in
+             _slot_set(factor_mesh([part]), np.ones((1, 1, 2, 2)), 1)]
             for part, free in zip(mesh.axis_partitions[:p], mesh.axis_free)]
     K = [tuple(axes[k][int(a == k)][int(b == k)] for k in range(p))
          + (X[a][b],)
          for a, b in itertools.product(range(len(X)), repeat=2)
          if X[a][b].data.any()]
-    unit = _slot_set(cross, np.eye(1 + cross.ndim)[None, None], 1)
-    Mc = _restrict(unit[0][0], cross.shape, cross.axis_free)
+    Mc = _restrict(cross_slots(cross)[0][0], cross.shape, cross.axis_free)
     M = [tuple(ax[0][0] for ax in axes) + (Mc,)]
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
-            "reduced": n_values == 0, "_mesh": mesh, "_field": field}
+            "reduced": reduced, "_mesh": mesh, "_field": field}
     try:
         reflection_permutation(mesh)
         symmetric = np.allclose(C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
@@ -364,7 +384,7 @@ def assemble_cylinder(mesh, field):
         raise DimensionMismatch(
             f"mesh cross dimension {mesh.ndim - mesh.n_axial} != field "
             f"cross dimension {field.cross_dim}")
-    return _assemble_pair(mesh, field, field.eval_many, field.p)
+    return _assemble_pair(mesh, field, False)
 
 
 def assemble_cross_section(mesh, field, reduced=False):
@@ -375,7 +395,4 @@ def assemble_cross_section(mesh, field, reduced=False):
     if mesh.ndim != field.cross_dim:
         raise DimensionMismatch(
             f"mesh dim {mesh.ndim} != field cross dimension {field.cross_dim}")
-    if reduced:
-        return _assemble_pair(mesh, field, functools.partial(
-            coeff_mod.schur_reduce_many, field), 0)
-    return _assemble_pair(mesh, field, field.eval_many, field.p)
+    return _assemble_pair(mesh, field, reduced)

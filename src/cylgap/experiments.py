@@ -170,7 +170,7 @@ def cross_context(field, cfg, base=None):
 
     ``coupling`` is the drop c = W1.(K - K_red)W1 between the unreduced
     and the Schur-reduced cross stiffness, both already assembled for mu1
-    and Lambda1.  Both sample A at the same points
+    and Lambda1.  Both read A at the same points
     (``asm.coefficient_samples``), so c is the integral of
     (A12 grad W1)^t A11^-1 (A12 grad W1) under the pencils' own rule:
     W1.K_red.W1 = mu1 - c.  Where A12 vanishes the reduced samples equal
@@ -181,8 +181,10 @@ def cross_context(field, cfg, base=None):
     mu1, W1, Lambda1, the margin and c bit-identical.  Inside a
     ``solve_memo`` block it is cached per that field object and every
     ``cfg`` field read here (fields compare by identity, and the key keeps
-    its field alive) until the outermost block closes; outside any block
-    every call builds afresh and holds nothing."""
+    its field alive) until the outermost block closes, and its cross
+    pencils read the samples, factor meshes and slot sets of the block's
+    store, which the field's cylinders and diagnostics share; outside any
+    block every call builds afresh and holds nothing."""
     field = field.unreflected
     key = (field, tuple(np.ravel(cfg.omega)), cfg.resolution, cfg.seed)
     if key in _CROSS_CACHE:
@@ -210,12 +212,17 @@ def cross_context(field, cfg, base=None):
 
 @contextlib.contextmanager
 def solve_memo():
-    """Within the block, assembly and diagnostics build each distinct
-    all-node slot-matrix set once (``asm._MEMO``), and assembly restricts
-    it to each pencil's free nodes; each field's cross context, which
-    keeps every pencil ``solve_cylinder`` solves under it, is built once
-    (``_CROSS_CACHE``, emptied when the outermost block closes).
-    Outside any block every call solves and builds afresh."""
+    """Within the block, assembly and diagnostics share one store
+    (``asm._MEMO``) of what they derive from a field and a mesh, each item
+    made once under what it is built from: the samples of each (cross
+    mesh, field, reduced), the factor mesh of each partition and the
+    all-node slot-matrix set of each mesh, value-slot count and samples,
+    which assembly restricts to each pencil's free nodes.  Each field's
+    cross context, which keeps every pencil ``solve_cylinder`` solves
+    under it, is built once (``_CROSS_CACHE``, emptied when the outermost
+    block closes).  The store is the block's own: a nested block starts
+    an empty one.  Outside any block every call solves and builds
+    afresh."""
     token = asm._MEMO.set({})
     try:
         yield

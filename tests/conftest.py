@@ -62,7 +62,8 @@ def rng():
 
 @pytest.fixture()
 def slot_builds(monkeypatch):
-    """Every slot-matrix set built from here on, as its memo key."""
+    """Every slot-matrix set built from here on, as its mesh key,
+    ``n_values`` and the shape and bytes of its samples."""
     builds = []
     build = assemble._build_slots
 
@@ -72,3 +73,18 @@ def slot_builds(monkeypatch):
 
     monkeypatch.setattr(assemble, "_build_slots", counted)
     return builds
+
+
+@pytest.fixture()
+def samplings(monkeypatch):
+    """Every coefficient sampling made from here on, as its cross mesh
+    key, field and ``reduced``: the key it is stored under in a block."""
+    made = []
+    sample = assemble._sample
+
+    def counted(cross, field, reduced):
+        made.append((cross.key, field, reduced))
+        return sample(cross, field, reduced)
+
+    monkeypatch.setattr(assemble, "_sample", counted)
+    return made

@@ -582,7 +582,7 @@ def a22_slots(mesh, field):
     columns cut off: the oracle of the cross block of A's set that
     ``assemble_cross_section`` reads."""
     p = field.p
-    C = asm.coefficient_samples(mesh, field, field.eval_many)
+    C = asm.coefficient_samples(mesh, field, False)
     free = np.ix_(mesh.free_nodes, mesh.free_nodes)
     return [[S.toarray()[free] for S in row]
             for row in asm._build_slots(mesh, C[..., p:, p:], 0)]

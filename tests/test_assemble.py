@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import pathlib
 import re
@@ -266,16 +267,18 @@ class TestSlotMemo:
 
     def test_each_1d_factor_is_a_view_of_its_set(self, model06):
         # a 1D restriction slices the columns of its all-node set's DIA
-        # data, so the memo holds the all-node sets and nothing else
+        # data, so the store holds the all-node sets and no restriction
         cyl = self.meshes()[0]
         full = cyl.scatter_free(np.ones(cyl.n_free))
         with ex.solve_memo():
             forms = [assemble.assemble_cylinder(mesh, model06)
                      for mesh in self.meshes()]
             analysis.axial_densities(full, cyl.axis_partitions, model06)
-            memo = assemble._MEMO.get()
-            sets = [S.data for key in memo for row in memo[key] for S in row]
-            keys = list(memo)
+            store = assemble._MEMO.get()
+            kinds = collections.Counter(key[0] for key in store)
+            sets = [S.data for key, rows in store.items()
+                    if key[0] == "slots" for row in rows for S in row]
+            keys = [key for key in store if key[0] == "slots"]
         factors = [F for pair in forms for form in pair
                    for term in form.terms for F in term]
         assert len(factors) == 3 * (4 * 2 + 2)
@@ -284,6 +287,9 @@ class TestSlotMemo:
         # the axial sets of the full cylinder (mixed and clamped alike)
         # and of the half one, and the cross sets of A and of C = I
         assert len(keys) == 4 and all(len(key) == 4 for key in keys)
+        # besides them: A's samples on the cross mesh, and the factor
+        # meshes of the cross partition and of the two axial partitions
+        assert kinds == {"slots": 4, "samples": 1, "mesh": 3}
 
     def test_block_values_equal_fresh_ones_bitwise(self, model06):
         meshes = self.meshes()
@@ -307,18 +313,48 @@ class TestSlotMemo:
                 assert np.array_equal(held_pair.vector, pair.vector)
                 assert held_diagnostics == diagnostics
 
-    def test_nothing_is_stored_outside_a_block(self, model06, slot_builds):
+    def test_nothing_is_stored_outside_a_block(self, model06, slot_builds,
+                                               samplings):
         cyl = self.meshes()[0]
         assert assemble._MEMO.get() is None
         first = assemble.assemble_cylinder(cyl, model06)
         again = assemble.assemble_cylinder(cyl, model06)
         assert same_bits(first, again)
         assert len(slot_builds) == 2 * 3  # axial factor, cross slots, mass
+        assert len(samplings) == 2
         with ex.solve_memo():
             assemble.assemble_cylinder(cyl, model06)
         assert assemble._MEMO.get() is None
         assemble.assemble_cylinder(cyl, model06)
         assert len(slot_builds) == 4 * 3
+        assert len(samplings) == 4
+
+    def test_each_field_is_sampled_once_in_a_block(self, model06,
+                                                   samplings):
+        # a field, its reflection, its Schur reduction and a row
+        # restriction are four samplings, whatever reads them
+        meshes = self.meshes()
+        cyl = meshes[0]
+        cross = assemble.factor_mesh(cyl.cross_partitions)
+        reflected = model06.reflected()
+        row = coeff.row_restriction_field(coeff.multi_model_field(0.6), 0)
+        with ex.solve_memo():
+            for _ in range(2):
+                for mesh, field in itertools.product(
+                        meshes, (model06, reflected, row)):
+                    assemble.assemble_cylinder(mesh, field)
+                for reduced in (False, True):
+                    assemble.assemble_cross_section(cross, model06, reduced)
+                pair = eig.smallest_eigenpairs(
+                    *assemble.assemble_cylinder(cyl, model06))[0]
+                analysis.concentration_split(pair, cyl, model06)
+                analysis.decay_profile(pair.vector, cyl)
+                analysis.symmetry_defect(pair.vector, cyl, field=model06)
+        assert len(samplings) == len(set(samplings)) == 4
+        assert set(samplings) == {(cross.key, model06, False),
+                                  (cross.key, reflected, False),
+                                  (cross.key, model06, True),
+                                  (cross.key, row, False)}
 
 
 class TestCrossSection:
@@ -585,6 +621,46 @@ def test_package_defines_only_what_a_run_reaches():
     assert sorted(dead) == []
     assert _defaults_no_call_passes(trees) == []
     assert _fields_no_code_reads(trees) == []
+    assert _reaches_into_assembly(trees) == []
+
+
+# calls that sample a coefficient field or build a slot set from samples
+SAMPLING_CALLS = {"eval_many", "schur_reduce_many", "coefficient_samples",
+                  "_sample", "_build_slots"}
+
+
+def _reaches_into_assembly(trees):
+    """``analysis: name`` for each private name of ``assemble`` that
+    ``analysis`` reads (through its module alias or imported alone), and
+    ``module: call`` for each call of ``SAMPLING_CALLS`` outside
+    ``assemble``, which samples each field once per block, and ``coeff``,
+    which defines the evaluation.  ``CoefficientField.is_even``, the
+    parity check of property (S) at given points, is not a sampling."""
+    found = []
+    aliases = {alias.asname or alias.name
+               for node in ast.walk(trees["analysis"])
+               if isinstance(node, ast.ImportFrom) and not node.module
+               for alias in node.names if alias.name == "assemble"}
+    for node in ast.walk(trees["analysis"]):
+        if isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id in aliases:
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "assemble":
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        found += [f"analysis: {name}" for name in names
+                  if name.startswith("_")]
+    for mod, tree in trees.items():
+        if mod in ("assemble", "coeff"):
+            continue
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr",
+                                                        None))
+                if name in SAMPLING_CALLS:
+                    found.append(f"{mod}: {name}")
+    return found
 
 
 def _defaults_no_call_passes(trees):

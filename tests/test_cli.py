@@ -514,15 +514,17 @@ axial_resolution = 4
         assert "cannot make output directory" in err and str(taken) in err
 
     def test_a_second_run_builds_its_slot_sets_again(self, tmp_path,
-                                                      slot_builds):
-        # the slot-matrix entries end with the run's solve_memo block
+                                                      slot_builds, samplings):
+        # the store's slot-matrix sets and samples end with the run's
+        # solve_memo block
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "out"))
         counts = []
         for _ in range(2):
             slot_builds.clear()
+            samplings.clear()
             assert cli.main(["run", path]) == 0
-            counts.append(len(slot_builds))
-        assert counts[0] == counts[1] > 0
+            counts.append((len(slot_builds), len(samplings)))
+        assert counts[0] == counts[1] and min(counts[0]) > 0
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, SMALL_CFG.format(out=tmp_path / "a"))

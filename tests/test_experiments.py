@@ -728,7 +728,8 @@ class TestSolveMemo:
         assert 0 < len(applications) <= 40  # 15 against 69 at the floor
 
     def test_pencils_live_on_their_cross_context(self, model, cfg,
-                                                 slot_builds, monkeypatch):
+                                                 slot_builds, samplings,
+                                                 monkeypatch):
         guesses = []
         solve = eig.smallest_eigenpairs
 
@@ -753,13 +754,17 @@ class TestSolveMemo:
             assert guesses == [cyl[0].value - ctx.margin]
             ex.exp_bounds_sweep(model, [1.0, 2.0], cfg)
             ex.exp_nu_half(model, [2.0, 4.0], cfg)
-            # the memo holds only the all-node slot-matrix sets, each one
-            # built here (restrictions are views of them, not entries)
-            memo = set(assemble._MEMO.get())
-        built = {(mesh_key, n_values, shape, hashlib.blake2b(
+            # the store's slot-matrix sets are the all-node sets, each one
+            # built here (restrictions are views of them, not items), and
+            # its samples are those sampled here, each once
+            store = set(assemble._MEMO.get())
+        built = {("slots", mesh_key, n_values, hashlib.blake2b(
             data, digest_size=16).hexdigest())
             for mesh_key, n_values, shape, data in slot_builds}
-        assert built == memo
+        assert built == {key for key in store if key[0] == "slots"}
+        assert len(samplings) == len(set(samplings))
+        assert {("samples", *key) for key in samplings} == \
+            {key for key in store if key[0] == "samples"}
 
     def test_diagnostics_row_on_a_hit_assembles_nothing(self, model, cfg,
                                                         solves, monkeypatch):

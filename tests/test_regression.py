@@ -19,7 +19,7 @@ import time
 import pytest
 from scipy import sparse
 
-from cylgap import cli, eig
+from cylgap import cli, eig, grid
 from cylgap import experiments as ex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -73,6 +73,15 @@ MAX_BAND_SWEPT = {"asymmetric": 15572560, "model_gap": 21430138,
 # most slot-matrix sets a run may build: one per distinct set (77, 180
 # and 26 when every assembly and diagnostic built its own)
 MAX_SLOT_BUILDS = {"asymmetric": 22, "model_gap": 35, "multi_direction": 9}
+# most coefficient samplings a run may make: one per distinct (cross
+# mesh, field, reduced) triple, each made once (29, 54 and 9 when every
+# assembly and diagnostic sampled afresh)
+MAX_SAMPLINGS = {"asymmetric": 4, "model_gap": 7, "multi_direction": 6}
+# most TensorMesh constructions a run may make: one per solve_cylinder
+# call and cross-context mesh, and one factor mesh per partition (87,
+# 185 and 21 when every assembly and diagnostic built its own factor
+# meshes)
+MAX_MESHES = {"asymmetric": 49, "model_gap": 88, "multi_direction": 10}
 # most eigen-solves a run may make: one per distinct pencil; a row
 # restriction of multi_direction borrows its field's cross pencils
 MAX_SOLVES = {"asymmetric": 20, "model_gap": 38, "multi_direction": 9}
@@ -80,7 +89,7 @@ MAX_SOLVES = {"asymmetric": 20, "model_gap": 38, "multi_direction": 9}
 
 @pytest.mark.parametrize("workload", list(CONFIGS))
 def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
-                                  workload):
+                                  samplings, workload):
     out = tmp_path / workload
     monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(out))
     applications = []
@@ -99,6 +108,14 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
         return smallest(*args, **kwargs)
 
     monkeypatch.setattr(eig, "smallest_eigenpairs", solved)
+    meshes = []
+    init = grid.TensorMesh.__init__
+
+    def built(mesh, *args, **kwargs):
+        meshes.append(1)
+        init(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(grid.TensorMesh, "__init__", built)
     cli.run(str(ROOT / "configs" / CONFIGS[workload]))
     result = load_gate().check(ROOT / "perfbench" / "reference" / workload,
                                out)
@@ -110,6 +127,9 @@ def test_config_matches_reference(tmp_path, monkeypatch, slot_builds,
     assert sum(n for _, n in applications) <= MAX_SWEPT[workload]
     assert sum(b1 * n for b1, n in applications) <= MAX_BAND_SWEPT[workload]
     assert len(slot_builds) <= MAX_SLOT_BUILDS[workload]
+    assert 0 < len(samplings) == len(set(samplings)) \
+        <= MAX_SAMPLINGS[workload]
+    assert 0 < len(meshes) <= MAX_MESHES[workload]
     assert len(solves) <= MAX_SOLVES[workload]
     # every solve's residual keeps a decade below eig.DEFAULT_TOL (at most
     # 2.6e-11 when measured), so an eig.LANCZOS_TOL loose enough to bring
