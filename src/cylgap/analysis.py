@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assemble as asm
-from . import grid as grid_mod
 from .errors import CylgapError, MeshMismatch, NoReflectionSymmetry, TooShort
 
 NO_DECAY_ALPHA = 0.8
@@ -143,15 +142,16 @@ def concentration_split(u, mesh, field):
     return ConcentrationSplit(n_plus, n_minus, d_plus, d_minus)
 
 
-def symmetry_defect(u, mesh, field):
-    """M-norm of u - Pu with P the (x1, X2) -> (-x1, -X2) node permutation,
-    for a ``field`` even in X2 (property (S))."""
-    perm = grid_mod.reflection_permutation(mesh)
-    if not field.is_even(
-            asm.factor_mesh(mesh.cross_partitions).cell_centers()):
-        raise NoReflectionSymmetry("field is not even in X2")
+def symmetry_defect(u, mesh):
+    """M-norm of u - Pu with P the point reflection (x1, X2) -> (-x1, -X2),
+    which reverses the node order of a mesh whose every axis mirrors
+    (``TensorMesh.mirrored``); another mesh raises NoReflectionSymmetry.
+    It measures property (S) on the eigenfunction of a pencil whose forms
+    are ``point_symmetric``."""
+    if not all(mesh.mirrored):
+        raise NoReflectionSymmetry("mesh does not mirror about 0")
     full = mesh.scatter_free(u)
-    mass, _, _ = axial_densities(full - full[perm], mesh.axis_partitions)
+    mass, _, _ = axial_densities(full - full[::-1], mesh.axis_partitions)
     return float(np.sqrt(mass.sum()))
 
 

@@ -31,9 +31,8 @@ import numpy as np
 from scipy import sparse
 
 from . import coeff as coeff_mod
-from .errors import (DimensionMismatch, MeshMismatch, NotElliptic,
-                     NoReflectionSymmetry)
-from .grid import TensorMesh, reflection_permutation
+from .errors import DimensionMismatch, MeshMismatch, NotElliptic
+from .grid import TensorMesh
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -83,9 +82,12 @@ class KroneckerForm:
     vector or a block factor by factor; ``lower``, the CSR lower
     triangle of the sum, is built on first access.
     ``point_symmetric`` records that the form commutes with the reversal
-    of its unknowns' order, the point reflection x -> -x of a mesh
-    symmetric about 0 under a field even in X2 (property (S)); the
-    eigensolver then folds the pencil into its even and odd sectors.
+    of its unknowns' order, the point reflection x -> -x of a mesh whose
+    every axis mirrors (``TensorMesh.mirrored``) under samples even in X2
+    (property (S)).  Assembly alone decides it (``_assemble_pair``); the
+    eigensolver then folds the pencil into its even and odd sectors, and
+    the experiments read the flag of a field's cross pencil as its
+    verdict on property (S).
     ``uncoupled_axis`` is the first axial axis along which the pencil
     separates (``UncoupledAxis``), or None."""
 
@@ -123,8 +125,8 @@ class UncoupledAxis:
     carries on the axis K or M, and each of M carries M, so the pencil
     separates along it (``eig``).  ``free`` records that neither end of
     the axis is clamped, so that K annihilates the constants; the 1D
-    forms are ``point_symmetric`` where the partition mirrors about 0 and
-    both ends are clamped alike."""
+    forms are ``point_symmetric`` where the axis mirrors
+    (``TensorMesh.mirrored``)."""
 
     index: int
     K: KroneckerForm
@@ -302,12 +304,11 @@ def _uncoupled_axis(mesh, C, axes):
         others = np.arange(C.shape[-1]) != k
         if C[..., k, others].any() or C[..., others, k].any():
             continue
-        part, (lo, hi) = mesh.axis_partitions[k], mesh.clamped[k]
-        mirrored = lo == hi and np.array_equal(part, -part[::-1])
         n = len(mesh.axis_free[k])
-        K, M = (KroneckerForm(n, [(axes[k][a][a],)], point_symmetric=mirrored)
+        K, M = (KroneckerForm(n, [(axes[k][a][a],)],
+                              point_symmetric=mesh.mirrored[k])
                 for a in (1, 0))
-        return UncoupledAxis(k, K, M, not (lo or hi))
+        return UncoupledAxis(k, K, M, not any(mesh.clamped[k]))
     return None
 
 
@@ -333,13 +334,13 @@ def _assemble_pair(mesh, field, reduced):
     A term whose cross factor is zero, that of an entry that every sample
     leaves zero, is dropped.  Both forms record the ``uncoupled_axis`` of
     the samples (``_uncoupled_axis``), and both are ``point_symmetric``
-    when the mesh has the reflection permutation and the samples are even
-    in X2, to the tolerance of ``field.is_even``: each term of K then
-    carries two derivatives, each odd under x -> -x, times an even
-    coefficient.  The axes of such a mesh mirror exactly, so the points
-    reflected from the quadrature points of a cross cell are those of the
-    mirrored cell, read backwards, and the samples already taken decide
-    it, with no further evaluation of A.
+    (property (S)) when every axis of the mesh mirrors bit for bit
+    (``mesh.mirrored``) and the samples are even in X2 to 1e-12: each term
+    of K then carries two derivatives, each odd under x -> -x, times an
+    even coefficient.  On such a mesh the points reflected from the
+    quadrature points of a cross cell are those of the mirrored cell,
+    read backwards, so the samples already taken decide it, with no
+    further evaluation of A.  No other code compares samples for parity.
     """
     p = mesh.n_axial
     cross = factor_mesh(mesh.cross_partitions)
@@ -362,11 +363,8 @@ def _assemble_pair(mesh, field, reduced):
     prov = {"mesh": mesh.key, "field": field.signature,
             "quadrature": "midpoint" if field.piecewise_constant else "gauss2",
             "reduced": reduced, "_mesh": mesh, "_field": field}
-    try:
-        reflection_permutation(mesh)
-        symmetric = np.allclose(C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
-    except NoReflectionSymmetry:
-        symmetric = False
+    symmetric = all(mesh.mirrored) and np.allclose(
+        C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
     axis = _uncoupled_axis(mesh, C, axes)
     return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric,
                                axis) for terms in (K, M))

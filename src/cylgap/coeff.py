@@ -86,12 +86,6 @@ class CoefficientField:
         out._origin = self.unreflected
         return out
 
-    def is_even(self, samples):
-        """Check A(-X2) = A(X2) on sample points (property (S) half)."""
-        pts = self.as_points(samples)
-        return bool(np.allclose(self.eval_many(pts), self.eval_many(-pts),
-                                atol=1e-12, rtol=1e-12))
-
     @property
     def signature(self):
         items = ",".join(f"{k}={v}" for k, v in sorted(self.params.items())
@@ -218,15 +212,15 @@ def row_restriction_field(field, i):
 def piecewise_constant_field(bounds, matrices, p=1):
     """Piecewise-constant field over a 1D cross-section.
 
-    ``bounds`` are the cell edges (len m+1), ``matrices`` the per-cell
-    symmetric matrices (m, n, n).
+    ``bounds`` are the cell edges (len m+1, finite and increasing),
+    ``matrices`` the per-cell symmetric matrices (m, n, n).
     """
     bounds = np.asarray(bounds, dtype=float)
     mats = np.asarray(matrices, dtype=float)
     if bounds.ndim != 1 or len(bounds) != len(mats) + 1:
         raise ValueError("need len(bounds) == len(matrices) + 1")
-    if np.any(np.diff(bounds) <= 0):
-        raise ValueError("bounds must increase")
+    if not (np.isfinite(bounds).all() and np.all(np.diff(bounds) > 0)):
+        raise ValueError("bounds must be finite and increase")
     n = mats.shape[1]
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
     mats.setflags(write=False)

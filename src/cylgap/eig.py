@@ -80,8 +80,9 @@ any config uses: at 128 cross cells per unit (n = 32 895, b = 256, on a
 minimum-degree SuperLU factor, which stores 28.9 MiB against the band's
 64.5 MiB.
 
-A pencil of ``point_symmetric`` forms (property (S) on a mesh symmetric
-about 0) commutes with the point reflection, which reverses the order of
+A pencil of ``point_symmetric`` forms (property (S) on a mesh whose
+every axis mirrors bit for bit, ``TensorMesh.mirrored``; assembly decides
+it) commutes with the point reflection, which reverses the order of
 its n unknowns, so it splits into an even sector of n - n // 2 unknowns
 and an odd one of n // 2 (``Sector``), each banded with the same b.  A
 one-pair solve runs in the even sector, where the ground state of the

@@ -49,7 +49,9 @@ class TooShort(CylgapError):
 
 
 class NoReflectionSymmetry(CylgapError):
-    """Mesh/field pair admits no reflection node permutation."""
+    """No point reflection maps the problem onto itself: a mesh does not
+    mirror about 0 (``TensorMesh.mirrored``), or a field's pencil is not
+    ``point_symmetric`` (property (S))."""
 
 
 class ConditionConFails(CylgapError):

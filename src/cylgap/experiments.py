@@ -297,11 +297,12 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
     With a length ``ell`` the row solves ``solve_cylinder(field, ell, cfg,
     **solve)`` and records the resolution, the first eigenvalue, the
     largest residual and, when ``diagnostics`` is set and the mesh is a
-    full cylinder, the concentration split of the first pair and its
-    symmetry defect (for reflection-symmetric fields; both self-check
-    their identities); ``judge(rec, mesh, pairs)`` then fills in the rest
-    and judges it through ``rec.require``.  A row without a length only
-    calls ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.
+    full cylinder, the concentration split of the first pair (which
+    self-checks its identities) and, exactly when the cross stiffness of
+    ``ctx`` is ``point_symmetric`` (property (S)), its symmetry defect;
+    ``judge(rec, mesh, pairs)`` then fills in the rest and judges it
+    through ``rec.require``.  A row without a length only calls
+    ``judge(rec, None, None)``.  ``ctx`` supplies ``mu1_disc``.
     The row starts passed with an empty note; a CylgapError fails this
     row alone, with the exception in its note.
     """
@@ -324,9 +325,9 @@ def _row(experiment, field, cfg, ell, judge, ctx=None, margin=None,
                 split = an.concentration_split(pairs[0], mesh, field)
                 rec.n_plus, rec.n_minus = split.n_plus, split.n_minus
                 rec.d_plus, rec.d_minus = split.d_plus, split.d_minus
-                with contextlib.suppress(NoReflectionSymmetry):
+                if ctx.stiffness.point_symmetric:
                     rec.symmetry_defect = an.symmetry_defect(
-                        pairs[0].vector, mesh, field=field)
+                        pairs[0].vector, mesh)
             judge(rec, mesh, pairs)
     except CylgapError as exc:
         rec.fail(f"{type(exc).__name__}: {exc}")
@@ -536,8 +537,7 @@ def exp_second_eigenvalue(field, L_list, cfg):
     is below ``DEGENERACY_RTOL`` lambda1 notes a near-degenerate pair and
     skips its checks."""
     ctx = cross_context(field, cfg)
-    grid_mod.reflection_permutation(ctx.mesh)
-    if not field.is_even(ctx.mesh.cell_centers()):
+    if not ctx.stiffness.point_symmetric:
         raise NoReflectionSymmetry("property (S) requires an even field")
     gaps = []
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import (MEMORY_BUDGET, BadResolution, DimensionMismatch,
-                     MemoryBudget, MeshMismatch, NoReflectionSymmetry)
+                     MemoryBudget, MeshMismatch)
 
 DOMAIN_KINDS = (
     "full-cylinder",
@@ -26,8 +26,6 @@ DOMAIN_KINDS = (
     "cross-section",
     "multi-direction",
 )
-
-_EPS = 1e-12
 
 
 class TensorMesh:
@@ -43,6 +41,8 @@ class TensorMesh:
         on every axis, for a cross-section or with ``full_dirichlet``)
     axis_free : per axis, the indices of its unclamped nodes; the free
         nodes are their product in C order
+    mirrored : per axis, whether the reflection x -> -x maps it onto
+        itself bit for bit (cached)
     """
 
     def __init__(self, domain_kind, axis_partitions, n_axial, ell,
@@ -116,6 +116,17 @@ class TensorMesh:
         full = np.zeros(self.n_nodes)
         full[self.free_nodes] = free_values
         return full
+
+    @functools.cached_property
+    def mirrored(self):
+        """Per axis, whether its partition is its own negated reverse bit
+        for bit and both of its ends clamp alike.  Where every axis
+        mirrors, the point reflection (x1, X2) -> (-x1, -X2) maps each
+        node, free node and cell onto one of its kind, and reverses the
+        order of each."""
+        return tuple(lo == hi and np.array_equal(part, -part[::-1])
+                     for part, (lo, hi) in zip(self.axis_partitions,
+                                               self.clamped))
 
     @functools.cached_property
     def key(self):
@@ -230,7 +241,7 @@ def build_mesh(kind, ell=None, omega=(-1.0, 1.0), resolution=8, grading=1.0):
     # an axis symmetric about 0 is mirrored exactly, so that the point
     # reflection maps every node onto a node and every width onto an
     # equal one bit for bit (linspace drifts by 2.2e-13 relative in the
-    # widths at 2 000 cells), as the folded solves in ``eig`` assume
+    # widths at 2 000 cells), as ``TensorMesh.mirrored`` requires
     parts = [(x - x[::-1]) / 2 if a == -b else x
              for x, (a, b) in zip(parts, spans)]
     n_nodes = math.prod(len(p) for p in parts)
@@ -247,21 +258,3 @@ def with_full_dirichlet(mesh):
     return TensorMesh(mesh.domain_kind, mesh.axis_partitions, mesh.n_axial,
                       mesh.ell, full_dirichlet=True)
 
-
-def _axis_symmetric(part):
-    return np.allclose(part + part[::-1], 0.0, atol=_EPS * max(1.0, abs(part[-1])))
-
-
-def reflection_permutation(mesh):
-    """Node permutation of (x1, X2) -> (-x1, -X2).
-
-    Requires every axis partition to be symmetric about 0 (full cylinders
-    and cross-sections).  Reversing every axis of the C-ordered node grid
-    reverses the node order itself.
-    """
-    if mesh.domain_kind in ("half-plus", "half-minus"):
-        raise NoReflectionSymmetry("half meshes are not reflection symmetric")
-    for part in mesh.axis_partitions:
-        if not _axis_symmetric(part):
-            raise NoReflectionSymmetry("axis partition not symmetric about 0")
-    return np.arange(mesh.n_nodes)[::-1]

@@ -30,7 +30,6 @@ from scipy import sparse
 from cylgap import assemble as asm
 from cylgap import coeff as coeff_mod
 from cylgap import experiments as ex
-from cylgap import grid as grid_mod
 from cylgap.errors import (CylgapError, MeshMismatch, NotElliptic,
                            NoReflectionSymmetry)
 
@@ -175,16 +174,17 @@ def coupling_audit(field, W1, mesh):
 
 def free_reflection_permutation(mesh):
     """Reflection permutation restricted to free nodes: the free grid
-    reversed, when every axis clamps both ends or neither."""
-    grid_mod.reflection_permutation(mesh)  # for its symmetry checks
-    if any(lo != hi for lo, hi in mesh.clamped):
-        raise NoReflectionSymmetry("clamped ends not reflection symmetric")
+    reversed, when every axis mirrors (``TensorMesh.mirrored``: its
+    partition bit for bit, its ends clamped alike)."""
+    if not all(mesh.mirrored):
+        raise NoReflectionSymmetry("mesh does not mirror about 0")
     return np.arange(mesh.n_free)[::-1]
 
 
 def _match_run(sub_part, sup_part, shift):
     shifted = sub_part + shift
-    start = int(np.searchsorted(sup_part, shifted[0] - grid_mod._EPS))
+    # the first super node at the shifted start, up to rounding of the shift
+    start = int(np.searchsorted(sup_part, shifted[0] - 1e-12))
     stop = start + len(shifted)
     if stop > len(sup_part):
         raise MeshMismatch("shifted partition extends past the target mesh")

@@ -152,8 +152,7 @@ def test_criterion_08_concentration_identities(cfg, model):
         worst_d = max(worst_d, abs(split.d_plus + split.d_minus - 1.0))
         if field is model:
             worst_sym = max(worst_sym,
-                            an.symmetry_defect(pairs[0].vector, mesh,
-                                               field=field))
+                            an.symmetry_defect(pairs[0].vector, mesh))
     ok = worst_n <= 1e-8 and worst_d <= 1e-10 and worst_sym <= 1e-7
     check(8, "concentration identities", ok,
           f"|N-lam|/lam<={worst_n:.1e}, |D-1|<={worst_d:.1e}, "

@@ -303,7 +303,7 @@ class TestSlotMemo:
             return forms, pair, [
                 analysis.concentration_split(pair, cyl, model06),
                 analysis.decay_profile(pair.vector, cyl),
-                analysis.symmetry_defect(pair.vector, cyl, field=model06)]
+                analysis.symmetry_defect(pair.vector, cyl)]
 
         forms, pair, diagnostics = everything()
         with ex.solve_memo():
@@ -349,7 +349,7 @@ class TestSlotMemo:
                     *assemble.assemble_cylinder(cyl, model06))[0]
                 analysis.concentration_split(pair, cyl, model06)
                 analysis.decay_profile(pair.vector, cyl)
-                analysis.symmetry_defect(pair.vector, cyl, field=model06)
+                analysis.symmetry_defect(pair.vector, cyl)
         assert len(samplings) == len(set(samplings)) == 4
         assert set(samplings) == {(cross.key, model06, False),
                                   (cross.key, reflected, False),
@@ -634,8 +634,8 @@ def _reaches_into_assembly(trees):
     ``analysis`` reads (through its module alias or imported alone), and
     ``module: call`` for each call of ``SAMPLING_CALLS`` outside
     ``assemble``, which samples each field once per block, and ``coeff``,
-    which defines the evaluation.  ``CoefficientField.is_even``, the
-    parity check of property (S) at given points, is not a sampling."""
+    which defines the evaluation.  There is no exception: property (S)
+    is read off the samples that assembly already took."""
     found = []
     aliases = {alias.asname or alias.name
                for node in ast.walk(trees["analysis"])

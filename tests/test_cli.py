@@ -370,6 +370,25 @@ l_gap = 2 4
         assert rows and all(r["note"].startswith("NotElliptic: ")
                             for r in rows)
 
+    @pytest.mark.parametrize("cells", [
+        "-1 nan 1 0 1\nnan 1 1 0 1\n",
+        "-1 0 1 0 1\n0 inf 1 0 1\n",
+    ], ids=["nan", "inf"])
+    def test_non_finite_table_edge_exits_one(self, tmp_path, capsys, cells):
+        # every comparison with NaN is False, so a NaN edge slips past
+        # the tiling and the increase checks unless finiteness is checked
+        table = tmp_path / "edges.txt"
+        table.write_text("2 1\n" + cells)
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, SMALL_CFG.format(out=out)
+                         .replace("kind = model\ndelta = 0.6",
+                                  f"kind = table\ntable = {table}")
+                         .replace("bounds, nu-half", "bounds"))
+        assert cli.main(["run", path]) == 1
+        assert one_error_line(capsys) == (
+            "error: field kind 'table': bounds must be finite and increase\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, domain", [
         ("kind = diagonal\ndiag = 1 1 1", ""),
         ("kind = identity\nn = 3", ""),

@@ -247,9 +247,12 @@ class TestFieldPlumbing:
         assert At[0, 0] == A[0, 0] and At[1, 1] == A[1, 1]
 
     def test_evenness(self, model06):
-        xs = np.linspace(-0.9, 0.9, 7)
-        assert model06.is_even(xs)
-        assert not coeff.asymmetric_model_field(0.5).is_even(xs)
+        # assembly decides property (S) from the field's own samples
+        mesh = grid.build_mesh("cross-section", omega=(-1, 1), resolution=8)
+        for field, even in ((model06, True),
+                            (coeff.asymmetric_model_field(0.5), False)):
+            for form in assemble.assemble_cross_section(mesh, field):
+                assert form.point_symmetric == even, field.kind
 
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "field.txt"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cylgap import grid
+from cylgap import analysis, assemble, coeff, grid
 from cylgap.errors import (BadResolution, MemoryBudget, MeshMismatch,
                            NoReflectionSymmetry)
 
@@ -188,12 +188,12 @@ class TestGrading:
 
 class TestReflection:
     def test_involution(self):
+        # the point reflection of a mirrored mesh reverses the node order
         m = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
                             resolution=4)
-        perm = grid.reflection_permutation(m)
-        np.testing.assert_array_equal(perm[perm], np.arange(m.n_nodes))
+        assert m.mirrored == (True, True)
         coords = proofs.node_coords(m)
-        np.testing.assert_allclose(coords[perm], -coords, atol=1e-14)
+        assert np.array_equal(coords[::-1], -coords)
 
     def test_free_permutation_closed(self):
         m = grid.build_mesh("full-cylinder", ell=2, omega=(-1, 1),
@@ -204,9 +204,9 @@ class TestReflection:
     def test_p2_and_full_dirichlet_against_coords(self):
         for name in ("multi", "full-dirichlet", "multi-dirichlet", "cross"):
             m = tag_case(name)
+            assert all(m.mirrored), name
             coords = proofs.node_coords(m)
-            perm = grid.reflection_permutation(m)
-            np.testing.assert_allclose(coords[perm], -coords, atol=1e-14)
+            assert np.array_equal(coords[::-1], -coords), name
             free_xy = coords[m.free_nodes]
             fp = proofs.free_reflection_permutation(m)
             assert sorted(fp.tolist()) == list(range(m.n_free)), name
@@ -219,29 +219,47 @@ class TestReflection:
         ids=["2000-cells", "3000-cells", "graded", "odd-cells", "p2"])
     def test_symmetric_axes_mirror_exactly(self, kind, ell, res, grading):
         """Every axis symmetric about 0 mirrors bit for bit: its widths
-        read the same backwards, and the reflection permutation maps each
+        read the same backwards, and reversing the node order maps each
         node onto its exact negative.  linspace(-1, 1, n + 1) alone misses
         by 2.2e-13 and 3.3e-13 relative in the widths at 2 000 and 3 000
         cells."""
         m = grid.build_mesh(kind, ell=ell, omega=(-1, 1), resolution=res,
                             grading=grading)
+        assert all(m.mirrored)
         for part in m.axis_partitions:
             widths = np.diff(part)
             assert np.array_equal(widths, widths[::-1])
         coords = proofs.node_coords(m)
-        assert np.array_equal(coords[grid.reflection_permutation(m)],
-                              -coords)
+        assert np.array_equal(coords[::-1], -coords)
+
+    def test_nearly_mirrored_partition_does_not_mirror(self):
+        """linspace(-1, 1, 2001) is mirrored only to 1e-12: it is not its
+        own negated reverse, so its axis does not mirror and assembly does
+        not declare property (S) on it, even for an even field."""
+        cross = np.linspace(-1, 1, 2001)
+        assert not np.array_equal(cross, -cross[::-1])
+        m = grid.TensorMesh("full-cylinder", [np.linspace(-2, 2, 17), cross],
+                            1, 2.0)
+        assert m.mirrored == (True, False)
+        K, M = assemble.assemble_cylinder(m, coeff.model_field(0.6))
+        assert not K.point_symmetric and not M.point_symmetric
 
     def test_asymmetric_omega_rejected(self):
         m = grid.build_mesh("full-cylinder", ell=2, omega=(0, 2),
                             resolution=4)
+        assert m.mirrored == (True, False)
         with pytest.raises(NoReflectionSymmetry):
-            grid.reflection_permutation(m)
+            analysis.symmetry_defect(np.zeros(m.n_free), m)
+        with pytest.raises(NoReflectionSymmetry):
+            proofs.free_reflection_permutation(m)
 
     def test_half_meshes_rejected(self):
         m = grid.build_mesh("half-plus", ell=2, omega=(-1, 1), resolution=4)
+        assert m.mirrored == (False, True)
         with pytest.raises(NoReflectionSymmetry):
-            grid.reflection_permutation(m)
+            analysis.symmetry_defect(np.zeros(m.n_free), m)
+        with pytest.raises(NoReflectionSymmetry):
+            proofs.free_reflection_permutation(m)
 
 
 class TestEmbedding:
