@@ -80,7 +80,8 @@ class KroneckerForm:
     the run to clamped nodes, at rows outside the factor, which DIA
     ignores and ``eig`` reads as zeros.  ``form @ u`` applies it to a
     vector or a block factor by factor; ``lower``, the CSR lower
-    triangle of the sum, is built on first access.
+    triangle of the sum, is built on first access, and only the
+    benchmark's tracer (``perfbench/tracer.py``) reads it.
     ``point_symmetric`` records that the form commutes with the reversal
     of its unknowns' order, the point reflection x -> -x of a mesh whose
     every axis mirrors (``TensorMesh.mirrored``) under samples even in X2
@@ -88,14 +89,15 @@ class KroneckerForm:
     eigensolver then folds the pencil into its even and odd sectors, and
     the experiments read the flag of a field's cross pencil as its
     verdict on property (S).
-    ``uncoupled_axis`` is the first axial axis along which the pencil
-    separates (``UncoupledAxis``), or None."""
+    ``uncoupled_axis`` is the index of the first axial axis along which
+    the pencil separates onto its constant mode (``_uncoupled_axis``), or
+    None."""
 
     dim: int
     terms: list
     provenance: dict = dc_field(default_factory=dict)
     point_symmetric: bool = False
-    uncoupled_axis: UncoupledAxis | None = None
+    uncoupled_axis: int | None = None
 
     def __matmul__(self, u):
         u = np.asarray(u, dtype=float)
@@ -114,24 +116,6 @@ class KroneckerForm:
         return sparse.tril(sum(functools.reduce(
             lambda a, b: sparse.kron(a, b, format="csr"), term)
             for term in self.terms), format="csr")
-
-
-@dataclass(frozen=True, eq=False)
-class UncoupledAxis:
-    """Axial axis ``index`` of a cylinder pencil whose row and column of
-    the coefficient samples are zero off the diagonal
-    (``_uncoupled_axis``), with its 1D stiffness ``K`` and mass ``M`` as
-    forms over the axis's free nodes.  Each term of the pencil's K then
-    carries on the axis K or M, and each of M carries M, so the pencil
-    separates along it (``eig``).  ``free`` records that neither end of
-    the axis is clamped, so that K annihilates the constants; the 1D
-    forms are ``point_symmetric`` where the axis mirrors
-    (``TensorMesh.mirrored``)."""
-
-    index: int
-    K: KroneckerForm
-    M: KroneckerForm
-    free: bool
 
 
 def _stored(key, build):
@@ -292,23 +276,21 @@ def _build_slots(mesh, C, n_values):
              for b in range(s)] for a in range(s)]
 
 
-def _uncoupled_axis(mesh, C, axes):
-    """The first axial axis k that the samples C of a cylinder leave
-    uncoupled, C[..., k, j] = C[..., j, k] = 0 exactly for every j != k,
-    with the 1D slot matrices ``axes[k]`` of its stiffness and mass; None
-    when there is none.  Then every term of K with a nonzero cross factor
-    carries on axis k the stiffness (the x_k derivatives of both slots)
-    or the mass (of neither): a term with one x_k derivative has the cross
-    factor of C[..., k, j] or C[..., j, k], which is zero."""
+def _uncoupled_axis(mesh, C):
+    """The first axial axis k with both ends free that the samples C of a
+    cylinder leave uncoupled, C[..., k, j] = C[..., j, k] = 0 exactly for
+    every j != k; None when there is none.  Then every term of K with a
+    nonzero cross factor carries on axis k the 1D stiffness (the x_k
+    derivatives of both slots) or the mass (of neither): a term with one
+    x_k derivative has the cross factor of C[..., k, j] or C[..., j, k],
+    which is zero.  The free ends make the constants the kernel of the
+    stiffness, so the pencil's lowest mode is constant along x_k
+    (``eig``)."""
     for k in range(mesh.n_axial):
         others = np.arange(C.shape[-1]) != k
-        if C[..., k, others].any() or C[..., others, k].any():
-            continue
-        n = len(mesh.axis_free[k])
-        K, M = (KroneckerForm(n, [(axes[k][a][a],)],
-                              point_symmetric=mesh.mirrored[k])
-                for a in (1, 0))
-        return UncoupledAxis(k, K, M, not any(mesh.clamped[k]))
+        if not (any(mesh.clamped[k]) or C[..., k, others].any()
+                or C[..., others, k].any()):
+            return k
     return None
 
 
@@ -365,7 +347,7 @@ def _assemble_pair(mesh, field, reduced):
             "reduced": reduced, "_mesh": mesh, "_field": field}
     symmetric = all(mesh.mirrored) and np.allclose(
         C, C[::-1, ::-1], atol=1e-12, rtol=1e-12)
-    axis = _uncoupled_axis(mesh, C, axes)
+    axis = _uncoupled_axis(mesh, C)
     return tuple(KroneckerForm(mesh.n_free, terms, dict(prov), symmetric,
                                axis) for terms in (K, M))
 

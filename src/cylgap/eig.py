@@ -72,8 +72,10 @@ solve's factor takes; a first band over the budget raises before any
 row is built (on a 16/8 multi-direction pencil at L = 5 of a field that
 couples both axial rows, the even band of the point reflection,
 1.9 GiB, raised so, where the rows of K and M took 67 MiB).  The
-factor is also a certificate: it succeeds exactly when lambda_1 lies
-above sigma (to rounding), so a guessed shift costs one factor try.  A
+factor is also a certificate: it exists exactly when lambda_1 lies
+above sigma (to rounding), so every certificate, the guess's and the
+odd sector's, is one factor attempt (``_factor``, None where there is
+no factor).  A
 fill-reducing sparse factor wins only on cross-sections much finer than
 any config uses: at 128 cross cells per unit (n = 32 895, b = 256, on a
 2-vCPU VM) a banded solve takes 8.0 ms against 5.6 ms for a
@@ -99,34 +101,36 @@ each cost more than one whole solve (8.6/12.0/19.1 ms against
 7.1/9.6/16.0 ms on the guessed pencils of ``second`` at ell = 8/12/16).
 
 A field that leaves an axial axis x_k uncoupled, C[..., k, j] =
-C[..., j, k] = 0 for j != k in every sample
-(``KroneckerForm.uncoupled_axis``), gives a pencil that separates along
-x_k.  Every term of K then carries on axis k the axis's own 1D mass M_k
-or stiffness K_k: a term with one x_k derivative has a zero cross factor,
-and assembly drops it.  Write A for the sum of the M_k terms and B for
-the K_k term, each without its factor k, and M_r for M without M_k;
-with axis k moved last, K = A x M_k + B x K_k and M = M_r x M_k.  In the
-M_k-orthonormal eigenbasis of (K_k, M_k), K_k q_j = mu_j M_k q_j, the
-pencil is block diagonal with blocks (A + mu_j B, M_r), j = 1 ... n_k.
-B = M_1 x ... x X_kk, with X_kk the cross mass weighted by A_kk > 0 (the
-ellipticity audit), is positive semidefinite, so lambda_1(A + mu B, M_r)
-is nondecreasing in mu: the pencil's lambda_1 is that of the block of
-mu_1, with eigenvector v x q_1, and no certificate is needed for the
-other blocks.  With both ends free, q_1 is the constant over
-sqrt(1^T M_k 1), since K_k >= 0 and K_k 1 = 0; otherwise K_k is SPD and
-q_1 is the lowest pair of (K_k, M_k) at the floor 0, solved like any
-pencil, in its even sector where the axis mirrors with like ends, so
-that q_1 is exactly even.  A one-pair solve weights each term by
-q^T F_k q, folded into its cross factor, solves the reduced forms (which
-keep ``point_symmetric``, so the reduced solve keeps its own sector
+C[..., j, k] = 0 for j != k in every sample, on a mesh where both ends of
+x_k are free (``KroneckerForm.uncoupled_axis``), gives a pencil that
+separates along x_k.  Every term of K then carries on axis k the axis's
+own 1D mass M_k or stiffness K_k: a term with one x_k derivative has a
+zero cross factor, and assembly drops it.  Write A for the sum of the M_k
+terms and B for the K_k term, each without its factor k, and M_r for M
+without M_k; with axis k moved last, K = A x M_k + B x K_k and
+M = M_r x M_k.  In the M_k-orthonormal eigenbasis of (K_k, M_k),
+K_k q_j = mu_j M_k q_j, the pencil is block diagonal with blocks
+(A + mu_j B, M_r), j = 1 ... n_k.  B = M_1 x ... x X_kk, with X_kk the
+cross mass weighted by A_kk > 0 (the ellipticity audit), is positive
+semidefinite, so lambda_1(A + mu B, M_r) is nondecreasing in mu: the
+pencil's lambda_1 is that of the block of mu_1, with eigenvector
+v x q_1, and no certificate is needed for the other blocks.  The free
+ends make K_k >= 0 with K_k 1 = 0, so mu_1 = 0, q_1 is the constant over
+sqrt(1^T M_k 1), and the block is (A, M_r): the pencil of the field with
+row and column k dropped, the row-restricted bound of the paper's p = 2
+statement.  A one-pair solve weights each term by q^T F_k q, folded into
+its cross factor, solves the reduced forms (which keep
+``point_symmetric``, so the reduced solve keeps its own sector
 certificate), and puts q_1 back on axis k; normalization, the Gram check
-and the residual check run on the whole forms.  On the L = 4
-``multi_direction`` pencil (n = 14 375, b = 599) the reduced pencil has
-575 unknowns at b = 24, whose even sector holds 288, and the one-pair
+and the residual check run on the whole forms.  An uncoupled axis with a
+clamped end (a half-cylinder, an all-Dirichlet cylinder) is not recorded,
+and its pencil is solved in its sectors or whole like any other.  On the
+L = 4 ``multi_direction`` pencil (n = 14 375, b = 599) the reduced pencil
+has 575 unknowns at b = 24, whose even sector holds 288, and the one-pair
 solve takes 3.4 ms, against 88 ms when the pencil was folded into the
-quarter sectors of x2 -> -x2 and the point reflection (2-vCPU Intel
-Xeon VM, best of 5).  A ``multi_direction`` run sweeps 9 480 unknowns
-over its 90 applications, against 56 190 over 93 in quarter sectors and
+quarter sectors of x2 -> -x2 and the point reflection (2-vCPU Intel Xeon
+VM, best of 5).  A ``multi_direction`` run sweeps 9 480 unknowns over
+its 90 applications, against 56 190 over 93 in quarter sectors and
 271 755 with every pencil whole; ``model_gap`` and
 ``asymmetric_showcase`` have no separable pencil and stay at 642 634 and
 473 070.
@@ -356,41 +360,12 @@ class BandCholesky:
 
 
 def _factor(rows, shift, sector):
-    """Banded Cholesky factor of K - shift M, or of its ``sector`` block."""
+    """Banded Cholesky factor of K - shift M, or of its ``sector`` block,
+    which proves that every eigenvalue (of the sector) lies above
+    ``shift``; None when it has none.  A failed band is dropped on
+    return, so one band is alive at a time."""
     band, info = dpbtrf(rows.band(shift, sector), lower=1, overwrite_ab=1)
-    if info:
-        raise FactorizationFailed(
-            f"singular or not positive definite at leading minor {info}")
-    return BandCholesky(band, sector)
-
-
-def _factor_above(rows, floor, guess, sector):
-    """``(factor, shift)``: the banded factor of K - guess M when it exists,
-    which proves lambda_1 > guess, else that of K - floor M (of their
-    ``sector`` blocks, which proves it of the sector).  A failed try is
-    dropped before the floor is factored (its band goes with the
-    traceback), so one band is alive at a time."""
-    if guess is not None and guess > floor:
-        try:
-            return _factor(rows, guess, sector), guess
-        except FactorizationFailed:
-            pass
-    try:
-        return _factor(rows, floor, sector), floor
-    except FactorizationFailed as exc:
-        raise FactorizationFailed(
-            f"K - floor M at the floor {floor:.3e} is {exc}; lambda_1 "
-            "is not above the floor") from None
-
-
-def _above(rows, sector, lam):
-    """Whether the ``sector`` block of K - lam M factors, which proves
-    that every eigenvalue of the sector lies above ``lam``."""
-    try:
-        _factor(rows, lam, sector)
-    except FactorizationFailed:
-        return False
-    return True
+    return None if info else BandCholesky(band, sector)
 
 
 def _lanczos(rows, count, seed, floor, guess, sector):
@@ -398,7 +373,17 @@ def _lanczos(rows, count, seed, floor, guess, sector):
     forms of ``rows``, or of their ``sector``, ascending, with vectors of
     the forms, unnormalized.  The factor is dropped on return."""
     K, M = rows.forms
-    chol, shift = _factor_above(rows, floor, guess, sector)
+    # the guess when it factors, which proves lambda_1 > guess, else the
+    # floor
+    above = [guess] if guess is not None and guess > floor else []
+    for shift in above + [floor]:
+        chol = _factor(rows, shift, sector)
+        if chol is not None:
+            break
+    else:
+        raise FactorizationFailed(
+            f"K - floor M at the floor {floor:.3e} is singular or not "
+            "positive definite; lambda_1 is not above the floor")
     size = rows.size(sector)
     # ARPACK applies C and nothing else; a Ritz pair (theta, y) of C is
     # the pair (shift + 1/theta, L^-T y) of the pencil
@@ -430,18 +415,6 @@ def _lanczos(rows, count, seed, floor, guess, sector):
     return vals, chol.back_transform(np.asarray(ys, dtype=float)[:, order])
 
 
-def _axial_mode(axis, seed):
-    """The lowest mode q of the 1D pencil (K_k, M_k) of an
-    ``UncoupledAxis``, M_k-normalized: the constant on an axis with free
-    ends (or one free node), else the solved pair at the floor 0."""
-    K, M = axis.K, axis.M
-    if axis.free or K.dim == 1:
-        q = np.ones(K.dim)
-    else:
-        q = _solve(K, M, 1, seed, 0.0, None)[1][:, 0]
-    return q / math.sqrt(q @ (M @ q))
-
-
 def _reduced(form, k, q):
     """The form on the v of u = v x q, with q on axis k: each term loses
     its factor F_k, and q^T F_k q weights its last factor."""
@@ -459,10 +432,13 @@ def _solve(K, M, count, seed, floor, guess):
     of point-symmetric forms, kept once the odd sector's factor proves its
     spectrum above the pair; otherwise it solves the whole pencil (see
     above)."""
-    axis = K.uncoupled_axis
-    if (count == 1 and axis is not None and axis is M.uncoupled_axis
-            and K.dim > axis.K.dim):
-        k, q = axis.index, _axial_mode(axis, seed)
+    k = K.uncoupled_axis
+    if count == 1 and k is not None and k == M.uncoupled_axis \
+            and K.dim > M.terms[0][k].shape[0]:
+        # the lowest mode of a free axis: the constant, M_k-normalized
+        Mk = M.terms[0][k]
+        q = np.ones(Mk.shape[0])
+        q /= math.sqrt(q @ (Mk @ q))
         vals, V = _solve(_reduced(K, k, q), _reduced(M, k, q), 1, seed,
                          floor, guess)
         before = math.prod(F.shape[0] for F in K.terms[0][:k])
@@ -472,7 +448,7 @@ def _solve(K, M, count, seed, floor, guess):
     first = Sector(K.dim, 1) if folds else None
     rows = BandRows(K, M, first)
     vals, vecs = _lanczos(rows, count, seed, floor, guess, first)
-    if folds and not _above(rows, Sector(K.dim, -1), vals[0]):
+    if folds and _factor(rows, vals[0], Sector(K.dim, -1)) is None:
         vals, vecs = _lanczos(rows, count, seed, floor, guess, None)
     return vals, vecs
 

@@ -416,7 +416,8 @@ def _half_truncations(field, side, lengths, cfg):
     nu is the last truncation, an upper bound; with no coupling it is
     identified with mu1.  The last record notes the bracket of the last
     step and whether the sequence settled within ``CONV_TOL``.
-    Fewer than two solved lengths raise NotConverged.
+    Fewer than two solved lengths give no nu: every record of the side
+    fails, its note ending with the NotConverged shortfall.
     """
     ctx = cross_context(field, cfg)
     seq = []
@@ -431,8 +432,10 @@ def _half_truncations(field, side, lengths, cfg):
                     kind="half-plus" if side == "+" else "half-minus")
                for L in sorted(lengths)]
     if len(seq) < 2:
-        raise NotConverged("half-cylinder estimate needs 2 solved "
-                           f"lengths, got {len(seq)}: {seq}")
+        for rec in records:
+            rec.fail("NotConverged: half-cylinder estimate needs 2 solved "
+                     f"lengths, got {len(seq)}: {seq}")
+        return records
     last = records[-1]
     converged = abs(seq[-2] - seq[-1]) < CONV_TOL
     nu = seq[-1]
@@ -481,13 +484,14 @@ def exp_nu_half(field, lengths, cfg):
 
 def exp_limit_infinity(field, L_list, cfg):
     """lambda converges to min(nu+, nu-), ending within ``TOL_INF``;
-    includes the half-vs-half-length sandwich at matched meshes."""
+    includes the half-vs-half-length sandwich at matched meshes.  A side
+    with no estimate of nu fails every row with its shortfall."""
     Ls = sorted(L_list)
     Lmax = Ls[-1]
     sched = sorted({max(4, Lmax // 4), max(4, Lmax // 2), Lmax})
-    nu_p = _half_truncations(field, "+", sched, cfg)[-1].nu_plus
-    nu_m = _half_truncations(field, "-", sched, cfg)[-1].nu_minus
-    nu_min = min(nu_p, nu_m)
+    halves = [_half_truncations(field, side, sched, cfg)[-1]
+              for side in "+-"]
+    nu_p, nu_m = halves[0].nu_plus, halves[1].nu_minus
     ctx = cross_context(field, cfg)
     diffs = []
 
@@ -496,7 +500,11 @@ def exp_limit_infinity(field, L_list, cfg):
         lam = rec.lambda1
         rec.nu_plus = nu_p
         rec.nu_minus = nu_m
-        diff = abs(lam - nu_min)
+        if nu_p is None or nu_m is None:
+            # the shortfall is the last note of the side's last record
+            rec.fail(halves[nu_p is not None].note.rsplit("; ", 1)[-1])
+            return
+        diff = abs(lam - min(nu_p, nu_m))
         rec.gap = diff
         if diffs:
             rec.require("decreasing", diff, "<=", diffs[-1], -SOLVE_SLACK)

@@ -22,6 +22,7 @@ eigenvalue of the same pencil.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,10 +564,13 @@ def form(A):
 
 
 def full(form):
-    """The whole matrix of an assembled form in CSR, mirrored from its
-    lower triangle: the oracle that the products of its Kronecker terms
+    """The whole matrix of an assembled form in CSR: the sum of the
+    Kronecker products of its terms, mirrored from its lower triangle, so
+    exactly symmetric; the oracle that the products of its Kronecker terms
     are checked against."""
-    low = form.lower
+    low = sparse.tril(sum(functools.reduce(
+        lambda a, b: sparse.kron(a, b, format="csr"), term)
+        for term in form.terms), format="csr")
     return (low + low.T - sparse.diags(low.diagonal())).tocsr()
 
 

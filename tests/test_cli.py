@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cylgap import cli, eig
+from cylgap import cli, eig, grid
 from cylgap import experiments as ex
 from cylgap.errors import ConfigError, NoConvergence
 
@@ -454,9 +454,12 @@ axial_resolution = 4
             with open(out / f"{name}.csv") as f:
                 failed = [r for r in csv.DictReader(f)
                           if r["passed"] == "false"]
-            assert len(failed) == 1, name
-            assert "NotConverged" in failed[0]["note"]
-            assert shortfall in failed[0]["note"]
+            # nu-half fails its one row of each side, and its reflection
+            # row passes
+            assert len(failed) == (2 if name == "nu-half" else 1), name
+            for row in failed:
+                assert "NotConverged" in row["note"]
+                assert shortfall in row["note"]
 
     def test_end_collar_longer_than_a_cylinder_fails_its_row(self,
                                                               tmp_path):
@@ -514,6 +517,49 @@ axial_resolution = 4
         assert last["delta"] == last["resolution"] == last["grading"] == ""
         assert last["passed"] == "false"
         assert "NoConvergence" in last["note"]
+
+    def test_a_side_with_no_estimate_fails_only_its_rows(self, tmp_path,
+                                                         monkeypatch):
+        """NoConvergence planted at half-plus L = 8 and 16 of the
+        asymmetric showcase leaves that side one solved length: its nu-half
+        rows fail with the shortfall, the half-minus rows and the
+        reflection row stand, and limit-infinity keeps one row per L,
+        each with its lambda1, failed alone."""
+        solve = eig.smallest_eigenpairs
+        targets = {grid.build_mesh("half-plus", ell=L, omega=(-1.0, 1.0),
+                                   resolution=(8, 16)).key for L in (8, 16)}
+
+        def fails_half_plus(K, M, **kwargs):
+            if K.provenance["mesh"] in targets:
+                raise NoConvergence("planted")
+            return solve(K, M, **kwargs)
+
+        monkeypatch.setattr(eig, "smallest_eigenpairs", fails_half_plus)
+        monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(tmp_path))
+        assert cli.main(["run",
+                         str(CONFIG_DIR / "asymmetric_showcase.cfg")]) == 2
+        rows = {}
+        for name in ("nu-half", "limit-infinity"):
+            with open(tmp_path / f"{name}.csv") as f:
+                rows[name] = list(csv.DictReader(f))
+        shortfall = ("NotConverged: half-cylinder estimate needs 2 solved "
+                     "lengths, got 1: [")
+        nu_half = rows["nu-half"]
+        assert [r["experiment"] for r in nu_half] == \
+            ["nu-half+"] * 3 + ["nu-half-"] * 3 + ["nu-half"]
+        assert [r["ell"] for r in nu_half] == ["4", "8", "16"] * 2 + ["4"]
+        for r in nu_half[:3]:
+            assert r["passed"] == "false" and shortfall in r["note"]
+            assert r["nu_plus"] == ""
+        assert "NoConvergence: planted" in nu_half[1]["note"]
+        assert all(r["passed"] == "true" for r in nu_half[3:])
+        assert nu_half[5]["nu_minus"] != ""
+        limit = rows["limit-infinity"]
+        assert [r["ell"] for r in limit] == ["8", "12", "16"]
+        for r in limit:
+            assert r["passed"] == "false" and r["lambda1"] != ""
+            assert r["note"].startswith(shortfall)
+            assert r["nu_plus"] == "" and r["nu_minus"] != ""
 
     def test_env_output_override(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"

@@ -92,7 +92,10 @@ def factors(monkeypatch):
     factor = eig._factor
 
     def counting_factor(rows, shift, sector):
-        made.append(CountingFactor(factor(rows, shift, sector)))
+        chol = factor(rows, shift, sector)
+        if chol is None:
+            return None
+        made.append(CountingFactor(chol))
         return made[-1]
 
     monkeypatch.setattr(eig, "_factor", counting_factor)
@@ -346,6 +349,31 @@ class TestSmallestEigenpairs:
         assert [f.chol.band.shape[1] for f in factors] == [n - n // 2,
                                                             n // 2]
         assert [f.applications > 0 for f in factors] == [True, False]
+
+    def test_only_a_free_uncoupled_axis_separates(self):
+        """model_field(0.0) leaves x1 uncoupled, but a half-cylinder or an
+        all-Dirichlet cylinder clamps an end of it: their pencils record
+        no uncoupled axis and are solved like any other, to the dense
+        lambda_1.  The free x2 of ``multi_model_field`` separates."""
+        field = coeff.model_field(0.0)
+        for kind, dirichlet in (("half-plus", False), ("half-minus", False),
+                                ("full-cylinder", True)):
+            mesh = grid.build_mesh(kind, ell=2, omega=(-1, 1),
+                                   resolution=(4, 8))
+            if dirichlet:
+                mesh = grid.with_full_dirichlet(mesh)
+            K, M = assemble.assemble_cylinder(mesh, field)
+            assert K.uncoupled_axis is None and M.uncoupled_axis is None
+            dense = scipy.linalg.eigh(proofs.full(K).toarray(),
+                                      proofs.full(M).toarray(),
+                                      eigvals_only=True,
+                                      subset_by_index=[0, 0])[0]
+            pair = eig.smallest_eigenpairs(K, M)[0]
+            assert pair.value == pytest.approx(dense, rel=1e-10), kind
+        mesh = grid.build_mesh("multi-direction", ell=1, omega=(-1, 1),
+                               resolution=(3, 3, 6))
+        K, M = assemble.assemble_cylinder(mesh, coeff.multi_model_field(0.6))
+        assert K.uncoupled_axis == M.uncoupled_axis == 1
 
     def test_floor_with_unshared_pattern(self):
         # tridiagonal K against a diagonal M: M reaches fewer band rows

@@ -10,7 +10,7 @@ from cylgap import assemble, cli, coeff, eig, grid
 from cylgap import experiments as ex
 from cylgap.errors import (MEMORY_BUDGET, ConditionConFails,
                            DimensionMismatch, NoConvergence,
-                           NoReflectionSymmetry, NotConverged)
+                           NoReflectionSymmetry)
 
 from conftest import BOTH_ROWS, MU1, holds
 
@@ -156,7 +156,8 @@ class TestNuHalf:
             assert len(ex._CROSS_CACHE) == built
         assert model.reflected().reflected().unreflected is model
 
-    def test_not_converged_raises_with_sequence(self, cfg, monkeypatch):
+    def test_not_converged_fails_the_side_with_sequence(self, cfg,
+                                                        monkeypatch):
         field = coeff.asymmetric_model_field(0.5)
         # an unsettled sequence is still reported, as an upper bound
         monkeypatch.setattr(ex, "CONV_TOL", 1e-6)
@@ -164,12 +165,16 @@ class TestNuHalf:
         assert "truncation sequence not converged" in plus[-1].note
         assert len(plus) == 2
         assert plus[-1].nu_plus == plus[-1].lambda_half_plus
-        # a single length gives no estimate at all
-        with pytest.raises(NotConverged) as err:
-            ex.exp_nu_half(field, [4], cfg)
+        # a single length gives no estimate at all: each side's row fails
+        # and the reflection row stands
+        records = ex.exp_nu_half(field, [4], cfg)
         _, pairs = ex.solve_cylinder(field, 4, cfg, kind="half-plus",
                                      grading=1.0)
-        assert str(err.value).endswith(f"got 1: [{pairs[0].value!r}]")
+        assert [r.passed for r in records] == [False, False, True]
+        plus = plus_side(records)[0]
+        assert plus.nu_plus is None
+        assert plus.note == ("NotConverged: half-cylinder estimate needs 2 "
+                             f"solved lengths, got 1: [{pairs[0].value!r}]")
 
 
 class TestLimitInfinity:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from cylgap import analysis, assemble, coeff, eig, experiments, grid
-from cylgap.errors import FactorizationFailed
 
 import proofs
 from conftest import same_bits
@@ -112,9 +112,9 @@ def test_band_cholesky_certifies_the_floor(field):
         lam = scipy.linalg.eigh(proofs.full(K).toarray(),
                                 proofs.full(M).toarray(),
                                 subset_by_index=[0, 0])[0][0]
-        eig._factor(eig.BandRows(K, M), lam * (1 - 1e-6), None)
-        with pytest.raises(FactorizationFailed):
-            eig._factor(eig.BandRows(K, M), lam * (1 + 1e-6), None)
+        rows = eig.BandRows(K, M)
+        assert eig._factor(rows, lam * (1 - 1e-6), None) is not None
+        assert eig._factor(rows, lam * (1 + 1e-6), None) is None
 
 
 # fields of each shape, with the meshes of their pencils: a 1D
@@ -169,10 +169,13 @@ def field_pencils(field):
 
 def oracle_band(K, M, shift):
     """Lower band of K - shift M in LAPACK storage, sliced from the CSR
-    lower triangles of the forms, with b the farthest stored offset."""
-    lows = [K.lower.tocoo(), M.lower.tocoo()]
-    b = max(int((low.row - low.col).max()) for low in lows)
-    A = (K.lower - shift * M.lower).tocoo()
+    lower triangles of the forms' whole matrices (``proofs.full``), with b
+    the farthest stored offset."""
+    Kl, Ml = (sparse.tril(proofs.full(form), format="csr")
+              for form in (K, M))
+    b = max(int((low.row - low.col).max())
+            for low in (Kl.tocoo(), Ml.tocoo()))
+    A = (Kl - shift * Ml).tocoo()
     band = np.zeros((b + 1, K.dim))
     band[A.row - A.col, A.col] = A.data
     return band
@@ -520,12 +523,13 @@ def test_one_pair_solve_runs_in_the_even_sector(field, box_field):
         assert pair.residual <= eig.DEFAULT_TOL, name
 
 
-# meshes on which a table's zeroed axial row separates the pencil: the
-# multi-direction meshes mirror their axial axes, with an odd and an even
-# number of nodes on each, and free (mixed) or clamped ends; on the p = 1
-# full cylinders, clamped with an even and an odd number of free axial
-# nodes, and on the half cylinders an end is clamped, so the axis's own 1D
-# pencil is solved, in its even sector where the axis mirrors
+# meshes of the tables with a zeroed axial row: the multi-direction meshes
+# mirror their axial axes, with an odd and an even number of nodes on
+# each, and free (mixed) ends, where the pencil separates, or clamped
+# ones; the p = 1 full cylinders have free ends, or clamped ends with an
+# even and an odd number of free axial nodes, and on the half cylinders
+# an end is clamped.  A pencil with a clamped end on the axis does not
+# separate and is solved like any other
 SEPARATED_MESHES = {
     2: {f"{name}-{ends}": grid.with_full_dirichlet(mesh)
         if ends == "dirichlet" else mesh
@@ -536,7 +540,9 @@ SEPARATED_MESHES = {
                                      omega=(-1, 1),
                                      resolution=(2.5, 2.5, 3.5))))
         for ends in ("mixed", "dirichlet")},
-    1: {"full-even": grid.with_full_dirichlet(grid.build_mesh(
+    1: {"full-free": grid.build_mesh("full-cylinder", ell=1, omega=(-1, 1),
+                                     resolution=(3, 4)),
+        "full-even": grid.with_full_dirichlet(grid.build_mesh(
             "full-cylinder", ell=1, omega=(-1, 1), resolution=(2.5, 4))),
         "full-odd": grid.with_full_dirichlet(grid.build_mesh(
             "full-cylinder", ell=1, omega=(-1, 1), resolution=(3, 4))),
@@ -551,30 +557,31 @@ SEPARATED_MESHES = {
 def test_one_pair_solve_separates_an_uncoupled_axis(data, axis):
     """A table with axial row ``axis`` zeroed leaves that axis (or an
     earlier one, where the draw zeroes it too) uncoupled, and a one-pair
-    solve separates it: it matches the dense lambda1 of the whole pencil
-    to the gate's relative 1e-10, its vector is exactly symmetric under
-    x_k -> -x_k where the axis mirrors with like ends (a whole-pencil
-    solve rounds), and its residual on the whole forms keeps DEFAULT_TOL.
-    The p = 2 tables are drawn general and even in X2 (then the reduced
-    pencil runs in its point-even sector)."""
+    solve separates it where both its ends are free: its vector is then
+    exactly constant along the axis (a whole-pencil solve rounds).  With
+    a clamped end no axis is recorded.  Either way the solve matches the
+    dense lambda1 of the whole pencil to the gate's relative 1e-10, and
+    its residual on the whole forms keeps DEFAULT_TOL.  The p = 2 tables
+    are drawn general and even in X2 (then the reduced pencil runs in its
+    point-even sector)."""
     fields = [data.draw(tables(3, 2, uncoupled=axis)),
               data.draw(even_tables(3, 2, uncoupled=axis)),
               data.draw(tables(2, 1, uncoupled=0))]
     for field in fields:
         for name, mesh in SEPARATED_MESHES[field.p].items():
             K, M = assemble.assemble_cylinder(mesh, field)
-            sep = K.uncoupled_axis
-            assert sep is not None and M.uncoupled_axis is sep, name
-            k = sep.index
-            assert k <= axis, name
+            k = K.uncoupled_axis
+            assert M.uncoupled_axis == k, name
+            free = not any(map(any, mesh.clamped[:mesh.n_axial]))
+            assert (k is not None) == free, name
             dense = scipy.linalg.eigh(proofs.full(K).toarray(),
                                       proofs.full(M).toarray(),
                                       eigvals_only=True,
                                       subset_by_index=[0, 0])[0]
             pair = eig.smallest_eigenpairs(K, M)[0]
             assert pair.value == pytest.approx(dense, rel=1e-10), name
-            part, (lo, hi) = mesh.axis_partitions[k], mesh.clamped[k]
-            if lo == hi and np.array_equal(part, -part[::-1]):
+            if free:
+                assert k <= axis, name
                 u = pair.vector.reshape([len(f) for f in mesh.axis_free])
                 assert np.array_equal(u, np.flip(u, k)), name
             assert pair.residual <= eig.DEFAULT_TOL, name

@@ -47,13 +47,13 @@ CONFIGS = {"asymmetric": "asymmetric_showcase.cfg",
 # one-pair solves separate the uncoupled x2 into 2D pencils of at most
 # 288 unknowns)
 LARGE = 400
-MAX_APPLICATIONS = {"asymmetric": 151, "model_gap": 267,
+MAX_APPLICATIONS = {"asymmetric": 151, "model_gap": 214,
                     "multi_direction": 0}
 # most applications on factors of any size, the cross-section and short
 # cylinder pencils included (365, 191 and 105 with every pencil whole;
 # 323, 191 and 96 in even sectors, 93 on multi_direction in quarters and
 # 90 separated)
-MAX_ALL_APPLICATIONS = {"asymmetric": 191, "model_gap": 365,
+MAX_ALL_APPLICATIONS = {"asymmetric": 191, "model_gap": 323,
                         "multi_direction": 90}
 # most unknowns a run may sweep: the sum, over all applications, of the
 # unknowns of the factor applied; a one-pair solve of a point-symmetric
